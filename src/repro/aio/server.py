@@ -2,10 +2,12 @@
 
 :class:`AsyncMemcachedServer` serves the *same*
 :class:`repro.protocol.memserver.MemcachedServer` backend as the
-threaded ``serve_tcp`` front, over ``asyncio`` streams: one lightweight
-reader task per connection instead of one OS thread, so a single process
-holds tens of thousands of concurrent connections — the regime the
-open-loop load generator (:mod:`repro.loadgen`) drives.
+threaded ``serve_tcp`` front, callback-driven: one small
+:class:`asyncio.Protocol` object per connection instead of one OS thread
+(or task), so a single process holds tens of thousands of concurrent
+connections — the regime the open-loop load generator
+(:mod:`repro.loadgen`) drives.  Every command a received chunk completes
+is executed inline; the batch is answered with ONE ``transport.write``.
 
 Properties the async front preserves from the threaded one:
 
@@ -15,7 +17,8 @@ Properties the async front preserves from the threaded one:
 * **pipelining** — a connection may send many commands before reading
   any response; responses come back in request order (the memcached
   contract the pipelined :class:`repro.aio.transport.AsyncConnection`
-  relies on);
+  relies on); while a connection's unread responses exceed the write
+  buffer's high-water mark, its commands are not read;
 * **admission verdicts** — an attached
   :class:`repro.overload.load.AdmissionControl` sheds ``get``
   transactions with ``SERVER_ERROR busy`` exactly as before; the
@@ -60,6 +63,8 @@ class AsyncMemcachedServer:
         #: the kernel.  None (the default) never blocks.
         self.gate = gate
         self._server: asyncio.AbstractServer | None = None
+        #: the live connections' transports, for :meth:`stop` to abort
+        self._transports: set[asyncio.Transport] = set()
         #: connections accepted over this front's lifetime
         self.connections_accepted = 0
         #: connections refused or dropped by the link gate
@@ -70,78 +75,80 @@ class AsyncMemcachedServer:
         """The bound ``(host, port)``; valid after :meth:`start`."""
         if self._server is None:
             raise RuntimeError("server not started")
-        sock = self._server.sockets[0]
-        host, port = sock.getsockname()[:2]
-        return host, port
+        return self._server.sockets[0].getsockname()[:2]
 
     async def start(self) -> tuple[str, int]:
         """Bind and start accepting; returns the bound address.
 
         ``port=0`` picks a free port, mirroring ``serve_tcp``.
         """
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         return self.address
 
     async def stop(self) -> None:
-        """Stop accepting and close the listening socket."""
+        """Stop accepting and abort every live connection: never waits for
+        clients to hang up first (``Server.wait_closed()`` alone does, from
+        Python 3.12 on); responses not yet sent are dropped."""
         if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+            server, self._server = self._server, None
+            server.close()
+            for transport in list(self._transports):
+                transport.abort()
+            await server.wait_closed()
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """One connection: parse pipelined commands, answer in order.
 
-        Command *execution* is synchronous (the backend is an in-memory
-        dict behind a lock), so responses are computed inline and the
-        loop yields at the socket reads/writes — the same cooperative
-        shape AppScale's datastore servers use for their memcache path.
-        """
-        if self.gate is not None and self.gate():
-            self.connections_refused += 1
-            try:
-                writer.close()
-            except (OSError, RuntimeError):  # pragma: no cover - teardown race
-                pass
+class _Connection(asyncio.Protocol):
+    """One accepted connection: parse pipelined commands, answer in order.
+
+    Command *execution* is synchronous (the backend is an in-memory dict
+    behind a lock), so responses are computed inline in the read callback.
+    """
+
+    def __init__(self, front: AsyncMemcachedServer) -> None:
+        self._front = front
+        self._buf = b""  # received bytes that do not yet complete a command
+
+    def _cut(self) -> bool:
+        """True (and the connection closed, unanswered) if the link is cut."""
+        front = self._front
+        if front.gate is None or not front.gate():
+            return False
+        front.connections_refused += 1
+        self._transport.close()
+        return True
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self._transport = transport
+        if not self._cut():
+            self._front.connections_accepted += 1
+            self._front._transports.add(transport)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._front._transports.discard(self._transport)
+
+    def data_received(self, data: bytes) -> None:
+        # a link cut mid-connection drops it without a response, exactly
+        # what a partitioned TCP peer sees
+        if self._cut():
             return
-        self.connections_accepted += 1
-        buf = b""
         try:
-            while True:
-                if self.gate is not None and self.gate():
-                    # the link was cut mid-connection: drop it without a
-                    # response, exactly what a partitioned TCP peer sees
-                    self.connections_refused += 1
-                    return
-                chunk = await reader.read(65536)
-                if not chunk:
-                    return
-                buf += chunk
-                try:
-                    commands, buf = codec.parse_command_stream(buf)
-                except ProtocolError:
-                    writer.write(b"ERROR" + CRLF)
-                    await writer.drain()
-                    return
-                if not commands:
-                    continue
-                out = bytearray()
-                for cmd in commands:
-                    out += self.backend.execute(cmd)
-                if out:
-                    writer.write(bytes(out))
-                    await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass  # client went away / server shutting down
-        finally:
-            try:
-                writer.close()
-            except (OSError, RuntimeError):  # pragma: no cover - teardown race
-                pass
+            commands, self._buf = codec.parse_command_stream(self._buf + data)
+        except ProtocolError:
+            self._transport.write(b"ERROR" + CRLF)
+            self._transport.close()
+            return
+        execute = self._front.backend.execute
+        self._transport.write(b"".join([execute(cmd) for cmd in commands]))
+
+    # a peer that pipelines without reading must not bloat this process:
+    # stop reading (hence executing) its commands while responses back up
+    def pause_writing(self) -> None:
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._transport.resume_reading()
 
 
 class AioServerHandle:
@@ -160,13 +167,8 @@ class AioServerHandle:
 
     def _run(self) -> None:
         self._loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(self._loop)
-
-        async def _main() -> None:
-            self.address = await self.server.start()
-            self._started.set()
-
-        self._loop.run_until_complete(_main())
+        self.address = self._loop.run_until_complete(self.server.start())
+        self._started.set()
         try:
             self._loop.run_forever()
         finally:
@@ -198,7 +200,5 @@ def serve_aio(
     The signature mirrors :func:`repro.protocol.memserver.serve_tcp`, so
     sync tests exercise both fronts through one fixture shape.
     """
-    handle = AioServerHandle(AsyncMemcachedServer(backend, host=host, port=port))
-    handle.start()
-    assert handle.address is not None
+    handle = AioServerHandle(AsyncMemcachedServer(backend, host=host, port=port)).start()
     return handle, handle.address

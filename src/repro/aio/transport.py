@@ -7,7 +7,11 @@ exchanges — valid because the memcached protocol answers strictly in
 request order (the async server front preserves this, see
 :mod:`repro.aio.server`).  Pipelining is what lets thousands of
 concurrent bundles share a small connection pool instead of needing a
-socket each.
+socket each.  The connection is its own :class:`asyncio.Protocol`
+(docs/SERVING.md): the loop's ``data_received`` callback resolves the
+futures inline, with no reader task or stream buffer in between, and a
+caller waits *before* writing only while the send buffer is over its
+high-water mark — a slow peer blocks callers instead of growing it.
 
 Timeout semantics mirror :class:`repro.protocol.transport.TCPTransport`
 knob for knob (the PR-5 connect/read split, audited here for parity):
@@ -20,7 +24,9 @@ knob for knob (the PR-5 connect/read split, audited here for parity):
   torn down (a stale late response must not desync the FIFO pairing)
   and the exchange raises :class:`ServerTimeout`.  Other exchanges
   pipelined on the connection fail with ``ConnectionError`` and retry
-  on a fresh connection under their own policies;
+  on a fresh connection under their own policies.  ONE timer per
+  connection watches the head's deadline (they never decrease along the
+  FIFO), not one timer per exchange;
 * precedence is identical: explicit per-phase kwarg > legacy
   ``timeout`` > :class:`repro.protocol.retry.RetryPolicy`.
 
@@ -38,9 +44,10 @@ from repro.errors import ProtocolError, ServerTimeout
 from repro.protocol import codec
 from repro.protocol.codec import Response
 from repro.protocol.retry import DEFAULT_POLICY, RetryPolicy
+from repro.protocol.transport import TCPTransport
 
 
-class AsyncConnection:
+class AsyncConnection(asyncio.Protocol):
     """One pipelined asyncio connection to a memcached-speaking server."""
 
     def __init__(
@@ -56,158 +63,146 @@ class AsyncConnection:
         self.host = host
         self.port = port
         self.policy = policy or DEFAULT_POLICY
-        # precedence: explicit per-phase kwarg > legacy timeout > policy
-        # (same rule, and the same _pick helper contract, as TCPTransport)
-        self._connect_timeout = self._pick(
-            connect_timeout, timeout, self.policy.connect_timeout
-        )
-        self._request_timeout = self._pick(
-            read_timeout, timeout, self.policy.request_timeout
-        )
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._read_task: asyncio.Task | None = None
+        # explicit per-phase kwarg > legacy timeout > policy: TCPTransport's rule
+        pick = TCPTransport._pick
+        self.connect_timeout = pick(connect_timeout, timeout, self.policy.connect_timeout)
+        self.read_timeout = pick(read_timeout, timeout, self.policy.request_timeout)
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._transport: asyncio.Transport | None = None
         self._connect_lock = asyncio.Lock()
-        #: FIFO of (n_responses, future) for exchanges awaiting responses
-        self._pending: deque[tuple[int, asyncio.Future]] = deque()
+        #: FIFO of exchanges awaiting responses: (n, future, deadline, responses so far)
+        self._pending: deque[tuple[int, asyncio.Future, float, list[Response]]] = deque()
         self._frames = codec.FrameBuffer()
+        #: the connection's one timer, due no later than the head's deadline
+        self._watchdog: asyncio.TimerHandle | None = None
+        #: cleared while the socket's send buffer is over its high-water mark
+        self._writable = asyncio.Event()
+        self._writable.set()
         #: exchanges currently in flight (pool balancing signal)
         self.in_flight = 0
         self.exchanges = 0
 
-    @staticmethod
-    def _pick(explicit: float | None, legacy: float | None, fallback: float) -> float:
-        if explicit is not None:
-            return explicit
-        if legacy is not None:
-            return legacy
-        return fallback
-
-    @property
-    def connect_timeout(self) -> float:
-        return self._connect_timeout
-
-    @property
-    def read_timeout(self) -> float:
-        return self._request_timeout
-
     @property
     def connected(self) -> bool:
-        return self._writer is not None
-
-    # -- connection lifecycle ----------------------------------------------
+        return self._transport is not None
 
     async def ensure_connected(self) -> None:
         """Connect if not connected (lazy; also the post-failure reconnect).
 
         Serialised by a lock: concurrent first exchanges must share ONE
-        socket and ONE read loop, not race to create several.
+        socket, not race to create several.
         """
-        if self._writer is not None:
-            return
         async with self._connect_lock:
-            if self._writer is not None:
-                return
-            try:
-                reader, writer = await asyncio.wait_for(
-                    asyncio.open_connection(self.host, self.port),
-                    timeout=self._connect_timeout,
-                )
-            except (asyncio.TimeoutError, TimeoutError) as exc:
-                raise ServerTimeout(
-                    f"connect to {self.host}:{self.port} did not complete within "
-                    f"{self._connect_timeout}s"
-                ) from exc
-            self._frames.clear()
-            self._reader, self._writer = reader, writer
-            self._read_task = asyncio.ensure_future(self._read_loop())
+            if self._transport is None:
+                self._loop = asyncio.get_running_loop()
+                try:
+                    await asyncio.wait_for(
+                        self._loop.create_connection(lambda: self, self.host, self.port),
+                        timeout=self.connect_timeout,
+                    )
+                except (asyncio.TimeoutError, TimeoutError) as exc:
+                    raise ServerTimeout(
+                        f"connect to {self.host}:{self.port} did not complete within "
+                        f"{self.connect_timeout}s"
+                    ) from exc
 
     def close(self, error: BaseException | None = None) -> None:
         """Tear down the socket; pending exchanges fail with ``error``."""
-        writer, self._reader, self._writer = self._writer, None, None
-        task, self._read_task = self._read_task, None
-        if task is not None:
-            task.cancel()
-        if writer is not None:
-            try:
-                writer.close()
-            except (OSError, RuntimeError):  # pragma: no cover - teardown race
-                pass
+        transport, self._transport = self._transport, None
+        if transport is not None:
+            transport.abort()
+        if self._watchdog is not None:
+            self._watchdog.cancel()
+            self._watchdog = None
         failure = error or ConnectionError("connection closed")
         while self._pending:
-            _, fut = self._pending.popleft()
+            fut = self._pending.popleft()[1]
             if not fut.done():
                 fut.set_exception(failure)
         self._frames.clear()
+        self._writable.set()  # wake callers blocked on a full send buffer
 
-    # -- the read side ------------------------------------------------------
+    # -- event-loop callbacks ------------------------------------------------
 
-    async def _read_loop(self) -> None:
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self._transport = transport
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        # the callback does not say WHICH socket died: one that close()
+        # already dropped (and maybe replaced) must not tear down its successor
+        if self._transport is not None and self._transport.is_closing():
+            self.close(exc or ProtocolError("connection closed mid-response"))
+
+    def pause_writing(self) -> None:
+        self._writable.clear()
+
+    def resume_writing(self) -> None:
+        self._writable.set()
+
+    def data_received(self, data: bytes) -> None:
         """Parse responses in arrival order, fulfilling pending FIFO."""
+        frames, pending = self._frames, self._pending
+        frames.feed(data)
         try:
-            while True:
-                while self._pending:
-                    n, fut = self._pending[0]
-                    responses: list[Response] = []
-                    while len(responses) < n:
-                        resp = self._frames.next_response()
-                        if resp is not None:
-                            responses.append(resp)
-                            continue
-                        chunk = await self._reader.read(65536)
-                        if not chunk:
-                            raise ProtocolError(
-                                "connection closed mid-response"
-                            ) from None
-                        self._frames.feed(chunk)
-                    self._pending.popleft()
-                    if not fut.done():
-                        fut.set_result(responses)
-                if len(self._frames):
-                    # bytes with no exchange awaiting them: the FIFO
-                    # pairing is broken — tear down rather than spin
-                    raise ProtocolError(
-                        f"unexpected trailing response bytes: {self._frames.peek(40)!r}"
-                    )
-                # idle: wait for the next exchange to enqueue (or EOF)
-                chunk = await self._reader.read(65536)
-                if not chunk:
-                    self.close()
-                    return
-                self._frames.feed(chunk)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            self._read_task = None
+            while pending:
+                n, fut, _, responses = pending[0]
+                while len(responses) < n:
+                    resp = frames.next_response()
+                    if resp is None:
+                        return
+                    responses.append(resp)
+                pending.popleft()
+                # a caller cancelled mid-exchange stays queued, so that its
+                # late response is consumed here (and dropped), not mis-paired
+                if not fut.done():
+                    fut.set_result(responses)
+            if len(frames):
+                # bytes with no exchange awaiting them: the FIFO pairing
+                # is broken — tear down rather than mis-deliver
+                raise ProtocolError(f"unexpected trailing response bytes: {frames.peek(40)!r}")
+        except ProtocolError as exc:
             self.close(exc)
 
-    # -- the write side -----------------------------------------------------
+    def _on_watchdog(self) -> None:
+        # armed when an exchange is queued with no timer pending and left
+        # alone as exchanges complete, so it may fire early for a later head
+        self._watchdog = None
+        if not self._pending:
+            return
+        _, fut, deadline, _ = self._pending[0]
+        if deadline > self._loop.time():
+            self._watchdog = self._loop.call_at(deadline, self._on_watchdog)
+            return
+        if not fut.done():
+            fut.set_exception(
+                ServerTimeout(f"no complete response within {self.read_timeout}s")
+            )
+        self.close()  # pipelined siblings fail with ConnectionError
 
     async def exchange(self, request: bytes, n_responses: int = 1) -> list[Response]:
         """Send one request, await its ``n_responses`` responses.
 
-        Many callers may have exchanges in flight concurrently; each
-        gets its own responses in request order.  A read timeout tears
-        the connection down (see module docstring) and raises
-        :class:`ServerTimeout`.
+        Many callers may have exchanges in flight concurrently; each gets
+        its own responses in request order.  A read timeout raises
+        :class:`ServerTimeout` and tears the connection down (module docstring).
         """
-        await self.ensure_connected()
-        fut: asyncio.Future = asyncio.get_running_loop().create_future()
-        self._pending.append((n_responses, fut))
+        if self._transport is None:
+            await self.ensure_connected()
+        while not self._writable.is_set():  # send buffer over its high-water mark
+            await self._writable.wait()
+        if self._transport is None:  # lost while waiting: the retry layer reconnects
+            raise ConnectionError("connection closed")
+        loop = self._loop
+        fut: asyncio.Future = loop.create_future()
+        deadline = loop.time() + self.read_timeout
+        self._pending.append((n_responses, fut, deadline, []))
+        if self._watchdog is None:
+            self._watchdog = loop.call_at(deadline, self._on_watchdog)
         self.in_flight += 1
         self.exchanges += 1
+        self._transport.write(request)
         try:
-            self._writer.write(request)
-            await self._writer.drain()
-            return await asyncio.wait_for(fut, timeout=self._request_timeout)
-        except (asyncio.TimeoutError, TimeoutError) as exc:
-            self.close()
-            raise ServerTimeout(
-                f"no complete response within {self._request_timeout}s"
-            ) from exc
-        except ConnectionError:
-            self.close()
-            raise
+            return await fut
         finally:
             self.in_flight -= 1
 

@@ -16,12 +16,14 @@ test pins the two against each other.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from repro.errors import ProtocolError
 
 CRLF = b"\r\n"
 MAX_KEY_LEN = 250
+_BAD_KEY_CHAR = re.compile(r"[\x00-\x20\x7f]").search  # <= 0x20 (controls, space) or DEL
 STORAGE_COMMANDS = frozenset({"set", "add", "replace", "append", "prepend", "cas"})
 RETRIEVAL_COMMANDS = frozenset({"get", "gets"})
 COUNTER_COMMANDS = frozenset({"incr", "decr"})
@@ -64,7 +66,7 @@ class Response:
 def _validate_key(key: str) -> None:
     if not key or len(key) > MAX_KEY_LEN:
         raise ProtocolError(f"invalid key length: {len(key)}")
-    if any(c <= " " or c == "\x7f" for c in key):
+    if _BAD_KEY_CHAR(key):
         raise ProtocolError(f"key contains control characters or spaces: {key!r}")
 
 

@@ -109,3 +109,36 @@ class TestConnectionGate:
             assert server.connections_refused >= 1
 
         run(scenario())
+
+
+class TestGateOnTheWire:
+    """What a raw peer sees, byte for byte, and what the counters say."""
+
+    def test_refused_at_accept_dropped_before_the_next_batch_without_a_reply(self):
+        async def scenario():
+            cut = {"on": True}
+            server = AsyncMemcachedServer(MemcachedServer(), gate=lambda: cut["on"])
+            host, port = await server.start()
+            try:
+                # cut at accept: the connection is closed, nothing is served
+                reader, writer = await asyncio.open_connection(host, port)
+                assert await asyncio.wait_for(reader.read(), timeout=2.0) == b""
+                writer.close()
+                assert (server.connections_accepted, server.connections_refused) == (0, 1)
+
+                cut["on"] = False
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(b"version\r\n")
+                assert (await reader.readline()).startswith(b"VERSION")
+                assert (server.connections_accepted, server.connections_refused) == (1, 1)
+
+                # cut mid-connection: the next batch is dropped, not answered
+                cut["on"] = True
+                writer.write(b"version\r\n")
+                assert await asyncio.wait_for(reader.read(), timeout=2.0) == b""
+                writer.close()
+                assert (server.connections_accepted, server.connections_refused) == (1, 2)
+            finally:
+                await server.stop()
+
+        run(scenario())

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import asyncio
+import socket
+import threading
 
 import pytest
 
@@ -165,3 +167,147 @@ class TestPool:
     def test_size_validated(self):
         with pytest.raises(ValueError):
             AsyncConnectionPool("127.0.0.1", 1, size=0)
+
+
+GET_K = encode_command(Command(name="get", keys=("k",)))
+
+
+class TestReadTimeoutSiblings:
+    def test_head_times_out_siblings_fail_next_exchange_reconnects(self):
+        async def scenario():
+            writers = []
+
+            async def first_connection_mute(reader, writer):
+                writers.append(writer)
+                mute = len(writers) == 1
+                while await reader.readline():
+                    if not mute:
+                        writer.write(b"END\r\n")
+
+            server = await asyncio.start_server(first_connection_mute, "127.0.0.1", 0)
+            host, port = server.sockets[0].getsockname()[:2]
+            conn = AsyncConnection(host, port, read_timeout=0.2)
+            try:
+                head = asyncio.ensure_future(conn.exchange(GET_K))
+                await asyncio.sleep(0.05)  # the siblings' own deadlines are later
+                siblings = [asyncio.ensure_future(conn.exchange(GET_K)) for _ in range(2)]
+                with pytest.raises(ServerTimeout):
+                    await head
+                for sibling in siblings:
+                    with pytest.raises(ConnectionError):
+                        await sibling
+                assert not conn.connected
+                assert conn.in_flight == 0
+                [resp] = await conn.exchange(GET_K)  # lazily reconnects
+                assert resp.status == "END"
+                assert conn.connected and len(writers) == 2
+            finally:
+                conn.close()
+                for writer in writers:
+                    writer.close()
+                server.close()
+                await server.wait_closed()
+
+        run(scenario())
+
+    def test_pipelined_exchanges_share_one_timer(self):
+        # the read timeout is ONE watchdog per connection, not a timer per
+        # exchange: 1 000 pipelined exchanges arm O(1) loop timers
+        async def scenario(backend, host, port):
+            loop = asyncio.get_running_loop()
+            conn = AsyncConnection(host, port)
+            await conn.ensure_connected()
+            armed = 0
+            real_call_at = loop.call_at
+
+            def counting_call_at(*args, **kwargs):  # call_later lands here too
+                nonlocal armed
+                armed += 1
+                return real_call_at(*args, **kwargs)
+
+            loop.call_at = counting_call_at
+            try:
+                replies = await asyncio.gather(*(conn.exchange(GET_K) for _ in range(1000)))
+            finally:
+                del loop.call_at
+                conn.close()
+            assert len(replies) == 1000
+            assert armed <= 2
+
+        run(_with_server(scenario))
+
+
+class TestCancellation:
+    def test_cancelled_exchange_does_not_desync_the_fifo(self):
+        async def scenario(backend, host, port):
+            for key in ("a", "b"):
+                backend.execute(Command(name="set", keys=(key,), data=key.encode()))
+            conn = AsyncConnection(host, port)
+            try:
+                await conn.ensure_connected()
+                doomed = asyncio.ensure_future(
+                    conn.exchange(encode_command(Command(name="get", keys=("a",))))
+                )
+                await asyncio.sleep(0)  # request written, response not yet read
+                doomed.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await doomed
+                # a's late response is consumed and dropped, not handed to b
+                [resp] = await conn.exchange(encode_command(Command(name="get", keys=("b",))))
+                assert list(resp.values) == ["b"]
+                assert conn.connected and conn.in_flight == 0
+            finally:
+                conn.close()
+
+        run(_with_server(scenario))
+
+
+class TestWriteBackpressure:
+    def test_burst_against_slow_reader_waits_instead_of_buffering(self):
+        n_sets, size = 48, 256 * 1024
+        request = encode_command(Command(name="set", keys=("big",), data=b"x" * size))
+        listener = socket.socket()
+        # a small receive buffer: the peer's kernel cannot absorb the burst
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 * 1024)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        start_reading = threading.Event()
+
+        def slow_peer():
+            sock, _ = listener.accept()
+            with sock:
+                start_reading.wait(timeout=30)
+                for _ in range(n_sets):
+                    left = len(request)
+                    while left:
+                        left -= len(sock.recv(min(left, 1 << 20)))
+                    sock.sendall(b"STORED\r\n")
+
+        peer = threading.Thread(target=slow_peer, daemon=True)
+        peer.start()
+
+        async def scenario():
+            conn = AsyncConnection(*listener.getsockname(), read_timeout=30)
+            try:
+                tasks = [asyncio.ensure_future(conn.exchange(request)) for _ in range(n_sets)]
+                await asyncio.sleep(0.3)  # peer still asleep: the burst has backed up
+                # white box, the one thing the public surface cannot show:
+                # what asyncio buffers beyond the kernel's socket buffers
+                transport = conn._transport
+                high_water = transport.get_write_buffer_limits()[1]
+                assert transport.get_write_buffer_size() <= high_water + len(request)
+                assert conn.in_flight < n_sets  # the rest wait, unwritten
+                assert not any(t.done() for t in tasks)
+                start_reading.set()
+                replies = await asyncio.gather(*tasks)
+            finally:
+                start_reading.set()
+                conn.close()
+            assert [r.status for [r] in replies] == ["STORED"] * n_sets
+
+        try:
+            run(scenario())
+            peer.join(timeout=10)
+            assert not peer.is_alive()
+        finally:
+            listener.close()

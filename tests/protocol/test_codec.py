@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
 from repro.protocol.codec import (
+    MAX_KEY_LEN,
     Command,
     IncompleteResponse,
     encode_command,
@@ -177,3 +178,32 @@ def test_values_roundtrip_property(items):
     assert len(resp.values) == len(items)
     for i, (k, v) in enumerate(items):
         assert resp.values[k] == (0, v, i)
+
+
+class TestKeyValidation:
+    """The compiled key check rejects exactly what the per-character scan did."""
+
+    @staticmethod
+    def oracle_rejects(key: str) -> bool:
+        # the predicate the codec used before the check was compiled
+        return not key or len(key) > MAX_KEY_LEN or any(c <= " " or c == "\x7f" for c in key)
+
+    def rejects(self, key: str) -> bool:
+        try:
+            encode_command(Command("get", keys=(key,)))
+        except ProtocolError:
+            return True
+        return False
+
+    def test_every_code_point_below_0x100(self):
+        for cp in range(0x100):
+            for key in (chr(cp), "a" + chr(cp), chr(cp) + "z", "a" + chr(cp) + "z"):
+                assert self.rejects(key) == self.oracle_rejects(key), repr(key)
+
+    def test_length_limits(self):
+        for key in ("", "k" * MAX_KEY_LEN, "k" * (MAX_KEY_LEN + 1), "é" * MAX_KEY_LEN):
+            assert self.rejects(key) == self.oracle_rejects(key), repr(key)
+
+    @given(st.text(max_size=MAX_KEY_LEN + 5))
+    def test_sampled_unicode_keys(self, key):
+        assert self.rejects(key) == self.oracle_rejects(key)
