@@ -8,6 +8,12 @@ single-shot.  ``SERVER_ERROR busy`` surfaces as
 :class:`repro.errors.ServerBusy` inside the retried callable, so
 backpressure sheds ride the same bounded-backoff schedule as transient
 connection faults (docs/OVERLOAD.md).
+
+A transaction is two synchronous halves around the wire: ``begin``
+(encode, ``transport.submit``) and ``settle`` (BUSY and status checks,
+``transactions`` count, value materialisation).  The coroutines await
+``transport.exchange`` between them; :mod:`repro.aio.rnbclient`'s
+fan-out, which has its own completion sinks, calls them directly.
 """
 
 from __future__ import annotations
@@ -40,16 +46,19 @@ class AsyncMemcachedClient:
         self.transactions = 0
         self.retries = 0
 
-    async def _exchange_checked(self, payload: bytes):
-        responses = await self.transport.exchange(payload)
+    @staticmethod
+    def _checked(responses):
         for resp in responses:
             if resp.status == "SERVER_ERROR busy":
                 raise ServerBusy(f"{resp.status} (server shed the transaction)")
         return responses
 
+    async def _exchange_checked(self, payload: bytes):
+        return self._checked(await self.transport.exchange(payload))
+
     async def _exchange_idempotent(self, payload: bytes):
         if self.policy is None:
-            return await self._exchange_checked(payload)
+            return await self.transport.exchange(payload)  # settle() checks for BUSY
 
         def _count(attempt, exc):
             self.retries += 1
@@ -61,6 +70,44 @@ class AsyncMemcachedClient:
             sleep=self.sleep,
             on_retry=_count,
         )
+
+    # -- the two halves of a transaction ------------------------------------
+
+    @staticmethod
+    def _encode(op: str, args, with_cas=False, flags=0, exptime=0) -> bytes:
+        if op == "set":
+            return encode_command(
+                Command(name="set", keys=args[:1], flags=flags, exptime=exptime, data=args[1])
+            )
+        if op == "delete":
+            return encode_command(Command(name="delete", keys=args))
+        keys = args if op == "get" else tuple(args[0])
+        return encode_command(Command(name="gets" if with_cas else "get", keys=keys))
+
+    def begin(self, op: str, args: tuple, sink) -> bool:
+        """Put ``op(*args)`` (``get_multi`` / ``get`` / ``set`` / ``delete``) on the wire
+        now; ``sink`` gets the raw responses for :meth:`settle`.  ``False``, nothing sent,
+        if the transport cannot ``submit`` or this client has its own ``policy`` (it
+        retries inside the coroutine)."""
+        submit = getattr(self.transport, "submit", None)
+        if submit is None or self.policy is not None:
+            return False
+        return submit(self._encode(op, args), 1, sink)
+
+    def settle(self, op: str, args: tuple, responses, with_cas=False, raw=False):
+        """What ``op(*args)`` returns for ``responses``; a shed raises :class:`ServerBusy`."""
+        [resp] = self._checked(responses)
+        if op == "set" or op == "delete":
+            self.transactions += 1
+            return resp.status == ("STORED" if op == "set" else "DELETED")
+        if resp.status != "END":
+            raise ProtocolError(f"unexpected retrieval status: {resp.status}")
+        self.transactions += 1
+        items = resp.values.items()
+        if with_cas:
+            return {k: (v[1] if raw else bytes(v[1]), v[2]) for k, v in items}
+        values = {k: v[1] for k, v in items} if raw else {k: bytes(v[1]) for k, v in items}
+        return values.get(args[0]) if op == "get" else values
 
     # -- retrieval -------------------------------------------------------
 
@@ -74,23 +121,11 @@ class AsyncMemcachedClient:
         returns the memoryview slices themselves (no per-item copy —
         see :meth:`repro.protocol.memclient.MemcachedConnection.get_multi`).
         """
-        keys = tuple(keys)
-        if not keys:
+        args = (tuple(keys),)
+        if not args[0]:
             return {}
-        name = "gets" if with_cas else "get"
-        [resp] = await self._exchange_idempotent(
-            encode_command(Command(name=name, keys=keys))
-        )
-        if resp.status != "END":
-            raise ProtocolError(f"unexpected retrieval status: {resp.status}")
-        self.transactions += 1
-        if raw:
-            if with_cas:
-                return {k: (v[1], v[2]) for k, v in resp.values.items()}
-            return {k: v[1] for k, v in resp.values.items()}
-        if with_cas:
-            return {k: (bytes(v[1]), v[2]) for k, v in resp.values.items()}
-        return {k: bytes(v[1]) for k, v in resp.values.items()}
+        responses = await self._exchange_idempotent(self._encode("get_multi", args, with_cas))
+        return self.settle("get_multi", args, responses, with_cas, raw)
 
     async def get(self, key: str) -> bytes | None:
         return (await self.get_multi([key])).get(key)
@@ -101,20 +136,12 @@ class AsyncMemcachedClient:
         self, key: str, value: bytes, *, flags: int = 0, exptime: int = 0
     ) -> bool:
         # plain set is idempotent (last-writer-wins), so it may retry
-        [resp] = await self._exchange_idempotent(
-            encode_command(
-                Command(name="set", keys=(key,), flags=flags, exptime=exptime, data=value)
-            )
-        )
-        self.transactions += 1
-        return resp.status == "STORED"
+        request = self._encode("set", (key, value), flags=flags, exptime=exptime)
+        return self.settle("set", (key, value), await self._exchange_idempotent(request))
 
     async def delete(self, key: str) -> bool:
-        [resp] = await self._exchange_checked(
-            encode_command(Command(name="delete", keys=(key,)))
-        )
-        self.transactions += 1
-        return resp.status == "DELETED"
+        request = self._encode("delete", (key,))
+        return self.settle("delete", (key,), await self.transport.exchange(request))
 
     async def flush_all(self) -> None:
         [resp] = await self._exchange_checked(

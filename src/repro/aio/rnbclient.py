@@ -8,17 +8,21 @@ machinery — the cover planner (:class:`repro.core.bundling.Bundler`),
 :class:`repro.overload.breaker.BreakerBoard`, and the retryable
 ``SERVER_ERROR busy`` admission verdict — but executes differently:
 
-* the transactions of one bundle plan are dispatched **concurrently**
-  (one coroutine each) instead of sequentially, so a multi-get's
-  latency is the *slowest* transaction, not the sum;
+* the transactions of one bundle plan are dispatched **concurrently**,
+  so a multi-get's latency is the *slowest* transaction, not the sum.
+  Every fan-out goes through :meth:`AsyncRnBClient._scatter`: requests
+  are written from the caller's own task and completed by a callback out
+  of ``data_received`` — one future and one wakeup per wave; only a call
+  that cannot go inline runs in a Task (docs/SERVING.md, "fan-out");
 * many ``get_multi`` calls may be in flight at once on one client; the
   per-server :class:`repro.aio.transport.AsyncConnectionPool` pipelines
   them over a handful of sockets;
 * an optional per-request ``deadline`` degrades instead of failing:
   when the budget expires mid-request, still-pending fetches are
-  cancelled and the outcome reports the keys obtained so far with
-  ``deadline_hit=True`` — the async analogue of the overload ladder's
-  "answer with what we have" rung (docs/OVERLOAD.md).
+  abandoned (late responses are dropped) and the outcome reports the
+  keys obtained so far with ``deadline_hit=True`` — the async analogue
+  of the overload ladder's "answer with what we have" rung
+  (docs/OVERLOAD.md).
 
 Failover semantics match the sync client: a dead server's primaries are
 re-fetched from surviving replicas in bundled repair waves, BUSY sheds
@@ -54,6 +58,31 @@ from repro.protocol.rnbclient import (
     _request_instruments,
 )
 from repro.types import Request
+
+
+#: the result of a call its wave stopped waiting for (deadline)
+_CUT = object()
+
+
+class _Slot:
+    """Completion sink of one inline call (``submit``'s ``sink``); ``done()``
+    once its wave's caller has left, so a late response is consumed and dropped."""
+
+    __slots__ = ("waiter", "arrived", "index")
+
+    def __init__(self, waiter: asyncio.Future, arrived, index: int) -> None:
+        self.waiter = waiter
+        self.arrived = arrived
+        self.index = index
+
+    def done(self) -> bool:
+        return self.waiter.done()
+
+    def set_result(self, responses) -> None:
+        self.arrived(self.index, responses, None)
+
+    def set_exception(self, exc: BaseException) -> None:
+        self.arrived(self.index, None, exc)
 
 
 class AsyncRnBClient:
@@ -121,103 +150,138 @@ class AsyncRnBClient:
 
     # -- fault plumbing ------------------------------------------------------
 
-    async def _fetch(
-        self, sid: int, keys, counters: dict | None = None, parent=None
-    ) -> dict:
-        """One server's multi-get under the retry policy + health tracking.
-
-        Identical layering to the sync client: a connection that carries
-        its own policy is not retried on top (attempts would compound).
-        """
+    async def _fetch(self, sid: int, keys, counters: dict, first_error=None) -> dict:
+        """The cold path of a read call: one server's multi-get under the retry
+        policy.  A failed inline first attempt, ``first_error``, is re-raised as
+        attempt 0, so the retry schedule and ``on_retry`` accounting are a fresh
+        call's.  As in the sync client, a connection's own policy is not stacked on."""
         conn = self.connections[sid]
-        span = (
-            self._tracer.start("txn", parent=parent, server=sid, n_keys=len(keys))
-            if self._tracer is not None
-            else None
-        )
+
+        failed_inline = [first_error] if first_error is not None else []
 
         async def attempt():
+            if failed_inline:
+                raise failed_inline.pop()
             return await conn.get_multi(keys)
 
-        try:
-            if self.retry_policy is None or getattr(conn, "policy", None) is not None:
-                got = await attempt()
-            else:
+        if self.retry_policy is None or getattr(conn, "policy", None) is not None:
+            return await attempt()
 
-                def _on_retry(attempt_no, exc):
-                    if counters is not None:
-                        counters["retries"] = counters.get("retries", 0) + 1
-                    if self.health is not None:
-                        self.health.record_error(sid)
+        def _on_retry(attempt_no, exc):
+            counters["retries"] = counters.get("retries", 0) + 1
+            if self.health is not None:
+                self.health.record_error(sid)
 
-                got = await async_call_with_retries(
-                    attempt,
-                    self.retry_policy,
-                    rng=self.rng,
-                    sleep=self.sleep,
-                    on_retry=_on_retry,
-                )
-        except ServerBusy:
-            # backpressure shed: the server is alive, just overloaded —
-            # trip breakers, never the health tracker
+        return await async_call_with_retries(
+            attempt, self.retry_policy, rng=self.rng, sleep=self.sleep, on_retry=_on_retry
+        )
+
+    def _account(self, sid: int, got, counters: dict) -> None:
+        """Health / breaker / busy bookkeeping for one finished read call."""
+        if isinstance(got, ServerBusy):
+            # a shed server is alive: trip breakers, never the health tracker
             self.busy_sheds += 1
-            if counters is not None:
-                counters["busy"] = counters.get("busy", 0) + 1
+            counters["busy"] = counters.get("busy", 0) + 1
             if self.breakers is not None:
                 self.breakers.record_failure(sid)
             if self._metrics is not None:
                 self._metrics["busy"].inc()
-            if span is not None:
-                self._tracer.finish(span, outcome="busy")
-            raise
-        except FAILOVER_ERRORS:
-            if self.health is not None:
+        elif self.health is not None:
+            if isinstance(got, BaseException):
                 self.health.record_error(sid)
-            if span is not None:
-                self._tracer.finish(span, outcome="error")
-            raise
-        if self.health is not None:
-            self.health.record_success(sid)
-        if span is not None:
-            self._tracer.finish(span, outcome="ok")
-        return got
+            else:
+                self.health.record_success(sid)
 
-    async def _fetch_result(self, sid: int, keys, counters, parent=None):
-        """:meth:`_fetch` with the exception folded into the return value,
-        so a wave of concurrent fetches can be aggregated in task order
-        (deterministic) rather than completion order."""
-        try:
-            return sid, tuple(keys), await self._fetch(sid, keys, counters, parent)
-        except FAILOVER_ERRORS as exc:
-            return sid, tuple(keys), exc
+    async def _scatter(self, calls, deadline_at=None, counters=None, parent=None) -> list:
+        """The one fan-out primitive: run ``calls`` — ``(sid, op, args)``, ``op``
+        naming a connection method — concurrently (docs/SERVING.md, "fan-out").
 
-    async def _run_wave(
-        self, jobs: list, deadline_at: float | None
-    ) -> tuple[list, bool]:
-        """Run one wave of fetch coroutines concurrently.
-
-        Returns ``(results_in_job_order, deadline_hit)``.  On deadline
-        expiry the unfinished fetches are cancelled and only completed
-        results are returned — degrade, don't fail.
+        Returns a result per call, in call order: the value, the
+        :data:`FAILOVER_ERRORS` instance it failed with, or ``_CUT`` if
+        ``deadline_at`` came first; any other exception is raised.  A call goes
+        inline when its connection can (``begin`` here, ``settle`` in the
+        completion callback), else as the coroutine ``op`` in a Task filling the
+        same slot.  ``get_multi`` calls are the read path's: retried
+        (:meth:`_fetch`), traced as ``txn`` spans, accounted in call order.
         """
-        if not jobs:
-            return [], False
-        tasks = [asyncio.ensure_future(job) for job in jobs]
-        if deadline_at is None:
-            await asyncio.wait(tasks)
-            return [t.result() for t in tasks], False
-        remaining = deadline_at - asyncio.get_running_loop().time()
-        if remaining <= 0:
-            for t in tasks:
-                t.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
-            return [], True
-        done, pending = await asyncio.wait(tasks, timeout=remaining)
-        for t in pending:
-            t.cancel()
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-        return [t.result() for t in tasks if t in done], bool(pending)
+        loop = asyncio.get_running_loop()
+        results = [_CUT] * len(calls)
+        if not calls or (deadline_at is not None and deadline_at <= loop.time()):
+            return results
+        connections, tracer = self.connections, self._tracer
+        waiter = loop.create_future()
+        left = len(calls)
+        spans, tasks = {}, []  # txn spans by call index; cold Tasks and the deadline timer
+
+        def finish(index: int, result) -> None:
+            nonlocal left
+            if waiter.done():
+                return
+            results[index] = result
+            if index in spans:
+                bad = "busy" if isinstance(result, ServerBusy) else "error"
+                outcome = bad if isinstance(result, BaseException) else "ok"
+                tracer.finish(spans[index], outcome=outcome)
+            left -= 1
+            if not left:
+                waiter.set_result(None)
+
+        def cold(index: int, first_error=None) -> None:
+            sid, op, args = calls[index]
+            if op == "get_multi":
+                coro = self._fetch(sid, args[0], counters, first_error)
+            else:
+                coro = getattr(connections[sid], op)(*args)
+            task = asyncio.ensure_future(coro)
+            tasks.append(task)
+            task.add_done_callback(
+                lambda t: t.cancelled() or finish(index, t.exception() or t.result())
+            )
+
+        def arrived(index: int, responses, exc) -> None:
+            sid, op, args = calls[index]
+            if exc is None:
+                try:
+                    result = connections[sid].settle(op, args, responses)
+                except Exception as failure:  # the call's outcome, as a Future would hold it
+                    exc = failure
+                else:
+                    return finish(index, result)
+            if op == "get_multi" and self.retry_policy is not None:
+                cold(index, exc)
+            else:
+                finish(index, exc)
+
+        for index, (sid, op, args) in enumerate(calls):
+            if tracer is not None and op == "get_multi":
+                span = tracer.start("txn", parent=parent, server=sid, n_keys=len(args[0]))
+                spans[index] = span
+            conn = connections[sid]
+            begin = getattr(type(conn), "begin", None)  # not through a wrapper's __getattr__
+            try:
+                if begin is None or not begin(conn, op, args, _Slot(waiter, arrived, index)):
+                    cold(index)
+            except FAILOVER_ERRORS as exc:  # e.g. an unencodable key: this call's failure
+                arrived(index, None, exc)
+
+        def expire() -> None:
+            if not waiter.done():
+                waiter.set_result(None)
+
+        if deadline_at is not None:
+            tasks.append(loop.call_at(deadline_at, expire))
+        try:
+            await waiter
+        finally:
+            # deadline or cancellation: the waiter is done, and so is every slot
+            for task in tasks:
+                task.cancel()
+        for (sid, op, _), got in zip(calls, results):
+            if isinstance(got, BaseException) and not isinstance(got, FAILOVER_ERRORS):
+                raise got
+            if op == "get_multi" and got is not _CUT:
+                self._account(sid, got, counters)
+        return results
 
     # -- write path --------------------------------------------------------
 
@@ -226,18 +290,19 @@ class AsyncRnBClient:
         servers = self.placer.servers_for(key) if replicate else (
             self.placer.distinguished_for(key),
         )
-        results = await asyncio.gather(
-            *(self.connections[sid].set(key, value) for sid in servers)
-        )
+        results = await self._scatter([(sid, "set", (key, value)) for sid in servers])
         for sid, stored in zip(servers, results):
+            if isinstance(stored, BaseException):
+                raise stored
             if not stored:
                 raise ProtocolError(f"set of {key!r} failed on server {sid}")
 
     async def delete(self, key: str) -> None:
         """Remove every replica of ``key`` (missing replicas are fine)."""
-        await asyncio.gather(
-            *(self.connections[sid].delete(key) for sid in self.placer.servers_for(key))
-        )
+        calls = [(sid, "delete", (key,)) for sid in self.placer.servers_for(key)]
+        for res in await self._scatter(calls):
+            if isinstance(res, BaseException):
+                raise res
 
     # -- versioned write path (repro.consistency parity) ---------------------
 
@@ -266,10 +331,7 @@ class AsyncRnBClient:
         need = resolve_w(w, len(replicas))
         stamp = self._vclock.next_stamp()
         data = encode_versioned(value, stamp)
-        results = await asyncio.gather(
-            *(self.connections[sid].set(key, data) for sid in replicas),
-            return_exceptions=True,
-        )
+        results = await self._scatter([(sid, "set", (key, data)) for sid in replicas])
         acked: list[int] = []
         failed: list[int] = []
         for sid, res in zip(replicas, results):
@@ -285,8 +347,6 @@ class AsyncRnBClient:
                 failed.append(sid)
                 if isinstance(res, FAILOVER_ERRORS) and self.health is not None:
                     self.health.record_error(sid)
-            elif isinstance(res, BaseException):
-                raise res
         committed = len(acked) >= need
         if w == "leader" and replicas and replicas[0] not in acked:
             committed = False
@@ -307,10 +367,7 @@ class AsyncRnBClient:
         """Versioned read across all replicas (concurrently) with inline
         newest-wins read-repair — async parity for the sync client."""
         replicas = tuple(self.placer.servers_for(key))
-        results = await asyncio.gather(
-            *(self.connections[sid].get(key) for sid in replicas),
-            return_exceptions=True,
-        )
+        results = await self._scatter([(sid, "get", (key,)) for sid in replicas])
         seen: dict[int, tuple] = {}
         missing: list[int] = []
         dead: list[int] = []
@@ -320,8 +377,6 @@ class AsyncRnBClient:
                 if self.health is not None:
                     self.health.record_error(sid)
                 continue
-            if isinstance(res, BaseException):
-                raise res
             if self.health is not None:
                 self.health.record_success(sid)
             if res is None:
@@ -359,10 +414,7 @@ class AsyncRnBClient:
         targets = (stale + tuple(missing)) if newest else ()
         if repair and targets and best is not None:
             data = encode_versioned(payload or b"", best)
-            fixes = await asyncio.gather(
-                *(self.connections[sid].set(key, data) for sid in targets),
-                return_exceptions=True,
-            )
+            fixes = await self._scatter([(sid, "set", (key, data)) for sid in targets])
             for sid, res in zip(targets, fixes):
                 if res is True:
                     repaired.append(sid)
@@ -425,31 +477,26 @@ class AsyncRnBClient:
         failed: set[int] = set()
         missed_primary: dict[str, int] = {}
 
-        jobs = [
-            self._fetch_result(
-                txn.server, (*txn.primary, *txn.hitchhikers), counters, req_span
-            )
+        calls = [
+            (txn.server, "get_multi", ((*txn.primary, *txn.hitchhikers),))
             for txn in plan.transactions
         ]
-        results, cut = await self._run_wave(jobs, deadline_at)
-        for txn, (sid, _, got) in zip(plan.transactions, results):
-            if isinstance(got, BaseException):
-                failed.add(sid)
+        # a call the deadline cut: its primaries stay missing, repair is skipped
+        cut = False
+        results = await self._scatter(calls, deadline_at, counters, req_span)
+        for txn, got in zip(plan.transactions, results):
+            if got is _CUT:
+                cut = True
+            elif isinstance(got, BaseException):
+                failed.add(txn.server)
                 for key in txn.primary:
-                    missed_primary[key] = sid
-                continue
-            outcome.transactions += 1
-            outcome.values.update(got)
-            for key in txn.primary:
-                if key not in got:
-                    missed_primary[key] = sid
-        if cut:
-            # deadline mid-first-round: cancelled transactions' primaries
-            # are simply still missing; skip repair and report degraded
-            return self._finalize(
-                outcome, keys, failed, counters,
-                deadline_hit=True, started=started, req_span=req_span,
-            )
+                    missed_primary[key] = txn.server
+            else:
+                outcome.transactions += 1
+                outcome.values.update(got)
+                for key in txn.primary:
+                    if key not in got:
+                        missed_primary[key] = txn.server
 
         # Repair waves: same policy as the sync client (distinguished
         # copy first, then surviving replicas), but each wave's bundles
@@ -460,7 +507,7 @@ class AsyncRnBClient:
         unplanned = [
             k for k in keys if k not in outcome.values and k not in missed_primary
         ]
-        while len(outcome.values) < required:
+        while not cut and len(outcome.values) < required:
             groups: dict[int, list[str]] = defaultdict(list)
             for key in sorted(pending):
                 candidates = [
@@ -481,13 +528,13 @@ class AsyncRnBClient:
                     continue
                 break
             wave = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-            jobs = [
-                self._fetch_result(sid, group, counters, req_span)
-                for sid, group in wave
-            ]
-            results, cut = await self._run_wave(jobs, deadline_at)
+            calls = [(sid, "get_multi", (group,)) for sid, group in wave]
+            results = await self._scatter(calls, deadline_at, counters, req_span)
             writebacks = []
-            for sid, group, got in results:
+            for (sid, group), got in zip(wave, results):
+                if got is _CUT:
+                    cut = True
+                    continue
                 if isinstance(got, BaseException):
                     failed.add(sid)
                     continue
@@ -504,51 +551,19 @@ class AsyncRnBClient:
                         target = missed_primary.get(key)
                         if target is not None and target not in failed:
                             writebacks.append((target, key, value))
-            if writebacks:
-                wb_results = await asyncio.gather(
-                    *(
-                        self.connections[target].set(key, value)
-                        for target, key, value in writebacks
-                    ),
-                    return_exceptions=True,
-                )
-                for (target, _, _), res in zip(writebacks, wb_results):
-                    if isinstance(res, FAILOVER_ERRORS):
-                        failed.add(target)
-                    elif isinstance(res, BaseException):
-                        raise res
-            if cut:
-                return self._finalize(
-                    outcome, keys, failed, counters,
-                    deadline_hit=True, started=started, req_span=req_span,
-                )
+            fixes = await self._scatter([(t, "set", (k, v)) for t, k, v in writebacks])
+            for (target, _, _), res in zip(writebacks, fixes):
+                if isinstance(res, BaseException):
+                    failed.add(target)
 
-        return self._finalize(
-            outcome, keys, failed, counters,
-            deadline_hit=False, started=started, req_span=req_span,
-        )
-
-    def _finalize(
-        self,
-        outcome: MultiGetOutcome,
-        keys: tuple,
-        failed: set,
-        counters: dict,
-        *,
-        deadline_hit: bool,
-        started: float = 0.0,
-        req_span=None,
-    ) -> MultiGetOutcome:
         outcome.missing = tuple(k for k in keys if k not in outcome.values)
         outcome.failed_servers = tuple(sorted(failed))
         outcome.retries = counters.get("retries", 0)
         outcome.busy_sheds = counters.get("busy", 0)
-        outcome.deadline_hit = deadline_hit
+        outcome.deadline_hit = cut
         _record_outcome(self._metrics, outcome, time.perf_counter() - started)
         if req_span is not None:
-            self._tracer.finish(
-                req_span, n_missing=len(outcome.missing), deadline_hit=deadline_hit
-            )
+            self._tracer.finish(req_span, n_missing=len(outcome.missing), deadline_hit=cut)
         return outcome
 
     async def get(self, key: str) -> bytes | None:

@@ -1,17 +1,20 @@
 """Pipelined asyncio transport (the async twin of ``TCPTransport``).
 
 :class:`AsyncConnection` multiplexes many in-flight exchanges over ONE
-socket: callers write their request immediately and await a future;
-responses are parsed in arrival order and matched FIFO to the pending
-exchanges — valid because the memcached protocol answers strictly in
-request order (the async server front preserves this, see
-:mod:`repro.aio.server`).  Pipelining is what lets thousands of
-concurrent bundles share a small connection pool instead of needing a
-socket each.  The connection is its own :class:`asyncio.Protocol`
-(docs/SERVING.md): the loop's ``data_received`` callback resolves the
-futures inline, with no reader task or stream buffer in between, and a
-caller waits *before* writing only while the send buffer is over its
-high-water mark — a slow peer blocks callers instead of growing it.
+socket.  :meth:`AsyncConnection.submit` is the one synchronous "put it
+on the wire now" entry point: it queues the exchange, writes the request
+and returns; responses are parsed in arrival order and handed FIFO to
+each exchange's completion *sink* — valid because the memcached protocol
+answers strictly in request order (the async server front preserves
+this, see :mod:`repro.aio.server`).  The coroutine ``exchange`` is
+``submit`` with an :class:`asyncio.Future` for a sink.  Pipelining is
+what lets thousands of concurrent bundles share a small connection pool
+instead of needing a socket each.  The connection is its own
+:class:`asyncio.Protocol` (docs/SERVING.md): ``data_received`` completes
+the sinks inline, with no reader task or stream buffer in between;
+while the send buffer is over its high-water mark ``submit`` declines and
+``exchange`` waits *before* writing — a slow peer blocks callers instead
+of growing it.
 
 Timeout semantics mirror :class:`repro.protocol.transport.TCPTransport`
 knob for knob (the PR-5 connect/read split, audited here for parity):
@@ -70,21 +73,24 @@ class AsyncConnection(asyncio.Protocol):
         self._loop: asyncio.AbstractEventLoop | None = None
         self._transport: asyncio.Transport | None = None
         self._connect_lock = asyncio.Lock()
-        #: FIFO of exchanges awaiting responses: (n, future, deadline, responses so far)
-        self._pending: deque[tuple[int, asyncio.Future, float, list[Response]]] = deque()
+        #: FIFO of exchanges awaiting responses: (n, sink, deadline, responses so far)
+        self._pending: deque[tuple[int, object, float, list[Response]]] = deque()
         self._frames = codec.FrameBuffer()
         #: the connection's one timer, due no later than the head's deadline
         self._watchdog: asyncio.TimerHandle | None = None
         #: cleared while the socket's send buffer is over its high-water mark
         self._writable = asyncio.Event()
         self._writable.set()
-        #: exchanges currently in flight (pool balancing signal)
-        self.in_flight = 0
         self.exchanges = 0
 
     @property
     def connected(self) -> bool:
         return self._transport is not None
+
+    @property
+    def in_flight(self) -> int:
+        """Exchanges whose responses are still owed, awaited or not (pool balancing signal)."""
+        return len(self._pending)
 
     async def ensure_connected(self) -> None:
         """Connect if not connected (lazy; also the post-failure reconnect).
@@ -116,9 +122,9 @@ class AsyncConnection(asyncio.Protocol):
             self._watchdog = None
         failure = error or ConnectionError("connection closed")
         while self._pending:
-            fut = self._pending.popleft()[1]
-            if not fut.done():
-                fut.set_exception(failure)
+            sink = self._pending.popleft()[1]
+            if not sink.done():
+                sink.set_exception(failure)
         self._frames.clear()
         self._writable.set()  # wake callers blocked on a full send buffer
 
@@ -145,7 +151,7 @@ class AsyncConnection(asyncio.Protocol):
         frames.feed(data)
         try:
             while pending:
-                n, fut, _, responses = pending[0]
+                n, sink, _, responses = pending[0]
                 while len(responses) < n:
                     resp = frames.next_response()
                     if resp is None:
@@ -154,8 +160,8 @@ class AsyncConnection(asyncio.Protocol):
                 pending.popleft()
                 # a caller cancelled mid-exchange stays queued, so that its
                 # late response is consumed here (and dropped), not mis-paired
-                if not fut.done():
-                    fut.set_result(responses)
+                if not sink.done():
+                    sink.set_result(responses)
             if len(frames):
                 # bytes with no exchange awaiting them: the FIFO pairing
                 # is broken — tear down rather than mis-deliver
@@ -169,15 +175,35 @@ class AsyncConnection(asyncio.Protocol):
         self._watchdog = None
         if not self._pending:
             return
-        _, fut, deadline, _ = self._pending[0]
+        _, sink, deadline, _ = self._pending[0]
         if deadline > self._loop.time():
             self._watchdog = self._loop.call_at(deadline, self._on_watchdog)
             return
-        if not fut.done():
-            fut.set_exception(
+        if not sink.done():
+            sink.set_exception(
                 ServerTimeout(f"no complete response within {self.read_timeout}s")
             )
         self.close()  # pipelined siblings fail with ConnectionError
+
+    def submit(self, request: bytes, n_responses: int, sink) -> bool:
+        """Queue one exchange and write ``request`` now, without awaiting.
+
+        ``sink`` (``done() / set_result(responses) / set_exception(exc)``,
+        e.g. an :class:`asyncio.Future`) is completed from ``data_received``,
+        ``close`` or the watchdog; if it is ``done()`` by then, its responses
+        are consumed and dropped.  ``False``, nothing queued, when the socket
+        is not connected or its send buffer is over the high-water mark.
+        """
+        transport = self._transport
+        if transport is None or not self._writable.is_set():
+            return False
+        deadline = self._loop.time() + self.read_timeout
+        self._pending.append((n_responses, sink, deadline, []))
+        if self._watchdog is None:
+            self._watchdog = self._loop.call_at(deadline, self._on_watchdog)
+        self.exchanges += 1
+        transport.write(request)
+        return True
 
     async def exchange(self, request: bytes, n_responses: int = 1) -> list[Response]:
         """Send one request, await its ``n_responses`` responses.
@@ -190,34 +216,23 @@ class AsyncConnection(asyncio.Protocol):
             await self.ensure_connected()
         while not self._writable.is_set():  # send buffer over its high-water mark
             await self._writable.wait()
-        if self._transport is None:  # lost while waiting: the retry layer reconnects
-            raise ConnectionError("connection closed")
-        loop = self._loop
-        fut: asyncio.Future = loop.create_future()
-        deadline = loop.time() + self.read_timeout
-        self._pending.append((n_responses, fut, deadline, []))
-        if self._watchdog is None:
-            self._watchdog = loop.call_at(deadline, self._on_watchdog)
-        self.in_flight += 1
-        self.exchanges += 1
-        self._transport.write(request)
-        try:
-            return await fut
-        finally:
-            self.in_flight -= 1
+        fut: asyncio.Future = self._loop.create_future()
+        if not self.submit(request, n_responses, fut):
+            raise ConnectionError("connection closed")  # lost while waiting: retried
+        return await fut
 
 
 class AsyncConnectionPool:
     """A small pool of pipelined connections to ONE server.
 
-    ``exchange`` routes each request to the pooled connection with the
-    fewest in-flight exchanges, growing the pool lazily up to ``size``
+    ``exchange`` / ``submit`` route each request to the pooled connection
+    with the fewest in-flight exchanges, growing the pool lazily up to ``size``
     sockets.  Because every connection pipelines, the pool's effective
     concurrency is far larger than ``size`` — the pool exists to spread
     head-of-line parsing work and to contain the blast radius of a
     timeout teardown, not to give each request a socket.
 
-    The pool quacks like a single connection (``exchange`` / ``close``),
+    The pool quacks like a single connection (``exchange`` / ``submit`` / ``close``),
     so :class:`repro.aio.memclient.AsyncMemcachedClient` accepts either.
     """
 
@@ -260,6 +275,9 @@ class AsyncConnectionPool:
 
     async def exchange(self, request: bytes, n_responses: int = 1) -> list[Response]:
         return await self._pick_connection().exchange(request, n_responses)
+
+    def submit(self, request: bytes, n_responses: int, sink) -> bool:
+        return self._pick_connection().submit(request, n_responses, sink)
 
     def close(self) -> None:
         for conn in self._connections:

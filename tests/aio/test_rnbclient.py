@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import time
 
 import pytest
 
@@ -27,22 +29,81 @@ def run(coro):
     return asyncio.run(coro)
 
 
-class _Cluster:
-    """A live async fleet + client, torn down deterministically."""
+class CoroutineOnly:
+    """A memclient seen through a wrapper that forwards the coroutine
+    methods and nothing else (``bench/spans.py`` proxies, user wrappers):
+    without ``begin``/``settle`` every call takes the client's cold path."""
 
-    def __init__(self, *, admission=None, pool_size=2, retry_policy=FAST):
-        self.placer = RangedConsistentHashPlacer(N_SERVERS, R, seed=0)
+    def __init__(self, inner):
+        self.inner = inner
+
+    async def get_multi(self, keys, **kwargs):
+        return await self.inner.get_multi(keys, **kwargs)
+
+    async def get(self, key):
+        return await self.inner.get(key)
+
+    async def set(self, key, value, **kwargs):
+        return await self.inner.set(key, value, **kwargs)
+
+    async def delete(self, key):
+        return await self.inner.delete(key)
+
+
+@contextlib.contextmanager
+def counting(loop, method: str):
+    """Count calls of ``loop.<method>`` on the running loop (an instance
+    attribute shadows the method; asyncio's own callers look it up there)."""
+    calls = [0]
+    real = getattr(loop, method)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    setattr(loop, method, counted)
+    try:
+        yield calls
+    finally:
+        delattr(loop, method)
+
+
+class _Cluster:
+    """A live async fleet + client, torn down deterministically.
+
+    ``wrap`` wraps each server's memclient (e.g. :class:`CoroutineOnly`);
+    ``gates`` maps a server id to its front's link gate; ``client_kwargs``
+    go to :class:`AsyncRnBClient` (``health=``, ``breakers=``, ``tracer=``).
+    """
+
+    def __init__(
+        self,
+        *,
+        admission=None,
+        pool_size=2,
+        retry_policy=FAST,
+        n_servers=N_SERVERS,
+        wrap=None,
+        gates=None,
+        **client_kwargs,
+    ):
+        self.placer = RangedConsistentHashPlacer(n_servers, R, seed=0)
         self.backends = [
             MemcachedServer(
                 name=f"s{i}",
                 admission=admission() if admission is not None else None,
             )
-            for i in range(N_SERVERS)
+            for i in range(n_servers)
         ]
-        self.servers = [AsyncMemcachedServer(b) for b in self.backends]
+        self.servers = [
+            AsyncMemcachedServer(b, gate=(gates or {}).get(i))
+            for i, b in enumerate(self.backends)
+        ]
         self.pools: list[AsyncConnectionPool] = []
         self.pool_size = pool_size
         self.retry_policy = retry_policy
+        self.wrap = wrap or (lambda conn: conn)
+        self.client_kwargs = client_kwargs
         self.client: AsyncRnBClient | None = None
 
     async def __aenter__(self) -> "_Cluster":
@@ -52,11 +113,22 @@ class _Cluster:
             for h, p in addrs
         ]
         self.client = AsyncRnBClient(
-            {sid: AsyncMemcachedClient(pool) for sid, pool in enumerate(self.pools)},
+            {
+                sid: self.wrap(AsyncMemcachedClient(pool))
+                for sid, pool in enumerate(self.pools)
+            },
             self.placer,
             retry_policy=self.retry_policy,
+            **self.client_kwargs,
         )
         return self
+
+    async def warm(self) -> None:
+        """Connect every socket: from here on plain memclients go inline."""
+        await asyncio.gather(
+            *(c.get("warm") for c in self.client.connections.values()),
+            return_exceptions=True,  # a BUSY gate sheds this too
+        )
 
     async def __aexit__(self, *exc):
         for pool in self.pools:
@@ -137,46 +209,99 @@ class TestGetMulti:
         run(scenario())
 
 
+class _HeldFleet:
+    """Raw memcached-speaking peers that hold every answer while ``release``
+    is clear and for ``delay`` seconds after, then answer in order."""
+
+    def __init__(self, *, wrap=None, delay=0.0):
+        self.placer = RangedConsistentHashPlacer(N_SERVERS, R, seed=0)
+        self.wrap = wrap or (lambda conn: conn)
+        self.delay = delay
+        self.release = asyncio.Event()
+        self.release.set()
+        self.listeners: list = []
+        self.pools: list[AsyncConnectionPool] = []
+        self.client: AsyncRnBClient | None = None
+
+    async def _serve(self, reader, writer):
+        try:
+            while line := await reader.readline():
+                await self.release.wait()
+                await asyncio.sleep(self.delay)
+                found = [
+                    (k, ITEMS[k.decode()]) for k in line.split()[1:] if k.decode() in ITEMS
+                ]
+                writer.write(
+                    b"".join(b"VALUE %s 0 %d\r\n%s\r\n" % (k, len(v), v) for k, v in found)
+                    + b"END\r\n"
+                )
+        finally:
+            writer.close()
+
+    async def __aenter__(self) -> "_HeldFleet":
+        for _ in range(N_SERVERS):
+            listener = await asyncio.start_server(self._serve, "127.0.0.1", 0)
+            self.listeners.append(listener)
+            host, port = listener.sockets[0].getsockname()[:2]
+            self.pools.append(AsyncConnectionPool(host, port, size=1, timeout=5.0))
+        self.client = AsyncRnBClient(
+            {sid: self.wrap(AsyncMemcachedClient(p)) for sid, p in enumerate(self.pools)},
+            self.placer,
+            retry_policy=FAST,
+        )
+        await asyncio.gather(*(c.get("warm") for c in self.client.connections.values()))
+        return self
+
+    async def __aexit__(self, *exc):
+        for pool in self.pools:
+            pool.close()
+        for listener in self.listeners:
+            listener.close()
+            await listener.wait_closed()
+        return False
+
+
+@pytest.mark.parametrize("wrap", [None, CoroutineOnly], ids=["inline", "cold"])
 class TestDeadline:
-    def test_deadline_degrades_instead_of_failing(self):
+    """``deadline=`` through the public surface, on both fan-out paths: plain
+    memclients (written inline, no Task) and coroutine-only wrappers (a Task
+    per transaction)."""
+
+    def test_deadline_degrades_instead_of_failing(self, wrap):
         async def scenario():
-            async with _Cluster() as c:
-                c.preload(ITEMS)
-
-                # wedge every fetch behind an artificial stall
-                real_fetch = c.client._fetch
-
-                async def slow_fetch(sid, keys, counters=None, parent=None):
-                    await asyncio.sleep(0.5)
-                    return await real_fetch(sid, keys, counters)
-
-                c.client._fetch = slow_fetch
-                outcome = await c.client.get_multi(sorted(ITEMS), deadline=0.05)
+            async with _HeldFleet(wrap=wrap) as fleet:
+                fleet.release.clear()  # every peer accepts and never answers
+                started = time.perf_counter()
+                with counting(asyncio.get_running_loop(), "create_task") as tasks:
+                    outcome = await fleet.client.get_multi(sorted(ITEMS), deadline=0.05)
+                assert time.perf_counter() - started < 1.0  # the budget, not the timeout
+                assert (tasks[0] == 0) == (wrap is None)
                 assert outcome.deadline_hit
                 assert set(outcome.missing) == set(ITEMS)  # nothing arrived in time
+                # the answers are still owed: they arrive late, are consumed
+                # and dropped, and the next request gets its own values
+                assert sum(c.in_flight for p in fleet.pools for c in p.connections) > 0
+                fleet.release.set()
+                keys = sorted(ITEMS)[:9]
+                outcome = await fleet.client.get_multi(keys, deadline=5.0)
+                assert outcome.values == {k: ITEMS[k] for k in keys}
+                assert not outcome.deadline_hit
+                for pool in fleet.pools:
+                    assert all(c.connected and c.in_flight == 0 for c in pool.connections)
 
         run(scenario())
 
-    def test_per_request_deadlines_are_independent(self):
+    def test_per_request_deadlines_are_independent(self, wrap):
         # a tight deadline on one request must not cut a concurrent
         # request that has budget to spare
         async def scenario():
-            async with _Cluster() as c:
-                c.preload(ITEMS)
-                real_fetch = c.client._fetch
-                stalled_keys = set(list(ITEMS)[:6])
-
-                async def selective(sid, keys, counters=None, parent=None):
-                    if stalled_keys.intersection(keys):
-                        await asyncio.sleep(0.3)
-                    return await real_fetch(sid, keys, counters)
-
-                c.client._fetch = selective
+            async with _HeldFleet(wrap=wrap, delay=0.3) as fleet:
                 tight, roomy = await asyncio.gather(
-                    c.client.get_multi(sorted(stalled_keys), deadline=0.05),
-                    c.client.get_multi(sorted(ITEMS), deadline=5.0),
+                    fleet.client.get_multi(sorted(ITEMS)[:6], deadline=0.05),
+                    fleet.client.get_multi(sorted(ITEMS), deadline=5.0),
                 )
                 assert tight.deadline_hit
+                assert set(tight.missing) == set(sorted(ITEMS)[:6])
                 assert not roomy.deadline_hit
                 assert roomy.values == ITEMS
 

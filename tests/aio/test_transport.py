@@ -262,6 +262,56 @@ class TestCancellation:
         run(_with_server(scenario))
 
 
+class TestInFlight:
+    def test_cancelled_callers_still_count_until_their_responses_arrive(self):
+        # in_flight is what the peer still owes, not who is still waiting: a
+        # connection backed up behind cancelled callers must not look idle to
+        # the pool's least-loaded pick
+        async def scenario():
+            release = asyncio.Event()
+
+            async def held(reader, writer):
+                try:
+                    while await reader.readline():
+                        await release.wait()
+                        writer.write(b"END\r\n")
+                finally:
+                    writer.close()
+
+            server = await asyncio.start_server(held, "127.0.0.1", 0)
+            host, port = server.sockets[0].getsockname()[:2]
+            pool = AsyncConnectionPool(host, port, size=2, read_timeout=30)
+            try:
+                first = asyncio.ensure_future(pool.exchange(GET_K))
+                await asyncio.sleep(0.05)
+                second = asyncio.ensure_future(pool.exchange(GET_K))  # opens the other socket
+                await asyncio.sleep(0.05)
+                backed_up, other = pool.connections
+                doomed = [asyncio.ensure_future(backed_up.exchange(GET_K)) for _ in range(5)]
+                third = asyncio.ensure_future(other.exchange(GET_K))
+                await asyncio.sleep(0.05)
+                for task in doomed:
+                    task.cancel()
+                await asyncio.gather(*doomed, return_exceptions=True)
+                assert backed_up.in_flight == 6  # 1 waiting + 5 cancelled, all owed
+                assert other.in_flight == 2
+                routed = asyncio.ensure_future(pool.exchange(GET_K))
+                await asyncio.sleep(0.05)
+                assert (backed_up.exchanges, other.exchanges) == (6, 3)
+                release.set()
+                for task in (first, second, third, routed):
+                    [resp] = await task
+                    assert resp.status == "END"
+                assert backed_up.in_flight == other.in_flight == 0
+            finally:
+                release.set()
+                pool.close()
+                server.close()
+                await server.wait_closed()
+
+        run(scenario())
+
+
 class TestWriteBackpressure:
     def test_burst_against_slow_reader_waits_instead_of_buffering(self):
         n_sets, size = 48, 256 * 1024
