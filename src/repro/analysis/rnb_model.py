@@ -27,8 +27,9 @@ R = N.
 
 from __future__ import annotations
 
+from statistics import NormalDist
+
 import numpy as np
-from scipy import stats
 
 from repro.analysis.urn import expected_tpr
 
@@ -45,7 +46,7 @@ def greedy_step_coverage(u: float, k: int, p: float) -> float:
         return 0.0
     if k == 1 or p >= 1.0:
         return max(1.0, min(u, u * p))
-    z = float(stats.norm.ppf(k / (k + 1.0)))
+    z = NormalDist().inv_cdf(k / (k + 1.0))
     mean = u * p
     estimate = mean + z * np.sqrt(max(u * p * (1.0 - p), 0.0))
     return max(1.0, estimate)

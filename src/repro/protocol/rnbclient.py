@@ -379,13 +379,12 @@ class RnBProtocolClient:
         if self.breakers is not None:
             self.breakers.advance()
             exclude = exclude | self.breakers.tripped()
+        plan_span = (
+            self._tracer.start("plan", parent=req_span) if req_span is not None else None
+        )
         plan = self.bundler.plan(request, exclude=exclude or None)
-        if req_span is not None:
-            self._tracer.finish(
-                self._tracer.start(
-                    "plan", parent=req_span, n_txns=len(plan.transactions)
-                )
-            )
+        if plan_span is not None:
+            self._tracer.finish(plan_span, n_txns=len(plan.transactions))
 
         counters: dict[str, int] = {}
         outcome = MultiGetOutcome()
