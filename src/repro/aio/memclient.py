@@ -19,7 +19,7 @@ fan-out, which has its own completion sinks, calls them directly.
 from __future__ import annotations
 
 from repro.errors import ProtocolError, ServerBusy
-from repro.protocol.codec import Command, encode_command
+from repro.protocol.codec import Command, encode_command, encode_retrieval
 from repro.protocol.retry import RetryPolicy, async_call_with_retries
 
 
@@ -81,8 +81,7 @@ class AsyncMemcachedClient:
             )
         if op == "delete":
             return encode_command(Command(name="delete", keys=args))
-        keys = args if op == "get" else tuple(args[0])
-        return encode_command(Command(name="gets" if with_cas else "get", keys=keys))
+        return encode_retrieval("gets" if with_cas else "get", args if op == "get" else args[0])
 
     def begin(self, op: str, args: tuple, sink) -> bool:
         """Put ``op(*args)`` (``get_multi`` / ``get`` / ``set`` / ``delete``) on the wire

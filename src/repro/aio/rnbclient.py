@@ -50,6 +50,7 @@ from repro.consistency.version import (
 from repro.core.bundling import Bundler
 from repro.errors import ConfigurationError, ProtocolError, ServerBusy
 from repro.faults.health import HealthTracker
+from repro.protocol.codec import validate_keys
 from repro.protocol.retry import RetryPolicy, async_call_with_retries
 from repro.protocol.rnbclient import (
     FAILOVER_ERRORS,
@@ -287,6 +288,7 @@ class AsyncRnBClient:
 
     async def set(self, key: str, value: bytes, *, replicate: bool = True) -> None:
         """Store ``key`` on all replica servers (concurrently)."""
+        validate_keys((key,))
         servers = self.placer.servers_for(key) if replicate else (
             self.placer.distinguished_for(key),
         )
@@ -299,6 +301,7 @@ class AsyncRnBClient:
 
     async def delete(self, key: str) -> None:
         """Remove every replica of ``key`` (missing replicas are fine)."""
+        validate_keys((key,))
         calls = [(sid, "delete", (key,)) for sid in self.placer.servers_for(key)]
         for res in await self._scatter(calls):
             if isinstance(res, BaseException):
@@ -327,6 +330,7 @@ class AsyncRnBClient:
         in parallel, so latency is the W-th fastest ack, not the sum —
         this closes the ROADMAP follow-up "async quorum write path".
         """
+        validate_keys((key,))
         replicas = tuple(self.placer.servers_for(key))
         need = resolve_w(w, len(replicas))
         stamp = self._vclock.next_stamp()
@@ -366,6 +370,7 @@ class AsyncRnBClient:
     async def get_versioned(self, key: str, *, repair: bool = True) -> ReadOutcome:
         """Versioned read across all replicas (concurrently) with inline
         newest-wins read-repair — async parity for the sync client."""
+        validate_keys((key,))
         replicas = tuple(self.placer.servers_for(key))
         results = await self._scatter([(sid, "get", (key,)) for sid in replicas])
         seen: dict[int, tuple] = {}
@@ -446,6 +451,7 @@ class AsyncRnBClient:
         outcome carries whatever arrived (``deadline_hit=True``).
         """
         keys = tuple(dict.fromkeys(keys))  # dedupe, keep order
+        validate_keys(keys)  # a malformed key is the caller's error, not a server's
         if not keys:
             return MultiGetOutcome()
         if deadline is not None and deadline <= 0:
@@ -568,6 +574,7 @@ class AsyncRnBClient:
     async def get(self, key: str) -> bytes | None:
         """Single-item get from the distinguished copy (paper III-C1),
         failing over to the other replicas only if its server is down."""
+        validate_keys((key,))
         last_error: Exception | None = None
         reached_any = False
         for sid in self.placer.servers_for(key):

@@ -265,10 +265,13 @@ class AsyncConnectionPool:
         return tuple(self._connections)
 
     def _pick_connection(self) -> AsyncConnection:
-        if self._connections:
-            best = min(self._connections, key=lambda c: c.in_flight)
-            if best.in_flight == 0 or len(self._connections) >= self.size:
-                return best
+        best, depth = None, 0
+        for conn in self._connections:  # fewest in flight, the first of equals
+            in_flight = len(conn._pending)
+            if best is None or in_flight < depth:
+                best, depth = conn, in_flight
+        if best is not None and (depth == 0 or len(self._connections) >= self.size):
+            return best
         conn = AsyncConnection(self.host, self.port, **self._kwargs)
         self._connections.append(conn)
         return conn

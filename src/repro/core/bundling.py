@@ -159,6 +159,9 @@ class Bundler:
             allow_partial=bool(exclude),
         )
 
+        if not exclude and not self.hitchhiking:
+            return self._finish_masks(request, items, replica_sets, cover.assignment.items())
+
         # server -> list of request-local indices assigned to it
         assigned: dict[int, list[int]] = {
             server: list(iter_bits(mask)) for server, mask in cover.assignment.items()
@@ -432,9 +435,9 @@ class Bundler:
         request: Request,
         items: Sequence[ItemId],
         replica_sets: Sequence[Sequence[int]],
-        picks: list[tuple[int, int]],
+        picks: Iterable[tuple[int, int]],
     ) -> FetchPlan:
-        """Mask-native :meth:`_finish` for the no-hitchhiking batch path.
+        """Mask-native :meth:`_finish` for plans without hitchhikers or exclusions.
 
         Operates on the cover's ``(server, assignment_mask)`` picks
         directly — the single-item rule is one bit trick per pick

@@ -23,7 +23,16 @@ from repro.errors import ProtocolError
 
 CRLF = b"\r\n"
 MAX_KEY_LEN = 250
-_BAD_KEY_CHAR = re.compile(r"[\x00-\x20\x7f]").search  # <= 0x20 (controls, space) or DEL
+# controls, DEL and whatever ``str.isspace()`` holds for: servers tokenise command
+# lines with ``str.split()``, which splits on every such character (U+00A0, U+2028 ...)
+_BAD_KEY_CHAR = re.compile(r"[\x00-\x1f\x7f\s]").search
+#: keys of printable ASCII, single spaces between them: what most requests carry
+_ASCII_KEY = rf"[!-~]{{1,{MAX_KEY_LEN}}}"
+_ASCII_KEY_LINE = re.compile(rf"{_ASCII_KEY}(?: {_ASCII_KEY})*").fullmatch
+#: what ``_BAD_KEY_CHAR`` forbids and ``str.split()`` leaves in its tokens
+_BAD_TOKEN_CHAR = re.compile(r"[\x00-\x08\x0e-\x1b\x7f]").search
+#: a well-formed VALUE header; anything else takes ``parse_response_at``'s general loop
+_VALUE_HEADER = re.compile(rb"VALUE ([!-~]+) (\d+) (\d+)(?: (\d+))?\r\n").match
 STORAGE_COMMANDS = frozenset({"set", "add", "replace", "append", "prepend", "cas"})
 RETRIEVAL_COMMANDS = frozenset({"get", "gets"})
 COUNTER_COMMANDS = frozenset({"incr", "decr"})
@@ -70,20 +79,41 @@ def _validate_key(key: str) -> None:
         raise ProtocolError(f"key contains control characters or spaces: {key!r}")
 
 
+def validate_keys(keys) -> str:
+    """``keys`` joined by single spaces, as a retrieval line carries them.
+
+    Raises the first bad key's :class:`ProtocolError`.  The clients call it
+    on a request's keys before planning, so that a caller's malformed key
+    is the caller's error and never a server's.  One join and one match
+    pass a sequence of printable-ASCII keys; only a line with anything else
+    in it (a non-ASCII key, a bad one) is checked key by key.
+    """
+    line = " ".join(keys)
+    # a space inside a key passes for a separator: count them
+    if _ASCII_KEY_LINE(line) is None or line.count(" ") != len(keys) - 1:
+        for key in keys:
+            _validate_key(key)
+    return line
+
+
 # ---------------------------------------------------------------------------
 # client side: encode commands / parse responses
 # ---------------------------------------------------------------------------
+
+
+def encode_retrieval(name: str, keys) -> bytes:
+    """Wire bytes of ``get``/``gets`` (``name``) for ``keys``: what
+    :func:`encode_command` does for a retrieval, without the :class:`Command`."""
+    if not keys:
+        raise ProtocolError(f"{name} needs at least one key")
+    return f"{name} {validate_keys(keys)}\r\n".encode()
 
 
 def encode_command(cmd: Command) -> bytes:
     """Serialise a command to wire bytes."""
     name = cmd.name
     if name in RETRIEVAL_COMMANDS:
-        if not cmd.keys:
-            raise ProtocolError(f"{name} needs at least one key")
-        for k in cmd.keys:
-            _validate_key(k)
-        return (name + " " + " ".join(cmd.keys)).encode() + CRLF
+        return encode_retrieval(name, cmd.keys)
     if name in STORAGE_COMMANDS:
         if len(cmd.keys) != 1:
             raise ProtocolError(f"{name} takes exactly one key")
@@ -163,45 +193,52 @@ def parse_response_at(
     values: dict[str, tuple[int, bytes | memoryview, int | None]] = {}
     stats: dict[str, str] = {}
     n_data = len(data)
+    payloads = data if view is None else view
     while True:
-        eol = data.find(CRLF, pos)
-        if eol < 0:
-            raise IncompleteResponse("response line incomplete")
-        text = data[pos:eol].decode("utf-8", errors="replace")
-        token = text.split(" ", 1)[0]
-        line_end = eol + 2
-        if token == "VALUE":
+        # fast path: one match takes a well-formed VALUE header apart; any other
+        # line, malformed ones included, goes through the general parse below
+        header = _VALUE_HEADER(data, pos)
+        if header is not None:
+            key, flags, nbytes, cas = header.groups()
+            key, flags, nbytes = key.decode(), int(flags), int(nbytes)
+            cas = None if cas is None else int(cas)
+            line_end = header.end()
+        else:
+            eol = data.find(CRLF, pos)
+            if eol < 0:
+                raise IncompleteResponse("response line incomplete")
+            text = data[pos:eol].decode("utf-8", errors="replace")
+            token = text.split(" ", 1)[0]
+            line_end = eol + 2
+            if token == "STAT":
+                parts = text.split(" ", 2)
+                if len(parts) != 3:
+                    raise ProtocolError(f"malformed STAT line: {text!r}")
+                stats[parts[1]] = parts[2]
+                pos = line_end
+                continue
+            if token.isdigit():
+                # incr/decr reply: the new counter value as a bare number
+                return Response(status=text, values=values, stats=stats), line_end
+            if token in _TERMINAL_TOKENS:
+                status = text if token in ("CLIENT_ERROR", "SERVER_ERROR", "VERSION") else token
+                return Response(status=status, values=values, stats=stats), line_end
+            if token != "VALUE":
+                raise ProtocolError(f"unexpected response line: {text!r}")
             parts = text.split()
             if len(parts) not in (4, 5):
                 raise ProtocolError(f"malformed VALUE line: {text!r}")
             key, flags, nbytes = parts[1], int(parts[2]), int(parts[3])
             cas = int(parts[4]) if len(parts) == 5 else None
-            body_end = line_end + nbytes
-            if n_data < body_end + 2:
-                raise IncompleteResponse("value data incomplete")
-            if data[body_end : body_end + 2] != CRLF:
-                raise ProtocolError("value data not CRLF-terminated")
-            if view is not None:
-                payload: bytes | memoryview = view[line_end:body_end]
-            else:
-                payload = data[line_end:body_end]
-            values[key] = (flags, payload, cas)
-            pos = body_end + 2
-            continue
-        if token == "STAT":
-            parts = text.split(" ", 2)
-            if len(parts) != 3:
-                raise ProtocolError(f"malformed STAT line: {text!r}")
-            stats[parts[1]] = parts[2]
-            pos = line_end
-            continue
-        if token.isdigit():
-            # incr/decr reply: the new counter value as a bare number
-            return Response(status=text, values=values, stats=stats), line_end
-        if token in _TERMINAL_TOKENS:
-            status = text if token in ("CLIENT_ERROR", "SERVER_ERROR", "VERSION") else token
-            return Response(status=status, values=values, stats=stats), line_end
-        raise ProtocolError(f"unexpected response line: {text!r}")
+            if nbytes < 0:  # or the header's own CRLF passes for the data terminator
+                raise ProtocolError(f"malformed VALUE line: {text!r}")
+        body_end = line_end + nbytes
+        if n_data < body_end + 2:
+            raise IncompleteResponse("value data incomplete")
+        if data[body_end : body_end + 2] != CRLF:
+            raise ProtocolError("value data not CRLF-terminated")
+        values[key] = (flags, payloads[line_end:body_end], cas)
+        pos = body_end + 2
 
 
 def parse_response(data: bytes) -> tuple[Response, bytes]:
@@ -329,8 +366,14 @@ def parse_command_stream(data: bytes) -> tuple[list[Command], bytes]:
             keys = tuple(parts[1:])
             if not keys:
                 raise ProtocolError(f"{name} without keys")
-            for k in keys:
-                _validate_key(k)
+            # split() left no whitespace in the keys: one search of the line for
+            # the rest, one length check (no key is longer than its line); a call
+            # per key only to raise its error
+            if _BAD_TOKEN_CHAR(text) or (
+                len(text) > MAX_KEY_LEN and len(max(keys, key=len)) > MAX_KEY_LEN
+            ):
+                for k in keys:
+                    _validate_key(k)
             commands.append(Command(name=name, keys=keys))
             pos = line_end
             continue
@@ -420,18 +463,6 @@ def parse_command_stream(data: bytes) -> tuple[list[Command], bytes]:
             pos = line_end
             continue
         raise ProtocolError(f"unknown command: {text!r}")
-
-
-def format_values(items: list[tuple[str, int, bytes, int | None]], with_cas: bool) -> bytes:
-    """Format a retrieval response (VALUE blocks + END)."""
-    out = bytearray()
-    for key, flags, payload, cas in items:
-        header = f"VALUE {key} {flags} {len(payload)}"
-        if with_cas:
-            header += f" {cas}"
-        out += header.encode() + CRLF + payload + CRLF
-    out += b"END" + CRLF
-    return bytes(out)
 
 
 def format_status(status: str) -> bytes:

@@ -169,17 +169,29 @@ class MemcachedServer:
         self.stats["total_transactions"] += 1
         name = cmd.name
         if name in ("get", "gets"):
-            self.stats["cmd_get"] += 1
-            found: list[tuple[str, int, bytes, int | None]] = []
+            # one pass, no call into this module per key (an entry with a TTL
+            # excepted): every hit's VALUE block goes straight into the reply's
+            # parts, joined once, so a payload is copied once
+            lookup, touch = self._items.get, self._items.move_to_end
+            with_cas = name == "gets"
+            parts: list[bytes] = []
             for key in cmd.keys:
-                entry = self._get_live(key)
+                entry = lookup(key)
+                if entry is not None and entry.expires_at is not None:
+                    entry = self._get_live(key)
                 if entry is None:
-                    self.stats["get_misses"] += 1
                     continue
-                self._items.move_to_end(key)
-                self.stats["get_hits"] += 1
-                found.append((key, entry.flags, entry.data, entry.cas))
-            return codec.format_values(found, with_cas=(name == "gets"))
+                touch(key)
+                data = entry.data
+                cas = f" {entry.cas}" if with_cas else ""
+                header = f"VALUE {key} {entry.flags} {len(data)}{cas}\r\n"
+                parts += (header.encode(), data, CRLF)
+            hits = len(parts) // 3
+            self.stats["cmd_get"] += 1
+            self.stats["get_hits"] += hits
+            self.stats["get_misses"] += len(cmd.keys) - hits
+            parts.append(b"END\r\n")
+            return b"".join(parts)
         if name == "set":
             self.stats["cmd_set"] += 1
             self._store(cmd.keys[0], cmd.flags, cmd.data, cmd.exptime)

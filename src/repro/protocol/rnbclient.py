@@ -38,6 +38,7 @@ from repro.cluster.placement import ReplicaPlacer
 from repro.core.bundling import Bundler
 from repro.errors import ConfigurationError, ProtocolError, ServerBusy
 from repro.faults.health import HealthTracker
+from repro.protocol.codec import validate_keys
 from repro.protocol.memclient import MemcachedConnection
 from repro.protocol.retry import RetryPolicy, call_with_retries
 from repro.types import Request
@@ -288,6 +289,7 @@ class RnBProtocolClient:
 
     def set(self, key: str, value: bytes, *, replicate: bool = True) -> None:
         """Store ``key`` on all replica servers (or distinguished only)."""
+        validate_keys((key,))
         servers = self.placer.servers_for(key) if replicate else (
             self.placer.distinguished_for(key),
         )
@@ -297,6 +299,7 @@ class RnBProtocolClient:
 
     def delete(self, key: str) -> None:
         """Remove every replica of ``key`` (missing replicas are fine)."""
+        validate_keys((key,))
         for sid in self.placer.servers_for(key):
             self.connections[sid].delete(key)
 
@@ -331,6 +334,7 @@ class RnBProtocolClient:
         plain :meth:`get` returns envelope bytes — use
         :meth:`get_versioned` to read them back decoded.
         """
+        validate_keys((key,))
         self._consistency_stack()
         writer = self._cons_writers.get(w)
         if writer is None:
@@ -354,6 +358,7 @@ class RnBProtocolClient:
         (payload, winning stamp, and which replicas were stale, missing,
         dead, or repaired).
         """
+        validate_keys((key,))
         self._consistency_stack()
         return self._cons_reader.read(key, repair=repair)
 
@@ -366,6 +371,7 @@ class RnBProtocolClient:
         ``ceil(fraction * len(keys))`` values are returned, any subset.
         """
         keys = tuple(dict.fromkeys(keys))  # dedupe, keep order
+        validate_keys(keys)  # a malformed key is the caller's error, not a server's
         if not keys:
             return MultiGetOutcome()
         started = time.perf_counter()
@@ -517,6 +523,7 @@ class RnBProtocolClient:
         """Single-item get — from the distinguished copy (paper section
         III-C1: unbundled accesses must not pollute replica LRUs), falling
         back to the other replicas only if its server is unreachable."""
+        validate_keys((key,))
         last_error: Exception | None = None
         reached_any = False
         for sid in self.placer.servers_for(key):

@@ -12,11 +12,15 @@ from repro.aio.memclient import AsyncMemcachedClient
 from repro.aio.rnbclient import AsyncRnBClient
 from repro.aio.server import AsyncMemcachedServer
 from repro.aio.transport import AsyncConnection, AsyncConnectionPool
+from repro.errors import ProtocolError
+from repro.faults.health import HealthTracker
 from repro.hashing.rch import RangedConsistentHashPlacer
+from repro.overload.breaker import BreakerBoard
 from repro.overload.load import AdmissionControl
 from repro.protocol.codec import Command
 from repro.protocol.memserver import MemcachedServer
 from repro.protocol.retry import RetryPolicy
+from repro.types import Request
 
 N_SERVERS = 4
 R = 2
@@ -48,6 +52,10 @@ class CoroutineOnly:
 
     async def delete(self, key):
         return await self.inner.delete(key)
+
+
+#: a client over plain memclients (inline fan-out) and over coroutine-only wrappers
+PATHS = pytest.mark.parametrize("wrap", [None, CoroutineOnly], ids=["inline", "cold"])
 
 
 @contextlib.contextmanager
@@ -261,7 +269,7 @@ class _HeldFleet:
         return False
 
 
-@pytest.mark.parametrize("wrap", [None, CoroutineOnly], ids=["inline", "cold"])
+@PATHS
 class TestDeadline:
     """``deadline=`` through the public surface, on both fan-out paths: plain
     memclients (written inline, no Task) and coroutine-only wrappers (a Task
@@ -362,5 +370,78 @@ class TestConstructorContract:
                     conn.policy = FAST  # now each conn retries itself
                 outcome = await c.client.get_multi(sorted(ITEMS)[:10])
                 assert len(outcome.values) == 10
+
+        run(scenario())
+
+
+class TestCallersBadKey:
+    """A malformed key is the caller's error: raised before a byte is sent, with no
+    plan, no retry, and no health or breaker strike against a healthy server."""
+
+    BAD = ("bad key", "bad key\r\n", "a b", "", "k" * 251)
+
+    @staticmethod
+    def guarded(**kwargs) -> tuple[_Cluster, list]:
+        slept: list[float] = []
+
+        async def sleep(delay: float) -> None:
+            slept.append(delay)
+
+        cluster = _Cluster(
+            health=HealthTracker(N_SERVERS),
+            breakers=BreakerBoard(N_SERVERS, seed=3),
+            sleep=sleep,
+            **kwargs,
+        )
+        return cluster, slept
+
+    @staticmethod
+    def assert_untouched(cluster: _Cluster, slept: list, transactions: int) -> None:
+        client = cluster.client
+        assert slept == []
+        assert client.health.exclusions() == client.breakers.tripped() == frozenset()
+        assert all(h.total_errors == 0 for h in client.health.snapshot().values())
+        assert sum(b.stats["total_transactions"] for b in cluster.backends) == transactions
+
+    @PATHS
+    def test_get_multi_raises_and_books_nothing(self, wrap):
+        async def scenario():
+            cluster, slept = self.guarded(wrap=wrap)
+            async with cluster as c:
+                c.preload(ITEMS)
+                await c.warm()
+                keys = sorted(ITEMS)[:3]
+                sent = sum(b.stats["total_transactions"] for b in c.backends)
+                for bad in self.BAD:
+                    with pytest.raises(ProtocolError):
+                        await c.client.get_multi([*keys[:2], bad, keys[2]])
+                    self.assert_untouched(c, slept, sent)
+                # the parent returned retries=4 and two failed servers after two
+                # backoff sleeps per replica, and planned every later request of
+                # every caller sharing the client around those healthy servers
+                outcome = await c.client.get_multi(sorted(ITEMS))
+                assert outcome.values == ITEMS
+                assert (outcome.retries, outcome.failed_servers) == (0, ())
+                planned = c.client.bundler.plan(Request(items=tuple(sorted(ITEMS))))
+                assert outcome.transactions == len(planned.transactions)
+
+        run(scenario())
+
+    def test_every_keyed_call_checks_its_key_first(self):
+        async def scenario():
+            cluster, slept = self.guarded()
+            async with cluster as c:
+                client = c.client
+                for bad in self.BAD:
+                    for call in (
+                        client.get(bad),
+                        client.set(bad, b"v"),
+                        client.delete(bad),
+                        client.set_versioned(bad, b"v"),
+                        client.get_versioned(bad),
+                    ):
+                        with pytest.raises(ProtocolError):
+                            await call
+                self.assert_untouched(c, slept, 0)
 
         run(scenario())

@@ -15,9 +15,15 @@ from repro.overload.breaker import BreakerBoard
 from repro.overload.load import AdmissionControl
 from repro.types import Request
 
-from tests.aio.test_rnbclient import ITEMS, N_SERVERS, CoroutineOnly, _Cluster, counting, run
-
-PATHS = pytest.mark.parametrize("wrap", [None, CoroutineOnly], ids=["inline", "cold"])
+from tests.aio.test_rnbclient import (
+    ITEMS,
+    N_SERVERS,
+    PATHS,
+    CoroutineOnly,
+    _Cluster,
+    counting,
+    run,
+)
 
 
 def always_busy():
@@ -48,7 +54,15 @@ async def drive(cluster: _Cluster, seed: int = 11) -> list:
     seen = []
     for _ in range(10):
         seen.append(await cluster.client.get_multi(rng.sample(keys, rng.randint(1, 20))))
-    seen.append(await cluster.client.get_multi(["no such key", "bad key\r\n", *keys[:4]]))
+    seen.append(await cluster.client.get_multi(["no-such-key", *keys[:4]]))
+    # a malformed key is the caller's error on either path: raised before a byte
+    # is sent, and no server takes a health strike or a breaker failure for it
+    client = cluster.client
+    booked = health_counts(client.health), client.breakers.tripped()
+    for bad in ("no such key", "bad key\r\n"):
+        with pytest.raises(ProtocolError):
+            await client.get_multi([keys[0], bad, *keys[1:4]])
+    assert (health_counts(client.health), client.breakers.tripped()) == booked
     for key in rng.sample(keys, 3):
         seen.append(await cluster.client.set_versioned(key, b"rewritten"))
         seen.append(await cluster.client.get_versioned(key))
@@ -91,6 +105,7 @@ class TestParity:
     def test_healthy_fleet(self):
         inline, cold = self.both_paths()
         assert inline == cold
+        assert not any(errors for errors, _ in inline[1])  # drive's bad keys struck nobody
         reads = inline[0][:10]
         assert all(not o.missing and not o.retries and not o.failed_servers for o in reads)
 

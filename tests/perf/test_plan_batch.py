@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.placement import RandomPlacer
 from repro.core.bundling import Bundler
 from repro.core.client import RnBClient
+from repro.core.setcover import greedy_partial_cover
 from repro.perf.batchcover import MAX_BATCH_ELEMENTS
 from repro.perf.table import PlacementTable
 from repro.types import Request
+from repro.utils.bitset import bit_indices
 
 N_ITEMS = 900
 
@@ -29,6 +33,47 @@ def _mixed_requests(rng, n=120):
         items = tuple(rng.choice(N_ITEMS, size=size, replace=False).tolist())
         requests.append(Request(items=items))
     return requests
+
+
+TIE_BREAKS = ["lowest", "random", lambda candidates: candidates[-1]]
+
+
+@given(
+    st.integers(0, 2**31),
+    st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, min(n, 4)))),
+    st.lists(st.integers(0, 399), min_size=1, max_size=80, unique=True),
+    st.booleans(),
+    st.sampled_from([None, 0.1, 0.5, 0.9]),
+    st.sampled_from(TIE_BREAKS),
+)
+@settings(max_examples=300, deadline=None)
+def test_finish_masks_matches_finish(seed, fleet, items, single_item_rule, limit, tie_break):
+    """``plan`` and ``plan_batch`` both finish through ``_finish_masks``, so neither
+    checks the other: pin it to the general ``_finish`` on the same cover."""
+    placer = RandomPlacer(*fleet, seed=seed)
+    bundler = Bundler(
+        placer,
+        single_item_rule=single_item_rule,
+        tie_break=tie_break,
+        rng=np.random.default_rng(seed),
+    )
+    request = Request(items=tuple(items), limit_fraction=limit)
+    replica_sets = [placer.servers_for(item) for item in items]
+    subsets: dict[int, int] = {}
+    for idx, servers in enumerate(replica_sets):
+        for server in servers:
+            subsets[server] = subsets.get(server, 0) | (1 << idx)
+    cover = greedy_partial_cover(
+        subsets, len(items), request.required_items, tie_break=tie_break, rng=bundler.rng
+    )
+    assigned = {server: bit_indices(mask) for server, mask in cover.assignment.items()}
+    want = bundler._finish(request, request.items, replica_sets, assigned, None)
+    picks = cover.assignment.items()
+    assert bundler._finish_masks(request, request.items, replica_sets, picks) == want
+    for exclude in (None, frozenset()):
+        bundler.rng = np.random.default_rng(seed)  # replay the cover's draws
+        assert bundler.plan(request, exclude=exclude) == want
+    assert sum(len(t.primary) for t in want.transactions) == request.required_items
 
 
 @pytest.mark.parametrize("single_item_rule", [True, False])

@@ -14,10 +14,12 @@ from repro.protocol.codec import (
     encode_command,
     format_stats,
     format_status,
-    format_values,
     parse_command_stream,
     parse_response,
+    validate_keys,
 )
+
+from tests.protocol._oracle import format_values
 
 key_chars = st.characters(
     min_codepoint=33, max_codepoint=126, blacklist_characters=" "
@@ -181,12 +183,16 @@ def test_values_roundtrip_property(items):
 
 
 class TestKeyValidation:
-    """The compiled key check rejects exactly what the per-character scan did."""
+    """The compiled key check rejects exactly what a per-character scan would:
+    controls, DEL, and every character a server's ``str.split()`` splits a line on."""
 
     @staticmethod
     def oracle_rejects(key: str) -> bool:
-        # the predicate the codec used before the check was compiled
-        return not key or len(key) > MAX_KEY_LEN or any(c <= " " or c == "\x7f" for c in key)
+        return (
+            not key
+            or len(key) > MAX_KEY_LEN
+            or any(c <= " " or c == "\x7f" or c.isspace() for c in key)
+        )
 
     def rejects(self, key: str) -> bool:
         try:
@@ -207,3 +213,25 @@ class TestKeyValidation:
     @given(st.text(max_size=MAX_KEY_LEN + 5))
     def test_sampled_unicode_keys(self, key):
         assert self.rejects(key) == self.oracle_rejects(key)
+
+    def test_no_accepted_key_is_torn_by_the_servers_tokeniser(self):
+        # U+0085, U+00A0, U+2028 ... passed the old check and split() tore them:
+        # a get of "a\u00a0b" answered with the values of "a" and "b"
+        for cp in range(0x3100):
+            key = f"a{chr(cp)}b"
+            if not self.rejects(key):
+                [cmd], _ = parse_command_stream(encode_command(Command("get", keys=(key,))))
+                assert cmd.keys == (key,), repr(key)
+
+    @given(st.lists(st.text(max_size=6) | st.just("k" * (MAX_KEY_LEN + 1)), max_size=5))
+    def test_validate_keys_is_the_per_key_check(self, keys):
+        # the clients' edge check: same verdict, same first culprit, as key by key
+        bad = next((k for k in keys if self.rejects(k)), None)
+        if bad is None:
+            assert validate_keys(keys) == " ".join(keys)
+            return
+        with pytest.raises(ProtocolError) as whole:
+            validate_keys(keys)
+        with pytest.raises(ProtocolError) as first:
+            encode_command(Command("get", keys=(bad,)))
+        assert str(whole.value) == str(first.value)

@@ -5,10 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.bundling import Bundler
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ProtocolError
+from repro.faults.health import HealthTracker
 from repro.hashing.rch import RangedConsistentHashPlacer
+from repro.overload.breaker import BreakerBoard
 from repro.protocol.memclient import MemcachedConnection
 from repro.protocol.memserver import MemcachedServer
+from repro.protocol.retry import RetryPolicy
 from repro.protocol.rnbclient import RnBProtocolClient
 from repro.protocol.transport import LoopbackTransport
 
@@ -141,3 +144,62 @@ class TestMissRepair:
         assert len(out.values) >= 20
         full = client.get_multi(keys)
         assert out.transactions <= full.transactions
+
+
+class TestCallersBadKey:
+    """A malformed key is the caller's error: raised before a byte is sent, with no
+    plan, no retry, and no health or breaker strike against a healthy server."""
+
+    BAD = ("bad key", "a b", "tab\tkey", "", "k" * 251)
+
+    @staticmethod
+    def guarded_stack():
+        placer = RangedConsistentHashPlacer(4, 2, seed=0)
+        servers = [MemcachedServer(name=f"m{i}") for i in range(4)]
+        health, breakers, sleeps = HealthTracker(4), BreakerBoard(4, seed=3), []
+        client = RnBProtocolClient(
+            {i: MemcachedConnection(LoopbackTransport(s)) for i, s in enumerate(servers)},
+            placer,
+            retry_policy=RetryPolicy(max_retries=2, backoff_base=0.05),
+            health=health,
+            breakers=breakers,
+            sleep=sleeps.append,
+        )
+        return servers, client, sleeps
+
+    @staticmethod
+    def assert_untouched(servers, client, sleeps, transactions):
+        assert sleeps == []
+        assert client.health.exclusions() == client.breakers.tripped() == frozenset()
+        assert all(h.total_errors == 0 for h in client.health.snapshot().values())
+        assert sum(s.stats["total_transactions"] for s in servers) == transactions
+
+    def test_get_multi_raises_and_books_nothing(self):
+        servers, client, sleeps = self.guarded_stack()
+        keys = ["i000001", "i000002", "i000003"]
+        for key in keys:
+            client.set(key, b"v")
+        sent = sum(s.stats["total_transactions"] for s in servers)
+        for bad in self.BAD:
+            with pytest.raises(ProtocolError):
+                client.get_multi([*keys[:2], bad, keys[2]])
+            self.assert_untouched(servers, client, sleeps, sent)
+        # the parent returned retries=4, failed_servers=(1, 2) and planned every
+        # later request around those two healthy servers
+        outcome = client.get_multi(keys)
+        assert outcome.values == dict.fromkeys(keys, b"v")
+        assert (outcome.retries, outcome.failed_servers) == (0, ())
+
+    def test_every_keyed_call_checks_its_key_first(self):
+        servers, client, sleeps = self.guarded_stack()
+        for bad in self.BAD:
+            for call in (
+                lambda: client.get(bad),
+                lambda: client.set(bad, b"v"),
+                lambda: client.delete(bad),
+                lambda: client.set_versioned(bad, b"v"),
+                lambda: client.get_versioned(bad),
+            ):
+                with pytest.raises(ProtocolError):
+                    call()
+        self.assert_untouched(servers, client, sleeps, 0)
