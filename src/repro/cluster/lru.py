@@ -164,6 +164,26 @@ class PinnedLRU:
             return True
         return self._lru.touch(key)
 
+    def touch_many(self, keys: Iterable[Hashable]) -> tuple[list, list]:
+        """:meth:`touch` each key in order; returns ``(present, absent)``.
+
+        One call per transaction instead of one per item: the LRU ends in
+        the order the per-key calls would leave it.
+        """
+        pinned = self._pinned
+        entries = self._lru._entries
+        present: list = []
+        absent: list = []
+        for key in keys:
+            if key in pinned:
+                present.append(key)
+            elif key in entries:
+                entries.move_to_end(key)
+                present.append(key)
+            else:
+                absent.append(key)
+        return present, absent
+
     def put(self, key: Hashable) -> None:
         """Insert a replica copy (no-op if the key is pinned here)."""
         if key in self._pinned:
@@ -265,6 +285,10 @@ class PriorityClassStore:
     def touch(self, key: Hashable) -> bool:
         return self._lru.touch(key)
 
+    def touch_many(self, keys: Iterable[Hashable]) -> tuple[list, list]:
+        """:meth:`touch` each key in order; returns ``(present, absent)``."""
+        return self._lru.touch_many(keys)
+
     def put(self, key: Hashable) -> None:
         if key in self._distinguished:
             self._lru.touch(key)
@@ -359,6 +383,21 @@ class PriorityLRU:
 
     def touch(self, key: Hashable) -> bool:
         return self._a.touch(key) or self._b.touch(key)
+
+    def touch_many(self, keys: Iterable[Hashable]) -> tuple[list, list]:
+        """:meth:`touch` each key in order; returns ``(present, absent)``."""
+        segments = (self._a._entries, self._b._entries)
+        present: list = []
+        absent: list = []
+        for key in keys:
+            for entries in segments:
+                if key in entries:
+                    entries.move_to_end(key)
+                    present.append(key)
+                    break
+            else:
+                absent.append(key)
+        return present, absent
 
     def _evict_one(self) -> bool:
         victim_seg = self._b if len(self._b) else self._a

@@ -119,19 +119,11 @@ class Server:
             raise ServerBusy(
                 f"server {self.server_id} shed a {len(primary)}-item transaction"
             )
-        hits: list[ItemId] = []
-        misses: list[ItemId] = []
+        hits, misses = self.store.touch_many(primary)
         hh_hits: list[ItemId] = []
-        for item in primary:
-            if self.store.touch(item):
-                hits.append(item)
-            else:
-                misses.append(item)
-        for item in hitchhikers:
-            if self.store.touch(item):
-                hh_hits.append(item)
-            else:
-                self.counters.hitchhiker_misses += 1
+        if hitchhikers:
+            hh_hits, hh_misses = self.store.touch_many(hitchhikers)
+            self.counters.hitchhiker_misses += len(hh_misses)
         c = self.counters
         c.transactions += 1
         n_req = len(primary) + len(hitchhikers)

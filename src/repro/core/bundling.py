@@ -23,23 +23,54 @@ Two refinements from the paper are applied after the cover:
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import accumulate, chain
 from typing import AbstractSet, Iterable, Sequence
 
 import numpy as np
 
 from repro.cluster.placement import ReplicaPlacer
 from repro.core.setcover import greedy_partial_cover
-from repro.errors import CoverError
-from repro.perf.batchcover import (
-    HAS_BITWISE_COUNT,
-    MAX_BATCH_ELEMENTS,
-    CoverWorkspace,
-    batch_greedy_cover,
-    batch_greedy_cover_wide,
-    batch_masks,
-)
+from repro.perf.batchcover import batch_cover
 from repro.types import FetchPlan, ItemId, Request, Transaction
 from repro.utils.bitset import iter_bits
+
+
+def _chunk_transactions(
+    row: np.ndarray,
+    servers: np.ndarray,
+    assigned: np.ndarray,
+    n_requests: int,
+    n_servers: int,
+    single_item_rule: bool,
+):
+    """A covered chunk's transactions: its non-empty (request, server) cells.
+
+    ``row``, ``servers`` and ``assigned`` are per flattened item, as
+    :meth:`Bundler._cover_chunk` returns them.  Under the single-item
+    rule an item alone in its cell first moves to its distinguished
+    server — column 0 of its replica row — where it merges with the
+    request's other redirected singles and with any transaction already
+    headed there, exactly as :meth:`Bundler._finish_masks` does.
+
+    Returns every item's cell number (a stable sort by it groups items
+    into transactions, request-local order kept) and, in request-then-
+    server order — the order plans list their transactions — each
+    transaction's server and item count, then the number of transactions
+    of each request.
+    """
+    first_cell = row * n_servers
+    cell = first_cell + assigned
+    if single_item_rule:
+        alone = np.bincount(cell)[cell] == 1
+        cell = np.where(alone, first_cell + servers[:, 0], cell)
+    counts = np.bincount(cell, minlength=n_requests * n_servers)
+    taken = np.flatnonzero(counts)
+    return (
+        cell,
+        (taken % n_servers).tolist(),
+        counts[taken].tolist(),
+        np.bincount(taken // n_servers, minlength=n_requests).tolist(),
+    )
 
 
 class Bundler:
@@ -82,9 +113,6 @@ class Bundler:
         self.tie_break = tie_break
         self.rng = rng
         self.metrics = metrics
-        #: lazily-created scratch shared by every batch cover this
-        #: bundler plans (one allocation per sweep, not per chunk)
-        self._workspace: CoverWorkspace | None = None
         if metrics is not None:
             policy = tie_break if isinstance(tie_break, str) else "callable"
             self._m_plans = metrics.counter(
@@ -200,75 +228,60 @@ class Bundler:
 
         When the placer is a compiled :class:`repro.perf.PlacementTable`
         and the chunk is on the default path (no exclusions, ``lowest``
-        tie-break), placement lookups run as one batch array index and the
-        greedy covers run lock-step in NumPy (single-lane kernel for
-        requests of at most 63 items, multi-lane for wider ones).
+        tie-break), placement lookups run as one batch array index, the
+        greedy covers run lock-step in NumPy (:meth:`_cover_chunk`) and
+        every transaction's items are a slice of one sorted array.
         Requests the vectorised cover cannot express — empty, LIMIT, or
         with items outside the compiled universe — fall back to
         :meth:`plan` individually, so ``plan_batch(reqs)[i]`` equals
         ``plan(reqs[i])`` for *every* request (property-tested).
         """
         requests = list(requests)
-        lookup = getattr(self.placer, "lookup", None)
-        if (
-            lookup is None
-            or exclude is not None
-            or self.tie_break != "lowest"
-            or not HAS_BITWISE_COUNT
-        ):
-            return [self.plan(r, exclude=exclude) for r in requests]
-
-        eligible = [
-            i
-            for i, r in enumerate(requests)
-            if 0 < len(r.items) and r.required_items == len(r.items)
-        ]
         plans: list[FetchPlan | None] = [None] * len(requests)
-        if eligible:
-            flat = [item for i in eligible for item in requests[i].items]
-            try:
-                items_arr = np.array(flat, dtype=np.int64)
-            except (TypeError, ValueError, OverflowError):
-                items_arr = None  # non-integer item ids: scalar path
-            if items_arr is not None and (
-                items_arr.min() < 0 or items_arr.max() >= self.placer.n_items
-            ):
-                items_arr = None  # outside the compiled universe
-            if items_arr is None:
-                eligible = []
-        if eligible:
-            counts = np.array([len(requests[i].items) for i in eligible])
-            offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            servers = lookup(items_arr)
-            try:
-                picks = self._batch_covers(counts, offsets, servers)
-            except CoverError:
-                # Re-plan individually so the failing request raises the
-                # scalar solver's precise error.
-                eligible = []
-            else:
-                server_rows = servers.tolist()
-                bounds = offsets.tolist()
-                sizes = counts.tolist()
-                fast_finish = not self.hitchhiking
-                for row, i in enumerate(eligible):
+        chunk = None if exclude is not None else self._cover_chunk(requests)
+        if chunk is not None:
+            eligible, items, row, servers, assigned = chunk
+            members = items
+            if self.hitchhiking:
+                # _finish takes {server: [request-local index]} as the
+                # cover left it and applies the single-item rule itself
+                first = np.flatnonzero(np.diff(row, prepend=-1))
+                members = np.arange(row.shape[0]) - first[row]
+            cell, txn_servers, txn_sizes, n_txns = _chunk_transactions(
+                row,
+                servers,
+                assigned,
+                len(eligible),
+                self.placer.n_servers,
+                self.single_item_rule and not self.hitchhiking,
+            )
+            members = members[np.argsort(cell, kind="stable")].tolist()
+            ends = list(accumulate(txn_sizes))
+            groups = [members[lo:hi] for lo, hi in zip([0] + ends, ends)]
+            txn = 0
+            if self.hitchhiking:
+                replica_rows = servers.tolist()  # where to look for hitchhikers
+                lo = 0
+                for i, k in zip(eligible, n_txns):
                     request = requests[i]
-                    lo = bounds[row]
-                    replica_sets = server_rows[lo : lo + sizes[row]]
-                    if fast_finish:
-                        plans[i] = self._finish_masks(
-                            request, request.items, replica_sets, picks[row]
-                        )
-                    else:
-                        assigned = {
-                            server: list(iter_bits(mask)) for server, mask in picks[row]
-                        }
-                        plans[i] = self._finish(
-                            request, request.items, replica_sets, assigned, None
-                        )
+                    hi = lo + len(request.items)
+                    by_server = dict(zip(txn_servers[txn : txn + k], groups[txn : txn + k]))
+                    plans[i] = self._finish(
+                        request, request.items, replica_rows[lo:hi], by_server, None
+                    )
+                    lo, txn = hi, txn + k
+            else:
+                transactions = [
+                    Transaction(server, tuple(primary))
+                    for server, primary in zip(txn_servers, groups)
+                ]
+                for i, k in zip(eligible, n_txns):
+                    plans[i] = FetchPlan(requests[i], tuple(transactions[txn : txn + k]))
+                    txn += k
+                self._record_plan_sizes(n_txns)
         for i, plan in enumerate(plans):
             if plan is None:
-                plans[i] = self.plan(requests[i])
+                plans[i] = self.plan(requests[i], exclude=exclude)
         return plans
 
     def plan_footprints(
@@ -281,72 +294,30 @@ class Bundler:
         materialising :class:`FetchPlan` / :class:`Transaction` objects:
         in the no-miss regime (see ``RnBClient.tally_footprint``) the
         executor only ever reads transaction servers and sizes, so
-        decoding assignment masks back into item tuples is pure overhead.
+        sorting items into transactions is pure overhead.
         Falls back to :meth:`plan` per request off the vectorised
         envelope.  Hitchhiking bundlers always fall back (hitchhikers
         change transaction payloads, which a footprint does not carry).
         """
         requests = list(requests)
-        lookup = getattr(self.placer, "lookup", None)
         footprints: list[tuple[tuple[int, int], ...] | None] = [None] * len(requests)
-        eligible: list[int] = []
-        if (
-            lookup is not None
-            and not self.hitchhiking
-            and self.tie_break == "lowest"
-            and HAS_BITWISE_COUNT
-        ):
-            eligible = [
-                i
-                for i, r in enumerate(requests)
-                if 0 < len(r.items) and r.required_items == len(r.items)
-            ]
-        if eligible:
-            flat = [item for i in eligible for item in requests[i].items]
-            try:
-                items_arr = np.array(flat, dtype=np.int64)
-            except (TypeError, ValueError, OverflowError):
-                items_arr = None
-            if items_arr is not None and (
-                items_arr.min() < 0 or items_arr.max() >= self.placer.n_items
-            ):
-                items_arr = None
-            if items_arr is None:
-                eligible = []
-        if eligible:
-            counts = np.array([len(requests[i].items) for i in eligible])
-            offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            servers = lookup(items_arr)
-            try:
-                picks = self._batch_covers(counts, offsets, servers)
-            except CoverError:
-                eligible = []
-            else:
-                home_col = servers[:, 0].tolist()
-                bounds = offsets.tolist()
-                single_rule = self.single_item_rule
-                sizes: list[int] = []
-                for row, i in enumerate(eligible):
-                    merged: dict[int, int] = {}
-                    if single_rule:
-                        lo = bounds[row]
-                        singles: list[int] = []
-                        for server, mask in picks[row]:
-                            if mask & (mask - 1):
-                                merged[server] = mask
-                            else:
-                                singles.append(mask)
-                        for mask in singles:
-                            home = home_col[lo + mask.bit_length() - 1]
-                            merged[home] = merged.get(home, 0) | mask
-                    else:
-                        merged.update(picks[row])
-                    footprints[i] = tuple(
-                        (server, merged[server].bit_count())
-                        for server in sorted(merged)
-                    )
-                    sizes.append(len(footprints[i]))
-                self._record_plan_sizes(sizes)
+        chunk = None if self.hitchhiking else self._cover_chunk(requests)
+        if chunk is not None:
+            eligible, _, row, servers, assigned = chunk
+            _, txn_servers, txn_sizes, n_txns = _chunk_transactions(
+                row,
+                servers,
+                assigned,
+                len(eligible),
+                self.placer.n_servers,
+                self.single_item_rule,
+            )
+            pairs = list(zip(txn_servers, txn_sizes))
+            txn = 0
+            for i, k in zip(eligible, n_txns):
+                footprints[i] = tuple(pairs[txn : txn + k])
+                txn += k
+            self._record_plan_sizes(n_txns)
         for i, footprint in enumerate(footprints):
             if footprint is None:
                 footprints[i] = tuple(
@@ -355,80 +326,42 @@ class Bundler:
                 )
         return footprints
 
-    def _batch_covers(
-        self, counts: np.ndarray, offsets: np.ndarray, servers: np.ndarray
-    ) -> list[list[tuple[int, int]]]:
-        """Greedy covers for a flattened chunk: per request, ``[(server,
-        assignment_mask), ...]`` in selection order.
+    def _cover_chunk(self, requests: Sequence[Request]):
+        """Greedy covers of the chunk's vectorisable requests, item-major.
 
-        Requests up to 63 items go through the single-lane kernel in one
-        call; the heavy tail goes through the multi-lane kernel.
+        Returns ``(eligible, items, row, servers, assigned)`` — the
+        indexes of the requests covered and, per flattened item of those
+        requests, its id, its row in ``eligible``, its ``(R,)`` replica
+        servers and the server the cover assigns it to — or ``None``
+        when nothing in the chunk is on the vectorised envelope: no
+        compiled table, another tie-break, item ids outside the table, or
+        no non-empty full-cover request (LIMIT at 100 % is one).
         """
-        n_requests = counts.shape[0]
-        n_servers = self.placer.n_servers
-        req_of_item = np.repeat(np.arange(n_requests), counts)
-        local = np.arange(servers.shape[0]) - offsets[req_of_item]
-        picks: list[list[tuple[int, int]]] = [[] for _ in range(n_requests)]
-
-        # 0-item requests (LIMIT-stripped) have an empty cover by
-        # definition: keep them out of both kernels so lane/mask
-        # allocation never sees a zero-width request.
-        narrow = (counts > 0) & (counts <= MAX_BATCH_ELEMENTS)
-        narrow_rows = np.flatnonzero(narrow)
-        if narrow_rows.size:
-            workspace = self._workspace
-            if workspace is None or workspace.n_servers != n_servers:
-                workspace = self._workspace = CoverWorkspace(n_servers)
-            sel = narrow[req_of_item]
-            row_of = np.cumsum(narrow) - 1  # chunk row -> narrow row
-            masks = batch_masks(
-                row_of[req_of_item[sel]],
-                np.uint64(1) << local[sel].astype(np.uint64),
-                servers[sel],
-                narrow_rows.size,
-                n_servers,
-                workspace=workspace,
+        lookup = getattr(self.placer, "lookup", None)
+        if lookup is None or self.tie_break != "lowest":
+            return None
+        eligible = [
+            i
+            for i, r in enumerate(requests)
+            if r.items
+            and (r.limit_fraction is None or r.required_items == len(r.items))
+        ]
+        if not eligible:
+            return None
+        item_sets = [requests[i].items for i in eligible]
+        counts = list(map(len, item_sets))
+        try:
+            items = np.fromiter(
+                chain.from_iterable(item_sets), dtype=np.int64, count=sum(counts)
             )
-            full = (np.uint64(1) << counts[narrow_rows].astype(np.uint64)) - np.uint64(
-                1
-            )
-            for row, row_picks in zip(
-                narrow_rows.tolist(),
-                batch_greedy_cover(masks, full, workspace=workspace),
-            ):
-                picks[row] = row_picks
-
-        wide = counts > MAX_BATCH_ELEMENTS
-        wide_rows = np.flatnonzero(wide)
-        if wide_rows.size:
-            sel = wide[req_of_item]
-            row_of = np.cumsum(wide) - 1
-            n_lanes = int(counts[wide_rows].max() + MAX_BATCH_ELEMENTS - 1) // (
-                MAX_BATCH_ELEMENTS
-            )
-            lane = local[sel] // MAX_BATCH_ELEMENTS
-            bit = np.uint64(1) << (local[sel] % MAX_BATCH_ELEMENTS).astype(np.uint64)
-            replication = servers.shape[1]
-            masks = np.zeros((wide_rows.size, n_servers, n_lanes), dtype=np.uint64)
-            np.bitwise_or.at(
-                masks,
-                (
-                    np.repeat(row_of[req_of_item[sel]], replication),
-                    servers[sel].ravel(),
-                    np.repeat(lane, replication),
-                ),
-                np.repeat(bit, replication),
-            )
-            lane_bits = counts[wide_rows, None] - MAX_BATCH_ELEMENTS * np.arange(
-                n_lanes
-            )
-            lane_bits = np.clip(lane_bits, 0, MAX_BATCH_ELEMENTS)
-            full = (np.uint64(1) << lane_bits.astype(np.uint64)) - np.uint64(1)
-            for row, row_picks in zip(
-                wide_rows.tolist(), batch_greedy_cover_wide(masks, full)
-            ):
-                picks[row] = row_picks
-        return picks
+        except (TypeError, ValueError, OverflowError):
+            return None  # non-integer item ids: scalar path
+        if items.min() < 0 or items.max() >= self.placer.n_items:
+            return None  # outside the compiled universe
+        row = np.repeat(np.arange(len(eligible)), counts)
+        servers = lookup(items)
+        assigned = batch_cover(row, servers, len(eligible), self.placer.n_servers)
+        return eligible, items, row, servers, assigned
 
     def _finish_masks(
         self,

@@ -87,22 +87,23 @@ class RnBClient:
 
         # hitchhikers elsewhere may have rescued a miss
         still_missing = [i for i in missed if i not in obtained]
+        distinguished_for = self.bundler.placer.distinguished_for
+        homes = [distinguished_for(item) for item in still_missing]
 
         # ---- write-back of missed items (DB fetch side effect) ----
         if self.write_back:
-            for item in missed:
-                if item not in obtained:
-                    self.cluster.server(missed[item]).write_back(
-                        item, stamp=self._authoritative_stamp(item)
-                    )
+            for item, home in zip(still_missing, homes):
+                self.cluster.server(missed[item]).write_back(
+                    item, stamp=self._authoritative_stamp(item, home)
+                )
 
         # ---- round two: distinguished copies ----
         second_round = 0
         required = request.required_items
         if still_missing and len(obtained) < required:
             groups: dict[int, list[ItemId]] = defaultdict(list)
-            for item in still_missing:
-                groups[self.bundler.placer.distinguished_for(item)].append(item)
+            for item, home in zip(still_missing, homes):
+                groups[home].append(item)
             for server_id, group in self._second_round_order(groups):
                 need = required - len(obtained)
                 if need <= 0:
@@ -133,8 +134,14 @@ class RnBClient:
             txn_sizes=tuple(txn_sizes),
         )
 
-    def tally_plan(self, plan: FetchPlan) -> FetchResult:
+    def tally_footprint(
+        self, request: Request, footprint: tuple[tuple[int, int], ...]
+    ) -> FetchResult:
         """Account a plan that cannot miss, without walking the stores.
+
+        ``footprint`` is the plan's ``(server, n_primary)`` pairs, as
+        ``Bundler.plan_footprints`` returns them, so the fast path never
+        materialises plan objects at all.
 
         Precondition (the caller's to guarantee — the simulation engine
         checks it once per run): every planned primary item is resident on
@@ -145,87 +152,49 @@ class RnBClient:
         ``multi_get`` would return all-hits and the recency reordering it
         performs can never influence anything observable.  This method
         applies exactly the counter updates those all-hit transactions
-        would and returns the identical :class:`FetchResult`
-        (property-tested against :meth:`execute_plan`).
+        would and returns the identical :class:`FetchResult` that
+        ``execute_plan(plan(request))`` would (tested in
+        ``tests/perf/test_plan_batch.py``).
         """
-        items_total = 0
-        servers_contacted: list[int] = []
-        txn_sizes: list[int] = []
         servers = self.cluster.servers
-        for txn in plan.transactions:
-            n = len(txn.primary)
-            c = servers[txn.server].counters
-            c.transactions += 1
-            c.items_requested += n
-            c.items_returned += n
-            c.hits += n
-            c.txn_sizes.add(n)
-            servers_contacted.append(txn.server)
-            txn_sizes.append(n)
-            items_total += n
-        return FetchResult(
-            request=plan.request,
-            transactions=len(plan.transactions),
-            items_fetched=items_total,
-            items_transferred=items_total,
-            misses=0,
-            second_round_transactions=0,
-            servers_contacted=tuple(servers_contacted),
-            txn_sizes=tuple(txn_sizes),
-        )
-
-    def tally_footprint(
-        self, request: Request, footprint: tuple[tuple[int, int], ...]
-    ) -> FetchResult:
-        """Account a plan *footprint* — ``(server, n_primary)`` pairs.
-
-        Same precondition and counter updates as :meth:`tally_plan`, but
-        driven by ``Bundler.plan_footprints`` output so the fast path
-        never materialises plan objects at all.  Returns the identical
-        :class:`FetchResult` that ``execute_plan(plan(request))`` would.
-        """
-        items_total = 0
-        servers = self.cluster.servers
-        txn_sizes = []
-        servers_contacted = []
         for sid, n in footprint:
             c = servers[sid].counters
             c.transactions += 1
             c.items_requested += n
             c.items_returned += n
             c.hits += n
-            c.txn_sizes.add(n)
-            servers_contacted.append(sid)
-            txn_sizes.append(n)
-            items_total += n
+            sizes = c.txn_sizes.counts  # Histogram.add(n), without the call
+            sizes[n] = sizes.get(n, 0) + 1
+        servers_contacted, txn_sizes = zip(*footprint) if footprint else ((), ())
+        items_total = sum(txn_sizes)
+        # positional: eight keywords cost a quarter of this method
         return FetchResult(
-            request=request,
-            transactions=len(footprint),
-            items_fetched=items_total,
-            items_transferred=items_total,
-            misses=0,
-            second_round_transactions=0,
-            servers_contacted=tuple(servers_contacted),
-            txn_sizes=tuple(txn_sizes),
+            request,
+            len(footprint),  # transactions
+            items_total,  # items_fetched
+            items_total,  # items_transferred
+            0,  # misses
+            0,  # second_round_transactions
+            servers_contacted,
+            txn_sizes,
         )
 
     # -- helpers ---------------------------------------------------------------
 
-    def _authoritative_stamp(self, item: ItemId):
+    def _authoritative_stamp(self, item: ItemId, home: int):
         """Version stamp a DB-fetched copy of ``item`` should carry.
 
         The backing store serves the committed version, which the pinned
-        distinguished copy mirrors — so write-backs inherit the
-        distinguished server's stamp instead of installing an unversioned
-        copy that anti-entropy would flag as divergent.  An unreachable
-        home (chaos) yields ``None``: the copy is installed unversioned
-        and reconciled by the scrubber later.
+        distinguished copy (on server ``home``) mirrors — so write-backs
+        inherit the distinguished server's stamp instead of installing an
+        unversioned copy that anti-entropy would flag as divergent.  An
+        unreachable home (chaos) yields ``None``: the copy is installed
+        unversioned and reconciled by the scrubber later.
         """
         try:
-            home = self.cluster.server(self.bundler.placer.distinguished_for(item))
+            return self.cluster.server(home).stamps.get(item)
         except (ConnectionError, OSError):
             return None
-        return home.stamps.get(item)
 
     @staticmethod
     def _second_round_order(groups: dict[int, list[ItemId]]):

@@ -1,14 +1,13 @@
 """``repro.perf`` — the compiled fast path for the read pipeline.
 
-Three layers, each exactly equivalent to the code it accelerates:
+Four layers, each exactly equivalent to the code it accelerates:
 
 * :mod:`repro.perf.table` — :class:`PlacementTable`, compiling any
   replica placer into a dense ``item -> R servers`` array with O(1)
   vectorised batch lookup.
 * :mod:`repro.perf.batchcover` — the chunk-vectorised greedy set cover
-  used by :meth:`repro.core.bundling.Bundler.plan_batch`, with a
-  :class:`CoverWorkspace` so a whole sweep plans through one
-  preallocated uint64 scratch.
+  behind :meth:`repro.core.bundling.Bundler.plan_batch` and
+  ``plan_footprints``: one item-major kernel for every request size.
 * :mod:`repro.perf.shard` — the sharded multiprocessing engine:
   contiguous request-stream slices across worker processes with a
   deterministic, bit-identical merge.
@@ -20,14 +19,11 @@ Equivalence is load-bearing: every experiment table under
 is on or off, and the property tests in ``tests/perf`` enforce it.
 """
 
-from repro.perf.batchcover import CoverWorkspace, batch_greedy_cover
 from repro.perf.shard import plan_shards, run_simulation_sharded, shardable
 from repro.perf.table import PlacementTable, compile_placement, splitmix64_array
 
 __all__ = [
-    "CoverWorkspace",
     "PlacementTable",
-    "batch_greedy_cover",
     "compile_placement",
     "plan_shards",
     "run_simulation_sharded",

@@ -3,232 +3,81 @@
 The batch-codes line of work (Zhang, Yaakobi & Silberstein, PAPERS.md)
 frames RnB's read path as batched retrieval: many small independent
 requests decoded against the same replica layout.  The per-request
-greedy cover is tiny (mean request ≈ 10 items, a handful of picks), so
-at high request rates the Python interpreter overhead of running it
-request-at-a-time dwarfs the actual bit-set arithmetic.
+greedy cover is tiny (median request 3 items, a handful of picks), so at
+high request rates the Python interpreter overhead of running it
+request-at-a-time dwarfs the actual arithmetic.
 
-This module runs the *same* greedy algorithm lock-step across a whole
-chunk of requests in NumPy: request item sets become one ``(C, N)``
-uint64 mask matrix (``C`` requests × ``N`` servers, bit *i* of
-``masks[r, s]`` = "request *r*'s item *i* has a replica on server *s*"),
-and each greedy round picks, for every still-uncovered request at once,
-the server with the maximal marginal gain via ``np.bitwise_count`` +
-``argmax``.  ``argmax`` returns the first maximal column, which is the
-lowest server id — exactly the solver's ``tie_break="lowest"`` policy —
-so picks, pick order and assignment masks are identical to
-:func:`repro.core.setcover.greedy_partial_cover` (property-tested).
+:func:`batch_cover` runs the *same* greedy algorithm lock-step across a
+whole chunk of requests in NumPy, **item-major**: one flat array entry
+per requested item, whatever the size of its request.  Each greedy
+round counts, for every (request, server) cell at once, the request's
+still-uncovered items with a replica on that server (one ``bincount``),
+picks every request's best server (``argmax`` returns the first maximal
+column, which is the lowest server id — exactly the solver's
+``tie_break="lowest"`` policy) and hands it every uncovered item it
+holds.  An item's replicas are distinct servers, so that count is the
+popcount :func:`repro.core.setcover.greedy_partial_cover` maximises and
+the picks, and each item's assignment, are identical (property-tested
+in ``tests/perf``, also against the mask-major kernels this replaced).
 
-Scope: full covers (no LIMIT), no exclusions, ``tie_break="lowest"``.
-Requests of at most 63 items use the single-lane kernel
-(:func:`batch_greedy_cover`); wider requests — the heavy tail of the
-ego workload — use the multi-lane variant
-(:func:`batch_greedy_cover_wide`), which spreads each request's items
-over as many uint64 lanes as its size needs.  Together they cover the
-simulator's entire default hot path; callers fall back to the scalar
-solver outside the envelope (LIMIT requests, exclusions, other
-tie-breaks).
+Scope: full covers (no LIMIT), no exclusions, ``tie_break="lowest"``;
+callers fall back to the scalar solver outside that envelope.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import CoverError
 
-#: Largest request size (elements per cover) the uint64 lane supports.
-MAX_BATCH_ELEMENTS = 63
-
-HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-
-
-class CoverWorkspace:
-    """Preallocated uint64 scratch for a whole sweep's cover chunks.
-
-    The single-lane kernel's arrays are the same shape chunk after chunk
-    (``(C, N)`` masks, ``(C,)`` targets, per-round gain/sub scratch), so
-    a sweep of thousands of chunks can plan through ONE workspace instead
-    of reallocating every matrix per chunk: :func:`batch_masks` scatters
-    into ``masks`` views and the greedy rounds in
-    :func:`batch_greedy_cover` run ``np.take`` / ``bitwise_and`` /
-    ``bitwise_count`` with ``out=`` into the scratch rows.
-
-    ``reserve`` grows capacity by powers of two, so a steady chunk size
-    settles on one allocation for the whole sweep.  The workspace is
-    bound to one ``n_servers`` (one compiled placement table) and is NOT
-    thread-safe — one workspace per :class:`repro.core.bundling.Bundler`.
-
-    Results are bit-identical with and without a workspace: the kernels
-    run the same operations in the same order, only the destination
-    buffers differ (property-tested).
-    """
-
-    __slots__ = ("n_servers", "capacity", "masks", "full", "sub", "gains")
-
-    def __init__(self, n_servers: int, capacity: int = 256) -> None:
-        self.n_servers = int(n_servers)
-        self.capacity = 0
-        self._grow(max(1, int(capacity)))
-
-    def _grow(self, capacity: int) -> None:
-        self.capacity = capacity
-        self.masks = np.zeros((capacity, self.n_servers), dtype=np.uint64)
-        self.full = np.empty(capacity, dtype=np.uint64)
-        self.sub = np.empty((capacity, self.n_servers), dtype=np.uint64)
-        # np.bitwise_count yields uint8 (popcount of uint64 <= 64): the
-        # gains buffer matches the allocating kernel's dtype exactly so
-        # argmax tie-breaking is identical.
-        self.gains = np.empty((capacity, self.n_servers), dtype=np.uint8)
-
-    def reserve(self, n_requests: int) -> None:
-        """Ensure capacity for a chunk of ``n_requests`` covers."""
-        if n_requests <= self.capacity:
-            return
-        cap = self.capacity
-        while cap < n_requests:
-            cap *= 2
-        self._grow(cap)
-
-
-def batch_masks(
-    req_of_item: np.ndarray,
-    bit_of_item: np.ndarray,
-    servers: np.ndarray,
-    n_requests: int,
-    n_servers: int,
-    *,
-    workspace: CoverWorkspace | None = None,
+def batch_cover(
+    row: np.ndarray, servers: np.ndarray, n_requests: int, n_servers: int
 ) -> np.ndarray:
-    """Scatter per-replica rows into the ``(C, N)`` uint64 mask matrix.
-
-    ``req_of_item``/``bit_of_item`` give, per flattened item, its request
-    row and its single-bit mask; ``servers`` is the matching ``(T, R)``
-    replica table slice.  One ``bitwise_or.at`` call builds every
-    request's per-server bitmasks at once.
-
-    With a :class:`CoverWorkspace` the matrix is a zeroed view of the
-    workspace's preallocated ``masks`` buffer instead of a fresh
-    allocation per chunk.
-    """
-    replication = servers.shape[1]
-    if workspace is not None:
-        workspace.reserve(n_requests)
-        masks = workspace.masks[:n_requests]
-        masks[...] = np.uint64(0)
-    else:
-        masks = np.zeros((n_requests, n_servers), dtype=np.uint64)
-    np.bitwise_or.at(
-        masks,
-        (np.repeat(req_of_item, replication), servers.ravel()),
-        np.repeat(bit_of_item, replication),
-    )
-    return masks
-
-
-def batch_greedy_cover(
-    masks: np.ndarray,
-    full: np.ndarray,
-    *,
-    workspace: CoverWorkspace | None = None,
-) -> list[list[tuple[int, int]]]:
     """Greedy full cover of every request in the chunk, lock-step.
 
     Parameters
     ----------
-    masks:
-        ``(C, N)`` uint64 per-server element bitmasks.
-    full:
-        ``(C,)`` uint64 target bitmasks (all of request *r*'s elements).
-    workspace:
-        Optional :class:`CoverWorkspace`; the per-round sub-matrix, AND
-        and popcount then run ``out=`` into its preallocated scratch
-        instead of allocating three temporaries per greedy round.  Picks
-        are bit-identical either way.
+    row:
+        ``(T,)`` request row (``0..n_requests-1``, non-decreasing) of
+        each flattened item.
+    servers:
+        ``(T, R)`` replica servers of each item, distinct within a row
+        (a :meth:`repro.perf.PlacementTable.lookup` slice), ``R >= 1``.
 
-    Returns, per request, the pick list ``[(server, newly_mask), ...]``
-    in selection order — the exact ``selected``/``assignment`` content of
-    the scalar solver's :class:`~repro.core.setcover.CoverResult`.
+    Returns the ``(T,)`` server each item is assigned to: the first
+    greedy pick of its request that holds one of its replicas, i.e. the
+    server whose ``assignment`` mask carries the item in the scalar
+    solver's :class:`~repro.core.setcover.CoverResult`.  Every round
+    covers at least one item of every unfinished request, so there are
+    at most ``n_servers`` rounds.
     """
-    n_requests = masks.shape[0]
-    picks: list[list[tuple[int, int]]] = [[] for _ in range(n_requests)]
-    if workspace is not None:
-        workspace.reserve(n_requests)
-        uncovered = workspace.full[:n_requests]
-        np.copyto(uncovered, full)
-    else:
-        uncovered = full.astype(np.uint64, copy=True)
-    active = np.flatnonzero(uncovered)
-    while active.size:
-        k = active.size
-        unc = uncovered[active]
-        if workspace is not None:
-            sub = np.take(masks, active, axis=0, out=workspace.sub[:k])
-            np.bitwise_and(sub, unc[:, None], out=sub)
-            gains = np.bitwise_count(sub, out=workspace.gains[:k])
-            newly_src = sub  # already masked down to uncovered bits
-        else:
-            sub = masks[active]
-            gains = np.bitwise_count(sub & unc[:, None])
-            newly_src = None
-        best = gains.argmax(axis=1)
-        rows = np.arange(k)
-        if not gains[rows, best].all():
-            raise CoverError(
-                "batched greedy stalled: some request has an element with no "
-                "replica on any server"
-            )
-        if newly_src is not None:
-            newly = newly_src[rows, best]  # advanced indexing: a fresh array
-        else:
-            newly = sub[rows, best] & unc
-        unc ^= newly  # newly is a subset of unc
-        uncovered[active] = unc
-        for req, server, mask in zip(active.tolist(), best.tolist(), newly.tolist()):
-            picks[req].append((server, mask))
-        active = active[unc != np.uint64(0)]
-    return picks
-
-
-def batch_greedy_cover_wide(
-    masks: np.ndarray, full: np.ndarray
-) -> list[list[tuple[int, int]]]:
-    """Multi-lane :func:`batch_greedy_cover` for requests wider than 63 items.
-
-    ``masks`` is ``(C, N, L)`` and ``full`` is ``(C, L)``: request bit
-    ``i`` lives in lane ``i // 63``, bit ``i % 63``.  Gains sum popcounts
-    across lanes, so pick order and tie-breaking are identical to the
-    single-lane kernel; returned pick masks are recombined into arbitrary-
-    precision Python ints, exactly as the scalar solver's assignment
-    masks.
-    """
-    n_requests, _, n_lanes = masks.shape
-    picks: list[list[tuple[int, int]]] = [[] for _ in range(n_requests)]
-    if n_lanes == 0:
-        # Degenerate lane allocation: every request in the batch is the
-        # 0-item request (reachable via LIMIT-stripped requests), so
-        # ceil(0 / 63) lanes were allocated.  Nothing to cover.
-        return picks
-    uncovered = full.astype(np.uint64, copy=True)
-    active = np.flatnonzero(uncovered.any(axis=1))
-    lane_shifts = [63 * lane for lane in range(n_lanes)]
-    while active.size:
-        sub = masks[active]
-        unc = uncovered[active]
-        newly_all = sub & unc[:, None, :]
-        gains = np.bitwise_count(newly_all).sum(axis=2, dtype=np.int64)
-        best = gains.argmax(axis=1)
-        rows = np.arange(active.size)
-        if not gains[rows, best].all():
-            raise CoverError(
-                "batched greedy stalled: some request has an element with no "
-                "replica on any server"
-            )
-        newly = newly_all[rows, best]
-        unc ^= newly
-        uncovered[active] = unc
-        for req, server, lanes in zip(active.tolist(), best.tolist(), newly.tolist()):
-            mask = 0
-            for shift, lane_mask in zip(lane_shifts, lanes):
-                mask |= lane_mask << shift
-            picks[req].append((server, mask))
-        active = active[unc.any(axis=1)]
-    return picks
+    assigned = np.empty(row.shape[0], dtype=np.int64)
+    live = np.arange(row.shape[0])  # flat index of the items still uncovered
+    # Replica-major: key[j, t] is the (request, server) cell of live item
+    # t's j-th replica, so one replica of every item is one contiguous row.
+    key = row * n_servers + servers.T
+    first_cell = np.arange(0, n_requests * n_servers, n_servers)
+    n_rows = n_requests
+    while True:
+        gains = np.bincount(key.ravel(), minlength=n_rows * n_servers)
+        best = gains.reshape(n_rows, n_servers).argmax(axis=1) + first_cell[:n_rows]
+        pick = best.take(row)
+        # a reduction over the short replica axis costs five times this loop
+        hit = key[0] == pick
+        for replica in key[1:]:
+            hit |= replica == pick
+        done = np.flatnonzero(hit)
+        assigned[live.take(done)] = pick.take(done)
+        if done.size == live.size:
+            return assigned % n_servers
+        keep = np.flatnonzero(~hit)
+        live, row, key = live.take(keep), row.take(keep), key.take(keep, axis=1)
+        if gains.size > 2 * key.size:
+            # Most requests finish in a few rounds and the heavy tail goes
+            # on for many: once the gain matrix outweighs the items left,
+            # renumber the unfinished requests 0..k-1 so it shrinks to them.
+            fresh = np.zeros(row.shape[0], dtype=np.int64)
+            np.not_equal(row[1:], row[:-1], out=fresh[1:])
+            fresh = np.cumsum(fresh)
+            key += (fresh - row) * n_servers
+            row = fresh
+            n_rows = int(row[-1]) + 1

@@ -103,7 +103,11 @@ class SimConfig:
     implementation choice, not a modelling choice: results are identical
     bit for bit either way (enforced by ``tests/sim``), and ``rnb
     perfbench`` measures the two arms against each other.  ``batch_size``
-    is the planning chunk length used when the fast path is on.
+    is the planning chunk length used when the fast path is on: that many
+    requests are drawn, flattened to one array entry per requested item
+    and covered together (:func:`repro.perf.batchcover.batch_cover`), so
+    it trades nothing but array sizes — requests of any width share a
+    chunk.
     """
 
     cluster: ClusterConfig

@@ -176,7 +176,7 @@ def run_simulation(
     )
     # With naive allocation (Fig 6) every replica stays resident, so
     # executing a plan is pure counter arithmetic — see
-    # RnBClient.tally_plan for the full precondition argument.
+    # RnBClient.tally_footprint for the full precondition argument.
     tally = (
         batched
         and cluster.injector is None

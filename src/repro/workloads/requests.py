@@ -25,6 +25,10 @@ from repro.utils.rng import ensure_rng
 from repro.workloads.graphs import SocialGraph
 
 
+#: roots drawn per RNG call by :meth:`EgoRequestGenerator.stream`
+_STREAM_BLOCK = 1024
+
+
 class EgoRequestGenerator:
     """Ego-network requests over a social graph.
 
@@ -51,13 +55,27 @@ class EgoRequestGenerator:
         return Request(items=items)
 
     def stream(self, n: int | None = None) -> Iterator[Request]:
-        """Yield ``n`` requests (infinite if ``n`` is None)."""
-        if n is None:
-            while True:
-                yield self.generate()
-        else:
-            for _ in range(n):
-                yield self.generate()
+        """Yield ``n`` requests (infinite if ``n`` is None).
+
+        The same requests as ``n`` calls of :meth:`generate`, drawn a
+        block of roots per RNG call: ``integers(bound, size=k)`` returns
+        the values of ``k`` scalar draws in order (tested), so ``stream(n)``
+        leaves the generator's rng exactly where ``n`` calls would, and
+        the infinite stream runs ahead of its consumer by less than one
+        block of draws.
+        """
+        roots, indptr, indices = self._roots, self.graph.indptr, self.graph.indices
+        while n is None or n > 0:
+            k = _STREAM_BLOCK if n is None else min(_STREAM_BLOCK, n)
+            block = roots[self.rng.integers(len(roots), size=k)]
+            bounds = zip(block.tolist(), indptr[block].tolist(), indptr[block + 1].tolist())
+            for root, lo, hi in bounds:
+                items = tuple(indices[lo:hi].tolist())
+                if self.include_self:
+                    items = (root, *(i for i in items if i != root))
+                yield Request(items=items)
+            if n is not None:
+                n -= k
 
     def mean_request_size(self) -> float:
         """Expected request size = mean degree over non-isolated roots."""

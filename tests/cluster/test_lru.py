@@ -12,6 +12,7 @@ from repro.cluster.lru import (
     LRUCache,
     PartitionedLRU,
     PinnedLRU,
+    PriorityClassStore,
     PriorityLRU,
 )
 from repro.errors import CapacityError
@@ -283,3 +284,32 @@ def test_pinned_lru_invariants(pinned, capacity, puts):
     for key in puts:
         if key not in pinned:
             assert store.is_pinned(key) is False
+
+
+@given(
+    st.sampled_from(["pinned", "priority"]),
+    st.sets(st.integers(0, 20), max_size=6),
+    st.lists(st.integers(0, 20), max_size=30),
+    st.lists(st.lists(st.integers(0, 25), max_size=8), max_size=6),
+)
+def test_touch_many_is_touch_per_key(policy, pinned, puts, transactions):
+    """One ``touch_many`` per transaction leaves the store as ``touch`` per
+    item does: same hits and misses in request order, same eviction order."""
+
+    def build():
+        store = PinnedLRU(8) if policy == "pinned" else PriorityClassStore(14)
+        store.pin_all(pinned)
+        for key in puts:
+            store.put(key)
+        return store
+
+    per_key, per_txn = build(), build()
+    for keys in transactions:
+        touched = [(key, per_key.touch(key)) for key in keys]
+        present, absent = per_txn.touch_many(keys)
+        assert present == [key for key, hit in touched if hit]
+        assert absent == [key for key, hit in touched if not hit]
+    assert per_txn.replica_keys() == per_key.replica_keys()
+    assert per_txn.pinned_keys() == per_key.pinned_keys()
+    if policy == "priority":  # distinguished copies have a recency order too
+        assert per_txn._lru._a.keys() == per_key._lru._a.keys()

@@ -1,194 +1,221 @@
-"""The chunk-vectorised cover kernels must match the scalar solver
-pick-for-pick (selection order and per-pick assignment masks)."""
+"""The item-major chunk planner against its oracles: the scalar solver
+(pick for pick, through each item's assignment), ``Bundler.plan`` (plan
+for plan) and the mask-major kernels it replaced (``_oracle.py``)."""
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cluster.placement import RandomPlacer
+from repro.cluster.placement import (
+    FullReplicationPlacer,
+    RandomPlacer,
+    SingleHashPlacer,
+)
+from repro.core.bundling import Bundler
 from repro.core.setcover import greedy_partial_cover
-from repro.errors import CoverError
-from repro.perf.batchcover import (
-    HAS_BITWISE_COUNT,
-    MAX_BATCH_ELEMENTS,
-    batch_greedy_cover,
-    batch_greedy_cover_wide,
-    batch_masks,
-)
+from repro.hashing.multihash import MultiHashPlacer
+from repro.hashing.rch import RangedConsistentHashPlacer
+from repro.obs import MetricsRegistry
+from repro.perf.batchcover import batch_cover
 from repro.perf.table import PlacementTable
+from repro.types import Request
+from repro.utils.bitset import iter_bits
+from tests.perf import _oracle
 
-pytestmark = pytest.mark.skipif(
-    not HAS_BITWISE_COUNT, reason="numpy lacks np.bitwise_count"
-)
+N_ITEMS = 800
+#: straddling one uint64 of item bits (the old narrow/wide fork) and the
+#: ego workload's heavy tail
+SIZES = (1, 2, 7, 63, 64, 200, 700)
 
-N_SERVERS = 16
+PLACERS = {
+    "rch": lambda: RangedConsistentHashPlacer(16, 3, vnodes=32, seed=3),
+    "multihash": lambda: MultiHashPlacer(16, 3, seed=3),
+    "single": lambda: SingleHashPlacer(16, vnodes=32, seed=3),  # R = 1
+    "full": lambda: FullReplicationPlacer(16, 4, vnodes=32, seed=3),
+    "generic": lambda: RandomPlacer(12, 3, seed=3),  # the per-item compiler
+}
 
 
-def _random_requests(rng, n_requests, max_items, n_items=800):
-    out = []
-    for _ in range(n_requests):
-        size = int(rng.integers(1, max_items + 1))
-        out.append(rng.choice(n_items, size=size, replace=False).tolist())
+@cache
+def table(kind: str) -> PlacementTable:
+    return PlacementTable.compile(PLACERS[kind](), N_ITEMS)
+
+
+def _requests(rng, n, sizes=SIZES):
+    return [
+        Request(items=tuple(rng.choice(N_ITEMS, size=int(size), replace=False).tolist()))
+        for size in rng.choice(sizes, size=n)
+    ]
+
+
+def _kernel_assignment(tbl, requests):
+    """Per request, the server ``batch_cover`` assigns each item to."""
+    counts = [len(r.items) for r in requests]
+    items = np.array([i for r in requests for i in r.items], dtype=np.int64)
+    row = np.repeat(np.arange(len(requests)), counts)
+    assigned = batch_cover(row, tbl.lookup(items), len(requests), tbl.n_servers)
+    return np.split(assigned, np.cumsum(counts)[:-1])
+
+
+def _scalar_cover(tbl, items):
+    subsets: dict[int, int] = {}
+    for idx, item in enumerate(items):
+        for s in tbl.servers_for(item):
+            subsets[s] = subsets.get(s, 0) | (1 << idx)
+    return greedy_partial_cover(subsets, len(items), len(items))
+
+
+def _assignment_of(picks, n_items):
+    """Per item, the server whose pick mask carries it."""
+    out = [None] * n_items
+    for server, mask in picks:
+        for idx in iter_bits(mask):
+            out[idx] = server
     return out
 
 
-def _scalar_picks(table, items):
-    """(server, newly-covered mask) pick sequence of the scalar solver."""
-    subsets: dict[int, int] = {}
-    for idx, item in enumerate(items):
-        bit = 1 << idx
-        for s in table.servers_for(item):
-            subsets[s] = subsets.get(s, 0) | bit
-    result = greedy_partial_cover(subsets, len(items), len(items))
-    return [(s, result.assignment[s]) for s in result.selected]
+def _assert_kernel_matches_scalar(kind, requests):
+    tbl = table(kind)
+    for request, assigned in zip(requests, _kernel_assignment(tbl, requests)):
+        cover = _scalar_cover(tbl, request.items)
+        assert assigned.tolist() == _assignment_of(
+            cover.assignment.items(), len(request.items)
+        )
 
 
-@pytest.fixture(scope="module")
-def table():
-    return PlacementTable.compile(RandomPlacer(N_SERVERS, 3, seed=3), 800)
+@pytest.mark.parametrize("kind", PLACERS)
+def test_kernel_matches_scalar_on_every_placer(kind):
+    _assert_kernel_matches_scalar(kind, _requests(np.random.default_rng(41), 40))
 
 
-def test_narrow_kernel_matches_scalar(table):
+def test_narrow_kernel_matches_scalar():
     rng = np.random.default_rng(42)
-    batches = _random_requests(rng, 200, MAX_BATCH_ELEMENTS)
-    counts = np.array([len(b) for b in batches])
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    flat = np.array([i for b in batches for i in b])
-    servers = table.lookup(flat)
-
-    req_of_item = np.repeat(np.arange(len(batches)), counts)
-    local = np.arange(flat.size) - offsets[req_of_item]
-    masks = batch_masks(
-        req_of_item,
-        np.uint64(1) << local.astype(np.uint64),
-        servers,
-        len(batches),
-        N_SERVERS,
-    )
-    full = ((np.uint64(1) << counts.astype(np.uint64)) - np.uint64(1)).astype(
-        np.uint64
-    )
-    picks = batch_greedy_cover(masks, full)
-
-    for row, items in enumerate(batches):
-        assert picks[row] == _scalar_picks(table, items)
+    _assert_kernel_matches_scalar("generic", _requests(rng, 200, sizes=range(1, 64)))
 
 
-def test_wide_kernel_matches_scalar(table):
+def test_wide_kernel_matches_scalar():
     rng = np.random.default_rng(43)
-    batches = _random_requests(rng, 40, 300)
-    counts = np.array([len(b) for b in batches])
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    flat = np.array([i for b in batches for i in b])
-    servers = table.lookup(flat)
-
-    n_lanes = int(counts.max() + MAX_BATCH_ELEMENTS - 1) // MAX_BATCH_ELEMENTS
-    req_of_item = np.repeat(np.arange(len(batches)), counts)
-    local = np.arange(flat.size) - offsets[req_of_item]
-    lane = local // MAX_BATCH_ELEMENTS
-    bit = np.uint64(1) << (local % MAX_BATCH_ELEMENTS).astype(np.uint64)
-
-    masks = np.zeros((len(batches), N_SERVERS, n_lanes), dtype=np.uint64)
-    rep = servers.shape[1]
-    np.bitwise_or.at(
-        masks,
-        (
-            np.repeat(req_of_item, rep),
-            servers.ravel(),
-            np.repeat(lane, rep),
-        ),
-        np.repeat(bit, rep),
-    )
-    lane_bits = np.clip(
-        counts[:, None] - MAX_BATCH_ELEMENTS * np.arange(n_lanes)[None, :],
-        0,
-        MAX_BATCH_ELEMENTS,
-    )
-    full = ((np.uint64(1) << lane_bits.astype(np.uint64)) - np.uint64(1)).astype(
-        np.uint64
-    )
-    picks = batch_greedy_cover_wide(masks, full)
-
-    for row, items in enumerate(batches):
-        assert picks[row] == _scalar_picks(table, items)
+    _assert_kernel_matches_scalar("generic", _requests(rng, 40, sizes=range(1, 301)))
 
 
-def test_infeasible_batch_raises():
-    # one request whose item maps to no server at all
-    masks = np.zeros((1, 4), dtype=np.uint64)
-    full = np.array([0b11], dtype=np.uint64)
-    with pytest.raises(CoverError):
-        batch_greedy_cover(masks, full)
+@pytest.mark.skipif(not _oracle.HAS_BITWISE_COUNT, reason="the oracle needs NumPy >= 2.0")
+@pytest.mark.parametrize("kind", PLACERS)
+@pytest.mark.parametrize("single_item_rule", [True, False])
+def test_chunk_planner_matches_mask_oracle(kind, single_item_rule):
+    tbl = table(kind)
+    requests = _requests(np.random.default_rng(44), 80)
+    counts = np.array([len(r.items) for r in requests])
+    items = np.array([i for r in requests for i in r.items])
+    picks = _oracle.batch_covers(counts, tbl.lookup(items), tbl.n_servers)
 
-
-def test_workspace_kernels_match_allocating(table):
-    # One workspace reused across chunks of very different sizes (forcing
-    # reserve growth and stale-scratch reuse): picks must be identical to
-    # the allocating kernels chunk for chunk.
-    from repro.perf.batchcover import CoverWorkspace
-
-    rng = np.random.default_rng(44)
-    ws = CoverWorkspace(N_SERVERS, capacity=4)
-    for n_req, max_items in [(16, MAX_BATCH_ELEMENTS), (200, 20), (7, 5)]:
-        batches = _random_requests(rng, n_req, max_items)
-        counts = np.array([len(b) for b in batches])
-        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        flat = np.array([i for b in batches for i in b])
-        servers = table.lookup(flat)
-        req_of_item = np.repeat(np.arange(len(batches)), counts)
-        local = np.arange(flat.size) - offsets[req_of_item]
-        bit = np.uint64(1) << local.astype(np.uint64)
-        full = ((np.uint64(1) << counts.astype(np.uint64)) - np.uint64(1)).astype(
-            np.uint64
+    assigned = _kernel_assignment(tbl, requests)
+    bundler = Bundler(tbl, single_item_rule=single_item_rule)
+    footprints = bundler.plan_footprints(requests)
+    plans = bundler.plan_batch(requests)
+    for row, request in enumerate(requests):
+        assert assigned[row].tolist() == _assignment_of(picks[row], len(request.items))
+        homes = [tbl.distinguished_for(item) for item in request.items]
+        assert footprints[row] == _oracle.footprint(picks[row], homes, single_item_rule)
+        replica_sets = [tbl.servers_for(item) for item in request.items]
+        assert plans[row] == bundler._finish_masks(
+            request, request.items, replica_sets, picks[row]
         )
 
-        plain_masks = batch_masks(req_of_item, bit, servers, n_req, N_SERVERS)
-        ws_masks = batch_masks(
-            req_of_item, bit, servers, n_req, N_SERVERS, workspace=ws
+
+@given(
+    st.sampled_from(sorted(PLACERS)),
+    st.integers(0, 2**31),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_chunk_planner_matches_plan(kind, seed, single_item_rule, hitchhiking, with_metrics):
+    """``plan_batch(reqs)[i] == plan(reqs[i])``, footprints and telemetry too."""
+    requests = _requests(np.random.default_rng(seed), 24)
+
+    def bundler():
+        registry = MetricsRegistry() if with_metrics else None
+        return registry, Bundler(
+            table(kind),
+            single_item_rule=single_item_rule,
+            hitchhiking=hitchhiking,
+            metrics=registry,
         )
-        assert np.array_equal(plain_masks, ws_masks)
-        plain_picks = batch_greedy_cover(plain_masks, full)
-        ws_picks = batch_greedy_cover(ws_masks, full, workspace=ws)
-        assert plain_picks == ws_picks
+
+    scalar_registry, scalar = bundler()
+    want = [scalar.plan(r) for r in requests]
+    batch_registry, batched = bundler()
+    assert batched.plan_batch(requests) == want
+    footprint_registry, footprinted = bundler()
+    assert footprinted.plan_footprints(requests) == [
+        tuple((t.server, len(t.primary)) for t in plan.transactions) for plan in want
+    ]
+    if with_metrics:  # rnb_plans_total and the rnb_cover_size histogram
+        assert batch_registry.snapshot() == scalar_registry.snapshot()
+        assert footprint_registry.snapshot() == scalar_registry.snapshot()
 
 
-def test_workspace_reserve_grows_by_powers_of_two():
-    from repro.perf.batchcover import CoverWorkspace
-
-    ws = CoverWorkspace(8, capacity=2)
-    ws.reserve(2)
-    assert ws.capacity == 2
-    ws.reserve(9)
-    assert ws.capacity == 16
-    assert ws.masks.shape == (16, 8)
-    assert ws.sub.shape == (16, 8)
-    assert ws.gains.dtype == np.uint8
+def _count_plan_calls(bundler, monkeypatch):
+    calls = []
+    plan = bundler.plan
+    monkeypatch.setattr(
+        bundler, "plan", lambda request, **kw: calls.append(request) or plan(request, **kw)
+    )
+    return calls
 
 
-def test_wide_kernel_zero_lanes_returns_empty_picks():
-    # Regression: a batch made entirely of 0-item requests (reachable via
-    # LIMIT-stripped requests) allocates ceil(0/63) == 0 lanes; the wide
-    # kernel must return empty covers instead of indexing a 0-lane axis.
-    masks = np.zeros((3, N_SERVERS, 0), dtype=np.uint64)
-    full = np.zeros((3, 0), dtype=np.uint64)
-    assert batch_greedy_cover_wide(masks, full) == [[], [], []]
-
-
-def test_batch_covers_skips_zero_item_rows(table):
-    # A chunk mixing a narrow request, a 0-item request, and a wide one:
-    # the empty row gets an empty cover and never reaches either kernel.
-    from repro.core.bundling import Bundler
-
-    bundler = Bundler(table)
+def test_batch_covers_skips_zero_item_rows(monkeypatch):
+    # A narrow request, a 0-item request and a wide one: the empty row gets
+    # an empty plan from the scalar path and never reaches the kernel.
     rng = np.random.default_rng(45)
-    wide_items = rng.choice(800, size=100, replace=False).tolist()
-    reqs = [[1, 2, 3], [], wide_items]
-    counts = np.array([3, 0, 100])
-    offsets = np.array([0, 3, 3])
-    flat = np.array([i for r in reqs for i in r])
-    servers = table.lookup(flat)
-    picks = bundler._batch_covers(counts, offsets, servers)
-    assert picks[1] == []
-    assert picks[0] == _scalar_picks(table, reqs[0])
-    assert picks[2] == _scalar_picks(table, reqs[2])
+    requests = [
+        Request(items=(1, 2, 3)),
+        Request(items=()),
+        Request(items=tuple(rng.choice(N_ITEMS, size=100, replace=False).tolist())),
+    ]
+    bundler = Bundler(table("generic"))
+    want = [bundler.plan(r) for r in requests]
+    assert bundler._cover_chunk(requests)[0] == [0, 2]
+    calls = _count_plan_calls(bundler, monkeypatch)
+    assert bundler.plan_batch(requests) == want
+    assert bundler.plan_footprints(requests) == [
+        tuple((t.server, len(t.primary)) for t in plan.transactions) for plan in want
+    ]
+    assert calls == [requests[1]] * 2
+
+
+def test_mixed_chunk_falls_back_per_request(monkeypatch):
+    """Only what the kernel cannot express goes through ``plan``: LIMIT
+    below 100 % and empty requests; an id outside the table sends the
+    whole chunk there."""
+    rng = np.random.default_rng(46)
+
+    def items(n):
+        return tuple(rng.choice(N_ITEMS, size=n, replace=False).tolist())
+
+    chunk = [
+        Request(items=items(5)),
+        Request(items=items(40), limit_fraction=0.5),
+        Request(items=()),
+        Request(items=items(70), limit_fraction=1.0),  # LIMIT at 100 %: a full cover
+        Request(items=items(1)),
+    ]
+    outside = Request(items=(3, N_ITEMS + 5))
+    bundler = Bundler(table("rch"))
+    want = [bundler.plan(r) for r in chunk + [outside]]
+
+    calls = _count_plan_calls(bundler, monkeypatch)
+    assert bundler.plan_batch(chunk) == want[:-1]
+    assert calls == [chunk[1], chunk[2]]
+    del calls[:]
+    assert bundler.plan_batch(chunk + [outside]) == want
+    assert calls == chunk + [outside]
+    assert bundler.plan_footprints(chunk + [outside]) == [
+        tuple((t.server, len(t.primary)) for t in plan.transactions) for plan in want
+    ]

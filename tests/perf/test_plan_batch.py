@@ -12,7 +12,6 @@ from repro.cluster.placement import RandomPlacer
 from repro.core.bundling import Bundler
 from repro.core.client import RnBClient
 from repro.core.setcover import greedy_partial_cover
-from repro.perf.batchcover import MAX_BATCH_ELEMENTS
 from repro.perf.table import PlacementTable
 from repro.types import Request
 from repro.utils.bitset import bit_indices
@@ -26,10 +25,10 @@ def table():
 
 
 def _mixed_requests(rng, n=120):
-    """Sizes straddling the single-lane limit, plus singletons."""
+    """Sizes straddling one uint64 of item bits, plus singletons."""
     requests = []
     for _ in range(n):
-        size = int(rng.choice([1, 2, 7, 30, MAX_BATCH_ELEMENTS, 64, 200]))
+        size = int(rng.choice([1, 2, 7, 30, 63, 64, 200]))
         items = tuple(rng.choice(N_ITEMS, size=size, replace=False).tolist())
         requests.append(Request(items=items))
     return requests

@@ -60,6 +60,61 @@ class TestEgoRequests:
         assert len(list(gen.stream(13))) == 13
 
 
+class _CountingRng:
+    """Forwards ``integers`` to a real generator and counts the calls."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+        self.calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+class TestEgoStreamBlocks:
+    """``stream`` draws a block of roots per RNG call and must still be
+    ``generate()`` repeated: same requests, same rng position afterwards."""
+
+    @pytest.mark.parametrize("include_self", [False, True])
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 3000])
+    def test_stream_is_generate_repeated(self, small_slashdot, n, include_self):
+        def gen():
+            return EgoRequestGenerator(
+                small_slashdot, rng=np.random.default_rng(11), include_self=include_self
+            )
+
+        one_by_one, streamed = gen(), gen()
+        want = [one_by_one.generate() for _ in range(n)]
+        assert list(streamed.stream(n)) == want
+        # exactly n draws consumed: both generators go on alike
+        assert streamed.generate() == one_by_one.generate()
+
+    def test_infinite_stream_prefix(self, small_slashdot):
+        one_by_one = EgoRequestGenerator(small_slashdot, rng=np.random.default_rng(12))
+        streamed = EgoRequestGenerator(small_slashdot, rng=np.random.default_rng(12))
+        stream = streamed.stream()
+        assert [next(stream) for _ in range(2500)] == [
+            one_by_one.generate() for _ in range(2500)
+        ]
+
+    @pytest.mark.parametrize("bound", [7, 2**16 + 1, 2**32 - 1, 2**32, 2**33])
+    def test_a_block_of_draws_is_the_scalar_draws(self, bound):
+        # what stream() rests on, for bounds on both sides of numpy's
+        # 32-bit / 64-bit sampling split
+        block = np.random.default_rng(13).integers(bound, size=300).tolist()
+        scalar = np.random.default_rng(13)
+        assert block == [int(scalar.integers(bound)) for _ in range(300)]
+
+    def test_one_rng_call_per_block(self, small_slashdot):
+        gen = EgoRequestGenerator(small_slashdot, rng=np.random.default_rng(14))
+        gen.rng = _CountingRng(gen.rng)
+        assert len(list(gen.stream(1024))) == 1024
+        assert gen.rng.calls == 1
+        list(gen.stream(1025))
+        assert gen.rng.calls == 3
+
+
 class TestRandomRequests:
     def test_distinct_items(self):
         gen = RandomRequestGenerator(100, 20, rng=np.random.default_rng(0))
