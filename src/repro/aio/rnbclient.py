@@ -37,6 +37,7 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import defaultdict
+from heapq import heappop, heappush
 
 from repro.cluster.placement import ReplicaPlacer
 from repro.consistency.quorum import COMMITTED, FAILED, PARTIAL, WriteOutcome, resolve_w
@@ -148,6 +149,12 @@ class AsyncRnBClient:
         )
         self._quorum_counters = None
         self._div_counters = None
+        #: ``(deadline_at, seq, waiter)`` of the waves that have a deadline, a heap,
+        #: and the ONE loop timer that watches its head, with the loop that armed it
+        self._deadlines: list[tuple[float, int, asyncio.Future]] = []
+        self._deadline_seq = 0
+        self._deadline_timer: asyncio.TimerHandle | None = None
+        self._deadline_loop: asyncio.AbstractEventLoop | None = None
 
     # -- fault plumbing ------------------------------------------------------
 
@@ -193,6 +200,35 @@ class AsyncRnBClient:
             else:
                 self.health.record_success(sid)
 
+    def _watch_deadline(self, loop, deadline_at: float, waiter: asyncio.Future) -> None:
+        """Have ``waiter`` resolved at ``deadline_at`` unless its wave finishes first.
+        ONE timer per client, re-armed lazily like ``AsyncConnection._watchdog``; finished
+        waves leave from the head as new ones register, so the heap holds the live waves
+        plus those that finished behind an unfinished head."""
+        heap = self._deadlines
+        if self._deadline_loop is not loop:  # a timer and waiters of a loop long gone
+            heap.clear()
+            self._deadline_loop, self._deadline_timer = loop, None
+        while heap and heap[0][2].done():
+            heappop(heap)
+        self._deadline_seq += 1
+        heappush(heap, (deadline_at, self._deadline_seq, waiter))
+        timer = self._deadline_timer
+        if timer is None or deadline_at < timer.when():
+            if timer is not None:
+                timer.cancel()
+            self._deadline_timer = loop.call_at(deadline_at, self._on_deadline)
+
+    def _on_deadline(self) -> None:
+        heap, loop = self._deadlines, self._deadline_loop
+        now = loop.time()
+        while heap and (heap[0][0] <= now or heap[0][2].done()):
+            waiter = heappop(heap)[2]
+            if not waiter.done():
+                waiter.set_result(None)  # its calls' results stay _CUT
+        # may fire early for a later head: waves finish without touching the timer
+        self._deadline_timer = loop.call_at(heap[0][0], self._on_deadline) if heap else None
+
     async def _scatter(self, calls, deadline_at=None, counters=None, parent=None) -> list:
         """The one fan-out primitive: run ``calls`` — ``(sid, op, args)``, ``op``
         naming a connection method — concurrently (docs/SERVING.md, "fan-out").
@@ -212,7 +248,7 @@ class AsyncRnBClient:
         connections, tracer = self.connections, self._tracer
         waiter = loop.create_future()
         left = len(calls)
-        spans, tasks = {}, []  # txn spans by call index; cold Tasks and the deadline timer
+        spans, tasks = {}, []  # txn spans by call index; cold Tasks
 
         def finish(index: int, result) -> None:
             nonlocal left
@@ -265,12 +301,8 @@ class AsyncRnBClient:
             except FAILOVER_ERRORS as exc:  # e.g. an unencodable key: this call's failure
                 arrived(index, None, exc)
 
-        def expire() -> None:
-            if not waiter.done():
-                waiter.set_result(None)
-
-        if deadline_at is not None:
-            tasks.append(loop.call_at(deadline_at, expire))
+        if deadline_at is not None and not waiter.done():
+            self._watch_deadline(loop, deadline_at, waiter)
         try:
             await waiter
         finally:
@@ -326,9 +358,9 @@ class AsyncRnBClient:
         """Quorum write with **concurrent** replica dispatch.
 
         Same W policies and outcome semantics as the sync client's
-        ``set_versioned`` (docs/CONSISTENCY.md); the replicas are written
-        in parallel, so latency is the W-th fastest ack, not the sum —
-        this closes the ROADMAP follow-up "async quorum write path".
+        ``set_versioned`` (docs/CONSISTENCY.md).  All R replicas are written in
+        parallel and all R replies awaited (``failed`` and PARTIAL-vs-COMMITTED
+        need them): latency is the slowest replica's, and W decides the verdict only.
         """
         validate_keys((key,))
         replicas = tuple(self.placer.servers_for(key))

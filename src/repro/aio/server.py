@@ -108,7 +108,7 @@ class _Connection(asyncio.Protocol):
 
     def __init__(self, front: AsyncMemcachedServer) -> None:
         self._front = front
-        self._buf = b""  # received bytes that do not yet complete a command
+        self._buf = codec.CommandBuffer()  # received bytes that complete no command yet
 
     def _cut(self) -> bool:
         """True (and the connection closed, unanswered) if the link is cut."""
@@ -134,7 +134,8 @@ class _Connection(asyncio.Protocol):
         if self._cut():
             return
         try:
-            commands, self._buf = codec.parse_command_stream(self._buf + data)
+            self._buf.feed(data)
+            commands = self._buf.commands()
         except ProtocolError:
             self._transport.write(b"ERROR" + CRLF)
             self._transport.close()

@@ -1,20 +1,22 @@
 """Pipelined asyncio transport (the async twin of ``TCPTransport``).
 
 :class:`AsyncConnection` multiplexes many in-flight exchanges over ONE
-socket.  :meth:`AsyncConnection.submit` is the one synchronous "put it
-on the wire now" entry point: it queues the exchange, writes the request
-and returns; responses are parsed in arrival order and handed FIFO to
-each exchange's completion *sink* — valid because the memcached protocol
-answers strictly in request order (the async server front preserves
-this, see :mod:`repro.aio.server`).  The coroutine ``exchange`` is
-``submit`` with an :class:`asyncio.Future` for a sink.  Pipelining is
-what lets thousands of concurrent bundles share a small connection pool
-instead of needing a socket each.  The connection is its own
-:class:`asyncio.Protocol` (docs/SERVING.md): ``data_received`` completes
-the sinks inline, with no reader task or stream buffer in between;
-while the send buffer is over its high-water mark ``submit`` declines and
-``exchange`` waits *before* writing — a slow peer blocks callers instead
-of growing it.
+socket.  :meth:`AsyncConnection.submit` is the one synchronous entry
+point: it queues the exchange and returns.  A request for an idle socket
+(nothing in flight) is written at once; one for a busy socket joins the
+outbox that ONE ``call_soon`` flush per loop tick writes as a single
+buffer, so concurrent callers share a ``send`` (docs/SERVING.md).
+Responses are parsed in arrival order and handed FIFO to each exchange's
+completion *sink* — valid because the memcached protocol answers strictly
+in request order (the async server front preserves this, see
+:mod:`repro.aio.server`).  The coroutine ``exchange`` is ``submit`` with
+an :class:`asyncio.Future` for a sink.  Pipelining is what lets thousands
+of concurrent bundles share a small connection pool instead of needing a
+socket each.  The connection is its own :class:`asyncio.Protocol`:
+``data_received`` completes the sinks inline, with no reader task or
+stream buffer in between; while the send buffer is over its high-water
+mark ``submit`` declines and ``exchange`` waits *before* writing — a slow
+peer blocks callers instead of growing it.
 
 Timeout semantics mirror :class:`repro.protocol.transport.TCPTransport`
 knob for knob (the PR-5 connect/read split, audited here for parity):
@@ -76,6 +78,9 @@ class AsyncConnection(asyncio.Protocol):
         #: FIFO of exchanges awaiting responses: (n, sink, deadline, responses so far)
         self._pending: deque[tuple[int, object, float, list[Response]]] = deque()
         self._frames = codec.FrameBuffer()
+        #: requests submitted on a busy socket this tick, unwritten, and their bytes
+        self._outbox: list[bytes] = []
+        self._outbox_size = 0
         #: the connection's one timer, due no later than the head's deadline
         self._watchdog: asyncio.TimerHandle | None = None
         #: cleared while the socket's send buffer is over its high-water mark
@@ -126,6 +131,7 @@ class AsyncConnection(asyncio.Protocol):
             if not sink.done():
                 sink.set_exception(failure)
         self._frames.clear()
+        self._outbox, self._outbox_size = [], 0
         self._writable.set()  # wake callers blocked on a full send buffer
 
     # -- event-loop callbacks ------------------------------------------------
@@ -185,8 +191,15 @@ class AsyncConnection(asyncio.Protocol):
             )
         self.close()  # pipelined siblings fail with ConnectionError
 
+    def _flush(self) -> None:
+        """Write the tick's outbox as one buffer (``close`` leaves it empty)."""
+        if self._outbox:
+            self._transport.write(b"".join(self._outbox))
+            self._outbox, self._outbox_size = [], 0
+
     def submit(self, request: bytes, n_responses: int, sink) -> bool:
-        """Queue one exchange and write ``request`` now, without awaiting.
+        """Queue one exchange without awaiting; ``request`` is written now if
+        the socket is idle, with the tick's other requests if it is busy.
 
         ``sink`` (``done() / set_result(responses) / set_exception(exc)``,
         e.g. an :class:`asyncio.Future`) is completed from ``data_received``,
@@ -197,12 +210,24 @@ class AsyncConnection(asyncio.Protocol):
         transport = self._transport
         if transport is None or not self._writable.is_set():
             return False
+        busy = bool(self._pending)  # an unwritten request is pending too: order is kept
         deadline = self._loop.time() + self.read_timeout
         self._pending.append((n_responses, sink, deadline, []))
         if self._watchdog is None:
             self._watchdog = self._loop.call_at(deadline, self._on_watchdog)
         self.exchanges += 1
-        transport.write(request)
+        if not busy:  # the peer is idle: the response is one round trip away
+            transport.write(request)
+            return True
+        if not self._outbox:
+            self._loop.call_soon(self._flush)
+        self._outbox.append(request)
+        self._outbox_size += len(request)
+        # the outbox counts against the send buffer's high-water mark, so that
+        # pause_writing fires (and submit declines) as early as without it
+        buffered = self._outbox_size + transport.get_write_buffer_size()
+        if buffered >= transport.get_write_buffer_limits()[1]:
+            self._flush()
         return True
 
     async def exchange(self, request: bytes, n_responses: int = 1) -> list[Response]:

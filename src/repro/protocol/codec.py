@@ -465,6 +465,38 @@ def parse_command_stream(data: bytes) -> tuple[list[Command], bytes]:
         raise ProtocolError(f"unknown command: {text!r}")
 
 
+class CommandBuffer:
+    """Incremental command framing for the server fronts (:class:`FrameBuffer`'s twin).
+
+    ``feed`` takes socket chunks as they arrive, ``commands`` returns the commands
+    they complete.  A storage command whose data block is still arriving is not
+    parsed again before the block is there: *k* chunks, one join, one parse.
+    """
+
+    __slots__ = ("_chunks", "_missing")
+
+    def __init__(self) -> None:
+        self._chunks: list[bytes] = []
+        self._missing = 0  # bytes the next command still needs before a parse can complete it
+
+    def feed(self, data: bytes) -> None:
+        self._chunks.append(data)
+        self._missing -= len(data)
+
+    def commands(self) -> list[Command]:
+        if self._missing > 0:
+            return []
+        commands, tail = parse_command_stream(b"".join(self._chunks))
+        self._chunks = [tail] if tail else []  # a lone chunk is parsed as it is, uncopied
+        eol = tail.find(CRLF)
+        if eol < 0:
+            self._missing = 1  # the rest of a line: the next byte may end it
+        else:  # a whole line left over: a storage command waiting for its data block
+            nbytes = int(tail[:eol].decode("utf-8", errors="replace").split()[4])
+            self._missing = eol + 2 + nbytes + 2 - len(tail)
+        return commands
+
+
 def format_status(status: str) -> bytes:
     return status.encode() + CRLF
 

@@ -374,14 +374,14 @@ class MemcachedServer:
 
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:  # pragma: no cover - exercised in the live example
-        buf = b""
+        buf = codec.CommandBuffer()
         while True:
             chunk = self.request.recv(65536)
             if not chunk:
                 return
-            buf += chunk
+            buf.feed(chunk)
             try:
-                commands, buf = codec.parse_command_stream(buf)
+                commands = buf.commands()
             except ProtocolError:
                 self.request.sendall(b"ERROR" + CRLF)
                 return

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from repro.aio.rnbclient import _CUT, AsyncRnBClient
 from repro.errors import ProtocolError
 from repro.faults.health import HealthTracker
 from repro.obs.tracing import Tracer
@@ -21,6 +22,7 @@ from tests.aio.test_rnbclient import (
     PATHS,
     CoroutineOnly,
     _Cluster,
+    _HeldFleet,
     counting,
     run,
 )
@@ -212,6 +214,124 @@ class TestBudget:
                 assert tasks[0] == 0
 
         run(scenario())
+
+    def test_concurrent_deadlines_share_one_loop_timer(self):
+        # ``deadline=`` is ONE timer per client, not one per wave: 200 requests
+        # in flight at once arm O(1) loop timers (a timer each before)
+        async def scenario():
+            async with _Cluster(pool_size=1) as c:
+                c.preload(ITEMS)
+                await c.warm()  # every socket's read watchdog is armed from here on
+                keys = sorted(ITEMS)
+                with counting(asyncio.get_running_loop(), "call_at") as armed:
+                    outcomes = await asyncio.gather(
+                        *(c.client.get_multi(keys[i % 50 : i % 50 + 8], deadline=5.0)
+                          for i in range(200))
+                    )
+                assert all(len(o.values) == 8 and not o.deadline_hit for o in outcomes)
+                assert armed[0] <= 2
+
+        run(scenario())
+
+
+class TestDeadlineWatcher:
+    """The client's one deadline timer: each wave is cut at its own deadline,
+    whatever else is registered, and finished waves leave nothing behind."""
+
+    @PATHS
+    def test_waves_registered_latest_first_are_each_cut_on_time(self, wrap):
+        async def scenario():
+            async with _HeldFleet(wrap=wrap) as fleet:
+                fleet.release.clear()  # nobody answers before both deadlines
+                loop = asyncio.get_running_loop()
+                keys = sorted(ITEMS)
+
+                async def timed(keys, deadline):
+                    started = loop.time()
+                    outcome = await fleet.client.get_multi(keys, deadline=deadline)
+                    return outcome, loop.time() - started
+
+                (roomy, roomy_s), (tight, tight_s) = await asyncio.gather(
+                    timed(keys, 0.4), timed(keys[:6], 0.05)  # the later deadline first
+                )
+                assert tight.deadline_hit and set(tight.missing) == set(keys[:6])
+                assert roomy.deadline_hit and set(roomy.missing) == set(keys)
+                assert 0.05 <= tight_s < 0.3  # not at the armed timer's 0.4 s
+                assert 0.4 <= roomy_s < 0.8
+                # the late answers are consumed and dropped; the sockets stay good
+                fleet.release.set()
+                outcome = await fleet.client.get_multi(keys[:9], deadline=5.0)
+                assert outcome.values == {k: ITEMS[k] for k in keys[:9]}
+                assert not outcome.deadline_hit
+                for pool in fleet.pools:
+                    assert all(c.connected and c.in_flight == 0 for c in pool.connections)
+
+        run(scenario())
+
+    def test_finished_waves_do_not_pile_up(self):
+        # the heap holds the live waves plus those that finished behind an
+        # unfinished head: with no stalled head, finished waves leave at once
+        async def scenario():
+            async with _Cluster(pool_size=1) as c:
+                c.preload(ITEMS)
+                await c.warm()
+                keys = sorted(ITEMS)
+                with counting(asyncio.get_running_loop(), "call_at") as armed:
+                    for _ in range(10):
+                        await asyncio.gather(
+                            *(c.client.get_multi(keys[:4], deadline=5.0) for _ in range(100))
+                        )
+                    await c.client.get_multi(keys[:4], deadline=5.0)
+                assert len(c.client._deadlines) <= 2
+                assert armed[0] <= 2
+
+        run(scenario())
+
+    def test_a_cancelled_wave_leaves_nothing_that_fires_later(self):
+        async def scenario():
+            async with _HeldFleet() as fleet:
+                fleet.release.clear()
+                loop = asyncio.get_running_loop()
+                errors = []
+                loop.set_exception_handler(lambda loop, context: errors.append(context))
+                doomed = asyncio.ensure_future(
+                    fleet.client.get_multi(sorted(ITEMS), deadline=0.05)
+                )
+                await asyncio.sleep(0.01)
+                doomed.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await doomed
+                await asyncio.sleep(0.1)  # past its deadline: the timer found it done
+                assert errors == []
+                assert fleet.client._deadlines == []
+                assert fleet.client._deadline_timer is None
+                fleet.release.set()
+                outcome = await fleet.client.get_multi(sorted(ITEMS)[:9], deadline=5.0)
+                assert outcome.values == {k: ITEMS[k] for k in sorted(ITEMS)[:9]}
+
+        run(scenario())
+
+    def test_a_timer_of_a_closed_loop_is_not_trusted(self):
+        # a client that outlives an asyncio.run: the handle it armed there will
+        # never fire, so a later deadline on a new loop needs a timer of its own
+        class Mute:
+            def begin(self, op, args, sink) -> bool:
+                return True  # on the wire, never answered
+
+        client = AsyncRnBClient({s: Mute() for s in range(N_SERVERS)}, _Cluster().placer)
+
+        async def wave(deadline: float):
+            at = asyncio.get_running_loop().time() + deadline
+            return await asyncio.wait_for(client._scatter([(0, "get", ("k",))], at), 2.0)
+
+        async def abandoned():
+            task = asyncio.ensure_future(wave(0.01))
+            await asyncio.sleep(0)
+            task.cancel()
+
+        run(abandoned())
+        [result] = run(wave(0.05))
+        assert result is _CUT
 
 
 class TestColdPathTriggers:

@@ -15,6 +15,8 @@ from repro.protocol.codec import Command, encode_command
 from repro.protocol.memserver import MemcachedServer
 from repro.protocol.retry import RetryPolicy
 
+from tests.aio.test_rnbclient import counting
+
 
 def run(coro):
     return asyncio.run(coro)
@@ -361,3 +363,209 @@ class TestWriteBackpressure:
             assert not peer.is_alive()
         finally:
             listener.close()
+
+
+class _CountingTransport:
+    """The connection's transport seen through a wrapper that records each ``write``."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self.writes: list[bytes] = []
+
+    def write(self, data) -> None:
+        self.writes.append(bytes(data))
+        self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+async def _counted(conn: AsyncConnection) -> _CountingTransport:
+    await conn.ensure_connected()
+    conn._transport = _CountingTransport(conn._transport)
+    return conn._transport
+
+
+def _get(key: str) -> bytes:
+    return encode_command(Command(name="get", keys=(key,)))
+
+
+class TestCoalescing:
+    """Requests submitted on a busy socket leave in ONE write per loop tick, in
+    ``_pending`` order; an idle socket is written at once (counts, not timings)."""
+
+    @staticmethod
+    def preload(backend, n: int) -> None:
+        for i in range(n):
+            backend.execute(Command(name="set", keys=(f"k{i}",), data=f"v{i}".encode()))
+
+    def test_a_busy_sockets_submits_share_one_write(self):
+        n = 50
+
+        async def scenario(backend, host, port):
+            self.preload(backend, n)
+            loop = asyncio.get_running_loop()
+            conn = AsyncConnection(host, port)
+            try:
+                transport = await _counted(conn)
+                head = loop.create_future()
+                assert conn.submit(_get("head"), 1, head)  # held in flight: no await yet
+                sinks = [loop.create_future() for _ in range(n)]
+                requests = [_get(f"k{i}") for i in range(n)]
+                for request, sink in zip(requests, sinks):
+                    assert conn.submit(request, 1, sink)
+                assert conn.in_flight == conn.exchanges == n + 1  # counted at once
+                assert transport.writes == [_get("head")]
+                replies = await asyncio.gather(head, *sinks)
+                assert transport.writes == [_get("head"), b"".join(requests)]
+            finally:
+                conn.close()
+            assert replies[0][0].values == {}
+            for i, [resp] in enumerate(replies[1:]):
+                assert resp.values[f"k{i}"][1] == f"v{i}".encode()
+
+        run(_with_server(scenario))
+
+    def test_an_idle_socket_is_written_before_submit_returns(self):
+        async def scenario(backend, host, port):
+            loop = asyncio.get_running_loop()
+            conn = AsyncConnection(host, port)
+            try:
+                transport = await _counted(conn)
+                for _ in range(3):  # ping-pong: idle again at every submit
+                    sink = loop.create_future()
+                    with counting(loop, "call_soon") as soon:
+                        assert conn.submit(GET_K, 1, sink)
+                    assert soon[0] == 0
+                    assert transport.writes == [GET_K]
+                    await sink
+                    transport.writes.clear()
+            finally:
+                conn.close()
+
+        run(_with_server(scenario))
+
+    def test_written_through_then_buffered_keeps_fifo_pairing(self):
+        async def scenario(backend, host, port):
+            self.preload(backend, 3)
+            loop = asyncio.get_running_loop()
+            conn = AsyncConnection(host, port)
+            try:
+                transport = await _counted(conn)
+                sinks = [loop.create_future() for _ in range(3)]
+                for i, sink in enumerate(sinks):
+                    assert conn.submit(_get(f"k{i}"), 1, sink)
+                assert transport.writes == [_get("k0")]
+                replies = await asyncio.gather(*sinks)
+                assert transport.writes == [_get("k0"), _get("k1") + _get("k2")]
+            finally:
+                conn.close()
+            assert [list(resp.values) for [resp] in replies] == [["k0"], ["k1"], ["k2"]]
+
+        run(_with_server(scenario))
+
+    def test_a_ticks_burst_stays_under_the_high_water_mark(self):
+        # TestWriteBackpressure's burst through submit itself, in one tick: what
+        # the outbox holds counts against the mark, and submit declines over it
+        n_sets, size = 48, 256 * 1024
+        request = encode_command(Command(name="set", keys=("big",), data=b"x" * size))
+        listener = socket.socket()
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 * 1024)
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        start_reading = threading.Event()
+        accepted = []
+
+        def slow_peer():
+            sock, _ = listener.accept()
+            with sock:
+                start_reading.wait(timeout=30)
+                for _ in range(len(accepted)):
+                    left = len(request)
+                    while left:
+                        left -= len(sock.recv(min(left, 1 << 20)))
+                    sock.sendall(b"STORED\r\n")
+
+        peer = threading.Thread(target=slow_peer, daemon=True)
+        peer.start()
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            conn = AsyncConnection(*listener.getsockname(), read_timeout=30)
+            try:
+                await conn.ensure_connected()
+                transport = conn._transport
+                high_water = transport.get_write_buffer_limits()[1]
+                for _ in range(n_sets):
+                    sink = loop.create_future()
+                    if not conn.submit(request, 1, sink):
+                        break
+                    accepted.append(sink)
+                    held = conn._outbox_size + transport.get_write_buffer_size()
+                    assert held <= high_water + len(request)
+                assert 2 <= len(accepted) < n_sets  # buffered some, then declined
+                assert conn.in_flight == len(accepted)
+                start_reading.set()
+                replies = await asyncio.gather(*accepted)
+            finally:
+                start_reading.set()
+                conn.close()
+            assert [r.status for [r] in replies] == ["STORED"] * len(accepted)
+
+        try:
+            run(scenario())
+            peer.join(timeout=10)
+            assert not peer.is_alive()
+        finally:
+            listener.close()
+
+    def test_close_drops_the_outbox_and_fails_every_sink(self):
+        async def scenario(backend, host, port):
+            loop = asyncio.get_running_loop()
+            conn = AsyncConnection(host, port)
+            transport = await _counted(conn)
+            sinks = [loop.create_future() for _ in range(6)]
+            for sink in sinks:
+                assert conn.submit(GET_K, 1, sink)
+            conn.close()
+            for sink in sinks:
+                with pytest.raises(ConnectionError):
+                    await sink
+            await asyncio.sleep(0.05)  # the tick's flush runs, and finds nothing
+            assert transport.writes == [GET_K]  # the head, written through before
+            assert conn.in_flight == 0 and not conn.connected
+
+        run(_with_server(scenario))
+
+    def test_exchange_from_many_tasks_coalesces_too(self):
+        async def scenario():
+            release = asyncio.Event()
+
+            async def held(reader, writer):
+                try:
+                    while await reader.readline():
+                        await release.wait()
+                        writer.write(b"END\r\n")
+                finally:
+                    writer.close()
+
+            server = await asyncio.start_server(held, "127.0.0.1", 0)
+            host, port = server.sockets[0].getsockname()[:2]
+            conn = AsyncConnection(host, port, read_timeout=30)
+            try:
+                transport = await _counted(conn)
+                head = asyncio.ensure_future(conn.exchange(GET_K))
+                await asyncio.sleep(0.05)
+                tasks = [asyncio.ensure_future(conn.exchange(_get(f"k{i}"))) for i in range(32)]
+                await asyncio.sleep(0.05)
+                assert transport.writes == [GET_K, b"".join(_get(f"k{i}") for i in range(32))]
+                release.set()
+                replies = await asyncio.gather(head, *tasks)
+                assert [r.status for [r] in replies] == ["END"] * 33
+            finally:
+                release.set()
+                conn.close()
+                server.close()
+                await server.wait_closed()
+
+        run(scenario())
