@@ -31,8 +31,9 @@ import numpy as np
 from repro.cluster.placement import ReplicaPlacer
 from repro.core.setcover import greedy_partial_cover
 from repro.perf.batchcover import batch_cover
-from repro.types import FetchPlan, ItemId, Request, Transaction
+from repro.types import FetchPlan, ItemId, Request, RequestBlock, Transaction
 from repro.utils.bitset import iter_bits
+from repro.utils.histogram import first_seen_counts
 
 
 def _chunk_transactions(
@@ -56,7 +57,7 @@ def _chunk_transactions(
     into transactions, request-local order kept) and, in request-then-
     server order — the order plans list their transactions — each
     transaction's server and item count, then the number of transactions
-    of each request.
+    of each request: four int64 arrays.
     """
     first_cell = row * n_servers
     cell = first_cell + assigned
@@ -67,9 +68,9 @@ def _chunk_transactions(
     taken = np.flatnonzero(counts)
     return (
         cell,
-        (taken % n_servers).tolist(),
-        counts[taken].tolist(),
-        np.bincount(taken // n_servers, minlength=n_requests).tolist(),
+        taken % n_servers,
+        counts[taken],
+        np.bincount(taken // n_servers, minlength=n_requests),
     )
 
 
@@ -130,22 +131,20 @@ class Bundler:
             self._m_plans.inc()
             self._m_cover.observe(n_transactions)
 
-    def _record_plan_sizes(self, sizes: list[int]) -> None:
-        """Bulk :meth:`_record_plan` for the vectorised batch path.
+    def _record_plan_sizes(self, sizes: np.ndarray) -> None:
+        """Bulk :meth:`_record_plan` for the vectorised chunk path.
 
         Cover sizes are small integers that repeat heavily across a
-        batch, so grouping them first turns ~N hook calls into one
+        chunk, so grouping them first turns ~N hook calls into one
         counter add plus one histogram upsert per distinct size — the
         difference between the telemetry layer costing a few percent of
         the fast path and costing nothing measurable.
         """
-        if self._m_plans is None or not sizes:
+        if self._m_plans is None or not len(sizes):
             return
         self._m_plans.inc(len(sizes))
-        grouped: dict[int, int] = {}
-        for size in sizes:
-            grouped[size] = grouped.get(size, 0) + 1
-        for size, n in grouped.items():
+        distinct, ns = first_seen_counts(sizes)
+        for size, n in zip(distinct.tolist(), ns.tolist()):
             self._m_cover.observe_n(size, n)
 
     # -- plan construction -------------------------------------------------
@@ -238,7 +237,7 @@ class Bundler:
         """
         requests = list(requests)
         plans: list[FetchPlan | None] = [None] * len(requests)
-        chunk = None if exclude is not None else self._cover_chunk(requests)
+        chunk = None if exclude is not None else self._cover_requests(requests)
         if chunk is not None:
             eligible, items, row, servers, assigned = chunk
             members = items
@@ -256,13 +255,14 @@ class Bundler:
                 self.single_item_rule and not self.hitchhiking,
             )
             members = members[np.argsort(cell, kind="stable")].tolist()
-            ends = list(accumulate(txn_sizes))
+            ends = np.cumsum(txn_sizes).tolist()
             groups = [members[lo:hi] for lo, hi in zip([0] + ends, ends)]
+            txn_servers = txn_servers.tolist()
             txn = 0
             if self.hitchhiking:
                 replica_rows = servers.tolist()  # where to look for hitchhikers
                 lo = 0
-                for i, k in zip(eligible, n_txns):
+                for i, k in zip(eligible, n_txns.tolist()):
                     request = requests[i]
                     hi = lo + len(request.items)
                     by_server = dict(zip(txn_servers[txn : txn + k], groups[txn : txn + k]))
@@ -275,7 +275,7 @@ class Bundler:
                     Transaction(server, tuple(primary))
                     for server, primary in zip(txn_servers, groups)
                 ]
-                for i, k in zip(eligible, n_txns):
+                for i, k in zip(eligible, n_txns.tolist()):
                     plans[i] = FetchPlan(requests[i], tuple(transactions[txn : txn + k]))
                     txn += k
                 self._record_plan_sizes(n_txns)
@@ -298,10 +298,17 @@ class Bundler:
         Falls back to :meth:`plan` per request off the vectorised
         envelope.  Hitchhiking bundlers always fall back (hitchhikers
         change transaction payloads, which a footprint does not carry).
+
+        This is the list-of-:class:`Request` form: a tuple of pairs per
+        request, for callers that hold requests and want to walk their
+        footprints (``hotspot``, ``load_soak``, ``bench/layers.py``, the
+        tests' per-request specification).  The simulator's tally regime
+        reads the same transactions as arrays, with nothing built per
+        request: :meth:`plan_transactions`.
         """
         requests = list(requests)
         footprints: list[tuple[tuple[int, int], ...] | None] = [None] * len(requests)
-        chunk = None if self.hitchhiking else self._cover_chunk(requests)
+        chunk = None if self.hitchhiking else self._cover_requests(requests)
         if chunk is not None:
             eligible, _, row, servers, assigned = chunk
             _, txn_servers, txn_sizes, n_txns = _chunk_transactions(
@@ -312,9 +319,9 @@ class Bundler:
                 self.placer.n_servers,
                 self.single_item_rule,
             )
-            pairs = list(zip(txn_servers, txn_sizes))
+            pairs = list(zip(txn_servers.tolist(), txn_sizes.tolist()))
             txn = 0
-            for i, k in zip(eligible, n_txns):
+            for i, k in zip(eligible, n_txns.tolist()):
                 footprints[i] = tuple(pairs[txn : txn + k])
                 txn += k
             self._record_plan_sizes(n_txns)
@@ -326,20 +333,49 @@ class Bundler:
                 )
         return footprints
 
-    def _cover_chunk(self, requests: Sequence[Request]):
-        """Greedy covers of the chunk's vectorisable requests, item-major.
+    def plan_transactions(
+        self, chunk: RequestBlock | Iterable[Request]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A chunk's footprints as three int64 arrays.
 
-        Returns ``(eligible, items, row, servers, assigned)`` — the
-        indexes of the requests covered and, per flattened item of those
-        requests, its id, its row in ``eligible``, its ``(R,)`` replica
-        servers and the server the cover assigns it to — or ``None``
-        when nothing in the chunk is on the vectorised envelope: no
-        compiled table, another tie-break, item ids outside the table, or
-        no non-empty full-cover request (LIMIT at 100 % is one).
+        ``(txn_servers, txn_sizes, n_txns)``: the ``(server, n_primary)``
+        pairs of :meth:`plan_footprints`, every request's end to end in
+        request order, and how many of them each request has.  A
+        :class:`~repro.types.RequestBlock` on the vectorised envelope
+        gets there without a Python object per request or per
+        transaction — the arrays are :func:`_chunk_transactions`' own;
+        so does a list of requests the adapter can turn into one block.
+        Anything else (a LIMIT or empty request in the chunk, ids outside
+        the table, no table, hitchhiking) is :meth:`plan_footprints`
+        flattened, so the arrays are the same either way (property-tested).
         """
-        lookup = getattr(self.placer, "lookup", None)
-        if lookup is None or self.tie_break != "lowest":
-            return None
+        if isinstance(chunk, RequestBlock):
+            block = chunk
+        else:
+            chunk = list(chunk)
+            adapted = self._block_of(chunk)
+            block = adapted[1] if adapted and len(adapted[1]) == len(chunk) else None
+        covered = None if block is None or self.hitchhiking else self._cover_chunk(block)
+        if covered is not None:
+            _, txn_servers, txn_sizes, n_txns = _chunk_transactions(
+                *covered, len(block), self.placer.n_servers, self.single_item_rule
+            )
+            self._record_plan_sizes(n_txns)
+            return txn_servers, txn_sizes, n_txns
+        requests = chunk.requests() if isinstance(chunk, RequestBlock) else chunk
+        footprints = self.plan_footprints(requests)
+        pairs = np.array(list(chain.from_iterable(footprints)), dtype=np.int64).reshape(-1, 2)
+        n_txns = np.fromiter(map(len, footprints), dtype=np.int64, count=len(footprints))
+        return pairs[:, 0], pairs[:, 1], n_txns
+
+    def _block_of(self, requests: Sequence[Request]):
+        """The chunk's vectorisable requests as one block — the adapter.
+
+        Returns ``(eligible, block)``: the indexes of the non-empty
+        full-cover requests (LIMIT at 100 % is one) and their items as a
+        :class:`~repro.types.RequestBlock`; ``None`` when there is none,
+        or an item id is not an integer.
+        """
         eligible = [
             i
             for i, r in enumerate(requests)
@@ -349,19 +385,54 @@ class Bundler:
         if not eligible:
             return None
         item_sets = [requests[i].items for i in eligible]
-        counts = list(map(len, item_sets))
+        offsets = np.fromiter(
+            accumulate(map(len, item_sets), initial=0), dtype=np.int64, count=len(eligible) + 1
+        )
         try:
             items = np.fromiter(
-                chain.from_iterable(item_sets), dtype=np.int64, count=sum(counts)
+                chain.from_iterable(item_sets), dtype=np.int64, count=offsets[-1]
             )
         except (TypeError, ValueError, OverflowError):
             return None  # non-integer item ids: scalar path
-        if items.min() < 0 or items.max() >= self.placer.n_items:
-            return None  # outside the compiled universe
-        row = np.repeat(np.arange(len(eligible)), counts)
+        return eligible, RequestBlock(items, offsets)
+
+    def _cover_requests(self, requests: Sequence[Request]):
+        """:meth:`_cover_chunk` of a list of requests, through the adapter.
+
+        Returns ``(eligible, items, row, servers, assigned)`` — the
+        indexes of the requests covered, their flattened item ids and
+        what :meth:`_cover_chunk` says of each — or ``None``.
+        """
+        adapted = self._block_of(requests)
+        covered = None if adapted is None else self._cover_chunk(adapted[1])
+        if covered is None:
+            return None
+        return adapted[0], adapted[1].items, *covered
+
+    def _cover_chunk(self, block: RequestBlock):
+        """Greedy covers of a block's requests, item-major.
+
+        Returns ``(row, servers, assigned)`` — per flattened item, its
+        request's row in the block, its ``(R,)`` replica servers and the
+        server the cover assigns it to — or ``None`` when the block is
+        not on the vectorised envelope: no compiled table, another
+        tie-break, an empty request, or item ids outside the table.
+        """
+        lookup = getattr(self.placer, "lookup", None)
+        items, sizes = block.items, block.offsets[1:] - block.offsets[:-1]
+        if (
+            lookup is None
+            or self.tie_break != "lowest"
+            or not len(items)
+            or sizes.min() < 1
+            or items.min() < 0
+            or items.max() >= self.placer.n_items
+        ):
+            return None
+        row = np.repeat(np.arange(len(block)), sizes)
         servers = lookup(items)
-        assigned = batch_cover(row, servers, len(eligible), self.placer.n_servers)
-        return eligible, items, row, servers, assigned
+        assigned = batch_cover(row, servers, len(block), self.placer.n_servers)
+        return row, servers, assigned
 
     def _finish_masks(
         self,

@@ -21,11 +21,15 @@ already returned enough.
 from __future__ import annotations
 
 from collections import defaultdict
+from typing import Iterable
+
+import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.core.bundling import Bundler
 from repro.errors import ConfigurationError
-from repro.types import FetchPlan, FetchResult, ItemId, Request
+from repro.types import ClusterStats, FetchPlan, FetchResult, ItemId, Request, RequestBlock
+from repro.utils.histogram import first_seen_counts
 
 
 class RnBClient:
@@ -178,6 +182,42 @@ class RnBClient:
             servers_contacted,
             txn_sizes,
         )
+
+    def tally_chunk(
+        self, chunk: RequestBlock | Iterable[Request], stats: ClusterStats | None = None
+    ) -> None:
+        """Plan a chunk that cannot miss and account it, all at once.
+
+        Under :meth:`tally_footprint`'s precondition this leaves every
+        server's counters, and ``stats``, as planning each request of the
+        chunk, tallying its footprint and recording the result in turn
+        would (property-tested against exactly that, down to the key
+        order of the histograms) — from the planner's arrays, with one
+        ``bincount`` per counter and one pass per distinct
+        ``(server, size)`` pair instead of one per transaction, and no
+        :class:`FetchResult`.
+        """
+        txn_servers, txn_sizes, n_txns = self.bundler.plan_transactions(chunk)
+        if stats is not None:
+            stats.record_transactions(len(n_txns), txn_servers, txn_sizes)
+        if not len(txn_servers):
+            return
+        counters = [server.counters for server in self.cluster.servers]
+        transactions = np.bincount(txn_servers, minlength=len(counters)).tolist()
+        # float64 weights: exact, item counts stay far below 2**53
+        items = np.bincount(txn_servers, weights=txn_sizes, minlength=len(counters))
+        for c, n, n_items in zip(counters, transactions, items.astype(np.int64).tolist()):
+            c.transactions += n
+            c.items_requested += n_items
+            c.items_returned += n_items
+            c.hits += n_items
+        histograms = [c.txn_sizes.counts for c in counters]
+        stride = int(txn_sizes.max()) + 1
+        keys, ns = first_seen_counts(txn_servers * stride + txn_sizes)
+        sids, sizes_seen = np.divmod(keys, stride)
+        for sid, size, n in zip(sids.tolist(), sizes_seen.tolist(), ns.tolist()):
+            sizes = histograms[sid]
+            sizes[size] = sizes.get(size, 0) + n
 
     # -- helpers ---------------------------------------------------------------
 

@@ -18,6 +18,7 @@ by dividing by the window size — see
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from repro.types import Request
@@ -34,11 +35,8 @@ def merge_requests(requests: Sequence[Request]) -> Request:
     for r in requests:
         if r.limit_fraction is not None:
             raise ValueError("cannot merge LIMIT-style requests")
-    seen: dict[int, None] = {}
-    for r in requests:
-        for item in r.items:
-            seen.setdefault(item)
-    return Request(items=tuple(seen))
+    # dict keys: the union in order of first appearance
+    return Request(items=tuple(dict.fromkeys(chain.from_iterable(r.items for r in requests))))
 
 
 def merge_stream(requests: Iterable[Request], window: int) -> Iterator[Request]:

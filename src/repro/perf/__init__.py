@@ -6,8 +6,9 @@ Four layers, each exactly equivalent to the code it accelerates:
   replica placer into a dense ``item -> R servers`` array with O(1)
   vectorised batch lookup.
 * :mod:`repro.perf.batchcover` — the chunk-vectorised greedy set cover
-  behind :meth:`repro.core.bundling.Bundler.plan_batch` and
-  ``plan_footprints``: one item-major kernel for every request size.
+  behind :meth:`repro.core.bundling.Bundler.plan_batch`,
+  ``plan_footprints`` and ``plan_transactions``: one item-major kernel
+  for every request size.
 * :mod:`repro.perf.shard` — the sharded multiprocessing engine:
   contiguous request-stream slices across worker processes with a
   deterministic, bit-identical merge.

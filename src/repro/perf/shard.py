@@ -31,12 +31,13 @@ other request's effects*.  Therefore:
 
 Each worker rebuilds the cluster and client from ``(graph, config)`` —
 the compiled placement table is deterministic, and the engine's table
-cache makes it cheap — then *consumes* (never executes) the composed
-request stream up to its slice offset, so shard ``i`` sees exactly the
+cache makes it cheap — then draws (and discards) the roots of the
+requests before its slice offset, so shard ``i`` sees exactly the
 requests the sequential run would have fed it: the stream is seeded
-from the sweep seed (``derive_rng(config.seed, 1, 0)``) and skipping
-``warmup + offset`` requests advances the generator identically to
-executing them.
+from the sweep seed (``derive_rng(config.seed, 1, 0)``) and drawing the
+roots of ``warmup + offset`` requests advances the generator identically
+to serving them, without building one.  The slice itself runs through
+the engine's own phase loop (:func:`repro.sim.engine.prepare_run`).
 
 When forking is worth it: slices must amortise process spawn + graph
 pickling (~100ms+), so sharding pays off for sweep-scale runs
@@ -48,7 +49,6 @@ or configs outside the tally envelope (docs/PERFORMANCE.md).
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from itertools import islice
 from typing import TYPE_CHECKING
 
 from repro.types import ClusterStats
@@ -122,42 +122,27 @@ def _run_shard(
     # Imported here so a forked worker resolves everything in its own
     # interpreter state (and to avoid an engine<->shard import cycle).
     from repro.obs import MetricsRegistry
-    from repro.sim.engine import _request_stream, build_client, build_cluster
+    from repro.sim.engine import prepare_run
 
     registry = MetricsRegistry() if collect_metrics else None
-    cluster = build_cluster(config, graph.n_nodes)
-    client = build_client(config, cluster, metrics=registry)
-    stream = iter(_request_stream(graph, config, 0))
+    cluster, run_phase, skip = prepare_run(graph, config, metrics=registry)
 
-    # Consume (don't execute) everything before this slice.  In the
-    # tally regime execution has no observable side effects on later
-    # requests, so advancing the generator is equivalent to the
-    # sequential run's warmup + preceding shards.  One exception: the
+    # Pass over everything before this slice.  In the tally regime
+    # execution has no observable side effects on later requests, so
+    # drawing the roots of the sequential run's warmup + preceding
+    # shards is equivalent to serving them.  One exception: the
     # sequential engine's warmup phase *plans* through the bundler,
     # which feeds the obs planner families before counters reset — so
-    # when telemetry is collected, shard 0 re-plans (never executes)
-    # the warmup requests to keep the merged registry byte-identical.
-    skip = config.warmup_requests + offset
-    if collect_metrics and offset == 0 and config.warmup_requests:
-        remaining = config.warmup_requests
-        while remaining > 0:
-            take = min(config.batch_size, remaining)
-            client.bundler.plan_footprints(
-                [next(stream) for _ in range(take)]
-            )
-            remaining -= take
-        skip = offset
-    next(islice(stream, skip, skip), None)
+    # when telemetry is collected, shard 0 runs the warmup as the engine
+    # does, to keep the merged registry byte-identical.
+    if collect_metrics and offset == 0:
+        run_phase(config.warmup_requests, None)
+        cluster.reset_counters()
+    else:
+        skip(config.warmup_requests + offset)
 
     stats = ClusterStats()
-    remaining = count
-    while remaining > 0:
-        take = min(config.batch_size, remaining)
-        requests = [next(stream) for _ in range(take)]
-        footprints = client.bundler.plan_footprints(requests)
-        for result in map(client.tally_footprint, requests, footprints):
-            stats.record(result)
-        remaining -= take
+    run_phase(count, stats)
     return stats, cluster.txn_size_histogram(), registry
 
 
@@ -182,8 +167,7 @@ def run_simulation_sharded(
     tests sweep many seed/shard combinations cheaply and how the merge
     logic stays testable without multiprocessing flakiness.
     """
-    from repro.sim.engine import run_simulation
-    from repro.sim.results import SimResult
+    from repro.sim.engine import run_simulation, sim_result
 
     shards = plan_shards(config.n_requests, max(1, workers))
     if (
@@ -216,17 +200,4 @@ def run_simulation_sharded(
         if collect and shard_registry is not None:
             metrics.merge(shard_registry)
 
-    return SimResult(
-        n_servers=config.cluster.n_servers,
-        stats=stats,
-        n_original_requests=config.n_requests * config.client.merge_window,
-        merge_window=config.client.merge_window,
-        txn_histogram=txn_histogram,
-        meta={
-            "mode": config.client.mode,
-            "replication": config.cluster.replication,
-            "memory_factor": config.cluster.memory_factor,
-            "graph": graph.name,
-            "seed": config.seed,
-        },
-    )
+    return sim_result(graph, config, stats, txn_histogram)

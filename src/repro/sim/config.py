@@ -107,7 +107,13 @@ class SimConfig:
     requests are drawn, flattened to one array entry per requested item
     and covered together (:func:`repro.perf.batchcover.batch_cover`), so
     it trades nothing but array sizes — requests of any width share a
-    chunk.
+    chunk.  In the tally regime (``memory_factor=None``, pinned LRU, no
+    hitchhiking) on the plain ego stream a chunk is drawn as a
+    :class:`repro.types.RequestBlock` and stays two arrays until it has
+    become counter increments (:meth:`repro.core.client.RnBClient.tally_chunk`);
+    a merge window, a LIMIT fraction and every other regime draw the same
+    requests as :class:`repro.types.Request` objects.  Which of the two
+    happens follows from the fields below; nothing selects it.
     """
 
     cluster: ClusterConfig

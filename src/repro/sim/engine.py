@@ -13,6 +13,7 @@ relevant and requests were simulated individually."
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable
 
 from repro.cluster.cluster import Cluster
@@ -130,12 +131,107 @@ def _request_stream(
     graph: SocialGraph, config: SimConfig, stream_index: int
 ) -> Iterable[Request]:
     gen = EgoRequestGenerator(graph, rng=derive_rng(config.seed, 1, stream_index))
-    stream: Iterable[Request] = gen.stream()
+    return _composed(gen.stream(), config)
+
+
+def _composed(stream: Iterable[Request], config: SimConfig) -> Iterable[Request]:
     if config.client.merge_window > 1:
         stream = merge_stream(stream, config.client.merge_window)
     if config.client.limit_fraction is not None:
         stream = with_limit(stream, config.client.limit_fraction)
     return stream
+
+
+def prepare_run(graph: SocialGraph, config: SimConfig, *, metrics=None):
+    """Build a run's cluster, client and request stream.
+
+    Returns ``(cluster, run_phase, skip)``.  ``run_phase(n_requests,
+    stats)`` serves the next ``n_requests`` (merged) requests of the
+    stream, recording them in ``stats`` unless it is ``None``;
+    ``skip(n_requests)`` passes over that many by drawing their roots
+    only, and is valid before the first ``run_phase`` — how a shard
+    (:mod:`repro.perf.shard`) reaches its slice.
+    """
+    cluster = build_cluster(config, graph.n_nodes)
+    client = build_client(config, cluster, metrics=metrics)
+
+    # Load-aware tie-breaking reads per-server counters that execution
+    # updates, so planning must interleave with execution request by
+    # request; chunked planning would freeze the load signal mid-batch.
+    batched = (
+        config.fast_path
+        and isinstance(client, RnBClient)
+        and config.client.tie_break != "least_loaded"
+    )
+    # With naive allocation (Fig 6) every replica stays resident, so
+    # executing a plan is pure counter arithmetic — see
+    # RnBClient.tally_footprint for the full precondition argument.
+    tally = (
+        batched
+        and cluster.injector is None
+        and config.cluster.memory_factor is None
+        and config.cluster.lru_policy == "pinned"
+        and not config.client.hitchhiking
+    )
+
+    gen = EgoRequestGenerator(graph, rng=derive_rng(config.seed, 1, 0))
+    window = config.client.merge_window
+    if tally and window == 1 and config.client.limit_fraction is None:
+        # the plain ego stream, tallied: chunks stay arrays from the
+        # graph to the counters (docs/PERFORMANCE.md, section 3)
+        draw = gen.block
+    else:
+        stream = iter(_composed(gen.stream(), config))
+
+        def draw(k: int) -> list[Request]:
+            return list(islice(stream, k))
+
+    def run_phase(n_requests: int, stats: ClusterStats | None) -> None:
+        # Plans depend only on the (static) placement, never on cluster
+        # cache state, so planning a whole chunk ahead of execution is
+        # exactly equivalent to the request-at-a-time loop; execution
+        # order — which does mutate LRU state — is unchanged.
+        remaining = n_requests
+        while remaining > 0:
+            take = min(config.batch_size, remaining) if batched else 1
+            chunk = draw(take)
+            remaining -= take
+            if tally:
+                client.tally_chunk(chunk, stats)
+                continue
+            if batched:
+                results = map(client.execute_plan, client.bundler.plan_batch(chunk))
+            else:
+                results = map(client.execute, chunk)
+            if stats is None:
+                for _ in results:
+                    pass
+            else:
+                for result in results:
+                    stats.record(result)
+
+    return cluster, run_phase, lambda n_requests: gen.skip(n_requests * window)
+
+
+def sim_result(
+    graph: SocialGraph, config: SimConfig, stats: ClusterStats, txn_histogram
+) -> SimResult:
+    """The :class:`SimResult` of a run of ``config`` over ``graph`` that left
+    ``stats`` and ``txn_histogram`` (one process's, or the shards' merged)."""
+    return SimResult(
+        n_servers=config.cluster.n_servers,
+        stats=stats,
+        n_original_requests=config.n_requests * config.client.merge_window,
+        merge_window=config.client.merge_window,
+        txn_histogram=txn_histogram,
+        meta={
+            "mode": config.client.mode,
+            "replication": config.cluster.replication,
+            "memory_factor": config.cluster.memory_factor,
+            "graph": graph.name,
+            "seed": config.seed,
+        },
+    )
 
 
 def run_simulation(
@@ -162,71 +258,9 @@ def run_simulation(
             return run_simulation_sharded(
                 graph, config, workers=workers, metrics=metrics
             )
-    cluster = build_cluster(config, graph.n_nodes)
-    client = build_client(config, cluster, metrics=metrics)
-    stream = iter(_request_stream(graph, config, 0))
-
-    # Load-aware tie-breaking reads per-server counters that execution
-    # updates, so planning must interleave with execution request by
-    # request; chunked planning would freeze the load signal mid-batch.
-    batched = (
-        config.fast_path
-        and isinstance(client, RnBClient)
-        and config.client.tie_break != "least_loaded"
-    )
-    # With naive allocation (Fig 6) every replica stays resident, so
-    # executing a plan is pure counter arithmetic — see
-    # RnBClient.tally_footprint for the full precondition argument.
-    tally = (
-        batched
-        and cluster.injector is None
-        and config.cluster.memory_factor is None
-        and config.cluster.lru_policy == "pinned"
-        and not config.client.hitchhiking
-    )
-
-    def run_phase(n_requests: int, stats: ClusterStats | None) -> None:
-        # Plans depend only on the (static) placement, never on cluster
-        # cache state, so planning a whole chunk ahead of execution is
-        # exactly equivalent to the request-at-a-time loop; execution
-        # order — which does mutate LRU state — is unchanged.
-        remaining = n_requests
-        while remaining > 0:
-            take = min(config.batch_size, remaining) if batched else 1
-            requests = [next(stream) for _ in range(take)]
-            if tally:
-                footprints = client.bundler.plan_footprints(requests)
-                results = map(client.tally_footprint, requests, footprints)
-            elif batched:
-                plans = client.bundler.plan_batch(requests)
-                results = map(client.execute_plan, plans)
-            else:
-                results = map(client.execute, requests)
-            if stats is None:
-                for _ in results:
-                    pass
-            else:
-                for result in results:
-                    stats.record(result)
-            remaining -= take
-
+    cluster, run_phase, _ = prepare_run(graph, config, metrics=metrics)
     run_phase(config.warmup_requests, None)
     cluster.reset_counters()
-
     stats = ClusterStats()
     run_phase(config.n_requests, stats)
-
-    return SimResult(
-        n_servers=config.cluster.n_servers,
-        stats=stats,
-        n_original_requests=config.n_requests * config.client.merge_window,
-        merge_window=config.client.merge_window,
-        txn_histogram=cluster.txn_size_histogram(),
-        meta={
-            "mode": config.client.mode,
-            "replication": config.cluster.replication,
-            "memory_factor": config.cluster.memory_factor,
-            "graph": graph.name,
-            "seed": config.seed,
-        },
-    )
+    return sim_result(graph, config, stats, cluster.txn_size_histogram())

@@ -15,7 +15,12 @@ Terminology follows the paper (section I-B):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
+
+from repro.utils.histogram import add_counts
 
 ItemId = int
 ServerId = int
@@ -58,12 +63,34 @@ class Request:
         """
         if self.limit_fraction is None:
             return len(self.items)
-        import math
-
         n = len(self.items)
         # the 1e-9 guard keeps exact fractions (0.5 * 4 = 2.0) from being
         # rounded up by floating-point noise
         return max(1, min(n, math.ceil(self.limit_fraction * n - 1e-9)))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class RequestBlock:
+    """A chunk of plain (no LIMIT) requests as two arrays.
+
+    Request ``i`` asks for ``items[offsets[i]:offsets[i + 1]]``, distinct
+    within the slice.  This is the form a chunk keeps from the graph to
+    the counters in the simulator's tally regime
+    (:meth:`repro.workloads.requests.EgoRequestGenerator.block`,
+    :meth:`repro.core.bundling.Bundler.plan_transactions`), where
+    nothing reads a request but its planner; :meth:`requests` is the way
+    out for everything that wants :class:`Request` objects.
+    """
+
+    items: np.ndarray  # int64[T], every request's items end to end
+    offsets: np.ndarray  # int64[n + 1], offsets[0] == 0, offsets[n] == T
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def requests(self) -> list[Request]:
+        flat, bounds = self.items.tolist(), self.offsets.tolist()
+        return [Request(tuple(flat[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,6 +212,24 @@ class ClusterStats:
             self.txn_size_histogram[size] = self.txn_size_histogram.get(size, 0) + 1
         for s in result.servers_contacted:
             self.per_server_transactions[s] = self.per_server_transactions.get(s, 0) + 1
+
+    def record_transactions(
+        self, n_requests: int, txn_servers: np.ndarray, txn_sizes: np.ndarray
+    ) -> None:
+        """:meth:`record` for a chunk of requests none of whose items missed.
+
+        ``txn_servers`` / ``txn_sizes`` are the chunk's transactions in
+        request order (:meth:`repro.core.bundling.Bundler.plan_transactions`);
+        the result is field for field, and key order for key order, what
+        recording each request's ``RnBClient.tally_footprint`` would leave.
+        """
+        n_items = int(txn_sizes.sum())
+        self.requests += n_requests
+        self.transactions += len(txn_servers)
+        self.items_fetched += n_items
+        self.items_transferred += n_items
+        add_counts(self.txn_size_histogram, txn_sizes)
+        add_counts(self.per_server_transactions, txn_servers)
 
     @property
     def tpr(self) -> float:

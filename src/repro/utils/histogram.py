@@ -12,6 +12,32 @@ from typing import Iterable, Iterator
 import numpy as np
 
 
+def first_seen_counts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct ``values`` and how often each occurs, in order of first occurrence.
+
+    The order a ``dict`` would list its keys in after counting
+    ``values`` — small non-negative integers — one by one.  It is kept
+    because downstream sums over those dicts run in key order with float
+    weights (:func:`repro.analysis.throughput.work_per_request`), so a
+    chunk counted at once must insert new keys where a per-value loop
+    would.
+    """
+    counts = np.bincount(values)
+    keys = np.flatnonzero(counts)
+    first = np.empty(len(counts), dtype=np.intp)
+    # of the writes to one slot the last wins: reversed, the first occurrence
+    first[values[::-1]] = np.arange(len(values) - 1, -1, -1)
+    keys = keys[first[keys].argsort()]
+    return keys, counts[keys]
+
+
+def add_counts(counts: dict[int, int], values: np.ndarray) -> None:
+    """``for v in values: counts[v] = counts.get(v, 0) + 1``, one pass per distinct value."""
+    keys, ns = first_seen_counts(values)
+    for value, n in zip(keys.tolist(), ns.tolist()):
+        counts[value] = counts.get(value, 0) + n
+
+
 @dataclass(slots=True)
 class Histogram:
     """Counts of non-negative integer observations."""

@@ -20,12 +20,12 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.types import Request
+from repro.types import Request, RequestBlock
 from repro.utils.rng import ensure_rng
 from repro.workloads.graphs import SocialGraph
 
 
-#: roots drawn per RNG call by :meth:`EgoRequestGenerator.stream`
+#: requests per block of :meth:`EgoRequestGenerator.blocks` (one RNG call each)
 _STREAM_BLOCK = 1024
 
 
@@ -34,6 +34,16 @@ class EgoRequestGenerator:
 
     Each request fetches the "status" items of one uniformly chosen
     user's friends (out-neighbours).
+
+    There is one draw path, :meth:`block`: ``k`` roots from one
+    ``rng.integers(len(roots), size=k)`` call — the values of ``k``
+    scalar draws in order, however the ``k`` are split over calls
+    (tested) — and their adjacency rows gathered with one fancy index
+    into a :class:`~repro.types.RequestBlock`.  :meth:`stream` and
+    :meth:`generate` are that block turned into :class:`Request` objects,
+    so every consumer sees the same requests and leaves the rng in the
+    same place; the simulator's tally regime plans the blocks directly
+    and never builds a ``Request`` (docs/PERFORMANCE.md, section 3).
     """
 
     def __init__(self, graph: SocialGraph, *, rng=None, include_self: bool = False):
@@ -44,38 +54,51 @@ class EgoRequestGenerator:
         if len(self._roots) == 0:
             raise WorkloadError("graph has no nodes with out-neighbours")
 
-    def generate(self) -> Request:
-        root = int(self._roots[self.rng.integers(len(self._roots))])
-        friends = self.graph.out_neighbors(root)
-        # ndarray.tolist() yields plain Python ints, like int(v) per
-        # element, but converts the whole row in one C call
-        items = tuple(friends.tolist())
+    def block(self, k: int) -> RequestBlock:
+        """The next ``k`` requests as one block."""
+        roots = self._roots[self.rng.integers(len(self._roots), size=k)]
+        indptr = self.graph.indptr
+        first = indptr[roots]
+        sizes = indptr[roots + 1] - first
+        offsets = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        # flat position t of request i reads indices[first[i] + t - offsets[i]]
+        items = self.graph.indices[
+            np.arange(offsets[-1]) + np.repeat(first - offsets[:-1], sizes)
+        ]
         if self.include_self:
-            items = (root, *(i for i in items if i != root))
-        return Request(items=items)
+            # the root first, then its friends without the root itself: the
+            # roots lead the concatenation, so a stable sort by request does it
+            keep = items != np.repeat(roots, sizes)
+            row = np.concatenate((np.arange(k), np.repeat(np.arange(k), sizes)[keep]))
+            items = np.concatenate((roots, items[keep]))[np.argsort(row, kind="stable")]
+            offsets = np.zeros(k + 1, dtype=np.int64)
+            np.cumsum(np.bincount(row, minlength=k), out=offsets[1:])
+        return RequestBlock(items, offsets)
+
+    def blocks(self, n: int | None = None) -> Iterator[RequestBlock]:
+        """``n`` requests (endless if ``n`` is None), ``_STREAM_BLOCK`` a block."""
+        while n is None or n > 0:
+            k = _STREAM_BLOCK if n is None else min(_STREAM_BLOCK, n)
+            yield self.block(k)
+            if n is not None:
+                n -= k
+
+    def skip(self, k: int) -> None:
+        """Advance past the next ``k`` requests: their root draws, no items."""
+        self.rng.integers(len(self._roots), size=k)
+
+    def generate(self) -> Request:
+        return self.block(1).requests()[0]
 
     def stream(self, n: int | None = None) -> Iterator[Request]:
         """Yield ``n`` requests (infinite if ``n`` is None).
 
-        The same requests as ``n`` calls of :meth:`generate`, drawn a
-        block of roots per RNG call: ``integers(bound, size=k)`` returns
-        the values of ``k`` scalar draws in order (tested), so ``stream(n)``
-        leaves the generator's rng exactly where ``n`` calls would, and
-        the infinite stream runs ahead of its consumer by less than one
-        block of draws.
+        The requests of :meth:`blocks`; the infinite stream runs ahead of
+        its consumer by less than one block of draws.
         """
-        roots, indptr, indices = self._roots, self.graph.indptr, self.graph.indices
-        while n is None or n > 0:
-            k = _STREAM_BLOCK if n is None else min(_STREAM_BLOCK, n)
-            block = roots[self.rng.integers(len(roots), size=k)]
-            bounds = zip(block.tolist(), indptr[block].tolist(), indptr[block + 1].tolist())
-            for root, lo, hi in bounds:
-                items = tuple(indices[lo:hi].tolist())
-                if self.include_self:
-                    items = (root, *(i for i in items if i != root))
-                yield Request(items=items)
-            if n is not None:
-                n -= k
+        for block in self.blocks(n):
+            yield from block.requests()
 
     def mean_request_size(self) -> float:
         """Expected request size = mean degree over non-isolated roots."""
@@ -98,7 +121,7 @@ class RandomRequestGenerator:
 
     def generate(self) -> Request:
         items = self.rng.choice(self.n_items, size=self.request_size, replace=False)
-        return Request(items=tuple(int(i) for i in items))
+        return Request(items=tuple(items.tolist()))
 
     def stream(self, n: int | None = None) -> Iterator[Request]:
         if n is None:
@@ -151,7 +174,7 @@ class ZipfRequestGenerator:
         items = self.rng.choice(
             self.n_items, size=self.request_size, replace=False, p=self._item_weights
         )
-        return Request(items=tuple(int(i) for i in items))
+        return Request(items=tuple(items.tolist()))
 
     def stream(self, n: int | None = None) -> Iterator[Request]:
         if n is None:

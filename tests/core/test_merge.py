@@ -20,6 +20,21 @@ class TestMergeRequests:
         merged = merge_requests([Request(items=(5, 1)), Request(items=(2, 5))])
         assert merged.items == (5, 1, 2)
 
+    def test_union_is_the_setdefault_loop(self):
+        import numpy as np
+
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            window = [
+                Request(items=tuple(rng.choice(60, size=size, replace=False).tolist()))
+                for size in rng.integers(0, 25, size=rng.integers(1, 5))
+            ]
+            seen: dict[int, None] = {}  # the union as merge_requests built it before
+            for r in window:
+                for item in r.items:
+                    seen.setdefault(item)
+            assert merge_requests(window).items == tuple(seen)
+
     def test_single_request_identity_items(self):
         r = Request(items=(9, 8))
         assert merge_requests([r]).items == (9, 8)

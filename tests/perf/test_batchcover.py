@@ -181,7 +181,7 @@ def test_batch_covers_skips_zero_item_rows(monkeypatch):
     ]
     bundler = Bundler(table("generic"))
     want = [bundler.plan(r) for r in requests]
-    assert bundler._cover_chunk(requests)[0] == [0, 2]
+    assert bundler._cover_requests(requests)[0] == [0, 2]
     calls = _count_plan_calls(bundler, monkeypatch)
     assert bundler.plan_batch(requests) == want
     assert bundler.plan_footprints(requests) == [

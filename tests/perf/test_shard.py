@@ -26,6 +26,7 @@ from repro.perf.shard import (
 )
 from repro.sim.config import ClientConfig, ClusterConfig, SimConfig
 from repro.sim.engine import run_simulation
+from repro.types import RequestBlock
 from repro.workloads.synthetic import make_slashdot_like
 
 
@@ -154,6 +155,33 @@ def test_sharded_metrics_registry_merges_identically(graph):
     )
     assert seq_metrics.token() == shard_metrics.token()
     assert seq_metrics.snapshot() == shard_metrics.snapshot()
+
+
+def test_shards_skip_by_root_draws_and_build_no_request(graph, monkeypatch):
+    """A shard reaches its slice by drawing roots and runs it as blocks: on
+    the plain stream nothing — prefix, warm-up or slice — becomes a ``Request``."""
+    config = _config(n_requests=300, warmup_requests=70)
+    sequential = run_simulation(graph, config)
+
+    def no_requests(self):
+        raise AssertionError("a tally shard built Request objects")
+
+    monkeypatch.setattr(RequestBlock, "requests", no_requests)
+    for metrics in (None, MetricsRegistry()):
+        sharded = run_simulation_sharded(
+            graph, config, workers=3, metrics=metrics, inline=True
+        )
+        _assert_identical(sequential, sharded)
+
+
+def test_sharded_limit_requests_match(graph):
+    # LIMIT chunks mix block-planned and scalar-planned requests
+    config = _config(
+        n_requests=200, warmup_requests=30, client=ClientConfig(mode="rnb", limit_fraction=0.5)
+    )
+    sequential = run_simulation(graph, config)
+    sharded = run_simulation_sharded(graph, config, workers=3, inline=True)
+    _assert_identical(sequential, sharded)
 
 
 def test_sharded_real_processes_match(graph):

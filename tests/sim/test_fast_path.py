@@ -13,6 +13,8 @@ import dataclasses
 
 import pytest
 
+from repro.analysis.calibration import DEFAULT_MEMCACHED_MODEL
+from repro.obs import MetricsRegistry
 from repro.sim.config import ClientConfig, ClusterConfig, SimConfig
 from repro.sim.engine import _TABLE_CACHE, build_cluster, run_simulation
 
@@ -56,6 +58,51 @@ def test_fast_path_bit_identical(small_slashdot, cluster_kwargs, client_kwargs):
     assert fast.txn_histogram == slow.txn_histogram
     assert fast.meta == slow.meta
     assert fast.n_original_requests == slow.n_original_requests
+
+
+TALLY_RUNS = [
+    pytest.param(dict(), dict(), id="plain"),
+    pytest.param(dict(merge_window=2), dict(), id="merge-2"),
+    pytest.param(dict(limit_fraction=0.5), dict(), id="limit-half"),
+    pytest.param(dict(), dict(warmup_requests=333), id="warm-up"),
+    pytest.param(dict(single_item_rule=False), dict(batch_size=1000), id="one-chunk"),
+]
+
+
+def _everything(result, registry):
+    """All a run reports, dicts as ordered lists: experiments sum floats over them."""
+    return {
+        "token": result.determinism_token(),
+        "to_dict": result.to_dict(),
+        "stats": dataclasses.asdict(result.stats),
+        "txn_size_histogram": list(result.stats.txn_size_histogram.items()),
+        "per_server_transactions": list(result.stats.per_server_transactions.items()),
+        "txn_histogram": list(result.txn_histogram.counts.items()),
+        "throughput": repr(result.throughput(DEFAULT_MEMCACHED_MODEL)),
+        "metrics": registry.snapshot(),
+    }
+
+
+@pytest.mark.parametrize("client_kwargs,sim_kwargs", TALLY_RUNS)
+def test_tally_regime_reports_what_the_scalar_engine_does(
+    small_slashdot, client_kwargs, sim_kwargs
+):
+    """The tally regime (naive allocation) never builds a result per request;
+    the scalar engine builds nothing else."""
+    reports = []
+    for fast_path in (False, True):
+        config = SimConfig(
+            cluster=ClusterConfig(n_servers=16, replication=3),
+            client=ClientConfig(mode="rnb", **client_kwargs),
+            n_requests=700,
+            seed=2013,
+            fast_path=fast_path,
+            **{"warmup_requests": 0, "batch_size": 256, **sim_kwargs},
+        )
+        registry = MetricsRegistry()
+        result = run_simulation(small_slashdot, config, metrics=registry)
+        reports.append(_everything(result, registry))
+    assert reports[1] == reports[0]
 
 
 def test_batch_size_does_not_change_results(small_slashdot):

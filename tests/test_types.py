@@ -47,6 +47,14 @@ class TestRequest:
         req = Request(items=tuple(range(n)), limit_fraction=frac)
         assert req.required_items == expected
 
+    @pytest.mark.parametrize("frac", [0.01, 0.1, 0.25, 1 / 3, 0.5, 0.7, 0.9, 0.95, 1.0])
+    def test_required_items_is_the_guarded_ceiling(self, frac):
+        import math  # the expression as it read with the import inside the property
+
+        for n in range(0, 70):
+            want = max(1, min(n, math.ceil(frac * n - 1e-9)))
+            assert Request(items=tuple(range(n)), limit_fraction=frac).required_items == want
+
     def test_empty_request_allowed(self):
         assert Request(items=()).size == 0
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
+from repro.types import Request
 from repro.workloads.graphs import SocialGraph
 from repro.workloads.requests import (
     EgoRequestGenerator,
@@ -72,9 +73,20 @@ class _CountingRng:
         return self.rng.integers(*args, **kwargs)
 
 
+def _scalar_generate(gen: EgoRequestGenerator) -> Request:
+    """``EgoRequestGenerator.generate`` as it was before blocks: one scalar
+    draw, one adjacency row — the specification of the block path."""
+    root = int(gen._roots[gen.rng.integers(len(gen._roots))])
+    items = tuple(gen.graph.out_neighbors(root).tolist())
+    if gen.include_self:
+        items = (root, *(i for i in items if i != root))
+    return Request(items=items)
+
+
 class TestEgoStreamBlocks:
-    """``stream`` draws a block of roots per RNG call and must still be
-    ``generate()`` repeated: same requests, same rng position afterwards."""
+    """``block`` is the one draw path: ``stream``, ``blocks`` and
+    ``generate`` must all be the scalar draw repeated — same requests,
+    same rng position afterwards."""
 
     @pytest.mark.parametrize("include_self", [False, True])
     @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 3000])
@@ -84,11 +96,48 @@ class TestEgoStreamBlocks:
                 small_slashdot, rng=np.random.default_rng(11), include_self=include_self
             )
 
-        one_by_one, streamed = gen(), gen()
-        want = [one_by_one.generate() for _ in range(n)]
+        one_by_one, streamed, blocked = gen(), gen(), gen()
+        want = [_scalar_generate(one_by_one) for _ in range(n)]
         assert list(streamed.stream(n)) == want
-        # exactly n draws consumed: both generators go on alike
-        assert streamed.generate() == one_by_one.generate()
+        blocks = list(blocked.blocks(n))
+        assert [r for block in blocks for r in block.requests()] == want
+        tail = [n % 1024] if n % 1024 else []
+        assert [len(block) for block in blocks] == [1024] * (n // 1024) + tail
+        # exactly n draws consumed: all three generators go on alike
+        state = one_by_one.rng.bit_generator.state
+        assert streamed.rng.bit_generator.state == state
+        assert blocked.rng.bit_generator.state == state
+        assert streamed.generate() == _scalar_generate(one_by_one)
+
+    @pytest.mark.parametrize("include_self", [False, True])
+    def test_any_block_sizes_and_skips_are_one_stream(self, small_slashdot, include_self):
+        def gen():
+            return EgoRequestGenerator(
+                small_slashdot, rng=np.random.default_rng(15), include_self=include_self
+            )
+
+        one_by_one, chunked = gen(), gen()
+        want = [_scalar_generate(one_by_one) for _ in range(700)]
+        got = chunked.block(256).requests() + chunked.block(1).requests()
+        chunked.skip(143)
+        chunked.skip(0)
+        got += chunked.block(0).requests() + chunked.block(300).requests()
+        assert got == want[:257] + want[400:]
+        assert chunked.rng.bit_generator.state == one_by_one.rng.bit_generator.state
+
+    def test_include_self_drops_a_self_loop(self):
+        # from_edges removes self-loops; the CSR constructor does not
+        graph = SocialGraph(np.array([0, 3, 4, 4]), np.array([1, 0, 2, 0]))
+        gen = EgoRequestGenerator(graph, rng=np.random.default_rng(16), include_self=True)
+        seen = {r.items for r in gen.stream(40)}
+        assert seen == {(0, 1, 2), (1, 0)}
+
+    def test_block_arrays(self, small_slashdot):
+        gen = EgoRequestGenerator(small_slashdot, rng=np.random.default_rng(17))
+        block = gen.block(50)
+        assert block.items.dtype == block.offsets.dtype == np.int64
+        assert block.offsets[0] == 0 and block.offsets[-1] == len(block.items)
+        assert len(block) == 50 and np.all(np.diff(block.offsets) >= 1)
 
     def test_infinite_stream_prefix(self, small_slashdot):
         one_by_one = EgoRequestGenerator(small_slashdot, rng=np.random.default_rng(12))
@@ -123,6 +172,17 @@ class TestRandomRequests:
             assert req.size == 20
             assert len(set(req.items)) == 20
             assert all(0 <= i < 100 for i in req.items)
+
+    @pytest.mark.parametrize("cls", [RandomRequestGenerator, ZipfRequestGenerator])
+    def test_items_are_the_choice_as_python_ints(self, cls):
+        gen = cls(500, 30, rng=np.random.default_rng(3))
+        twin = cls(500, 30, rng=np.random.default_rng(3))
+        p = getattr(twin, "_item_weights", None)
+        for _ in range(20):
+            drawn = twin.rng.choice(500, size=30, replace=False, p=p)
+            req = gen.generate()
+            assert req.items == tuple(int(i) for i in drawn)  # the conversion it replaced
+            assert all(type(i) is int for i in req.items)
 
     def test_size_validation(self):
         with pytest.raises(WorkloadError):
