@@ -11,7 +11,8 @@ Scale knobs:
 * default — laptop-quick (~seconds per figure, scaled-down graphs);
 * ``RNB_BENCH_FULL=1`` — paper-scale graphs and request counts (minutes);
 * ``RNB_BENCH_WORKERS=N`` — worker count for sweep parallelism in the
-  full profile (default: all cores but one).
+  full profile (default: all cores but one); ``bench_profile`` below is
+  its only reader.
 
 Run with ``pytest benchmarks/ --benchmark-only``.
 """

@@ -15,12 +15,6 @@ Subcommands
     divergent keys, deterministically by seed.
 ``rnb calibrate``
     Run the in-process micro-benchmark and print the fitted cost model.
-``rnb perfbench [--quick] [--workers N] [--out BENCH.json] [--baseline BENCH_PR9.json]``
-    Benchmark the fast-path read pipeline (cover kernel, batched
-    planning, end-to-end simulation, telemetry overhead, sharded
-    multiprocessing engine) and optionally fail on regression against a
-    committed baseline.  ``--workers`` sizes the sharded section
-    (default ``RNB_BENCH_WORKERS``, else 1).
 ``rnb loadtest [--users 5000] [--curve flash] [--out REPORT.json]``
     Open-loop load test against a real in-process async server fleet
     (docs/SERVING.md): one coroutine per simulated user, arrival times
@@ -84,42 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sub.add_parser("calibrate", help="fit a cost model from the in-process server")
-
-    perf_p = sub.add_parser(
-        "perfbench", help="benchmark the fast-path read pipeline"
-    )
-    perf_p.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke profile: fewer requests and repeats",
-    )
-    perf_p.add_argument("--scale", type=float, default=0.1, help="graph scale (0-1]")
-    perf_p.add_argument("--seed", type=int, default=2013)
-    perf_p.add_argument("--n-requests", type=int, default=1500, dest="n_requests")
-    perf_p.add_argument("--repeats", type=int, default=5)
-    perf_p.add_argument(
-        "--out", default=None, metavar="FILE", help="write the result JSON to FILE"
-    )
-    perf_p.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="compare speedups against a committed baseline JSON; "
-        "exit 1 on regression",
-    )
-    perf_p.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="allowed fractional speedup drop vs baseline (default 0.4)",
-    )
-    perf_p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for the sharded section "
-        "(default: RNB_BENCH_WORKERS, else 1)",
-    )
 
     load_p = sub.add_parser(
         "loadtest",
@@ -346,45 +304,6 @@ def main(argv: list[str] | None = None) -> int:
             f"fitted: t_txn={model.t_txn:.3g}s  t_item={model.t_item:.3g}s  "
             f"cap={model.bandwidth_items_per_s}"
         )
-        return 0
-
-    if args.command == "perfbench":
-        import json
-        from pathlib import Path
-
-        from repro.perf.bench import (
-            DEFAULT_TOLERANCE,
-            compare_against_baseline,
-            dumps,
-            format_report,
-            run_perfbench,
-        )
-
-        doc = run_perfbench(
-            scale=args.scale,
-            seed=args.seed,
-            n_requests=args.n_requests,
-            repeats=args.repeats,
-            quick=args.quick,
-            workers=args.workers,
-        )
-        print(format_report(doc))
-        if args.out is not None:
-            Path(args.out).write_text(dumps(doc))
-            print(f"[wrote {args.out}]")
-        if args.baseline is not None:
-            baseline = json.loads(Path(args.baseline).read_text())
-            tolerance = (
-                DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
-            )
-            failures = compare_against_baseline(
-                doc, baseline, tolerance=tolerance
-            )
-            if failures:
-                for failure in failures:
-                    print(f"REGRESSION: {failure}", file=sys.stderr)
-                return 1
-            print(f"[no regression vs {args.baseline} (tolerance {tolerance:.0%})]")
         return 0
 
     if args.command == "loadtest":

@@ -13,20 +13,16 @@ number of CPU cycles"), sets are Python integers used as bit vectors over
 the request's items, so one greedy step over an N-server candidate list
 costs N ``and``/``popcount`` machine-word operations.
 
-Two implementations share the same contract:
-
-* :func:`greedy_partial_cover` — the production kernel.  It is an
-  *incremental* (lazy-decreasing) greedy: per-server gains live in a
-  priority heap and are revalidated only when a server reaches the top
-  (Minoux's accelerated greedy, 1978).  Because gains are submodular —
-  covering elements can only shrink another server's marginal gain — a
-  heap entry whose recorded gain matches its recomputed gain is globally
-  maximal, so each pick touches only the handful of servers whose gains
-  went stale instead of rescanning every candidate.
-* :func:`greedy_partial_cover_reference` — the original O(S·picks)
-  rescan loop, kept as the executable specification.  Property tests
-  assert the kernel matches it pick-for-pick (selection order,
-  assignment masks, rng consumption) on random instances.
+The solver, :func:`greedy_partial_cover`, is an *incremental*
+(lazy-decreasing) greedy: per-server gains live in a priority heap and
+are revalidated only when a server reaches the top (Minoux's accelerated
+greedy, 1978).  Because gains are submodular — covering elements can only
+shrink another server's marginal gain — a heap entry whose recorded gain
+matches its recomputed gain is globally maximal, so each pick touches
+only the handful of servers whose gains went stale instead of rescanning
+every candidate.  The O(S·picks) rescan loop it replaced is its
+executable specification and lives beside the property tests that hold
+the two together pick for pick (``tests/core/_oracle.py``).
 
 Tie-breaking matters for RnB beyond determinism: breaking ties toward the
 lowest server id makes replica choices *sticky* across similar requests,
@@ -127,9 +123,9 @@ def greedy_partial_cover(
 ) -> CoverResult:
     """Greedy cover stopping once ``required`` elements are covered.
 
-    Incremental (lazy-decreasing) kernel: picks are identical to
-    :func:`greedy_partial_cover_reference`, but each greedy step costs
-    O(stale log S) heap work instead of an O(S) rescan of every
+    Incremental (lazy-decreasing) kernel: picks are identical to the
+    rescan greedy's (``tests/core/_oracle.py``), but each greedy step
+    costs O(stale log S) heap work instead of an O(S) rescan of every
     candidate.
 
     Parameters
@@ -263,81 +259,6 @@ def greedy_partial_cover(
         covered |= newly
         uncovered &= ~newly
         covered_count = covered.bit_count()
-
-    return CoverResult(
-        selected=tuple(selected),
-        assignment=assignment,
-        covered=covered,
-        n_elements=n_elements,
-    )
-
-
-def greedy_partial_cover_reference(
-    subsets: Mapping[int, int],
-    n_elements: int,
-    required: int,
-    *,
-    tie_break: TieBreak = "lowest",
-    rng: np.random.Generator | None = None,
-    exclude: AbstractSet[int] | None = None,
-    allow_partial: bool = False,
-) -> CoverResult:
-    """The original rescan greedy — executable specification.
-
-    Recomputes every candidate's gain on every pick (O(S·picks)).  Kept
-    for the property tests that pin the incremental kernel to it, and as
-    the "pre-PR pipeline" side of ``rnb perfbench``.  Semantics and
-    parameters are identical to :func:`greedy_partial_cover`.
-    """
-    if not (0 <= required <= n_elements):
-        raise ValueError(f"required must be in [0, n_elements]; got {required}")
-    pick = _resolve_tie_break(tie_break, rng)
-    if exclude:
-        subsets = {k: v for k, v in subsets.items() if k not in exclude}
-
-    union = 0
-    for mask in subsets.values():
-        union |= mask
-    if union.bit_count() < required:
-        if not allow_partial:
-            raise CoverError(
-                f"instance is infeasible: union covers {union.bit_count()} of the "
-                f"{required} required elements"
-            )
-        required = union.bit_count()
-
-    # Work on a mutable copy; keys sorted once so "lowest" tie-break and
-    # iteration order are deterministic regardless of dict order.
-    remaining = {k: subsets[k] for k in sorted(subsets)}
-    uncovered = (1 << n_elements) - 1
-    covered = 0
-    selected: list[int] = []
-    assignment: dict[int, int] = {}
-
-    while covered.bit_count() < required:
-        best_gain = 0
-        candidates: list[int] = []
-        for key, mask in remaining.items():
-            gain = (mask & uncovered).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                candidates = [key]
-            elif gain == best_gain and gain > 0:
-                candidates.append(key)
-        if best_gain == 0:  # pragma: no cover - guarded by union check above
-            raise CoverError("greedy stalled before reaching required coverage")
-        choice = pick(candidates)
-        newly = remaining[choice] & uncovered
-
-        need = required - covered.bit_count()
-        if newly.bit_count() > need:
-            newly = _trim_overshoot(newly, need)
-
-        selected.append(choice)
-        assignment[choice] = newly
-        covered |= newly
-        uncovered &= ~newly
-        del remaining[choice]
 
     return CoverResult(
         selected=tuple(selected),

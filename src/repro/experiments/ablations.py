@@ -60,12 +60,9 @@ def _run_jobs(
 ) -> dict[str, object]:
     """Run the ablation grid, optionally fanned across processes.
 
-    Most ablation points are *outside* the sharded engine's tally
-    envelope (overbooked memory makes LRU state order-dependent), so
-    intra-run sharding can't help here — but every point is a fully
-    independent simulation, so the grid itself parallelises trivially.
-    Results are assembled by job key, never by completion order, so the
-    output is identical for any ``workers``.
+    Every point is a fully independent simulation, so the grid
+    parallelises trivially.  Results are assembled by job key, never by
+    completion order, so the output is identical for any ``workers``.
     """
     if workers <= 1 or len(jobs) <= 1:
         return {key: _sim(graph, **kwargs) for key, kwargs in jobs.items()}

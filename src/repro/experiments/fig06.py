@@ -23,12 +23,7 @@ def run(
     scale: float = 0.1,
     n_requests: int = 1500,
     seed: int = 2013,
-    workers: int = 1,
 ) -> list[ExperimentResult]:
-    """``workers > 1`` shards each run across processes — the fig-6
-    configuration is squarely inside :func:`repro.perf.shard.shardable`'s
-    tally envelope (naive allocation, pinned LRUs, sticky ties), so the
-    sharded TPRs are bit-identical to the sequential ones."""
     graphs = {
         "slashdot": make_slashdot_like(seed=seed, scale=scale),
         "epinions": make_epinions_like(seed=seed, scale=scale),
@@ -46,7 +41,7 @@ def run(
                 warmup_requests=0,  # naive allocation: replicas preloaded
                 seed=seed,
             )
-            tprs.append(run_simulation(graph, cfg, workers=workers).tpr)
+            tprs.append(run_simulation(graph, cfg).tpr)
         series[f"TPR {label}"] = tprs
         series[f"rel {label}"] = [t / tprs[0] for t in tprs]
     return [

@@ -26,9 +26,8 @@ has the catalog):
   token in the established determinism-token pattern.
 
 Everything here is pure stdlib; instruments are plain attribute
-arithmetic on the hot path (one dict upsert per histogram observation),
-measured at <3% end-to-end overhead by ``rnb perfbench``
-(``BENCH_PR7.json``).
+arithmetic on the hot path (one dict upsert per histogram observation);
+``bench/``'s ``obs.overhead_frac`` measures their cost on the live path.
 """
 
 from __future__ import annotations
@@ -405,48 +404,6 @@ class MetricsRegistry:
         if fam is None:
             return None
         return fam.series.get(label_string(labels))
-
-    # -- merge ------------------------------------------------------------
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other``'s series into this registry, exactly.
-
-        The sharded engine's merge step (:mod:`repro.perf.shard`): each
-        worker records into a private registry and the parent folds them
-        back in shard order.  Counters add, histograms merge bucket-wise
-        (same geometry required — exact, no quantile drift), settable
-        gauges take ``other``'s latest value.  Callback-backed gauges are
-        skipped: they read *live* state, which a serialised shard result
-        does not carry — re-binding them is the owner's job.
-
-        Merging is associative and, in shard order, deterministic; a
-        family present in ``other`` but not here is created with
-        ``other``'s kind and help text.
-        """
-        for name in sorted(other._families):
-            theirs = other._families[name]
-            fam = self._family(name, theirs.kind, theirs.help)
-            for key in sorted(theirs.series):
-                src = theirs.series[key]
-                dst = fam.series.get(key)
-                if isinstance(src, Counter):
-                    if dst is None:
-                        dst = fam.series[key] = Counter()
-                    dst.inc(src.value)
-                elif isinstance(src, Histogram):
-                    if dst is None:
-                        dst = fam.series[key] = Histogram(
-                            subbuckets=src.subbuckets,
-                            track_values=src.values is not None,
-                        )
-                    dst.merge(src)
-                else:  # Gauge
-                    if src.fn is not None:
-                        continue
-                    if dst is None:
-                        dst = fam.series[key] = Gauge()
-                    if dst.fn is None:
-                        dst.value = src.value
 
     # -- snapshots --------------------------------------------------------
 

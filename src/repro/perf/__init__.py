@@ -1,6 +1,6 @@
-"""``repro.perf`` — the compiled fast path for the read pipeline.
+"""``repro.perf`` — the compiled read pipeline.
 
-Four layers, each exactly equivalent to the code it accelerates:
+Two layers, each exactly equivalent to the code it accelerates:
 
 * :mod:`repro.perf.table` — :class:`PlacementTable`, compiling any
   replica placer into a dense ``item -> R servers`` array with O(1)
@@ -9,25 +9,17 @@ Four layers, each exactly equivalent to the code it accelerates:
   behind :meth:`repro.core.bundling.Bundler.plan_batch`,
   ``plan_footprints`` and ``plan_transactions``: one item-major kernel
   for every request size.
-* :mod:`repro.perf.shard` — the sharded multiprocessing engine:
-  contiguous request-stream slices across worker processes with a
-  deterministic, bit-identical merge.
-* :mod:`repro.perf.bench` — the ``rnb perfbench`` regression harness
-  measuring cover / plan / end-to-end requests per second.
 
 Equivalence is load-bearing: every experiment table under
-``benchmarks/results/`` must stay byte-identical whether the fast path
-is on or off, and the property tests in ``tests/perf`` enforce it.
+``benchmarks/results/`` must stay byte-identical to what the uncompiled
+placer and the request-at-a-time client produce, and the oracle tests in
+``tests/perf`` and ``tests/sim`` enforce it.
 """
 
-from repro.perf.shard import plan_shards, run_simulation_sharded, shardable
 from repro.perf.table import PlacementTable, compile_placement, splitmix64_array
 
 __all__ = [
     "PlacementTable",
     "compile_placement",
-    "plan_shards",
-    "run_simulation_sharded",
-    "shardable",
     "splitmix64_array",
 ]

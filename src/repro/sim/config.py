@@ -98,22 +98,21 @@ class ClientConfig:
 class SimConfig:
     """One full simulation run.
 
-    ``fast_path`` routes the run through the compiled placement table and
-    chunk-vectorised planner of :mod:`repro.perf`.  It is an
-    implementation choice, not a modelling choice: results are identical
-    bit for bit either way (enforced by ``tests/sim``), and ``rnb
-    perfbench`` measures the two arms against each other.  ``batch_size``
-    is the planning chunk length used when the fast path is on: that many
-    requests are drawn, flattened to one array entry per requested item
-    and covered together (:func:`repro.perf.batchcover.batch_cover`), so
-    it trades nothing but array sizes — requests of any width share a
-    chunk.  In the tally regime (``memory_factor=None``, pinned LRU, no
-    hitchhiking) on the plain ego stream a chunk is drawn as a
+    ``batch_size`` is the planning chunk length of an RnB run whose
+    tie-break does not read live load: that many requests are drawn,
+    flattened to one array entry per requested item and covered together
+    (:func:`repro.perf.batchcover.batch_cover`), so it trades nothing but
+    array sizes — requests of any width share a chunk.  In the tally
+    regime (``memory_factor=None``, pinned LRU, no hitchhiking) on the
+    plain ego stream a chunk is drawn as a
     :class:`repro.types.RequestBlock` and stays two arrays until it has
     become counter increments (:meth:`repro.core.client.RnBClient.tally_chunk`);
     a merge window, a LIMIT fraction and every other regime draw the same
-    requests as :class:`repro.types.Request` objects.  Which of the two
-    happens follows from the fields below; nothing selects it.
+    requests as :class:`repro.types.Request` objects, and
+    ``tie_break="least_loaded"`` and the two baseline modes serve them one
+    at a time.  Which of these happens follows from the fields below;
+    nothing selects it, and the results are those of the request-at-a-time
+    loop bit for bit (enforced by ``tests/sim``).
     """
 
     cluster: ClusterConfig
@@ -121,7 +120,6 @@ class SimConfig:
     n_requests: int = 2000
     warmup_requests: int = 1000
     seed: int = 0
-    fast_path: bool = True
     batch_size: int = 256
 
     def __post_init__(self) -> None:

@@ -46,8 +46,7 @@ _TABLE_CACHE_MAX = 8
 
 def _compiled_placer(config: SimConfig, placer, n_items: int) -> PlacementTable:
     cc = config.cluster
-    kind = config.client.mode if config.client.mode != "rnb" else cc.placement
-    key = (kind, cc.n_servers, cc.replication, cc.vnodes, cc.placement_seed, n_items)
+    key = (cc.placement, cc.n_servers, cc.replication, cc.vnodes, cc.placement_seed, n_items)
     table = _TABLE_CACHE.get(key)
     if table is None:
         table = PlacementTable.compile(placer, n_items)
@@ -76,11 +75,7 @@ def build_cluster(config: SimConfig, n_items: int) -> Cluster:
             seed=cc.placement_seed,
             **({"vnodes": cc.vnodes} if cc.placement == "rch" else {}),
         )
-    if (
-        config.fast_path
-        and n_items > 0
-        and config.client.mode not in ("noreplication", "fullreplication")
-    ):
+    if n_items > 0 and config.client.mode == "rnb":
         # Compile once over the item universe: provisioning, planning and
         # second-round routing all become table lookups.  The full-
         # replication client dispatches on the concrete placer type, and
@@ -142,15 +137,15 @@ def _composed(stream: Iterable[Request], config: SimConfig) -> Iterable[Request]
     return stream
 
 
-def prepare_run(graph: SocialGraph, config: SimConfig, *, metrics=None):
-    """Build a run's cluster, client and request stream.
+def run_simulation(graph: SocialGraph, config: SimConfig, *, metrics=None) -> SimResult:
+    """Run warmup + measurement and return aggregated metrics.
 
-    Returns ``(cluster, run_phase, skip)``.  ``run_phase(n_requests,
-    stats)`` serves the next ``n_requests`` (merged) requests of the
-    stream, recording them in ``stats`` unless it is ``None``;
-    ``skip(n_requests)`` passes over that many by drawing their roots
-    only, and is valid before the first ``run_phase`` — how a shard
-    (:mod:`repro.perf.shard`) reaches its slice.
+    The warmup phase executes ``config.warmup_requests`` (merged) requests
+    to let the replica LRUs converge, then all counters are reset; the
+    measurement phase executes ``config.n_requests`` more.  Both phases
+    draw from the same endless request stream, so measurement continues
+    the warmed state rather than replaying it.  ``metrics`` threads an
+    obs registry into the client's planner (:func:`build_client`).
     """
     cluster = build_cluster(config, graph.n_nodes)
     client = build_client(config, cluster, metrics=metrics)
@@ -158,11 +153,8 @@ def prepare_run(graph: SocialGraph, config: SimConfig, *, metrics=None):
     # Load-aware tie-breaking reads per-server counters that execution
     # updates, so planning must interleave with execution request by
     # request; chunked planning would freeze the load signal mid-batch.
-    batched = (
-        config.fast_path
-        and isinstance(client, RnBClient)
-        and config.client.tie_break != "least_loaded"
-    )
+    # The two baselines have no planner to batch.
+    batched = isinstance(client, RnBClient) and config.client.tie_break != "least_loaded"
     # With naive allocation (Fig 6) every replica stays resident, so
     # executing a plan is pure counter arithmetic — see
     # RnBClient.tally_footprint for the full precondition argument.
@@ -175,8 +167,7 @@ def prepare_run(graph: SocialGraph, config: SimConfig, *, metrics=None):
     )
 
     gen = EgoRequestGenerator(graph, rng=derive_rng(config.seed, 1, 0))
-    window = config.client.merge_window
-    if tally and window == 1 and config.client.limit_fraction is None:
+    if tally and config.client.merge_window == 1 and config.client.limit_fraction is None:
         # the plain ego stream, tallied: chunks stay arrays from the
         # graph to the counters (docs/PERFORMANCE.md, section 3)
         draw = gen.block
@@ -210,20 +201,16 @@ def prepare_run(graph: SocialGraph, config: SimConfig, *, metrics=None):
                 for result in results:
                     stats.record(result)
 
-    return cluster, run_phase, lambda n_requests: gen.skip(n_requests * window)
-
-
-def sim_result(
-    graph: SocialGraph, config: SimConfig, stats: ClusterStats, txn_histogram
-) -> SimResult:
-    """The :class:`SimResult` of a run of ``config`` over ``graph`` that left
-    ``stats`` and ``txn_histogram`` (one process's, or the shards' merged)."""
+    run_phase(config.warmup_requests, None)
+    cluster.reset_counters()
+    stats = ClusterStats()
+    run_phase(config.n_requests, stats)
     return SimResult(
         n_servers=config.cluster.n_servers,
         stats=stats,
         n_original_requests=config.n_requests * config.client.merge_window,
         merge_window=config.client.merge_window,
-        txn_histogram=txn_histogram,
+        txn_histogram=cluster.txn_size_histogram(),
         meta={
             "mode": config.client.mode,
             "replication": config.cluster.replication,
@@ -232,35 +219,3 @@ def sim_result(
             "seed": config.seed,
         },
     )
-
-
-def run_simulation(
-    graph: SocialGraph, config: SimConfig, *, metrics=None, workers: int = 1
-) -> SimResult:
-    """Run warmup + measurement and return aggregated metrics.
-
-    The warmup phase executes ``config.warmup_requests`` (merged) requests
-    to let the replica LRUs converge, then all counters are reset; the
-    measurement phase executes ``config.n_requests`` more.  Both phases
-    draw from the same endless request stream, so measurement continues
-    the warmed state rather than replaying it.  ``metrics`` threads an
-    obs registry into the client's planner (:func:`build_client`).
-
-    ``workers > 1`` dispatches to the sharded multiprocessing engine
-    (:mod:`repro.perf.shard`) when the config is in the tally regime —
-    the result is bit-identical to ``workers=1`` — and silently runs
-    in-process otherwise.
-    """
-    if workers > 1:
-        from repro.perf.shard import run_simulation_sharded, shardable
-
-        if shardable(config):
-            return run_simulation_sharded(
-                graph, config, workers=workers, metrics=metrics
-            )
-    cluster, run_phase, _ = prepare_run(graph, config, metrics=metrics)
-    run_phase(config.warmup_requests, None)
-    cluster.reset_counters()
-    stats = ClusterStats()
-    run_phase(config.n_requests, stats)
-    return sim_result(graph, config, stats, cluster.txn_size_histogram())

@@ -65,11 +65,8 @@ class SimResult:
         Hashes the full aggregate state — headline counters, the exact
         transaction-size histogram, and the per-server transaction
         spread — canonically sorted, in the repo's established
-        determinism-token pattern.  Because the sharded engine's merge
-        (:mod:`repro.perf.shard`) reproduces the sequential run's
-        aggregates bit for bit, a sharded run and its single-process
-        twin produce the *same* token; any divergence in any counter
-        changes it.
+        determinism-token pattern: two runs that agree on every counter
+        produce the same token, and a divergence in any one changes it.
         """
         payload = {
             "n_servers": self.n_servers,

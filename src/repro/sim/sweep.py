@@ -10,7 +10,6 @@ callable must be a module-level function when ``max_workers > 1``
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Mapping, Sequence
 
 
@@ -45,6 +44,8 @@ def sweep_grid(
     common = dict(common or {})
     if max_workers <= 1:
         return [(p, fn(**p, **common)) for p in points]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
         futures = [pool.submit(fn, **p, **common) for p in points]
         return [(p, f.result()) for p, f in zip(points, futures)]

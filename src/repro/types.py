@@ -249,16 +249,3 @@ class ClusterStats:
         if self.items_fetched == 0:
             return 0.0
         return self.misses / (self.misses + self.items_fetched)
-
-    def merge(self, other: "ClusterStats") -> None:
-        """Fold another stats object into this one (for sharded runs)."""
-        self.requests += other.requests
-        self.transactions += other.transactions
-        self.items_fetched += other.items_fetched
-        self.items_transferred += other.items_transferred
-        self.misses += other.misses
-        self.second_round_transactions += other.second_round_transactions
-        for k, v in other.txn_size_histogram.items():
-            self.txn_size_histogram[k] = self.txn_size_histogram.get(k, 0) + v
-        for k, v in other.per_server_transactions.items():
-            self.per_server_transactions[k] = self.per_server_transactions.get(k, 0) + v

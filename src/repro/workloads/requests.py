@@ -84,10 +84,6 @@ class EgoRequestGenerator:
             if n is not None:
                 n -= k
 
-    def skip(self, k: int) -> None:
-        """Advance past the next ``k`` requests: their root draws, no items."""
-        self.rng.integers(len(self._roots), size=k)
-
     def generate(self) -> Request:
         return self.block(1).requests()[0]
 

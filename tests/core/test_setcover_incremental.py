@@ -14,11 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.setcover import (
-    greedy_partial_cover,
-    greedy_partial_cover_reference,
-)
+from repro.core.setcover import greedy_partial_cover
 from repro.errors import CoverError
+from tests.core._oracle import greedy_partial_cover_reference
 
 # A random instance: up to 14 subsets over up to 24 elements.
 instances = st.integers(1, 24).flatmap(

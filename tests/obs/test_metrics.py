@@ -209,67 +209,3 @@ class TestRendering:
     def test_label_string_sorted(self):
         assert label_string({}) == ""
         assert label_string({"b": 2, "a": "x"}) == 'a="x",b="2"'
-
-
-class TestRegistryMerge:
-    def test_counters_add_and_new_families_are_created(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("reqs", "requests", shard="x").inc(3)
-        b.counter("reqs", "requests", shard="x").inc(4)
-        b.counter("reqs", "requests", shard="y").inc(1)
-        b.counter("only_b", "b-only").inc(7)
-        a.merge(b)
-        assert a.get("reqs", shard="x").get() == 7
-        assert a.get("reqs", shard="y").get() == 1
-        assert a.get("only_b").get() == 7
-        # merge never mutates the source
-        assert b.get("reqs", shard="x").get() == 4
-
-    def test_histograms_merge_exactly(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        for value in (1, 2, 300):
-            a.histogram("sizes").observe(value)
-        for value in (2, 5000):
-            b.histogram("sizes").observe(value)
-        a.merge(b)
-        direct = MetricsRegistry()
-        for value in (1, 2, 300, 2, 5000):
-            direct.histogram("sizes").observe(value)
-        assert a.snapshot() == direct.snapshot()
-
-    def test_settable_gauge_takes_others_value_and_callbacks_skip(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge("depth").set(3)
-        b.gauge("depth").set(9)
-        b.gauge("live", fn=lambda: 42.0)
-        a.merge(b)
-        assert a.get("depth").get() == 9
-        # the callback-backed gauge's series was not copied into a
-        assert a.snapshot()["live"]["series"] == {}
-
-    def test_merge_is_associative_and_matches_sequential(self):
-        # the sharded engine's exactness property at the registry level:
-        # per-shard registries folded in order == one sequential registry
-        shards = []
-        for lo, hi in [(0, 10), (10, 25), (25, 40)]:
-            r = MetricsRegistry()
-            for i in range(lo, hi):
-                r.counter("n", "count").inc()
-                r.histogram("v", "values").observe(i % 7)
-            shards.append(r)
-        merged = MetricsRegistry()
-        for shard in shards:
-            merged.merge(shard)
-        sequential = MetricsRegistry()
-        for i in range(40):
-            sequential.counter("n", "count").inc()
-            sequential.histogram("v", "values").observe(i % 7)
-        assert merged.token() == sequential.token()
-        assert merged.snapshot() == sequential.snapshot()
-
-    def test_merge_rejects_kind_conflict(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("x", "as counter")
-        b.gauge("x", "as gauge")
-        with pytest.raises(ConfigurationError):
-            a.merge(b)

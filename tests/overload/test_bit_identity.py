@@ -1,7 +1,7 @@
 """Off means off: every overload hook, disabled, is bit-identical to main.
 
 The overload subsystem threads through the planner tie-break, the FIFO
-DES, the engine's batched fast path and the simulated servers.  Each
+DES, the engine's chunked planning and the simulated servers.  Each
 hook defaults to *off*; these tests pin the contract that the default
 path produces exactly the results it produced before the subsystem
 existed — not approximately, bit for bit.
@@ -24,6 +24,7 @@ from repro.utils.rng import derive_rng
 from repro.workloads.graphs import SocialGraph
 from repro.workloads.requests import EgoRequestGenerator
 from repro.workloads.synthetic import make_slashdot_like
+from tests.sim._oracle import run_scalar
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +32,7 @@ def graph() -> SocialGraph:
     return make_slashdot_like(seed=9, scale=0.02)
 
 
-def sim(graph, **overrides) -> dict:
+def sim(graph, *, run=run_simulation, **overrides) -> dict:
     defaults = dict(
         cluster=ClusterConfig(n_servers=8, replication=2),
         n_requests=400,
@@ -39,7 +40,7 @@ def sim(graph, **overrides) -> dict:
         seed=17,
     )
     defaults.update(overrides)
-    res = run_simulation(graph, SimConfig(**defaults))
+    res = run(graph, SimConfig(**defaults))
     return {
         "stats": res.stats,
         "tpr": res.tpr,
@@ -49,20 +50,19 @@ def sim(graph, **overrides) -> dict:
 
 class TestEngineTieBreakOff:
     def test_default_config_fast_path_identity(self, graph):
-        """The stock config (tie_break="lowest") stays bit-identical
-        across the fast and scalar paths with the overload hooks in the
+        """The stock config (tie_break="lowest") stays bit-identical to
+        the request-at-a-time oracle with the overload hooks in the
         tree."""
-        assert sim(graph, fast_path=True) == sim(graph, fast_path=False)
+        assert sim(graph) == sim(graph, run=run_scalar)
 
     def test_least_loaded_deterministic_and_path_independent(self, graph):
         cfg = ClientConfig(tie_break="least_loaded")
-        a = sim(graph, client=cfg, fast_path=True)
-        b = sim(graph, client=cfg, fast_path=False)
-        # the engine must force the scalar path for load-aware runs
-        # (chunked planning would freeze the load signal), so both
-        # settings take the same code path and agree exactly
-        assert a == b
-        assert a == sim(graph, client=cfg, fast_path=True)
+        a = sim(graph, client=cfg)
+        # the engine must plan load-aware runs request by request
+        # (chunked planning would freeze the load signal), so it agrees
+        # exactly with the oracle, which does nothing else
+        assert a == sim(graph, client=cfg, run=run_scalar)
+        assert a == sim(graph, client=cfg)
 
     def test_least_loaded_still_covers_everything(self, graph):
         res = sim(graph, client=ClientConfig(tie_break="least_loaded"))

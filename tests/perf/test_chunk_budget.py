@@ -16,19 +16,21 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.placement import RandomPlacer
 from repro.core.bundling import Bundler
 from repro.core.client import RnBClient
+from repro.obs import MetricsRegistry
 from repro.perf.table import PlacementTable
 from repro.types import ClusterStats, Request
 from tests.perf.test_tally_chunk import _as_block
 from tests.protocol.test_per_key_budget import python_calls
 
 N_ITEMS = 900
+N_SERVERS = 16
 
 
-def _chunk(size: int) -> list[Request]:
+def _chunk(size: int, n_requests: int = 256) -> list[Request]:
     rng = np.random.default_rng(size)
     return [
         Request(items=tuple(rng.choice(N_ITEMS, size=size, replace=False).tolist()))
-        for _ in range(256)
+        for _ in range(n_requests)
     ]
 
 
@@ -42,22 +44,32 @@ def test_plan_footprints_calls_do_not_grow_with_request_size():
     assert one < 256  # and nothing per request either
 
 
+def _tally_calls(size: int, n_requests: int, metrics=None) -> int:
+    table = PlacementTable.compile(RandomPlacer(N_SERVERS, 3, seed=9), N_ITEMS)
+    client = RnBClient(Cluster(table, range(N_ITEMS)), Bundler(table, metrics=metrics))
+    block = _as_block(_chunk(size, n_requests))
+    stats = ClusterStats()
+    counted = python_calls(lambda: client.tally_chunk(block, stats))
+    assert stats.requests == n_requests and stats.items_fetched == size * n_requests
+    return counted
+
+
 def test_tally_chunk_calls_do_not_grow_with_the_chunk():
     """One tally chunk — draw aside — plans, updates sixteen servers' counters
     and the run's stats in a fixed number of Python-level calls: none per
     request, per transaction or per item."""
-    table = PlacementTable.compile(RandomPlacer(16, 3, seed=9), N_ITEMS)
+    assert _tally_calls(1, 256) == _tally_calls(100, 256) == _tally_calls(100, 16)
+    assert _tally_calls(1, 256) < 256
 
-    def calls(size: int, n_requests: int) -> int:
-        client = RnBClient(Cluster(table, range(N_ITEMS)), Bundler(table))
-        block = _as_block(_chunk(size)[:n_requests])
-        stats = ClusterStats()
-        counted = python_calls(lambda: client.tally_chunk(block, stats))
-        assert stats.requests == n_requests and stats.items_fetched == size * n_requests
-        return counted
 
-    assert calls(1, 256) == calls(100, 256) == calls(100, 16)
-    assert calls(1, 256) < 256
+def test_planner_telemetry_costs_calls_per_cover_size_not_per_request():
+    """A registry-bound bundler feeds ``rnb_plans_total`` and ``rnb_cover_size``
+    once a chunk: two calls, and two per distinct cover size — of which
+    there are at most as many as servers."""
+    bare = _tally_calls(5, 256)
+    small, large = (_tally_calls(5, n, MetricsRegistry()) for n in (256, 1024))
+    assert small == large
+    assert bare < small <= bare + 2 * N_SERVERS + 2
 
 
 PROBE = """

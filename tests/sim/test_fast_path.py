@@ -1,10 +1,11 @@
-"""The fast path is an implementation detail: results are bit-identical.
+"""The compiled pipeline is an implementation detail: results are bit-identical.
 
-``fast_path=True`` switches the engine onto compiled placement tables,
+``run_simulation`` serves an RnB run from a compiled placement table,
 chunked ``plan_batch`` planning and (when nothing can miss) counter-only
 execution.  None of that may change a single number in the result —
-these tests run both arms over the same configurations and require
-equality of every aggregate.
+these tests run it and the request-at-a-time oracle (``_oracle.run_scalar``:
+raw placer, one ``execute`` per request) over the same configurations and
+require equality of every aggregate.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from repro.analysis.calibration import DEFAULT_MEMCACHED_MODEL
 from repro.obs import MetricsRegistry
 from repro.sim.config import ClientConfig, ClusterConfig, SimConfig
 from repro.sim.engine import _TABLE_CACHE, build_cluster, run_simulation
+from tests.sim._oracle import run_scalar
 
 CONFIGS = [
     pytest.param(dict(), dict(), id="defaults"),
@@ -32,28 +34,36 @@ CONFIGS = [
         dict(memory_factor=1.2), dict(limit_fraction=0.5), id="limit"
     ),
     pytest.param(dict(), dict(merge_window=3), id="merged"),
+    pytest.param(dict(), dict(tie_break="random"), id="random-ties"),
+    pytest.param(
+        dict(memory_factor=1.5),
+        dict(tie_break="random", hitchhiking=True),
+        id="random-ties-hitchhiking",
+    ),
+    pytest.param(dict(placement="random"), dict(), id="random-placement"),
+    pytest.param(dict(memory_factor=1.5), dict(write_back=False), id="no-write-back"),
+    pytest.param(dict(), dict(limit_fraction=1.0), id="limit-all"),
 ]
 
 
-def _run(graph, cluster_kwargs, client_kwargs, fast_path):
+def _config(cluster_kwargs, client_kwargs):
     cluster_kwargs = {"n_servers": 8, "replication": 3, **cluster_kwargs}
     warmup = 50 if cluster_kwargs.get("memory_factor") else 0
-    config = SimConfig(
+    return SimConfig(
         cluster=ClusterConfig(**cluster_kwargs),
         client=ClientConfig(mode="rnb", **client_kwargs),
         n_requests=120,
         warmup_requests=warmup,
         seed=2013,
-        fast_path=fast_path,
         batch_size=32,
     )
-    return run_simulation(graph, config)
 
 
 @pytest.mark.parametrize("cluster_kwargs,client_kwargs", CONFIGS)
 def test_fast_path_bit_identical(small_slashdot, cluster_kwargs, client_kwargs):
-    slow = _run(small_slashdot, cluster_kwargs, client_kwargs, False)
-    fast = _run(small_slashdot, cluster_kwargs, client_kwargs, True)
+    config = _config(cluster_kwargs, client_kwargs)
+    slow = run_scalar(small_slashdot, config)
+    fast = run_simulation(small_slashdot, config)
     assert dataclasses.asdict(fast.stats) == dataclasses.asdict(slow.stats)
     assert fast.txn_histogram == slow.txn_histogram
     assert fast.meta == slow.meta
@@ -88,19 +98,18 @@ def test_tally_regime_reports_what_the_scalar_engine_does(
     small_slashdot, client_kwargs, sim_kwargs
 ):
     """The tally regime (naive allocation) never builds a result per request;
-    the scalar engine builds nothing else."""
+    the scalar oracle builds nothing else."""
+    config = SimConfig(
+        cluster=ClusterConfig(n_servers=16, replication=3),
+        client=ClientConfig(mode="rnb", **client_kwargs),
+        n_requests=700,
+        seed=2013,
+        **{"warmup_requests": 0, "batch_size": 256, **sim_kwargs},
+    )
     reports = []
-    for fast_path in (False, True):
-        config = SimConfig(
-            cluster=ClusterConfig(n_servers=16, replication=3),
-            client=ClientConfig(mode="rnb", **client_kwargs),
-            n_requests=700,
-            seed=2013,
-            fast_path=fast_path,
-            **{"warmup_requests": 0, "batch_size": 256, **sim_kwargs},
-        )
+    for run in (run_scalar, run_simulation):
         registry = MetricsRegistry()
-        result = run_simulation(small_slashdot, config, metrics=registry)
+        result = run(small_slashdot, config, metrics=registry)
         reports.append(_everything(result, registry))
     assert reports[1] == reports[0]
 

@@ -14,7 +14,8 @@ import subprocess
 import sys
 
 BLOCKED = ("scipy", "networkx")
-DENIED = {*BLOCKED, "matplotlib", "pandas", "pytest", "hypothesis"}
+# multiprocessing: only a sweep fanned over processes (max_workers > 1) needs it
+DENIED = {*BLOCKED, "matplotlib", "pandas", "pytest", "hypothesis", "multiprocessing"}
 
 PROBE = f"""
 import sys

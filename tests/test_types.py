@@ -137,14 +137,6 @@ class TestClusterStats:
         stats.record(self.make_result(servers=(1, 2)))
         assert stats.per_server_transactions == {0: 1, 1: 2, 2: 1}
 
-    def test_merge(self):
-        a, b = ClusterStats(), ClusterStats()
-        a.record(self.make_result())
-        b.record(self.make_result())
-        a.merge(b)
-        assert a.requests == 2
-        assert a.txn_size_histogram == {3: 2, 2: 2}
-
     def test_miss_rate(self):
         stats = ClusterStats()
         stats.record(self.make_result(items=9))  # 1 miss, 9 fetched
