@@ -25,6 +25,12 @@ Soft refusals (:class:`~repro.errors.ServerBusy`) count as missing acks
 but are **not** health strikes — the server is alive, it shed load;
 striking it would amplify overload into spurious failover
 (docs/OVERLOAD.md).
+
+The rules are written once, free of IO: :meth:`QuorumWriter.steps` (and
+:meth:`repro.consistency.readrepair.VersionedReader.steps`) yields waves
+of store operations and is sent their results.  :func:`drive` runs the
+steps against a replica store one operation at a time; the live clients
+run the same steps over the wire (:mod:`repro.protocol.rnbclient`).
 """
 
 from __future__ import annotations
@@ -58,6 +64,28 @@ def resolve_w(w, r: int) -> int:
     raise ConfigurationError(
         f"w must be 'majority', 'all', 'leader' or an int; got {w!r}"
     )
+
+
+def drive(steps, store):
+    """Run a step generator against a replica store, one operation at a time.
+
+    ``steps`` yields waves — lists of ``("read" | "write", sid, args)``, the
+    store method, the server and the rest of its arguments — and is sent
+    one result per operation, in order: what the store returned, or the
+    :data:`WRITE_ERRORS` instance it raised.  Returns what ``steps`` returns.
+    """
+    try:
+        ops = next(steps)
+        while True:
+            results = []
+            for op, sid, args in ops:
+                try:
+                    results.append(getattr(store, op)(sid, *args))
+                except WRITE_ERRORS as exc:
+                    results.append(exc)
+            ops = steps.send(results)
+    except StopIteration as stop:
+        return stop.value
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,6 +198,11 @@ class QuorumWriter:
         already landed — the goal is full replication; W only decides
         whether the caller may consider the write durable.
         """
+        return drive(self.steps(key, payload), self.store)
+
+    def steps(self, key, payload: bytes = b""):
+        """:meth:`write` as store steps (see :func:`drive`): one wave, a
+        write to every replica."""
         replicas = tuple(self.placer.servers_for(key))
         need = resolve_w(self.w, len(replicas))
         if self.gate is not None and not self.gate():
@@ -187,14 +220,13 @@ class QuorumWriter:
                 outcome=REJECTED,
             )
         stamp = self.clock.next_stamp()
+        results = yield [("write", sid, (key, payload, stamp)) for sid in replicas]
         acked: list[int] = []
         failed: list[int] = []
-        for sid in replicas:
-            try:
-                self.store.write(sid, key, payload, stamp)
-            except ServerBusy:
+        for sid, res in zip(replicas, results):
+            if isinstance(res, ServerBusy):
                 failed.append(sid)  # shed, not sick: no health strike
-            except WRITE_ERRORS:
+            elif isinstance(res, BaseException):
                 failed.append(sid)
                 if self.health is not None:
                     self.health.record_error(sid)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.consistency.quorum import WRITE_ERRORS
+from repro.consistency.quorum import WRITE_ERRORS, drive
 from repro.consistency.version import VersionStamp, newer
 from repro.membership.repair import CopyOp, EpochDelta, RepairExecutor
 
@@ -150,16 +150,20 @@ class VersionedReader:
         Without quorum (``gate`` falsy) the read degrades to the
         distinguished home only — see the class docstring.
         """
+        return drive(self.steps(key, repair=repair), self.store)
+
+    def steps(self, key, *, repair: bool = True):
+        """:meth:`read` as store steps (:func:`~repro.consistency.quorum.drive`):
+        a wave of reads, then at most one wave of inline repair writes."""
         if self.gate is not None and not self.gate():
-            return self._read_degraded(key)
+            return (yield from self._read_degraded(key))
         replicas = tuple(self.placer.servers_for(key))
+        records = yield [("read", sid, (key,)) for sid in replicas]
         seen: dict[int, tuple[VersionStamp | None, bytes]] = {}
         missing: list[int] = []
         dead: list[int] = []
-        for sid in replicas:
-            try:
-                record = self.store.read(sid, key)
-            except WRITE_ERRORS:
+        for sid, record in zip(replicas, records):
+            if isinstance(record, BaseException):
                 dead.append(sid)
                 if self.health is not None:
                     self.health.record_error(sid)
@@ -194,7 +198,7 @@ class VersionedReader:
         n_queued = 0
         targets = (stale + tuple(missing)) if newest else ()
         if repair and targets and source is not None:
-            repaired, n_queued = self._repair(key, source, best, payload, targets)
+            repaired, n_queued = yield from self._repair(key, source, best, payload, targets)
         return ReadOutcome(
             key=key,
             stamp=best,
@@ -208,15 +212,14 @@ class VersionedReader:
             queued=n_queued,
         )
 
-    def _read_degraded(self, key) -> ReadOutcome:
+    def _read_degraded(self, key):
         """Distinguished-only read: one replica, no classification work,
         no repair — the weakest honest answer while quorum is lost."""
         home = self.placer.distinguished_for(key)
         if self._degraded_counter is not None:
             self._degraded_counter.inc()
-        try:
-            record = self.store.read(home, key)
-        except WRITE_ERRORS:
+        [record] = yield [("read", home, (key,))]
+        if isinstance(record, BaseException):
             if self.health is not None:
                 self.health.record_error(home)
             return ReadOutcome(
@@ -261,11 +264,10 @@ class VersionedReader:
             if self._repair_counters is not None:
                 self._repair_counters["queued"].inc(len(copies))
             return (), len(copies)
+        results = yield [("write", sid, (key, payload or b"", stamp)) for sid in targets]
         repaired: list[int] = []
-        for sid in targets:
-            try:
-                self.store.write(sid, key, payload or b"", stamp)
-            except WRITE_ERRORS:
+        for sid, res in zip(targets, results):
+            if isinstance(res, BaseException):
                 # the replica died between detection and repair; the
                 # scrubber will converge it after recovery
                 if self._repair_counters is not None:

@@ -95,10 +95,7 @@ class WireStore:
 
     def read(self, sid: int, key) -> tuple[VersionStamp | None, bytes] | None:
         value = self.connections[sid].get(key)
-        if value is None:
-            return None
-        stamp, payload = decode_versioned(value)
-        return stamp, payload
+        return None if value is None else decode_versioned(value)
 
     def write(self, sid: int, key, payload: bytes, stamp: VersionStamp) -> None:
         if not self.connections[sid].set(key, encode_versioned(payload, stamp)):

@@ -121,8 +121,11 @@ class VersionClock:
 # ---------------------------------------------------------------------------
 
 
-def encode_versioned(payload: bytes, stamp: VersionStamp) -> bytes:
-    """Prefix ``payload`` with the stamp envelope (live wire format)."""
+def encode_versioned(payload: bytes, stamp: VersionStamp | None) -> bytes:
+    """Prefix ``payload`` with the stamp envelope (live wire format); an
+    unversioned value (``stamp`` None) goes out as it came in."""
+    if stamp is None:
+        return payload
     header = f"{stamp.epoch} {stamp.counter} {stamp.writer} ".encode("ascii")
     return MAGIC + header + payload
 

@@ -26,6 +26,11 @@
   count as soft failures — after the retry budget they fail over to the
   item's other replicas like a dead server would, but they only trip
   breakers, never the health tracker's dead-server state machine.
+
+The algorithm is written once, in :class:`LiveRnBClient`, as generators
+that do no IO: they yield waves of connection calls and are sent the
+results.  :class:`RnBProtocolClient` runs each wave one call after another;
+:class:`repro.aio.rnbclient.AsyncRnBClient` runs it concurrently.
 """
 
 from __future__ import annotations
@@ -35,6 +40,9 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from repro.cluster.placement import ReplicaPlacer
+from repro.consistency.quorum import QuorumWriter
+from repro.consistency.readrepair import VersionedReader
+from repro.consistency.version import VersionClock, decode_versioned, encode_versioned
 from repro.core.bundling import Bundler
 from repro.errors import ConfigurationError, ProtocolError, ServerBusy
 from repro.faults.health import HealthTracker
@@ -47,6 +55,10 @@ from repro.types import Request
 #: ServerTimeout from repro.errors are ConnectionError/TimeoutError
 #: subclasses, so injected and real failures are caught alike)
 FAILOVER_ERRORS = (ProtocolError, ConnectionError, OSError)
+
+#: the result of a call its wave stopped waiting for (the async client's
+#: per-request deadline)
+CUT = object()
 
 
 def _request_instruments(metrics, path: str) -> dict | None:
@@ -90,19 +102,11 @@ def _request_instruments(metrics, path: str) -> dict | None:
     }
 
 
-def _record_outcome(
-    instruments: dict | None, outcome: "MultiGetOutcome", elapsed: float
-) -> None:
-    """Fold one finished multi-get into the per-request instruments."""
-    if instruments is None:
-        return
-    instruments["latency"].observe(elapsed)
-    instruments["degraded" if (outcome.missing or outcome.deadline_hit) else "ok"].inc()
-    instruments["served"].inc(len(outcome.values))
-    instruments["missing"].inc(len(outcome.missing))
-    instruments["retries"].inc(outcome.retries)
-    if outcome.deadline_hit:
-        instruments["deadline"].inc()
+def _txn_outcome(got) -> str:
+    """The ``outcome`` attribute of a finished read call's ``txn`` span."""
+    if isinstance(got, ServerBusy):
+        return "busy"
+    return "error" if isinstance(got, BaseException) else "ok"
 
 
 @dataclass(slots=True)
@@ -124,12 +128,24 @@ class MultiGetOutcome:
     #: the per-request deadline expired before every key was fetched
     #: (async path only; the request degraded instead of failing)
     deadline_hit: bool = False
-    #: BUSY sheds observed while serving this request (async path only)
+    #: BUSY sheds observed while serving this request
     busy_sheds: int = 0
 
 
-class RnBProtocolClient:
-    """Replicate-and-Bundle client over live memcached connections."""
+class LiveRnBClient:
+    """What both live clients share: the constructor contract, the failure
+    accounting, and every request as a generator that does no IO.
+
+    A request generator yields ``(calls, span)`` — a wave of connection
+    calls ``(sid, op, args)``, ``op`` naming a connection method, and the
+    request span their ``txn`` spans hang under — and is sent one result
+    per call, in call order: the value, the :data:`FAILOVER_ERRORS`
+    instance the call failed with, or :data:`CUT`.  It returns the
+    request's outcome.  A subclass's ``_drive`` runs the waves.
+    """
+
+    #: the ``path`` label of this client's metric families
+    _path = "live"
 
     def __init__(
         self,
@@ -153,11 +169,7 @@ class RnBProtocolClient:
         # id range.  Extra connections (e.g. for servers expected to join)
         # are allowed either way.
         view = getattr(placer, "view", None)
-        needed = (
-            set(view.alive_servers)
-            if view is not None
-            else set(range(placer.n_servers))
-        )
+        needed = set(view.alive_servers if view is not None else range(placer.n_servers))
         if not needed <= set(connections):
             raise ConfigurationError(
                 "connections must cover every server the placer can route to; "
@@ -193,85 +205,65 @@ class RnBProtocolClient:
             breakers.ensure_capacity(placer.n_servers)
             self.health.add_observer(breakers)
         self.seen_epoch: int | None = getattr(placer, "epoch", None)
-        #: optional repro.obs wiring: a MetricsRegistry feeds the
-        #: ``path="live"`` request families (docs/OBSERVABILITY.md) and a
-        #: Tracer records request -> plan/txn spans on the wall clock
+        #: lifetime BUSY sheds observed (the loadgen's shed counter)
+        self.busy_sheds = 0
+        #: optional repro.obs wiring: a MetricsRegistry feeds this client's
+        #: request families (docs/OBSERVABILITY.md) and a Tracer records
+        #: request -> plan/txn spans on the wall clock
         self._tracer = tracer
         #: the registry itself stays public so satellite layers (the
         #: consistency stack, atomic_update/read_repair instrumentation)
         #: can register their own families on it
         self.metrics = metrics
-        self._metrics = _request_instruments(metrics, "live")
+        self._metrics = _request_instruments(metrics, self._path)
         #: id carried in this client's version stamps (tiebreak between
         #: concurrent writers; see repro.consistency.version)
         self.writer_id = writer_id
-        self._cons_store = None
-        self._cons_clock = None
-        self._cons_reader = None
-        self._cons_writers: dict = {}
+        self._clock = VersionClock(writer_id, epoch_fn=lambda: getattr(self.placer, "epoch", 0))
+        self._reader: VersionedReader | None = None
+        self._writers: dict = {}
 
-    # -- fault plumbing ------------------------------------------------------
+    # -- failure accounting --------------------------------------------------
 
-    def _fetch(
-        self, sid: int, keys, counters: dict | None = None, parent=None
-    ) -> dict:
-        """One server's multi-get under the retry policy + health tracking.
+    def _retried(self, sid: int, attempt, counters: dict, call_with_retries):
+        """``attempt()`` — one read call to ``sid`` — under the retry policy,
+        each retry counted and a health strike; ``call_with_retries`` is the
+        driver's flavour of :func:`repro.protocol.retry.call_with_retries`.
 
         If the connection itself already retries (it was built with its
         own policy), the client does not retry on top — attempts would
         compound to ``(max_retries+1)^2`` otherwise.
         """
-        conn = self.connections[sid]
-        span = (
-            self._tracer.start("txn", parent=parent, server=sid, n_keys=len(keys))
-            if self._tracer is not None
-            else None
+        conn_policy = getattr(self.connections[sid], "policy", None)
+        if self.retry_policy is None or conn_policy is not None:
+            return attempt()
+
+        def on_retry(attempt_no, exc):
+            counters["retries"] = counters.get("retries", 0) + 1
+            if self.health is not None:
+                self.health.record_error(sid)
+
+        return call_with_retries(
+            attempt, self.retry_policy, rng=self.rng, sleep=self.sleep, on_retry=on_retry
         )
 
-        def attempt():
-            return conn.get_multi(keys)
-
-        try:
-            if self.retry_policy is None or getattr(conn, "policy", None) is not None:
-                got = attempt()
-            else:
-
-                def _on_retry(attempt_no, exc):
-                    if counters is not None:
-                        counters["retries"] = counters.get("retries", 0) + 1
-                    if self.health is not None:
-                        self.health.record_error(sid)
-
-                got = call_with_retries(
-                    attempt,
-                    self.retry_policy,
-                    rng=self.rng,
-                    sleep=self.sleep,
-                    on_retry=_on_retry,
-                )
-        except ServerBusy:
-            # backpressure shed (SERVER_ERROR busy): the server is alive,
-            # just overloaded — trip breakers, never the health tracker
+    def _account(self, sid: int, got, counters: dict) -> None:
+        """Health / breaker / busy bookkeeping for one finished read call."""
+        if isinstance(got, ServerBusy):
+            # a shed server is alive: trip breakers, never the health tracker
+            self.busy_sheds += 1
+            counters["busy"] = counters.get("busy", 0) + 1
             if self.breakers is not None:
                 self.breakers.record_failure(sid)
             if self._metrics is not None:
                 self._metrics["busy"].inc()
-            if span is not None:
-                self._tracer.finish(span, outcome="busy")
-            raise
-        except FAILOVER_ERRORS:
-            if self.health is not None:
+        elif self.health is not None:
+            if isinstance(got, BaseException):
                 self.health.record_error(sid)
-            if self._propose_if_dead(sid) and counters is not None:
-                counters["commits"] = counters.get("commits", 0) + 1
-            if span is not None:
-                self._tracer.finish(span, outcome="error")
-            raise
-        if self.health is not None:
-            self.health.record_success(sid)
-        if span is not None:
-            self._tracer.finish(span, outcome="ok")
-        return got
+                if self._propose_if_dead(sid):
+                    counters["commits"] = counters.get("commits", 0) + 1
+            else:
+                self.health.record_success(sid)
 
     def _propose_if_dead(self, sid: int) -> bool:
         """Promote a health "dead" verdict into a membership proposal.
@@ -279,139 +271,62 @@ class RnBProtocolClient:
         Returns True iff the proposal committed a new epoch (the shared
         epoched placer now routes around ``sid``).
         """
-        if self.membership is None or self.health is None:
-            return False
-        if self.health.state(sid) != "dead":
+        if self.membership is None or self.health is None or self.health.state(sid) != "dead":
             return False
         return self.membership.propose_removal(sid, source=self)
 
-    # -- write path --------------------------------------------------------
+    # -- requests ------------------------------------------------------------
 
-    def set(self, key: str, value: bytes, *, replicate: bool = True) -> None:
-        """Store ``key`` on all replica servers (or distinguished only)."""
-        validate_keys((key,))
-        servers = self.placer.servers_for(key) if replicate else (
-            self.placer.distinguished_for(key),
-        )
-        for sid in servers:
-            if not self.connections[sid].set(key, value):
-                raise ProtocolError(f"set of {key!r} failed on server {sid}")
-
-    def delete(self, key: str) -> None:
-        """Remove every replica of ``key`` (missing replicas are fine)."""
-        validate_keys((key,))
-        for sid in self.placer.servers_for(key):
-            self.connections[sid].delete(key)
-
-    # -- versioned write path (repro.consistency) ---------------------------
-
-    def _consistency_stack(self) -> None:
-        """Lazily build the shared store/clock/reader the versioned
-        methods use (plain ``set``/``get`` callers never pay for it)."""
-        if self._cons_store is not None:
-            return
-        from repro.consistency import VersionClock, VersionedReader, WireStore
-
-        self._cons_store = WireStore(self.connections, self.placer)
-        self._cons_clock = VersionClock(
-            self.writer_id, epoch_fn=lambda: getattr(self.placer, "epoch", 0)
-        )
-        self._cons_reader = VersionedReader(
-            self._cons_store,
-            self.placer,
-            clock=self._cons_clock,
-            health=self.health,
-        )
-        if self.metrics is not None:
-            self._cons_reader.bind_metrics(self.metrics, path="live")
-
-    def set_versioned(self, key: str, value: bytes, *, w="majority"):
-        """Quorum write: commit ``key`` at W of its R replicas.
-
-        Returns the :class:`repro.consistency.quorum.WriteOutcome`; see
-        docs/CONSISTENCY.md for the W policies and what each outcome
-        guarantees.  The value is wrapped in the version envelope, so
-        plain :meth:`get` returns envelope bytes — use
-        :meth:`get_versioned` to read them back decoded.
-        """
-        validate_keys((key,))
-        self._consistency_stack()
-        writer = self._cons_writers.get(w)
-        if writer is None:
-            from repro.consistency import QuorumWriter
-
-            writer = self._cons_writers[w] = QuorumWriter(
-                self._cons_store,
-                self.placer,
-                clock=self._cons_clock,
-                w=w,
-                health=self.health,
-            )
-            if self.metrics is not None:
-                writer.bind_metrics(self.metrics, path="live")
-        return writer.write(key, value)
-
-    def get_versioned(self, key: str, *, repair: bool = True):
-        """Versioned read across all replicas with inline read-repair.
-
-        Returns the :class:`repro.consistency.readrepair.ReadOutcome`
-        (payload, winning stamp, and which replicas were stale, missing,
-        dead, or repaired).
-        """
-        validate_keys((key,))
-        self._consistency_stack()
-        return self._cons_reader.read(key, repair=repair)
-
-    # -- read path -----------------------------------------------------------
-
-    def get_multi(self, keys, *, limit_fraction: float | None = None) -> MultiGetOutcome:
-        """Bundled multi-get with miss repair.
+    def _multi_get(self, keys, limit_fraction, counters: dict):
+        """Bundled multi-get with miss repair (see :meth:`LiveRnBClient`).
 
         ``limit_fraction`` turns this into a LIMIT-style fetch: at least
         ``ceil(fraction * len(keys))`` values are returned, any subset.
+        ``counters`` is the dict the driver's calls count retries, BUSY
+        sheds and membership commits into.
         """
         keys = tuple(dict.fromkeys(keys))  # dedupe, keep order
         validate_keys(keys)  # a malformed key is the caller's error, not a server's
+        outcome = MultiGetOutcome()
         if not keys:
-            return MultiGetOutcome()
+            return outcome
         started = time.perf_counter()
-        req_span = (
-            self._tracer.start("request", n_keys=len(keys))
-            if self._tracer is not None
-            else None
-        )
+        tracer = self._tracer
+        span = tracer.start("request", n_keys=len(keys)) if tracer is not None else None
         request = Request(items=keys, limit_fraction=limit_fraction)
         exclude = self.health.exclusions() if self.health is not None else frozenset()
         if self.breakers is not None:
             self.breakers.advance()
             exclude = exclude | self.breakers.tripped()
-        plan_span = (
-            self._tracer.start("plan", parent=req_span) if req_span is not None else None
-        )
+        plan_span = tracer.start("plan", parent=span) if span is not None else None
         plan = self.bundler.plan(request, exclude=exclude or None)
         if plan_span is not None:
-            self._tracer.finish(plan_span, n_txns=len(plan.transactions))
+            tracer.finish(plan_span, n_txns=len(plan.transactions))
 
-        counters: dict[str, int] = {}
-        outcome = MultiGetOutcome()
+        values = outcome.values
         failed: set[int] = set()
         missed_primary: dict[str, int] = {}
-        for txn in plan.transactions:
-            asked = (*txn.primary, *txn.hitchhikers)
-            try:
-                got = self._fetch(txn.server, asked, counters, parent=req_span)
-            except FAILOVER_ERRORS:
+        # a call the deadline cut: its primaries stay missing, repair is skipped
+        cut = False
+        txns = plan.transactions
+        results = yield [
+            (txn.server, "get_multi", ((*txn.primary, *txn.hitchhikers),)) for txn in txns
+        ], span
+        for txn, got in zip(txns, results):
+            if got is CUT:
+                cut = True
+            elif isinstance(got, BaseException):
                 # dead server: every primary becomes a miss to repair from
                 # the item's surviving replicas
                 failed.add(txn.server)
                 for key in txn.primary:
                     missed_primary[key] = txn.server
-                continue
-            outcome.transactions += 1
-            outcome.values.update(got)
-            for key in txn.primary:
-                if key not in got:
-                    missed_primary[key] = txn.server
+            else:
+                outcome.transactions += 1
+                values.update(got)
+                for key in txn.primary:
+                    if key not in got:
+                        missed_primary[key] = txn.server
 
         # Repair waves: fetch still-missing items from their remaining
         # replicas — the distinguished copy first, then (only if servers
@@ -419,19 +334,15 @@ class RnBProtocolClient:
         # by server; a key is given up only once every live replica has
         # been tried.
         required = request.required_items
-        pending = {k for k in missed_primary if k not in outcome.values}
-        tried: dict[str, set[int]] = {
-            k: {missed_primary[k]} for k in pending
-        }
+        pending = {k for k in missed_primary if k not in values}
+        tried: dict[str, set[int]] = {k: {missed_primary[k]} for k in pending}
         # LIMIT plans cover only `required` items; if failures leave the
         # quota unreachable from the planned set, recruit the unplanned
         # request keys as substitutes (any subset satisfies a LIMIT)
-        unplanned = [
-            k for k in keys if k not in outcome.values and k not in missed_primary
-        ]
-        while len(outcome.values) < required:
+        unplanned = [k for k in keys if k not in values and k not in missed_primary]
+        while not cut and len(values) < required:
             groups: dict[int, list[str]] = defaultdict(list)
-            for key in list(pending):
+            for key in sorted(pending):
                 candidates = [
                     s
                     for s in self.placer.servers_for(key)
@@ -443,38 +354,44 @@ class RnBProtocolClient:
                 groups[candidates[0]].append(key)
             if not groups:
                 if unplanned:
-                    for key in unplanned:
-                        pending.add(key)
-                        tried[key] = set()
+                    pending.update(unplanned)
+                    tried.update((key, set()) for key in unplanned)
                     unplanned = []
                     continue
                 break
+            # the wave asks for no more keys than the quota still needs
+            wave, quota = [], required - len(values)
             for sid, group in sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0])):
-                if len(outcome.values) >= required:
+                if quota <= 0:
                     break
-                if request.limit_fraction is not None:
-                    group = group[: required - len(outcome.values)]
-                try:
-                    got = self._fetch(sid, group, counters, parent=req_span)
-                except FAILOVER_ERRORS:
+                wave.append((sid, group[:quota]))
+                quota -= len(group)
+            results = yield [(sid, "get_multi", (group,)) for sid, group in wave], span
+            writebacks = []
+            for (sid, group), got in zip(wave, results):
+                if got is CUT:
+                    cut = True
+                    continue
+                if isinstance(got, BaseException):
                     failed.add(sid)
                     continue
                 outcome.transactions += 1
                 outcome.second_round_transactions += 1
                 for key in group:
                     tried[key].add(sid)
-                outcome.values.update(got)
+                values.update(got)
                 outcome.misses_repaired += len(got)
-                for key in got:
-                    pending.discard(key)
+                pending.difference_update(got)
                 if self.write_back:
                     for key, value in got.items():
                         target = missed_primary.get(key)
                         if target is not None and target not in failed:
-                            try:
-                                self.connections[target].set(key, value)
-                            except FAILOVER_ERRORS:
-                                failed.add(target)
+                            writebacks.append((target, "set", (key, value)))
+            if writebacks:
+                results = yield writebacks, span
+                for (target, _, _), res in zip(writebacks, results):
+                    if isinstance(res, BaseException):
+                        failed.add(target)
 
         # Epoch refresh: if this request's dead verdicts (or another
         # client's) moved the topology mid-flight, give still-missing
@@ -482,44 +399,50 @@ class RnBProtocolClient:
         # and repair copies may hold them even though every replica of
         # the old view was exhausted.
         epoch_now = getattr(self.placer, "epoch", None)
-        still_missing = [k for k in keys if k not in outcome.values]
         if (
-            still_missing
+            not cut
             and epoch_now is not None
             and epoch_now != self.seen_epoch
-            and len(outcome.values) < required
+            and len(values) < required
         ):
-            replan = self.bundler.plan(Request(items=tuple(still_missing)))
-            for txn in replan.transactions:
-                if txn.server in failed:
-                    continue
-                try:
-                    got = self._fetch(
-                        txn.server,
-                        (*txn.primary, *txn.hitchhikers),
-                        counters,
-                        parent=req_span,
-                    )
-                except FAILOVER_ERRORS:
+            replan = self.bundler.plan(Request(items=tuple(k for k in keys if k not in values)))
+            txns = [txn for txn in replan.transactions if txn.server not in failed]
+            results = yield [
+                (txn.server, "get_multi", ((*txn.primary, *txn.hitchhikers),)) for txn in txns
+            ], span
+            for txn, got in zip(txns, results):
+                if got is CUT:
+                    cut = True
+                elif isinstance(got, BaseException):
                     failed.add(txn.server)
-                    continue
-                outcome.transactions += 1
-                outcome.second_round_transactions += 1
-                outcome.values.update(got)
-                outcome.misses_repaired += len(got)
+                else:
+                    outcome.transactions += 1
+                    outcome.second_round_transactions += 1
+                    values.update(got)
+                    outcome.misses_repaired += len(got)
         self.seen_epoch = epoch_now
 
-        outcome.missing = tuple(k for k in keys if k not in outcome.values)
+        outcome.missing = tuple(k for k in keys if k not in values)
         outcome.failed_servers = tuple(sorted(failed))
         outcome.retries = counters.get("retries", 0)
+        outcome.busy_sheds = counters.get("busy", 0)
         outcome.epoch = epoch_now
         outcome.membership_commits = counters.get("commits", 0)
-        _record_outcome(self._metrics, outcome, time.perf_counter() - started)
-        if req_span is not None:
-            self._tracer.finish(req_span, n_missing=len(outcome.missing))
+        outcome.deadline_hit = cut
+        instruments = self._metrics
+        if instruments is not None:
+            instruments["latency"].observe(time.perf_counter() - started)
+            instruments["degraded" if (outcome.missing or cut) else "ok"].inc()
+            instruments["served"].inc(len(values))
+            instruments["missing"].inc(len(outcome.missing))
+            instruments["retries"].inc(outcome.retries)
+            if cut:
+                instruments["deadline"].inc()
+        if span is not None:
+            tracer.finish(span, n_missing=len(outcome.missing), deadline_hit=cut)
         return outcome
 
-    def get(self, key: str) -> bytes | None:
+    def _get(self, key: str):
         """Single-item get — from the distinguished copy (paper section
         III-C1: unbundled accesses must not pollute replica LRUs), falling
         back to the other replicas only if its server is unreachable."""
@@ -527,10 +450,9 @@ class RnBProtocolClient:
         last_error: Exception | None = None
         reached_any = False
         for sid in self.placer.servers_for(key):
-            try:
-                value = self.connections[sid].get(key)
-            except FAILOVER_ERRORS as exc:
-                last_error = exc
+            [value] = yield [(sid, "get", (key,))], None
+            if isinstance(value, BaseException):
+                last_error = value
                 continue
             reached_any = True
             if value is not None:
@@ -540,7 +462,169 @@ class RnBProtocolClient:
                 # there is final; an evicted replica is not
                 return None
         if not reached_any and last_error is not None:
-            raise ProtocolError(
-                f"all replicas of {key!r} unreachable"
-            ) from last_error
+            raise ProtocolError(f"all replicas of {key!r} unreachable") from last_error
         return None
+
+    def _set(self, key: str, value: bytes, replicate: bool):
+        """Store ``key`` on every replica server (or the distinguished one
+        only); every replica is tried, then the first failure is raised."""
+        validate_keys((key,))
+        servers = self.placer.servers_for(key) if replicate else (
+            self.placer.distinguished_for(key),
+        )
+        results = yield [(sid, "set", (key, value)) for sid in servers], None
+        for sid, stored in zip(servers, results):
+            if isinstance(stored, BaseException):
+                raise stored
+            if not stored:
+                raise ProtocolError(f"set of {key!r} failed on server {sid}")
+
+    def _delete(self, key: str):
+        """Remove every replica of ``key`` (missing replicas are fine)."""
+        validate_keys((key,))
+        results = yield [(sid, "delete", (key,)) for sid in self.placer.servers_for(key)], None
+        for res in results:
+            if isinstance(res, BaseException):
+                raise res
+
+    # -- versioned requests (repro.consistency) ------------------------------
+
+    def _versioned_write(self, key: str, value: bytes, w):
+        """A :class:`~repro.consistency.quorum.QuorumWriter` write of ``key``
+        as a request generator (docs/CONSISTENCY.md)."""
+        validate_keys((key,))
+        writer = self._writers.get(w)
+        if writer is None:
+            # steps only: this client's wire is the store (see _on_wire)
+            writer = self._writers[w] = QuorumWriter(
+                None, self.placer, clock=self._clock, w=w, health=self.health
+            )
+            if self.metrics is not None:
+                writer.bind_metrics(self.metrics, path=self._path)
+        return self._on_wire(writer.steps(key, value))
+
+    def _versioned_read(self, key: str, repair: bool):
+        """A :class:`~repro.consistency.readrepair.VersionedReader` read of
+        ``key`` (inline repair) as a request generator."""
+        validate_keys((key,))
+        if self._reader is None:
+            self._reader = VersionedReader(
+                None, self.placer, clock=self._clock, health=self.health
+            )
+            if self.metrics is not None:
+                self._reader.bind_metrics(self.metrics, path=self._path)
+        return self._on_wire(self._reader.steps(key, repair=repair))
+
+    def _on_wire(self, steps):
+        """Run :mod:`repro.consistency` store steps as connection calls, the
+        way :class:`~repro.consistency.store.WireStore` serves them: a write
+        carries the version envelope and NOT_STORED comes back as
+        :class:`ProtocolError`, a read comes back decoded.  A write the
+        server shed (``SERVER_ERROR busy``) also trips its breaker."""
+        breakers = self.breakers
+        try:
+            ops = next(steps)
+            while True:
+                calls = [
+                    (sid, "get", args)
+                    if op == "read"
+                    else (sid, "set", (args[0], encode_versioned(args[1], args[2])))
+                    for op, sid, args in ops
+                ]
+                results = yield calls, None
+                answers = []
+                for (sid, op, (key, *_)), res in zip(calls, results):
+                    if isinstance(res, BaseException):
+                        # a shed write is no health strike, so only this reaches
+                        # the breaker; a failed read strikes health, which feeds it
+                        if breakers is not None and op == "set" and isinstance(res, ServerBusy):
+                            breakers.record_failure(sid)
+                    elif op == "get":
+                        res = None if res is None else decode_versioned(res)
+                    elif res:
+                        res = None  # STORED
+                    else:
+                        res = ProtocolError(f"versioned set of {key!r} failed on server {sid}")
+                    answers.append(res)
+                ops = steps.send(answers)
+        except StopIteration as stop:
+            return stop.value
+
+
+class RnBProtocolClient(LiveRnBClient):
+    """Replicate-and-Bundle client over live memcached connections: runs
+    each wave's calls one after another on blocking connections."""
+
+    def _drive(self, requests, counters: dict | None = None):
+        """Run a request generator to its outcome."""
+        try:
+            calls, span = next(requests)
+            while True:
+                calls, span = requests.send(
+                    [self._call(sid, op, args, counters, span) for sid, op, args in calls]
+                )
+        except StopIteration as stop:
+            return stop.value
+
+    def _call(self, sid: int, op: str, args: tuple, counters, parent):
+        """One call: its value, or the :data:`FAILOVER_ERRORS` instance it
+        failed with.  A read call (``get_multi``) is retried (:meth:`_retried`),
+        traced as a ``txn`` span and accounted (:meth:`_account`)."""
+        conn = self.connections[sid]
+        if op != "get_multi":
+            try:
+                return getattr(conn, op)(*args)
+            except FAILOVER_ERRORS as exc:
+                return exc
+        tracer = self._tracer
+        span = (
+            tracer.start("txn", parent=parent, server=sid, n_keys=len(args[0]))
+            if tracer is not None
+            else None
+        )
+        try:
+            got = self._retried(sid, lambda: conn.get_multi(*args), counters, call_with_retries)
+        except FAILOVER_ERRORS as exc:
+            got = exc
+        self._account(sid, got, counters)
+        if span is not None:
+            tracer.finish(span, outcome=_txn_outcome(got))
+        return got
+
+    def get_multi(self, keys, *, limit_fraction: float | None = None) -> MultiGetOutcome:
+        """Bundled multi-get with miss repair (:meth:`LiveRnBClient._multi_get`)."""
+        counters: dict[str, int] = {}
+        return self._drive(self._multi_get(keys, limit_fraction, counters), counters)
+
+    def get(self, key: str) -> bytes | None:
+        """Single-item get from the distinguished copy (paper III-C1),
+        failing over to the other replicas only if its server is down."""
+        return self._drive(self._get(key))
+
+    def set(self, key: str, value: bytes, *, replicate: bool = True) -> None:
+        """Store ``key`` on all replica servers (or distinguished only)."""
+        return self._drive(self._set(key, value, replicate))
+
+    def delete(self, key: str) -> None:
+        """Remove every replica of ``key`` (missing replicas are fine)."""
+        return self._drive(self._delete(key))
+
+    def set_versioned(self, key: str, value: bytes, *, w="majority"):
+        """Quorum write: commit ``key`` at W of its R replicas.
+
+        Returns the :class:`repro.consistency.quorum.WriteOutcome`; see
+        docs/CONSISTENCY.md for the W policies and what each outcome
+        guarantees.  The value is wrapped in the version envelope, so
+        plain :meth:`get` returns envelope bytes — use
+        :meth:`get_versioned` to read them back decoded.
+        """
+        return self._drive(self._versioned_write(key, value, w))
+
+    def get_versioned(self, key: str, *, repair: bool = True):
+        """Versioned read across all replicas with inline read-repair.
+
+        Returns the :class:`repro.consistency.readrepair.ReadOutcome`
+        (payload, winning stamp, and which replicas were stale, missing,
+        dead, or repaired).
+        """
+        return self._drive(self._versioned_read(key, repair))

@@ -8,12 +8,13 @@ import random
 
 import pytest
 
-from repro.aio.rnbclient import _CUT, AsyncRnBClient
+from repro.aio.rnbclient import AsyncRnBClient
 from repro.errors import ProtocolError
 from repro.faults.health import HealthTracker
 from repro.obs.tracing import Tracer
 from repro.overload.breaker import BreakerBoard
 from repro.overload.load import AdmissionControl
+from repro.protocol.rnbclient import CUT as _CUT
 from repro.types import Request
 
 from tests.aio.test_rnbclient import (
