@@ -24,7 +24,7 @@ Subcommands
     Scrape ``stats metrics`` telemetry from a live fleet and merge it
     into Prometheus-style samples (docs/OBSERVABILITY.md).
     ``--boot-demo`` starts a loopback fleet with traffic applied;
-    ``--require`` gates on metric-family presence (the obs-smoke job).
+    ``--require`` gates on metric-family presence (CI's live-smoke job).
 """
 
 from __future__ import annotations

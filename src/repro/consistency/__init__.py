@@ -11,8 +11,8 @@ Layers (each usable alone):
 * :mod:`repro.consistency.version` — per-key
   :class:`~repro.consistency.version.VersionStamp` total order and the
   wire value envelope.
-* :mod:`repro.consistency.store` — one read/write surface over both
-  backends (simulated cluster, live memcached).
+* :mod:`repro.consistency.store` — the simulated cluster's replica
+  read/write surface (the live clients run the same steps on the wire).
 * :mod:`repro.consistency.quorum` — :class:`QuorumWriter`, commit at W
   of R acks with explicit outcomes.
 * :mod:`repro.consistency.readrepair` — :class:`VersionedReader`,
@@ -51,7 +51,7 @@ from repro.consistency.readrepair import (
     make_repair_executor,
 )
 from repro.consistency.scrub import AntiEntropyScrubber, ScrubReport
-from repro.consistency.store import ClusterStore, WireStore
+from repro.consistency.store import ClusterStore
 from repro.consistency.version import (
     MAGIC,
     VersionClock,
@@ -59,7 +59,6 @@ from repro.consistency.version import (
     decode_versioned,
     encode_versioned,
     newer,
-    parse_token,
 )
 
 __all__ = [
@@ -84,13 +83,11 @@ __all__ = [
     "VersionedReader",
     "Violation",
     "WRITE_ERRORS",
-    "WireStore",
     "WriteOutcome",
     "check_history",
     "decode_versioned",
     "encode_versioned",
     "make_repair_executor",
     "newer",
-    "parse_token",
     "resolve_w",
 ]

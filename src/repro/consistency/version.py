@@ -34,8 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ProtocolError
-
 #: magic prefix of the wire envelope; values produced by the versioned
 #: write path always start with it, so decoding is unambiguous for every
 #: value this library writes (a legacy payload that happens to start
@@ -53,22 +51,8 @@ class VersionStamp:
     writer: int = 0
 
     def token(self) -> str:
-        """Compact dot-separated rendering (``stats keys`` uses this)."""
+        """Compact dot-separated rendering (scrub digests hash this)."""
         return f"{self.epoch}.{self.counter}.{self.writer}"
-
-
-def parse_token(token: str) -> VersionStamp | None:
-    """Inverse of :meth:`VersionStamp.token`; ``"-"`` means unversioned."""
-    if token == "-":
-        return None
-    parts = token.split(".")
-    if len(parts) != 3:
-        raise ProtocolError(f"malformed version token {token!r}")
-    try:
-        epoch, counter, writer = (int(p) for p in parts)
-    except ValueError as exc:
-        raise ProtocolError(f"malformed version token {token!r}") from exc
-    return VersionStamp(epoch, counter, writer)
 
 
 def newer(a: VersionStamp | None, b: VersionStamp | None) -> bool:

@@ -24,7 +24,8 @@ already exist for reliability — paper section I-C); every committed
 change reports its **time-to-full-R** (ticks from commit until its
 repair batch drained); and the whole run is a pure function of ``seed``
 (``determinism_token`` is a stable hash over every series — equal seeds
-give bit-identical runs, different seeds give different schedules).
+give bit-identical runs, different seeds give different schedules, as
+``tests/experiments/test_soaks.py`` checks).
 """
 
 from __future__ import annotations

@@ -24,11 +24,13 @@ freedom (R >= 2) means the pain is entirely optional.
 Acceptance (meta): ``p99_speedup`` > 1 (the overload arm beats baseline
 p99), ``requests_failed`` == 0 in both arms (degraded responses are
 counted, never dropped), and the whole run is a pure function of
-``seed`` (``determinism_token``; the CI ``overload-smoke`` job diffs two
-runs byte for byte).
+``seed`` (``determinism_token``; ``tests/experiments/test_soaks.py``
+diffs two runs byte for byte).
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from repro.analysis.calibration import DEFAULT_MEMCACHED_MODEL
 from repro.core.bundling import Bundler
@@ -63,6 +65,52 @@ def make_requests(
     ]
 
 
+def skewed_fleet(
+    seed, n_servers, replication, n_items, request_size, n_requests, zipf_exponent
+) -> tuple[Bundler, list[Request], list[float], OverloadConfig]:
+    """What both overload-simulator soaks (this one and ``load_soak``) run.
+
+    Returns the bundler over a 64-vnode RCH placement, the seeded Zipf
+    request stream, each server's planned busy time for that stream
+    under the default cost model (which sizes the arrival rate), and the
+    defence ladder of docs/OVERLOAD.md: bounded queues, breakers,
+    load-aware tie-breaks and a deadline that degrades.
+    """
+    placer = RangedConsistentHashPlacer(n_servers, replication, seed=0, vnodes=64)
+    bundler = Bundler(placer)
+    requests = make_requests(seed, n_items, request_size, n_requests, zipf_exponent)
+    demand = [0.0] * n_servers
+    for footprint in bundler.plan_footprints(requests):
+        for server, n_primary in footprint:
+            demand[server] += DEFAULT_MEMCACHED_MODEL.txn_time(n_primary)
+    config = OverloadConfig(
+        queue_limit=32,
+        breaker=True,
+        trip_after=4,
+        window=12,
+        open_ticks=60,
+        deadline=DEFAULT_MEMCACHED_MODEL.txn_time(request_size) * 400,
+        partial_fraction=0.5,
+        load_aware=True,
+        seed=seed,
+    )
+    return bundler, requests, demand, config
+
+
+def ladder_series(results: dict, extra: dict) -> dict[str, list[float]]:
+    """One value per arm of the tail and shedding series both soaks
+    report, followed by ``extra``'s ``name -> fn(result)`` columns."""
+    columns = {
+        "p50 latency (ms)": lambda r: r.p50_latency * 1e3,
+        "p99 latency (ms)": lambda r: r.p99_latency * 1e3,
+        "p999 latency (ms)": lambda r: r.p999_latency * 1e3,
+        "served fraction": lambda r: r.served_fraction,
+        "shed rate": lambda r: r.shed_rate,
+        **extra,
+    }
+    return {name: [fn(r) for r in results.values()] for name, fn in columns.items()}
+
+
 def run(
     *,
     n_servers: int = 12,
@@ -84,11 +132,16 @@ def run(
     """
     n_requests = max(int(n_requests * scale), 200)
     n_items = max(int(n_items * scale), 200)
-
-    cost_model = DEFAULT_MEMCACHED_MODEL
-    placer = RangedConsistentHashPlacer(n_servers, replication, seed=0, vnodes=64)
-    bundler = Bundler(placer)
-    requests = make_requests(seed, n_items, request_size, n_requests, zipf_exponent)
+    bundler, requests, demand, ladder = skewed_fleet(
+        seed, n_servers, replication, n_items, request_size, n_requests, zipf_exponent
+    )
+    # the overload arm also trips breakers on slow transactions and hedges
+    config = replace(
+        ladder,
+        trip_latency=DEFAULT_MEMCACHED_MODEL.txn_time(request_size) * straggler_factor * 3,
+        hedge_quantile=0.95,
+        max_hedges=1,
+    )
 
     # One seeded straggler: alive, answering, just straggler_factor slower.
     straggler = int(
@@ -99,32 +152,10 @@ def run(
     multipliers = [1.0] * n_servers
     multipliers[straggler] = straggler_factor
 
-    # Calibrate the arrival rate from the baseline plans' per-server
-    # demand: drive the straggler past saturation (rho > 1) while the
-    # healthy fleet keeps headroom — overload that replica freedom can
-    # route around.
-    demand = [0.0] * n_servers
-    for footprint in bundler.plan_footprints(requests):
-        for server, n_primary in footprint:
-            demand[server] += cost_model.txn_time(n_primary)
-    straggler_work = demand[straggler] * straggler_factor
-    arrival_rate = straggler_rho * n_requests / straggler_work
-
-    healthy_txn = cost_model.txn_time(request_size)
-    config = OverloadConfig(
-        queue_limit=32,
-        breaker=True,
-        trip_after=4,
-        window=12,
-        open_ticks=60,
-        trip_latency=healthy_txn * straggler_factor * 3,
-        hedge_quantile=0.95,
-        max_hedges=1,
-        deadline=healthy_txn * 400,
-        partial_fraction=0.5,
-        load_aware=True,
-        seed=seed,
-    )
+    # Calibrate the arrival rate from the planned per-server demand: drive
+    # the straggler past saturation (rho > 1) while the healthy fleet
+    # keeps headroom — overload that replica freedom can route around.
+    arrival_rate = straggler_rho * n_requests / (demand[straggler] * straggler_factor)
 
     results = {}
     for arm, cfg in (("baseline", None), ("overload", config)):
@@ -132,26 +163,21 @@ def run(
             requests,
             bundler,
             n_servers=n_servers,
-            cost_model=cost_model,
+            cost_model=DEFAULT_MEMCACHED_MODEL,
             arrival_rate=arrival_rate,
             latency_multipliers=multipliers,
             config=cfg,
             rng=derive_rng(seed, stable_hash64("hotspot-arrivals") & 0x7FFFFFFF),
         )
 
-    def col(fn):
-        return [fn(results[arm]) for arm in ARMS]
-
-    series = {
-        "p50 latency (ms)": col(lambda r: r.p50_latency * 1e3),
-        "p99 latency (ms)": col(lambda r: r.p99_latency * 1e3),
-        "p999 latency (ms)": col(lambda r: r.p999_latency * 1e3),
-        "served fraction": col(lambda r: r.served_fraction),
-        "shed rate": col(lambda r: r.shed_rate),
-        "hedge win rate": col(lambda r: r.hedge_win_rate),
-        "breaker transitions": col(lambda r: float(r.breaker_transitions)),
-        "requests failed": col(lambda r: float(r.requests_failed)),
-    }
+    series = ladder_series(
+        results,
+        {
+            "hedge win rate": lambda r: r.hedge_win_rate,
+            "breaker transitions": lambda r: float(r.breaker_transitions),
+            "requests failed": lambda r: float(r.requests_failed),
+        },
+    )
     token = stable_hash64(
         repr([(k, tuple(v)) for k, v in sorted(series.items())]), seed=seed
     )

@@ -23,55 +23,22 @@ ladder had to shed to protect it.
 Acceptance (meta): ``requests_failed`` == 0 in every arm (the ladder
 degrades, it never drops), the flash arm's p99 and shed+cut rates are at
 least the steady arm's, and the whole run is a pure function of ``seed``
-(``determinism_token``; the load-smoke CI job diffs two runs).
+(``determinism_token``; ``tests/experiments/test_soaks.py`` diffs two
+runs).
 """
 
 from __future__ import annotations
 
 from repro.analysis.calibration import DEFAULT_MEMCACHED_MODEL
-from repro.core.bundling import Bundler
 from repro.experiments.base import ExperimentResult
-from repro.experiments.hotspot import make_requests
-from repro.faults.partition import link_blackout_windows
+from repro.experiments.hotspot import ladder_series, skewed_fleet
+from repro.faults.partition import blackout_spans
 from repro.hashing.hashfns import stable_hash64
-from repro.hashing.rch import RangedConsistentHashPlacer
 from repro.loadgen.schedule import arrival_times
-from repro.overload.desim import OverloadConfig, simulate_overload
-from repro.utils.rng import derive_rng
+from repro.overload.desim import simulate_overload
 
 ARMS = ("steady", "diurnal", "flash")
 _CURVES = {"steady": "constant", "diurnal": "diurnal", "flash": "flash"}
-
-#: notional tick axis the nemesis blackout schedule is drawn on before
-#: being scaled onto the DES's schedule span
-_NEMESIS_TICKS = 1000
-
-
-def _nemesis_oracle(nemesis_seed: int, n_servers: int, duration: float):
-    """A seeded ``unreachable(sid, now)`` oracle plus its span list.
-
-    Two link-blackout windows from :func:`repro.faults.partition.
-    link_blackout_windows`, each cutting one seeded victim server for
-    the window's span — the DES-side twin of the loopback fleet's
-    connection-refusing gate (docs/PARTITIONS.md).  Pure function of
-    the arguments.
-    """
-    windows = link_blackout_windows(
-        nemesis_seed, _NEMESIS_TICKS, n_windows=2, min_len=60, max_len=200
-    )
-    rng = derive_rng(
-        nemesis_seed, stable_hash64("load-soak-nemesis-targets") & 0x7FFFFFFF
-    )
-    scale = duration / _NEMESIS_TICKS
-    spans = [
-        (start * scale, end * scale, int(rng.integers(0, n_servers)))
-        for start, end in windows
-    ]
-
-    def unreachable(sid: int, now: float) -> bool:
-        return any(s <= now < e for s, e, victim in spans if victim == sid)
-
-    return unreachable, spans
 
 
 def run(
@@ -95,49 +62,30 @@ def run(
     ``scale`` shrinks the run for smoke tests; at any fixed parameter
     set the run is a pure function of ``seed``.
 
-    ``nemesis_seed`` (None by default — the CI load-smoke gates assume
-    the default) additionally runs the **flash** arm under a seeded
-    link-blackout schedule: two windows each cutting one server's link
-    at the DES dispatcher, so the worst arrival regime is also fighting
-    a partial partition.  Steady and diurnal arms are untouched, which
-    keeps the cross-arm comparison meaningful.
+    ``nemesis_seed`` (None by default) additionally runs the **flash**
+    arm under the seeded link blackouts of :func:`repro.faults.
+    partition.blackout_spans` — the schedule ``rnb loadtest --nemesis``
+    replays on real sockets — each cutting one server's link at the DES
+    dispatcher, so the worst arrival regime is also fighting a partial
+    partition.  Steady and diurnal arms are untouched, which keeps the
+    cross-arm comparison meaningful.
     """
     n_requests = max(int(n_requests * scale), 200)
     n_items = max(int(n_items * scale), 200)
-
-    cost_model = DEFAULT_MEMCACHED_MODEL
-    placer = RangedConsistentHashPlacer(n_servers, replication, seed=0, vnodes=64)
-    bundler = Bundler(placer)
-    requests = make_requests(seed, n_items, request_size, n_requests, zipf_exponent)
-
-    # Size the schedule span from the planned per-server demand: the
-    # bottleneck server's busy work at utilisation rho fixes the mean
+    bundler, requests, demand, config = skewed_fleet(
+        seed, n_servers, replication, n_items, request_size, n_requests, zipf_exponent
+    )
+    # The bottleneck server's busy work at utilisation rho fixes the mean
     # arrival rate, hence the span the three curves share.
-    demand = [0.0] * n_servers
-    for footprint in bundler.plan_footprints(requests):
-        for server, n_primary in footprint:
-            demand[server] += cost_model.txn_time(n_primary)
     duration = max(demand) / rho
 
-    healthy_txn = cost_model.txn_time(request_size)
-    config = OverloadConfig(
-        queue_limit=32,
-        breaker=True,
-        trip_after=4,
-        window=12,
-        open_ticks=60,
-        deadline=healthy_txn * 400,
-        partial_fraction=0.5,
-        load_aware=True,
-        seed=seed,
-    )
-
     unreachable = None
-    nemesis_spans: list[tuple[float, float, int]] = []
+    nemesis_spans = []
     if nemesis_seed is not None:
-        unreachable, nemesis_spans = _nemesis_oracle(
-            nemesis_seed, n_servers, duration
-        )
+        nemesis_spans = blackout_spans(nemesis_seed, n_servers, duration)
+
+        def unreachable(sid: int, now: float) -> bool:
+            return any(s <= now < e for s, e, victim in nemesis_spans if victim == sid)
 
     results = {}
     for arm in ARMS:
@@ -153,30 +101,25 @@ def run(
             requests,
             bundler,
             n_servers=n_servers,
-            cost_model=cost_model,
+            cost_model=DEFAULT_MEMCACHED_MODEL,
             arrival_times=times,
             config=config,
             unreachable=unreachable if arm == "flash" else None,
         )
 
-    def col(fn):
-        return [fn(results[arm]) for arm in ARMS]
-
     def goodput(r) -> float:
         span = r.horizon if r.horizon > 0 else 1.0
         return r.served_fraction * r.items_measured / span
 
-    series = {
-        "p50 latency (ms)": col(lambda r: r.p50_latency * 1e3),
-        "p99 latency (ms)": col(lambda r: r.p99_latency * 1e3),
-        "p999 latency (ms)": col(lambda r: r.p999_latency * 1e3),
-        "served fraction": col(lambda r: r.served_fraction),
-        "shed rate": col(lambda r: r.shed_rate),
-        "deadline cut rate": col(lambda r: r.deadline_cut_rate),
-        "goodput (items/s)": col(goodput),
-        "requests degraded": col(lambda r: float(r.requests_degraded)),
-        "requests failed": col(lambda r: float(r.requests_failed)),
-    }
+    series = ladder_series(
+        results,
+        {
+            "deadline cut rate": lambda r: r.deadline_cut_rate,
+            "goodput (items/s)": goodput,
+            "requests degraded": lambda r: float(r.requests_degraded),
+            "requests failed": lambda r: float(r.requests_failed),
+        },
+    )
     token = stable_hash64(
         repr([(k, tuple(v)) for k, v in sorted(series.items())]), seed=seed
     )
@@ -203,9 +146,9 @@ def run(
         "partition_blocked": {arm: results[arm].partition_blocked for arm in ARMS},
         "determinism_token": token,
         # per-arm repro.obs telemetry (docs/OBSERVABILITY.md): the same
-        # metric families the live loadtest emits; tokens make the
-        # load-smoke diff cover telemetry, not just headline outcomes
-        # (full snapshots stay on each arm's OverloadResult.metrics)
+        # metric families the live loadtest emits; tokens make a same-seed
+        # diff cover telemetry, not just headline outcomes (full
+        # snapshots stay on each arm's OverloadResult.metrics)
         "metrics_token": {arm: results[arm].metrics_token for arm in ARMS},
         "metric_families": sorted(results["steady"].metrics),
     }

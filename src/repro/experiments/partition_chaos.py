@@ -26,8 +26,8 @@ server, drain repair, scrub, then audit every key with ``phase="final"``
 reads.  Gates (meta): ``violations == 0``, ``divergent_after_scrub ==
 0``, ``minority_epoch_commits == 0`` and ``quorum_rejections > 0`` —
 the minority *tried* and was refused.  The whole run is a pure function
-of ``seed`` (``determinism_token``; the partition-smoke CI job diffs two
-same-seed runs byte for byte).
+of ``seed`` (``determinism_token``; ``tests/experiments/test_soaks.py``
+diffs two same-seed runs byte for byte).
 """
 
 from __future__ import annotations
@@ -126,35 +126,26 @@ def run(
         quorum_prober=lambda m: injector.can_reach(MINORITY_CLIENT, m),
     )
 
-    health_maj = HealthTracker(n_servers, dead_after=2)
-    health_min = HealthTracker(n_servers, dead_after=2)
-    store_maj = ClusterStore(cluster, placer_maj)
-    store_min = ClusterStore(cluster, placer_min)
-    clock_maj = VersionClock(writer=1, epoch_fn=lambda: placer_maj.epoch)
-    clock_min = VersionClock(writer=2, epoch_fn=lambda: placer_min.epoch)
+    def client_side(placer, service, writer_id: int, side: str, *, repair: bool):
+        """One side's health, store, clock, quorum writer and versioned
+        reader, gated on ``service``'s quorum, metrics labelled ``side``;
+        ``repair`` gives the reader a throttled repair executor."""
+        health = HealthTracker(n_servers, dead_after=2)
+        store = ClusterStore(cluster, placer)
+        clock = VersionClock(writer=writer_id, epoch_fn=lambda: placer.epoch)
+        gate = service.has_quorum
+        writer = QuorumWriter(store, placer, clock=clock, w=w, health=health, gate=gate)
+        writer.bind_metrics(registry, side=side)
+        executor = make_repair_executor(store, metrics=registry) if repair else None
+        reader = VersionedReader(
+            store, placer, clock=clock, health=health, executor=executor, gate=gate
+        )
+        reader.bind_metrics(registry, side=side)
+        return writer, reader
 
-    writer_maj = QuorumWriter(
-        store_maj, placer_maj, clock=clock_maj, w=w, health=health_maj,
-        gate=service_maj.has_quorum,
-    )
-    writer_maj.bind_metrics(registry, side="majority")
-    writer_min = QuorumWriter(
-        store_min, placer_min, clock=clock_min, w=w, health=health_min,
-        gate=service_min.has_quorum,
-    )
-    writer_min.bind_metrics(registry, side="minority")
-
-    executor = make_repair_executor(store_maj, metrics=registry)
-    reader_maj = VersionedReader(
-        store_maj, placer_maj, clock=clock_maj, health=health_maj,
-        executor=executor, gate=service_maj.has_quorum,
-    )
-    reader_maj.bind_metrics(registry, side="majority")
-    reader_min = VersionedReader(
-        store_min, placer_min, clock=clock_min, health=health_min,
-        gate=service_min.has_quorum,
-    )
-    reader_min.bind_metrics(registry, side="minority")
+    writer_maj, reader_maj = client_side(placer_maj, service_maj, 1, "majority", repair=True)
+    writer_min, reader_min = client_side(placer_min, service_min, 2, "minority", repair=False)
+    executor = reader_maj.executor
 
     recorder = HistoryRecorder(metrics=registry)
 
@@ -264,7 +255,7 @@ def run(
     plan.heal(heal_tick)
     injector.vantage = MAJORITY_CLIENT
     inner.restore(victim)
-    health_maj.record_recovery(victim)
+    reader_maj.health.record_recovery(victim)
     if not service_maj.view.is_alive(victim):
         service_maj.announce_recovery(victim)
     drain_ticks = 0
@@ -280,7 +271,7 @@ def run(
 
     # ---- phase 4: anti-entropy scrub to convergence ----
     scrubber = AntiEntropyScrubber(
-        store_maj, placer_maj, n_buckets=scrub_buckets, seed=seed,
+        reader_maj.store, placer_maj, n_buckets=scrub_buckets, seed=seed,
         metrics=registry,
     )
     divergent_before = len(scrubber.divergent_keys())

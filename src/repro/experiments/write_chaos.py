@@ -10,9 +10,10 @@ the simulated cluster, deterministically:
 1. **Provision** — every item gets one quorum write, so the whole
    keyspace is versioned.
 2. **Burst** — a seeded stream of quorum writes over random keys; a
-   seeded schedule kills (crash = memory wiped) and later restores
-   servers *mid-burst*, so writes commit at W < R acks and restored
-   servers come back empty — both flavours of divergence are seeded.
+   :class:`~repro.faults.nemesis.Nemesis` replays a seeded schedule
+   that kills (crash = memory wiped) and later restores servers
+   *mid-burst*, so writes commit at W < R acks and restored servers
+   come back empty — both flavours of divergence are seeded.
 3. **Read-repair** — a seeded sample of versioned reads detects
    divergence and queues newest-wins repairs through a budgeted
    :class:`~repro.membership.repair.RepairExecutor` (the PR-2 throttle),
@@ -30,7 +31,7 @@ durability, and it is part of the experiment output as the tentpole
 acceptance criteria require.
 
 The run is a pure function of ``seed`` (``determinism_token``), which is
-what the CI ``consistency-smoke`` job diffs byte-for-byte.
+what ``tests/experiments/test_soaks.py`` diffs byte-for-byte.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from repro.consistency import (
 from repro.experiments.base import ExperimentResult
 from repro.faults.health import HealthTracker
 from repro.faults.injector import DynamicFaultInjector
+from repro.faults.nemesis import Nemesis, NemesisEvent
 from repro.hashing.hashfns import stable_hash64
 from repro.obs import MetricsRegistry
 from repro.utils.rng import derive_rng
@@ -66,8 +68,8 @@ def make_kill_schedule(
     *,
     n_kills: int,
     down_fraction: float = 0.25,
-) -> list[tuple[int, str, int]]:
-    """A seeded ``(write_index, kind, server)`` kill/restore schedule.
+) -> tuple[NemesisEvent, ...]:
+    """A seeded kill/restore schedule, ticked in write indices.
 
     Kills are spread evenly through the burst; each victim stays down
     for ``down_fraction`` of the burst (so writes issued meanwhile
@@ -77,13 +79,12 @@ def make_kill_schedule(
     rng = derive_rng(seed, stable_hash64("write-chaos-kills") & 0x7FFFFFFF)
     victims = rng.choice(n_servers, size=min(n_kills, n_servers), replace=False)
     down_for = max(int(n_writes * down_fraction), 1)
-    events: list[tuple[int, str, int]] = []
+    events: list[NemesisEvent] = []
     for i, victim in enumerate(victims):
         at = int(n_writes * (i + 1) / (len(victims) + 1))
-        back = min(at + down_for, n_writes - 1)
-        events.append((at, "kill", int(victim)))
-        events.append((back, "restore", int(victim)))
-    return sorted(events, key=lambda e: (e[0], e[1], e[2]))
+        events.append(NemesisEvent(at, "kill", int(victim)))
+        events.append(NemesisEvent(min(at + down_for, n_writes - 1), "restore", int(victim)))
+    return tuple(sorted(events, key=lambda e: (e.tick, e.action, e.arg)))
 
 
 def _latency_percentiles(
@@ -157,9 +158,12 @@ def run(
 
     # ---- phase 2: the burst, with mid-burst kills ----
     schedule = make_kill_schedule(seed, n_servers, n_writes, n_kills=n_kills)
-    by_index: dict[int, list[tuple[str, int]]] = {}
-    for at, kind, server in schedule:
-        by_index.setdefault(at, []).append((kind, server))
+    nemesis = Nemesis(
+        schedule,
+        injector=injector,
+        on_kill=cluster.wipe_server,  # crash loses its memory
+        on_restore=health.record_recovery,
+    )
 
     key_rng = derive_rng(seed, stable_hash64("write-chaos-keys") & 0x7FFFFFFF)
     keys = key_rng.integers(0, n_items, size=n_writes)
@@ -174,13 +178,7 @@ def run(
     }
     x_values: list[int] = []
     for i in range(n_writes):
-        for kind, server in by_index.get(i, ()):
-            if kind == "kill":
-                injector.kill(server)
-                cluster.wipe_server(server)  # crash loses its memory
-            else:
-                injector.restore(server)
-                health.record_recovery(server)
+        nemesis.apply(i)
         outcome = writer.write(int(keys[i]))
         outcomes[outcome.outcome] += 1
         win_counts[outcome.outcome] += 1
@@ -253,7 +251,7 @@ def run(
         "w_resolved": w_resolved,
         "n_items": n_items,
         "n_writes": n_writes,
-        "schedule": [list(e) for e in schedule],
+        "schedule": [[e.tick, e.action, e.arg] for e in schedule],
         "writes_committed": outcomes[COMMITTED],
         "writes_partial": outcomes[PARTIAL],
         "writes_failed": outcomes[FAILED],

@@ -1,12 +1,12 @@
 """The nemesis: one seeded timeline composing every fault family.
 
-Experiments so far each hand-rolled their own schedule (``chaos`` kills,
-``hotspot`` slows, ``write_chaos`` kill-wipes).  A :class:`Nemesis`
-owns one deterministic timeline of :class:`NemesisEvent` entries —
-crash/restore, straggler, busy-shed, and the link-level cuts from
-:mod:`repro.faults.partition` — and drives both injectors from it, so
-any experiment (or the load harness, via ``--nemesis``) replays the same
-composed incident from the same seed.
+A :class:`Nemesis` owns one deterministic timeline of
+:class:`NemesisEvent` entries — crash/restore, straggler, busy-shed, and
+the link-level cuts from :mod:`repro.faults.partition` — and drives both
+injectors from it.  ``write_chaos`` replays its kill/restore schedule
+through one; ``chaos`` (whose ``join`` has no action here) and
+``partition_chaos`` (a split between two client groups, which ``cut``
+cannot express) keep their own loops.
 
 The schedule is pure data: :func:`make_nemesis_schedule` draws it once
 from :func:`repro.utils.rng.derive_rng` (construction-time draws, the

@@ -238,9 +238,7 @@ def link_blackout_windows(
     """Seeded ``(start, end)`` blackout windows within ``[0, horizon)``.
 
     Pure construction-time draws (:func:`~repro.utils.rng.derive_rng`
-    stream tagged with a stable hash of the helper's name), shared by
-    ``load_soak``'s nemesis arm and ``rnb loadtest --nemesis`` so both
-    harnesses agree on what a given nemesis seed means.  Windows are
+    stream tagged with a stable hash of the helper's name).  Windows are
     sorted and non-overlapping; an infeasibly small horizon yields fewer
     windows rather than raising.
     """
@@ -260,6 +258,33 @@ def link_blackout_windows(
         windows.append((start, start + length))
         cursor = start + length + 1
     return tuple(windows)
+
+
+#: notional tick axis :func:`blackout_spans` draws its windows on before
+#: scaling them onto a harness's time span
+_BLACKOUT_TICKS = 1000
+
+
+def blackout_spans(
+    seed: int, n_servers: int, duration: float
+) -> list[tuple[float, float, int]]:
+    """Seeded ``(start, end, server)`` link blackouts over ``[0, duration)``.
+
+    Two :func:`link_blackout_windows`, scaled onto ``duration``, each
+    cutting the link to one seeded victim server.  Both ``--nemesis``
+    harnesses draw from here (``rnb run load_soak``'s DES oracle and
+    ``rnb loadtest``'s connection gates), so one seed is one incident.
+    """
+    windows = link_blackout_windows(
+        seed, _BLACKOUT_TICKS, n_windows=2, min_len=60, max_len=200
+    )
+    # the victim stream keeps the tag load_soak has always drawn under
+    rng = derive_rng(seed, stable_hash64("load-soak-nemesis-targets") & 0x7FFFFFFF)
+    scale = duration / _BLACKOUT_TICKS
+    return [
+        (start * scale, end * scale, int(rng.integers(0, n_servers)))
+        for start, end in windows
+    ]
 
 
 class PartitionedInjector:

@@ -10,7 +10,7 @@
   scheduled arrival time, and report tail latency + goodput.
 
 Exposed as ``rnb loadtest`` on the CLI; the deterministic ``workload``
-half of its report is what the load-smoke CI job pins by seed.
+half of its report is what CI's live-smoke job pins by seed.
 """
 
 from repro.loadgen.runner import LoadTestConfig, LoadTestReport, run_loadtest

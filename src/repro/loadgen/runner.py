@@ -8,15 +8,16 @@ sleeping until its open-loop arrival time and then issuing a bundled
 multi-get.  Arrivals never wait for completions — the generator stays
 open-loop (no coordinated omission), which is the point of the harness.
 
-The report is split in two, and the split is load-bearing for CI:
+The report is split in two, and the split is load-bearing for the gates:
 
 * ``workload`` — a pure function of the config, including a
   ``determinism_token`` hashed from every arrival offset and request
-  key.  The load-smoke CI job asserts byte-identical ``workload``
-  sections for same-seed runs and differing tokens across seeds.
+  key.  CI's ``live-smoke`` job asserts equal ``workload`` sections for
+  same-seed runs and differing tokens across seeds (in-process:
+  ``tests/loadgen/test_runner.py``).
 * ``measured`` — wall-clock observations (tail latency, goodput, peak
-  in-flight) that legitimately vary run to run; CI gates only coarse
-  invariants there (zero failed requests, a goodput floor).
+  in-flight) that legitimately vary run to run; ``live-smoke`` gates
+  only coarse invariants there (zero failed requests, a goodput floor).
 
 A third section, ``metrics``, carries the run's full :mod:`repro.obs`
 telemetry: the runner owns a :class:`repro.obs.MetricsRegistry`, hands
@@ -47,7 +48,7 @@ from repro.aio.rnbclient import AsyncRnBClient
 from repro.aio.server import AsyncMemcachedServer
 from repro.aio.transport import AsyncConnectionPool
 from repro.errors import ConfigurationError
-from repro.faults.partition import link_blackout_windows
+from repro.faults.partition import blackout_spans
 from repro.hashing.hashfns import stable_hash64
 from repro.hashing.rch import RangedConsistentHashPlacer
 from repro.loadgen.schedule import CURVES, SCHEDULERS, arrival_times
@@ -96,7 +97,7 @@ class LoadTestConfig:
     #: seeded windows during which one server's link is cut — its async
     #: front refuses connections, so the client rides failover / partial
     #: covers through the outage.  None (the default) runs the classic
-    #: partition-free test; CI load-smoke gates assume None.
+    #: partition-free test; CI's live-smoke gates assume None.
     nemesis_seed: int | None = None
 
     def __post_init__(self) -> None:
@@ -150,34 +151,14 @@ def build_workload(config: LoadTestConfig) -> tuple[np.ndarray, list[tuple[str, 
     return offsets, requests
 
 
-#: notional tick resolution the blackout schedule is drawn at before
-#: being scaled onto the test's wall-clock duration
-_NEMESIS_TICKS = 1000
-
-
 def nemesis_blackouts(config: LoadTestConfig) -> list[tuple[float, float, int]]:
-    """Seeded ``(start_s, end_s, server)`` link-blackout spans.
-
-    Pure function of ``(nemesis_seed, n_servers, duration)``: the
-    windows come from :func:`repro.faults.partition.
-    link_blackout_windows` on a notional tick axis and are scaled onto
-    the arrival schedule's span; each window cuts the link to one seeded
-    victim server.  Empty without a ``nemesis_seed``.
-    """
+    """Seeded ``(start_s, end_s, server)`` link-blackout spans over the
+    arrival schedule: :func:`repro.faults.partition.blackout_spans`, the
+    schedule ``rnb run load_soak --nemesis`` draws too.  Empty without a
+    ``nemesis_seed``."""
     if config.nemesis_seed is None:
         return []
-    windows = link_blackout_windows(
-        config.nemesis_seed, _NEMESIS_TICKS, n_windows=2, min_len=60, max_len=200
-    )
-    rng = derive_rng(
-        config.nemesis_seed,
-        stable_hash64("loadtest-nemesis-targets") & 0x7FFFFFFF,
-    )
-    scale = config.duration / _NEMESIS_TICKS
-    return [
-        (start * scale, end * scale, int(rng.integers(0, config.n_servers)))
-        for start, end in windows
-    ]
+    return blackout_spans(config.nemesis_seed, config.n_servers, config.duration)
 
 
 def workload_token(offsets: np.ndarray, requests: list[tuple[str, ...]]) -> int:

@@ -30,7 +30,7 @@ Two schedulers sample against the curve's cumulative intensity:
   arrival jitter must be zero.
 
 Everything is a pure function of ``(n, duration, curve, scheduler,
-seed)`` — the load-smoke CI job pins same-seed identity on this.
+seed)`` — the same-seed identity ``rnb loadtest`` and ``load_soak`` pin.
 """
 
 from __future__ import annotations

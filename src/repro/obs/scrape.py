@@ -4,7 +4,7 @@
 from a live fleet: :func:`scrape_address` fetches one server's samples
 over TCP, :func:`scrape_fleet` walks an address list, and
 :func:`missing_families` checks a merged sample map against a required
-catalog (the CI ``obs-smoke`` gate).  :func:`boot_demo_fleet` starts a
+catalog (CI's ``live-smoke`` gate).  :func:`boot_demo_fleet` starts a
 small loopback fleet with traffic already applied, so the CLI can be
 demonstrated — and smoke-tested — without external processes.
 """

@@ -23,8 +23,8 @@ the overload story: a true event-heap DES in which the *client reacts*:
 * per-request deadlines complete degraded (partial response) rather
   than fail.
 
-Determinism is load-bearing (the overload-smoke CI job diffs two runs
-byte for byte): arrivals draw from a caller-seeded generator, the event
+Determinism is load-bearing (``tests/experiments/test_soaks.py`` diffs
+soak runs byte for byte): arrivals draw from a caller-seeded generator, the event
 heap breaks time ties by insertion sequence, breaker probe jitter is
 hash-seeded, and nothing reads a wall clock.
 
@@ -510,8 +510,8 @@ def simulate_overload(
                 "arrival_times must be non-negative and non-decreasing"
             )
     else:
-        # scalar draws, exactly as before arrival_times existed: the
-        # overload-smoke CI diffs runs byte for byte across versions
+        # scalar draws, exactly as before arrival_times existed: hotspot
+        # soak output stays byte-identical across versions
         acc, ticks = 0.0, []
         for _ in requests:
             acc += rng.exponential(1.0 / arrival_rate)

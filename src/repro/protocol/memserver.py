@@ -25,7 +25,6 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.consistency.version import decode_versioned
 from repro.errors import ProtocolError
 from repro.obs.export import samples as obs_samples
 from repro.obs.metrics import MetricsRegistry, format_value
@@ -292,20 +291,6 @@ class MemcachedServer:
                 return codec.format_stats(
                     {k: format_value(v) for k, v in self._metrics_samples_locked()}
                 )
-            if cmd.keys and cmd.keys[0] == "keys":
-                # key -> version-stamp token for every live entry, the
-                # anti-entropy scrubber's scan surface: stamps are read
-                # from the value envelope without shipping payloads.
-                # Keys are protocol-validated to contain no whitespace,
-                # so they fit `STAT <key> <value>` lines unchanged.
-                report: dict[str, str] = {}
-                for key in list(self._items):
-                    entry = self._get_live(key)
-                    if entry is None:
-                        continue
-                    stamp, _ = decode_versioned(entry.data)
-                    report[key] = stamp.token() if stamp is not None else "-"
-                return codec.format_stats(report)
             if cmd.keys:
                 return codec.format_status(
                     f"CLIENT_ERROR unknown stats argument {cmd.keys[0]!r}"

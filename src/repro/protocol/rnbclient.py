@@ -516,9 +516,8 @@ class LiveRnBClient:
         return self._on_wire(self._reader.steps(key, repair=repair))
 
     def _on_wire(self, steps):
-        """Run :mod:`repro.consistency` store steps as connection calls, the
-        way :class:`~repro.consistency.store.WireStore` serves them: a write
-        carries the version envelope and NOT_STORED comes back as
+        """Run :mod:`repro.consistency` store steps as connection calls: a
+        write carries the version envelope and NOT_STORED comes back as
         :class:`ProtocolError`, a read comes back decoded.  A write the
         server shed (``SERVER_ERROR busy``) also trips its breaker."""
         breakers = self.breakers

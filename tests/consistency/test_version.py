@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.consistency.version import (
     MAGIC,
     VersionClock,
@@ -11,9 +9,7 @@ from repro.consistency.version import (
     decode_versioned,
     encode_versioned,
     newer,
-    parse_token,
 )
-from repro.errors import ProtocolError
 
 
 class TestOrdering:
@@ -37,15 +33,6 @@ class TestToken:
     def test_roundtrip(self):
         stamp = VersionStamp(3, 41, 7)
         assert stamp.token() == "3.41.7"
-        assert parse_token(stamp.token()) == stamp
-
-    def test_dash_means_unversioned(self):
-        assert parse_token("-") is None
-
-    @pytest.mark.parametrize("bad", ["", "1.2", "1.2.3.4", "a.b.c"])
-    def test_malformed_raises(self, bad):
-        with pytest.raises(ProtocolError):
-            parse_token(bad)
 
 
 class TestClock:

@@ -15,59 +15,63 @@ TINY = dict(
 )
 
 
+#: 11, plus the two seeds ``test_soaks.py`` gates the ``rnb run`` files at
+SEEDS = (11, 2014, 7)
+
+
 def run_tiny(seed, **overrides):
     (result,) = write_chaos.run(seed=seed, **{**TINY, **overrides})
     return result
 
 
+def metas(**overrides):
+    return [run_tiny(seed, **overrides).meta for seed in SEEDS]
+
+
 class TestAcceptance:
     def test_kills_happen_mid_burst_and_seed_divergence(self):
-        result = run_tiny(11)
-        kills = [e for e in result.meta["schedule"] if e[1] == "kill"]
-        assert len(kills) == TINY["n_kills"]
-        assert all(0 < at < TINY["n_writes"] for at, _, _ in kills)
-        assert result.meta["writes_partial"] > 0
-        assert result.meta["divergent_before_repair"] > 0
+        for meta in metas():
+            kills = [e for e in meta["schedule"] if e[1] == "kill"]
+            assert len(kills) == TINY["n_kills"]
+            assert all(0 < at < TINY["n_writes"] for at, _, _ in kills)
+            assert meta["writes_partial"] > 0
+            assert meta["divergent_before_repair"] > 0
 
     def test_majority_quorum_survives_the_kills(self):
-        result = run_tiny(11)
-        # two kills, R=3: each write still reaches a majority
-        assert result.meta["writes_failed"] == 0
-        assert (
-            result.meta["writes_committed"] + result.meta["writes_partial"]
-            == TINY["n_writes"]
-        )
+        for meta in metas():
+            # two kills, R=3: each write still reaches a majority
+            assert meta["writes_failed"] == 0
+            assert meta["writes_committed"] + meta["writes_partial"] == TINY["n_writes"]
 
     def test_converges_to_zero_divergent_keys(self):
-        result = run_tiny(11)
-        assert result.meta["divergent_after_scrub"] == 0
-        assert result.meta["converged"] is True
-        # read-repair alone does not finish the job — the scrubber must
-        # have had real work (the unread tail)
-        assert result.meta["scrub_repairs"] > 0
+        for meta in metas():
+            assert meta["divergent_after_scrub"] == 0
+            assert meta["converged"] is True
+            # read-repair alone does not finish the job — the scrubber
+            # must have had real work (the unread tail)
+            assert meta["scrub_repairs"] > 0
 
     def test_read_repair_is_throttled_through_the_executor(self):
-        result = run_tiny(11)
-        if result.meta["repairs_queued"]:
-            assert result.meta["repair_drain_ticks"] >= 1
+        for meta in metas():
+            if meta["repairs_queued"]:
+                assert meta["repair_drain_ticks"] >= 1
 
     def test_p99_overhead_reported(self):
-        result = run_tiny(11)
-        meta = result.meta
-        assert meta["best_effort_p99"] > 0
-        assert meta["quorum_p99"] > 0
-        assert meta["quorum_p99_overhead"] == (
-            meta["quorum_p99"] / meta["best_effort_p99"]
-        )
-        # waiting on every replica is never cheaper than a majority
-        assert meta["all_replicas_p99"] >= meta["quorum_p99"]
+        for meta in metas():
+            assert meta["best_effort_p99"] > 0
+            assert meta["quorum_p99"] > 0
+            assert meta["quorum_p99_overhead"] == (
+                meta["quorum_p99"] / meta["best_effort_p99"]
+            )
+            # waiting on every replica is never cheaper than a majority
+            assert meta["all_replicas_p99"] >= meta["quorum_p99"]
 
     def test_w_all_flags_failures_instead_of_partials(self):
-        result = run_tiny(11, w="all")
-        assert result.meta["w_resolved"] == TINY["replication"]
-        # with a server down, W=all writes cannot commit
-        assert result.meta["writes_failed"] > 0
-        assert result.meta["converged"] is True
+        for meta in metas(w="all"):
+            assert meta["w_resolved"] == TINY["replication"]
+            # with a server down, W=all writes cannot commit
+            assert meta["writes_failed"] > 0
+            assert meta["converged"] is True
 
 
 class TestDeterminism:

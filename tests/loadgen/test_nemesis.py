@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments import load_soak
 from repro.loadgen.runner import (
     LoadTestConfig,
     nemesis_blackouts,
@@ -41,6 +42,21 @@ class TestBlackoutSchedule:
             assert v1 == v2
             assert s1 * 2 == pytest.approx(s2, rel=1e-9)
             assert e1 * 2 == pytest.approx(e2, rel=1e-9)
+
+    def test_load_soak_draws_the_same_incident(self):
+        # one nemesis seed names one incident in both --nemesis harnesses:
+        # same windows, same victims, over the same span and fleet
+        for nemesis_seed in range(1, 8):
+            (soak,) = load_soak.run(scale=0.12, seed=7, nemesis_seed=nemesis_seed)
+            config = LoadTestConfig(
+                nemesis_seed=nemesis_seed,
+                n_servers=soak.meta["n_servers"],
+                duration=soak.meta["duration"],
+            )
+            spans = nemesis_blackouts(config)
+            assert soak.meta["nemesis_blackouts"] == [
+                [round(s, 6), round(e, 6), victim] for s, e, victim in spans
+            ]
 
 
 class TestLiveRun:

@@ -216,7 +216,7 @@ class TestObsWiring:
 
 
 class TestVersionedClient:
-    """set_versioned / get_versioned over the live wire (WireStore path)."""
+    """set_versioned / get_versioned over the live wire (``_on_wire`` path)."""
 
     def test_roundtrip_and_envelope(self):
         placer, _, _, client = make_faultable_stack(writer_id=3)
@@ -287,25 +287,3 @@ class TestVersionedClient:
         client.set_versioned("k", b"v")
         series = registry.snapshot()["rnb_quorum_writes_total"]["series"]
         assert series['outcome="committed",path="live"'] == 1
-
-
-class TestStatsKeys:
-    def test_reports_stamp_tokens_and_dashes(self):
-        placer, _, _, client = make_faultable_stack()
-        outcome = client.set_versioned("versioned", b"v")
-        client.set("plain", b"p")
-        sid = placer.distinguished_for("versioned")
-        report = client.connections[sid].stats("keys")
-        assert report["versioned"] == outcome.stamp.token()
-        if "plain" in report:  # same server only if placement agrees
-            assert report["plain"] == "-"
-
-    def test_plain_key_reports_dash(self):
-        placer, _, _, client = make_faultable_stack()
-        client.set("plain", b"p")
-        sid = placer.distinguished_for("plain")
-        assert client.connections[sid].stats("keys")["plain"] == "-"
-
-    def test_empty_server_reports_nothing(self):
-        _, _, _, client = make_faultable_stack()
-        assert client.connections[0].stats("keys") == {}
