@@ -80,19 +80,27 @@ class LRUCache:
     def put_all(self, keys: Iterable[Hashable]) -> None:
         """Insert many keys; equivalent to ``put`` per key, in order.
 
-        With unlimited capacity and *fresh* keys the per-key path reduces
-        to appending each key, so a single bulk dict update — which
-        preserves iteration order for new keys — produces the identical
-        LRU state without a Python-level loop.  Any key already present,
-        or any capacity bound, falls back to the per-key path (``update``
-        would skip the move-to-end refresh an existing key gets).
+        With *fresh* keys — distinct, none already present — the per-key
+        path reduces to appending each key, so a single bulk dict update,
+        which preserves iteration order for new keys, produces the
+        identical LRU state without a Python-level loop.  Under a capacity
+        that holds when the LRU starts empty too: of ``n`` fresh keys the
+        last ``capacity`` survive and the other ones count as evictions,
+        as one ``put`` per key would leave it.  Anything else falls back
+        to the per-key path (``update`` would skip the move-to-end refresh
+        a present or repeated key gets).
         """
-        if self.capacity is None:
-            fresh = dict.fromkeys(keys)
-            if not self._entries or not any(k in self._entries for k in fresh):
+        keys = list(keys)
+        fresh = dict.fromkeys(keys)
+        if len(fresh) == len(keys) and self._entries.keys().isdisjoint(fresh):
+            if self.capacity is None:
                 self._entries.update(fresh)
                 return
-            keys = fresh
+            if not self._entries:
+                overflow = max(0, len(keys) - self.capacity)
+                self._entries.update(dict.fromkeys(keys[overflow:]))
+                self.evictions += overflow
+                return
         for key in keys:
             self.put(key)
 

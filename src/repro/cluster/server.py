@@ -152,11 +152,16 @@ class Server:
         ``stamp`` (a :class:`repro.consistency.version.VersionStamp`)
         carries the version of the copy being installed — miss repair
         propagates the stamp it read from the source replica so
-        write-backs never masquerade as fresh writes.
+        write-backs never masquerade as fresh writes.  ``None`` installs
+        the copy unversioned: a stamp left behind by an earlier, evicted
+        copy must not describe this one, so it is dropped — as it is when
+        the copy does not land.
         """
         self.store.put(item)
         if stamp is not None and item in self.store:
             self.stamps[item] = stamp
+        else:
+            self.stamps.pop(item, None)
         self.counters.writes += 1
 
     def wipe(self) -> None:

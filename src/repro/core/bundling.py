@@ -349,24 +349,41 @@ class Bundler:
         the table, no table, hitchhiking) is :meth:`plan_footprints`
         flattened, so the arrays are the same either way (property-tested).
         """
-        if isinstance(chunk, RequestBlock):
-            block = chunk
-        else:
+        if not isinstance(chunk, RequestBlock):
             chunk = list(chunk)
-            adapted = self._block_of(chunk)
-            block = adapted[1] if adapted and len(adapted[1]) == len(chunk) else None
-        covered = None if block is None or self.hitchhiking else self._cover_chunk(block)
-        if covered is not None:
-            _, txn_servers, txn_sizes, n_txns = _chunk_transactions(
-                *covered, len(block), self.placer.n_servers, self.single_item_rule
-            )
-            self._record_plan_sizes(n_txns)
-            return txn_servers, txn_sizes, n_txns
+        planned = self.plan_cells(chunk)
+        if planned is not None:
+            return planned[3:]
         requests = chunk.requests() if isinstance(chunk, RequestBlock) else chunk
         footprints = self.plan_footprints(requests)
         pairs = np.array(list(chain.from_iterable(footprints)), dtype=np.int64).reshape(-1, 2)
         n_txns = np.fromiter(map(len, footprints), dtype=np.int64, count=len(footprints))
         return pairs[:, 0], pairs[:, 1], n_txns
+
+    def plan_cells(self, chunk: RequestBlock | Sequence[Request]):
+        """A chunk's plans as :func:`_chunk_transactions` arrays, or ``None``.
+
+        Returns ``(block, servers, cell, txn_servers, txn_sizes, n_txns)``:
+        the chunk as a block, each of its items' ``(R,)`` replica servers
+        and transaction cell, then the footprints of
+        :meth:`plan_transactions`.  ``None`` when the chunk is off the
+        vectorised envelope: hitchhiking, or any request
+        :meth:`_cover_chunk` or the adapter cannot take.
+        """
+        if isinstance(chunk, RequestBlock):
+            block = chunk
+        else:
+            adapted = self._block_of(chunk)
+            block = adapted[1] if adapted and len(adapted[1]) == len(chunk) else None
+        covered = None if block is None or self.hitchhiking else self._cover_chunk(block)
+        if covered is None:
+            return None
+        row, servers, assigned = covered
+        planned = _chunk_transactions(
+            row, servers, assigned, len(block), self.placer.n_servers, self.single_item_rule
+        )
+        self._record_plan_sizes(planned[3])
+        return block, servers, *planned
 
     def _block_of(self, requests: Sequence[Request]):
         """The chunk's vectorisable requests as one block — the adapter.

@@ -70,6 +70,12 @@ class RnBClient:
         return self.execute_plan(plan)
 
     def execute_plan(self, plan: FetchPlan) -> FetchResult:
+        """Run one plan's round one, write-backs and round two.
+
+        The per-request specification of the read path:
+        :meth:`execute_chunk` is tested against it, and it serves every
+        chunk that method cannot take.
+        """
         request = plan.request
         obtained: set[ItemId] = set()
         missed: dict[ItemId, int] = {}  # item -> planned (first-picked) server
@@ -200,17 +206,121 @@ class RnBClient:
         txn_servers, txn_sizes, n_txns = self.bundler.plan_transactions(chunk)
         if stats is not None:
             stats.record_transactions(len(n_txns), txn_servers, txn_sizes)
+        self._fold_counters(txn_servers, txn_sizes)
+
+    def execute_chunk(
+        self, chunk: RequestBlock | Iterable[Request], stats: ClusterStats | None = None
+    ) -> None:
+        """Execute a chunk, request after request, without a plan object.
+
+        The executor regime's :meth:`tally_chunk`: it leaves every store
+        (LRU order, evictions, stamps), every server's counters and
+        ``stats`` as planning the chunk, running :meth:`execute_plan` on
+        each plan and recording each result would (property-tested
+        against exactly that, down to the key order of the histograms).
+        The stores see the same calls in the same order — one
+        ``touch_many`` per transaction, ``Server.write_back`` per miss —
+        but the transactions are slices of one list of the planner's
+        arrays, and the counters are folded once per chunk.
+
+        A chunk off the vectorised envelope (see
+        :meth:`Bundler.plan_cells`), or a cluster with a fault injector
+        or an admission gate attached, runs through :meth:`execute_plan`.
+        """
+        if not isinstance(chunk, RequestBlock):
+            chunk = list(chunk)
+        fleet = self.cluster.servers
+        planned = None
+        if self.cluster.injector is None and all(s.admission is None for s in fleet):
+            planned = self.bundler.plan_cells(chunk)
+        if planned is None:
+            requests = chunk.requests() if isinstance(chunk, RequestBlock) else chunk
+            for plan in self.bundler.plan_batch(requests):
+                result = self.execute_plan(plan)
+                if stats is not None:
+                    stats.record(result)
+            return
+
+        block, servers, cell, txn_servers, txn_sizes, n_txns = planned
+        members = block.items[np.argsort(cell, kind="stable")].tolist()
+        ends = np.cumsum(txn_sizes).tolist()
+        groups = [members[lo:hi] for lo, hi in zip([0] + ends, ends)]
+        txn_sids = txn_servers.tolist()
+        home_of = dict(zip(block.items.tolist(), servers[:, 0].tolist()))
+        touch_many = [server.store.touch_many for server in fleet]
+        missed_on = [0] * len(fleet)
+        # round two, in execution order: (request row, server, size)
+        second: list[tuple[int, int, int]] = []
+        txn = 0
+        for row, k in enumerate(n_txns.tolist()):
+            end = txn + k
+            missed = []  # (item, server it missed on), in miss order
+            for sid, group in zip(txn_sids[txn:end], groups[txn:end]):
+                absent = touch_many[sid](group)[1]
+                if absent:
+                    missed_on[sid] += len(absent)
+                    missed += [(item, sid) for item in absent]
+            txn = end
+            if not missed:
+                continue
+            by_home: dict[int, list[ItemId]] = {}
+            for item, sid in missed:
+                home = home_of[item]
+                if self.write_back:
+                    # _authoritative_stamp, with no injector to pass
+                    fleet[sid].write_back(item, stamp=fleet[home].stamps.get(item))
+                by_home.setdefault(home, []).append(item)
+            for home, group in self._second_round_order(by_home):
+                absent = touch_many[home](group)[1]
+                if absent:  # pragma: no cover - invariant guard, as in execute_plan
+                    raise ConfigurationError(
+                        f"distinguished copies missing on server {home}: {absent}"
+                    )
+                second.append((row, home, len(group)))
+
+        if second:
+            # each request's second round right after its first
+            rows, sids, sizes = np.array(second, dtype=np.int64).T
+            first_rows = np.repeat(np.arange(len(n_txns)), n_txns)
+            merged = np.argsort(
+                np.concatenate((2 * first_rows, 2 * rows + 1)), kind="stable"
+            )
+            txn_servers = np.concatenate((txn_servers, sids))[merged]
+            txn_sizes = np.concatenate((txn_sizes, sizes))[merged]
+        if stats is not None:
+            stats.record_transactions(
+                len(block), txn_servers, txn_sizes, sum(missed_on), len(second)
+            )
+        self._fold_counters(txn_servers, txn_sizes, missed_on)
+
+    # -- helpers ---------------------------------------------------------------
+
+    def _fold_counters(
+        self, txn_servers: np.ndarray, txn_sizes: np.ndarray, missed_on: list[int] | None = None
+    ) -> None:
+        """Count a chunk's transactions, in execution order, on their servers.
+
+        Hitchhiker-free transactions: ``missed_on[sid]`` of the items sent
+        to server ``sid`` missed, every other one hit.  One ``bincount``
+        per counter and one pass per distinct ``(server, size)`` pair, in
+        first-seen order — the key order ``Histogram.add`` per transaction
+        would leave.
+        """
         if not len(txn_servers):
             return
         counters = [server.counters for server in self.cluster.servers]
+        missed_on = missed_on or [0] * len(counters)
         transactions = np.bincount(txn_servers, minlength=len(counters)).tolist()
         # float64 weights: exact, item counts stay far below 2**53
         items = np.bincount(txn_servers, weights=txn_sizes, minlength=len(counters))
-        for c, n, n_items in zip(counters, transactions, items.astype(np.int64).tolist()):
+        for c, n, n_items, n_missed in zip(
+            counters, transactions, items.astype(np.int64).tolist(), missed_on
+        ):
             c.transactions += n
             c.items_requested += n_items
-            c.items_returned += n_items
-            c.hits += n_items
+            c.items_returned += n_items - n_missed
+            c.hits += n_items - n_missed
+            c.misses += n_missed
         histograms = [c.txn_sizes.counts for c in counters]
         stride = int(txn_sizes.max()) + 1
         keys, ns = first_seen_counts(txn_servers * stride + txn_sizes)
@@ -218,8 +328,6 @@ class RnBClient:
         for sid, size, n in zip(sids.tolist(), sizes_seen.tolist(), ns.tolist()):
             sizes = histograms[sid]
             sizes[size] = sizes.get(size, 0) + n
-
-    # -- helpers ---------------------------------------------------------------
 
     def _authoritative_stamp(self, item: ItemId, home: int):
         """Version stamp a DB-fetched copy of ``item`` should carry.

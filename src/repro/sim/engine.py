@@ -44,44 +44,48 @@ _TABLE_CACHE: dict = {}
 _TABLE_CACHE_MAX = 8
 
 
-def _compiled_placer(config: SimConfig, placer, n_items: int) -> PlacementTable:
+def _compiled_placer(config: SimConfig, n_items: int) -> PlacementTable:
     cc = config.cluster
     key = (cc.placement, cc.n_servers, cc.replication, cc.vnodes, cc.placement_seed, n_items)
     table = _TABLE_CACHE.get(key)
     if table is None:
-        table = PlacementTable.compile(placer, n_items)
+        # the raw placer is only the compiler's input: on a hit, skip it
+        table = PlacementTable.compile(_raw_placer(config), n_items)
         if len(_TABLE_CACHE) >= _TABLE_CACHE_MAX:
             _TABLE_CACHE.pop(next(iter(_TABLE_CACHE)))
         _TABLE_CACHE[key] = table
     return table
 
 
+def _raw_placer(config: SimConfig):
+    cc = config.cluster
+    if config.client.mode == "noreplication":
+        return SingleHashPlacer(cc.n_servers, vnodes=cc.vnodes, seed=cc.placement_seed)
+    if config.client.mode == "fullreplication":
+        return FullReplicationPlacer(
+            cc.n_servers, cc.replication, vnodes=cc.vnodes, seed=cc.placement_seed
+        )
+    return make_placer(
+        cc.placement,
+        cc.n_servers,
+        cc.replication,
+        seed=cc.placement_seed,
+        **({"vnodes": cc.vnodes} if cc.placement == "rch" else {}),
+    )
+
+
 def build_cluster(config: SimConfig, n_items: int) -> Cluster:
     """Provision the cluster (placer + servers + pinned copies) for a run."""
     cc = config.cluster
-    if config.client.mode == "noreplication":
-        placer = SingleHashPlacer(
-            cc.n_servers, vnodes=cc.vnodes, seed=cc.placement_seed
-        )
-    elif config.client.mode == "fullreplication":
-        placer = FullReplicationPlacer(
-            cc.n_servers, cc.replication, vnodes=cc.vnodes, seed=cc.placement_seed
-        )
-    else:
-        placer = make_placer(
-            cc.placement,
-            cc.n_servers,
-            cc.replication,
-            seed=cc.placement_seed,
-            **({"vnodes": cc.vnodes} if cc.placement == "rch" else {}),
-        )
     if n_items > 0 and config.client.mode == "rnb":
         # Compile once over the item universe: provisioning, planning and
         # second-round routing all become table lookups.  The full-
         # replication client dispatches on the concrete placer type, and
         # the no-replication client never batches, so those modes keep
         # the raw placer (compiling would be pure overhead).
-        placer = _compiled_placer(config, placer, n_items)
+        placer = _compiled_placer(config, n_items)
+    else:
+        placer = _raw_placer(config)
     return Cluster(
         placer,
         range(n_items),
@@ -167,9 +171,9 @@ def run_simulation(graph: SocialGraph, config: SimConfig, *, metrics=None) -> Si
     )
 
     gen = EgoRequestGenerator(graph, rng=derive_rng(config.seed, 1, 0))
-    if tally and config.client.merge_window == 1 and config.client.limit_fraction is None:
-        # the plain ego stream, tallied: chunks stay arrays from the
-        # graph to the counters (docs/PERFORMANCE.md, section 3)
+    if batched and config.client.merge_window == 1 and config.client.limit_fraction is None:
+        # the plain ego stream: chunks stay arrays from the graph to the
+        # counters (docs/PERFORMANCE.md, section 3)
         draw = gen.block
     else:
         stream = iter(_composed(gen.stream(), config))
@@ -181,7 +185,9 @@ def run_simulation(graph: SocialGraph, config: SimConfig, *, metrics=None) -> Si
         # Plans depend only on the (static) placement, never on cluster
         # cache state, so planning a whole chunk ahead of execution is
         # exactly equivalent to the request-at-a-time loop; execution
-        # order — which does mutate LRU state — is unchanged.
+        # order — which does mutate LRU state — is unchanged.  Both chunk
+        # methods take blocks and request lists, and send a chunk off the
+        # vectorised envelope through the per-request path.
         remaining = n_requests
         while remaining > 0:
             take = min(config.batch_size, remaining) if batched else 1
@@ -189,17 +195,13 @@ def run_simulation(graph: SocialGraph, config: SimConfig, *, metrics=None) -> Si
             remaining -= take
             if tally:
                 client.tally_chunk(chunk, stats)
-                continue
-            if batched:
-                results = map(client.execute_plan, client.bundler.plan_batch(chunk))
+            elif batched:
+                client.execute_chunk(chunk, stats)
             else:
-                results = map(client.execute, chunk)
-            if stats is None:
-                for _ in results:
-                    pass
-            else:
-                for result in results:
-                    stats.record(result)
+                for request in chunk:
+                    result = client.execute(request)
+                    if stats is not None:
+                        stats.record(result)
 
     run_phase(config.warmup_requests, None)
     cluster.reset_counters()

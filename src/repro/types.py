@@ -214,20 +214,31 @@ class ClusterStats:
             self.per_server_transactions[s] = self.per_server_transactions.get(s, 0) + 1
 
     def record_transactions(
-        self, n_requests: int, txn_servers: np.ndarray, txn_sizes: np.ndarray
+        self,
+        n_requests: int,
+        txn_servers: np.ndarray,
+        txn_sizes: np.ndarray,
+        misses: int = 0,
+        second_round: int = 0,
     ) -> None:
-        """:meth:`record` for a chunk of requests none of whose items missed.
+        """:meth:`record` for a chunk of full-cover requests without hitchhikers.
 
-        ``txn_servers`` / ``txn_sizes`` are the chunk's transactions in
-        request order (:meth:`repro.core.bundling.Bundler.plan_transactions`);
-        the result is field for field, and key order for key order, what
-        recording each request's ``RnBClient.tally_footprint`` would leave.
+        ``txn_servers`` / ``txn_sizes`` are the chunk's transactions of
+        both rounds in execution order
+        (:meth:`repro.core.bundling.Bundler.plan_transactions`, then
+        ``RnBClient.execute_chunk``'s second rounds); ``misses`` counts
+        the first-round misses, every one of which the ``second_round``
+        transactions fetched again.  The result is field for field, and
+        key order for key order, what recording each request's
+        ``FetchResult`` would leave.
         """
-        n_items = int(txn_sizes.sum())
+        n_items = int(txn_sizes.sum()) - misses
         self.requests += n_requests
         self.transactions += len(txn_servers)
         self.items_fetched += n_items
         self.items_transferred += n_items
+        self.misses += misses
+        self.second_round_transactions += second_round
         add_counts(self.txn_size_histogram, txn_sizes)
         add_counts(self.per_server_transactions, txn_servers)
 

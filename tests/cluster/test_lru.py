@@ -313,3 +313,33 @@ def test_touch_many_is_touch_per_key(policy, pinned, puts, transactions):
     assert per_txn.pinned_keys() == per_key.pinned_keys()
     if policy == "priority":  # distinguished copies have a recency order too
         assert per_txn._lru._a.keys() == per_key._lru._a.keys()
+
+
+@given(
+    st.sampled_from([0, 1, 7, None]),
+    st.lists(st.integers(0, 30), max_size=12),
+    st.lists(st.integers(0, 30), max_size=40),
+    st.booleans(),
+)
+def test_put_all_is_put_per_key(capacity, before, keys, distinct):
+    """The bulk load leaves what one ``put`` per key leaves — entries in
+    order and the eviction count — from an empty or a filled LRU, for
+    fresh keys and for keys repeated or already present."""
+    if distinct:
+        keys = list(dict.fromkeys(keys))
+    per_key, bulk = LRUCache(capacity), LRUCache(capacity)
+    for lru in (per_key, bulk):
+        for key in before:
+            lru.put(key)
+    for key in keys:
+        per_key.put(key)
+    bulk.put_all(iter(keys))
+    assert bulk.keys() == per_key.keys()
+    assert bulk.evictions == per_key.evictions
+
+
+def test_bounded_bulk_load_keeps_the_last_keys():
+    lru = LRUCache(3)
+    lru.put_all(range(10))
+    assert lru.keys() == [7, 8, 9]
+    assert lru.evictions == 7

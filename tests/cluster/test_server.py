@@ -78,6 +78,20 @@ class TestWriteBack:
         s.write_back(2)
         assert 1 not in s.store and 2 in s.store
 
+    def test_unversioned_write_back_drops_an_evicted_copys_stamp(self):
+        s = Server(0, replica_capacity=1)
+        s.write_back(10, stamp="v1")
+        s.write_back(11)  # evicts 10
+        assert 10 not in s.store
+        s.write_back(10)
+        assert 10 in s.store and 10 not in s.stamps
+
+    def test_a_copy_that_does_not_land_keeps_no_stamp(self):
+        s = Server(0, replica_capacity=0)
+        s.stamps[5] = "old"
+        s.write_back(5, stamp="v2")
+        assert 5 not in s.store and 5 not in s.stamps
+
 
 class TestCounters:
     def test_reset(self):

@@ -7,8 +7,10 @@ per lane — and needs nothing newer than the declared NumPy floor.
 
 from __future__ import annotations
 
+import gc
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -18,7 +20,9 @@ from repro.core.bundling import Bundler
 from repro.core.client import RnBClient
 from repro.obs import MetricsRegistry
 from repro.perf.table import PlacementTable
-from repro.types import ClusterStats, Request
+from repro.sim.config import ClientConfig, ClusterConfig, SimConfig
+from repro.sim.engine import run_simulation
+from repro.types import ClusterStats, FetchPlan, FetchResult, Request, Transaction
 from tests.perf.test_tally_chunk import _as_block
 from tests.protocol.test_per_key_budget import python_calls
 
@@ -72,6 +76,64 @@ def test_planner_telemetry_costs_calls_per_cover_size_not_per_request():
     assert bare < small <= bare + 2 * N_SERVERS + 2
 
 
+PER_REQUEST_OBJECTS = (Request, Transaction, FetchPlan, FetchResult)
+
+
+def constructed(fn) -> Counter:
+    """How many of each per-request object ``fn()`` constructs, by class name."""
+    made: Counter = Counter()
+
+    def profiler(frame, event, arg) -> None:
+        if event == "call" and frame.f_code.co_name == "__init__":
+            obj = frame.f_locals.get("self")
+            if isinstance(obj, PER_REQUEST_OBJECTS):
+                made[type(obj).__name__] += 1
+
+    previous = sys.getprofile()
+    gc.disable()
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+        gc.enable()
+    return made
+
+
+def test_executor_chunk_builds_no_per_request_object():
+    """A block on the vectorised envelope goes from the planner's arrays to
+    the stores and counters — misses, write-backs and second rounds
+    included — without a Request, Transaction, FetchPlan or FetchResult."""
+    table = PlacementTable.compile(RandomPlacer(N_SERVERS, 3, seed=9), N_ITEMS)
+
+    def client(**bundler_kwargs) -> RnBClient:
+        cluster = Cluster(table, range(N_ITEMS), memory_factor=1.0)
+        return RnBClient(cluster, Bundler(table, **bundler_kwargs))
+
+    block = _as_block(_chunk(20, 64))
+    stats = ClusterStats()
+    assert constructed(lambda: client().execute_chunk(block, stats)) == Counter()
+    assert stats.requests == 64 and stats.second_round_transactions > 0
+    # the counter sees them where they are built: off the envelope
+    off = constructed(lambda: client(hitchhiking=True).execute_chunk(block, ClusterStats()))
+    assert off["Request"] == off["FetchPlan"] == off["FetchResult"] == 64
+
+
+def test_executor_regime_builds_no_per_request_object(small_slashdot):
+    """A limited-memory run in the ``sim_fig8`` shape draws, plans and
+    executes its requests as blocks."""
+    config = SimConfig(
+        cluster=ClusterConfig(n_servers=N_SERVERS, replication=4, memory_factor=2.0),
+        client=ClientConfig(mode="rnb"),
+        n_requests=300,
+        warmup_requests=100,
+        seed=2013,
+    )
+    results = []
+    assert constructed(lambda: results.append(run_simulation(small_slashdot, config))) == {}
+    assert results[0].stats.misses > 0
+
+
 PROBE = """
 import numpy
 if hasattr(numpy, "bitwise_count"):
@@ -81,7 +143,9 @@ from repro.cluster.placement import RandomPlacer
 from repro.core.bundling import Bundler
 from repro.core.client import RnBClient
 from repro.perf.table import PlacementTable
-from repro.types import ClusterStats, Request
+from repro.sim.config import ClientConfig, ClusterConfig, SimConfig
+from repro.sim.engine import run_simulation
+from repro.types import ClusterStats, FetchPlan, FetchResult, Request, Transaction
 from tests.perf.test_tally_chunk import _as_block
 
 bundler = Bundler(PlacementTable.compile(RandomPlacer(8, 3, seed=1), 300))

@@ -17,6 +17,7 @@ import pytest
 from repro.analysis.calibration import DEFAULT_MEMCACHED_MODEL
 from repro.obs import MetricsRegistry
 from repro.sim.config import ClientConfig, ClusterConfig, SimConfig
+from repro.sim import engine
 from repro.sim.engine import _TABLE_CACHE, build_cluster, run_simulation
 from tests.sim._oracle import run_scalar
 
@@ -43,6 +44,8 @@ CONFIGS = [
     pytest.param(dict(placement="random"), dict(), id="random-placement"),
     pytest.param(dict(memory_factor=1.5), dict(write_back=False), id="no-write-back"),
     pytest.param(dict(), dict(limit_fraction=1.0), id="limit-all"),
+    pytest.param(dict(replication=4, memory_factor=2.0), dict(), id="fig8-shape"),
+    pytest.param(dict(memory_factor=1.5), dict(merge_window=2), id="merged-limited-memory"),
 ]
 
 
@@ -135,7 +138,7 @@ def test_batch_size_does_not_change_results(small_slashdot):
         assert other.txn_histogram == first.txn_histogram
 
 
-def test_compiled_table_cache_reused(small_slashdot):
+def test_compiled_table_cache_reused(small_slashdot, monkeypatch):
     config = SimConfig(
         cluster=ClusterConfig(n_servers=8, replication=3),
         client=ClientConfig(mode="rnb"),
@@ -144,6 +147,12 @@ def test_compiled_table_cache_reused(small_slashdot):
     )
     _TABLE_CACHE.clear()
     first = build_cluster(config, small_slashdot.n_nodes)
+
+    def no_raw_placer(*args, **kwargs):
+        raise AssertionError("a cache hit built the raw placer")
+
+    # a hit needs no placer: it is only the table compiler's input
+    monkeypatch.setattr(engine, "make_placer", no_raw_placer)
     second = build_cluster(config, small_slashdot.n_nodes)
     assert first.placer is second.placer
     # a different memory factor shares the same placement table
