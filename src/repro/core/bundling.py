@@ -23,7 +23,7 @@ Two refinements from the paper are applied after the cover:
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 from typing import AbstractSet, Iterable, Sequence
 
 import numpy as np
@@ -34,6 +34,24 @@ from repro.perf.batchcover import batch_cover
 from repro.types import FetchPlan, ItemId, Request, RequestBlock, Transaction
 from repro.utils.bitset import iter_bits
 from repro.utils.histogram import first_seen_counts
+
+#: items the packed-row memo holds before it is cleared wholesale, the
+#: bound the placers put on their own memos
+_MEMO_LIMIT = 1 << 20
+
+
+def _packed_masks(n_items: int, width: int) -> tuple[int, list[tuple[int, int]]]:
+    """The masks :meth:`Bundler._plan_packed` needs for ``n_items`` rows of
+    ``width`` bytes: the base mask (bit 0 of each of ``n_items`` bytes)
+    and the ``(shift, low mask)`` steps that fold the OR of all the rows
+    into the lowest one."""
+    stride = 8 * width
+    base = int.from_bytes(b"\x01" * n_items, "little")
+    folds = []
+    while n_items > 1:
+        n_items = (n_items + 1) // 2
+        folds.append((n_items * stride, (1 << n_items * stride) - 1))
+    return base, folds
 
 
 def _chunk_transactions(
@@ -51,7 +69,7 @@ def _chunk_transactions(
     rule an item alone in its cell first moves to its distinguished
     server — column 0 of its replica row — where it merges with the
     request's other redirected singles and with any transaction already
-    headed there, exactly as :meth:`Bundler._finish_masks` does.
+    headed there, exactly as :meth:`Bundler.plan` does.
 
     Returns every item's cell number (a stable sort by it groups items
     into transactions, request-local order kept) and, in request-then-
@@ -96,6 +114,13 @@ class Bundler:
         the ``rnb_cover_size`` histogram — the distribution-level
         evidence the paper's cover-size argument rests on.  ``None``
         (the default) costs one predictable branch per plan.
+
+    A bundler memoises, per topology epoch of its placer, every planned
+    item's replica set as a packed row of bits (:meth:`_plan_packed`), so
+    a warm :meth:`plan` makes no placer call per item.  Clients that share
+    a placer share the memo by sharing one bundler (their ``bundler=``).
+    Like the metrics it feeds, the memo is not guarded for use from
+    several threads at once.
     """
 
     def __init__(
@@ -125,6 +150,9 @@ class Bundler:
         else:
             self._m_plans = None
             self._m_cover = None
+        # no placer's epoch: the first packed plan builds the memo, so a
+        # bundler that only plans chunks (the simulator) never holds one
+        self._epoch = -1
 
     def _record_plan(self, n_transactions: int) -> None:
         if self._m_plans is not None:
@@ -160,12 +188,27 @@ class Bundler:
         surviving replicas, and items with no surviving replica are left
         out of the plan entirely — the caller reports them as a partial
         (degraded) result.
+
+        A full cover with the ``lowest`` tie-break, no exclusions and no
+        hitchhikers — every live read of a healthy fleet — runs the packed
+        kernel (:meth:`_plan_packed`); anything else goes through
+        :func:`greedy_partial_cover` and :meth:`_finish`.  Both give the
+        same plan (property-tested).
         """
         items: Sequence[ItemId] = request.items
         n = len(items)
         if n == 0:
             self._record_plan(0)
             return FetchPlan(request=request, transactions=())
+        if not (
+            exclude
+            or self.hitchhiking
+            or self.tie_break != "lowest"
+            or (request.limit_fraction is not None and request.required_items < n)
+        ):
+            plan = self._plan_packed(request, items)
+            if plan is not None:
+                return plan
 
         replica_sets = [self.placer.servers_for(item) for item in items]
 
@@ -185,9 +228,6 @@ class Bundler:
             exclude=exclude,
             allow_partial=bool(exclude),
         )
-
-        if not exclude and not self.hitchhiking:
-            return self._finish_masks(request, items, replica_sets, cover.assignment.items())
 
         # server -> list of request-local indices assigned to it
         assigned: dict[int, list[int]] = {
@@ -451,47 +491,130 @@ class Bundler:
         assigned = batch_cover(row, servers, len(block), self.placer.n_servers)
         return row, servers, assigned
 
-    def _finish_masks(
-        self,
-        request: Request,
-        items: Sequence[ItemId],
-        replica_sets: Sequence[Sequence[int]],
-        picks: Iterable[tuple[int, int]],
-    ) -> FetchPlan:
-        """Mask-native :meth:`_finish` for plans without hitchhikers or exclusions.
+    # -- the packed kernel ----------------------------------------------------
 
-        Operates on the cover's ``(server, assignment_mask)`` picks
-        directly — the single-item rule is one bit trick per pick
-        (``mask & (mask - 1)`` is zero exactly for singletons) and
-        transaction item lists decode straight from the merged masks.
-        Produces the identical :class:`FetchPlan` as ``_finish`` over the
-        decoded index lists (property-tested).
+    def _plan_packed(self, request: Request, items: Sequence[ItemId]) -> FetchPlan | None:
+        """:meth:`plan` of a full cover, ``lowest`` tie-break, no exclusions
+        and no hitchhikers, from the per-epoch memo of packed replica rows.
+
+        The request is one integer: item *i*'s row — a bit per server id,
+        ``width`` bytes — sits at byte ``i * width``, and folding the rows
+        together names the servers the request touches.  Only for those, a
+        server's items are one shift and one AND of its byte column against
+        the request size's base mask (bit ``8 * i`` for every *i*).  The
+        greedy picks the lowest server id among the largest gains, as
+        :func:`greedy_partial_cover` does.  Gains only shrink, so under the
+        single-item rule the first pick with gain 1 ends it: every item
+        still uncovered would be a singleton, and the rule sends each to its
+        home.  Returns ``None`` when an item has no replica, for
+        :meth:`plan` to raise on.
         """
-        merged: dict[int, int] = {}
-        if self.single_item_rule:
-            singles: list[int] = []
-            for server, mask in picks:
-                if mask & (mask - 1):
-                    merged[server] = mask
-                else:
-                    singles.append(mask)
-            for mask in singles:
-                home = replica_sets[mask.bit_length() - 1][0]
-                merged[home] = merged.get(home, 0) | mask
-        else:
-            merged.update(picks)
+        if getattr(self.placer, "epoch", None) != self._epoch:
+            self._forget()
+        try:
+            joined = b"".join(map(self._rows.__getitem__, items))
+        except KeyError:
+            if not self._learn(items):
+                return None
+            joined = b"".join(map(self._rows.__getitem__, items))
+        n, width = len(items), self._width
+        masks = self._masks.get(n)
+        if masks is None:
+            masks = self._masks[n] = _packed_masks(n, width)
+        base, folds = masks
+        named = int.from_bytes(joined, "little")
+        for shift, low in folds:  # OR every row into the lowest one
+            named = (named & low) | (named >> shift)
 
+        # a server's items: the column of its byte across the rows, shifted
+        # so that bit 8i is set when item i is on it.  Under the single-item
+        # rule a pick must cover two items, and gains only shrink, so a
+        # server holding one item of the request is never a candidate.
+        floor = 1 if self.single_item_rule else 0
+        servers, sets, gains = [], [], []
+        column = -1
+        while named:
+            low = named & -named
+            server = low.bit_length() - 1
+            if server >> 3 != column:
+                column = server >> 3
+                rows = int.from_bytes(joined[column::width], "little")
+            held = (rows >> (server & 7)) & base
+            gain = held.bit_count()
+            if gain > floor:
+                servers.append(server)
+                sets.append(held)
+                gains.append(gain)
+            named ^= low
+
+        # a recorded gain bounds the true one: a server whose bound does not
+        # beat the best so far cannot win, and ties go to the lower id
+        uncovered = base
+        picks: dict[int, int] = {}
+        while uncovered:
+            best = floor
+            for j, gain in enumerate(gains):
+                if gain > best:
+                    gain = gains[j] = (sets[j] & uncovered).bit_count()
+                    if gain > best:
+                        best, pick = gain, j
+            if best == floor:
+                break
+            newly = sets[pick] & uncovered
+            picks[servers[pick]] = newly
+            uncovered ^= newly
+            gains[pick] = 0
+
+        if uncovered:
+            homes = self._homes
+            for idx in compress(range(n), uncovered.to_bytes(n, "little")):
+                home = homes[items[idx]]
+                picks[home] = picks.get(home, 0) | 1 << 8 * idx
         transactions = []
-        for server in sorted(merged):
-            mask = merged[server]
-            primary = []
-            while mask:
-                low = mask & -mask
-                primary.append(items[low.bit_length() - 1])
-                mask ^= low
-            transactions.append(Transaction(server=server, primary=tuple(primary)))
+        for server in sorted(picks):
+            selected = picks[server].to_bytes(n, "little")
+            transactions.append(Transaction(server, tuple(compress(items, selected))))
         self._record_plan(len(transactions))
-        return FetchPlan(request=request, transactions=tuple(transactions))
+        return FetchPlan(request, tuple(transactions))
+
+    def _forget(self) -> None:
+        """Start the memo over for the placer's current epoch: each item's
+        packed row and home (distinguished server), the row width in bytes
+        and the masks of :func:`_packed_masks` per request size."""
+        self._epoch = getattr(self.placer, "epoch", None)
+        self._rows: dict[ItemId, bytes] = {}
+        self._homes: dict[ItemId, int] = {}
+        self._width = 1
+        self._masks: dict[int, tuple] = {}
+
+    def _learn(self, items: Sequence[ItemId]) -> bool:
+        """Memoise the packed rows of ``items`` not yet in the memo.
+
+        Bounded like the placers' own memos: cleared wholesale once it
+        would pass ``_MEMO_LIMIT`` items.  A server id past the row width
+        re-packs every row wider.  False (nothing memoised for that item)
+        when an item has no replica.
+        """
+        if len(self._rows) + len(items) > _MEMO_LIMIT:
+            self._forget()
+        rows = self._rows
+        fresh = [(item, self.placer.servers_for(item)) for item in items if item not in rows]
+        if not all(servers for _, servers in fresh):
+            return False
+        width = max(max(servers) for _, servers in fresh) // 8 + 1
+        if width > self._width:
+            pad = bytes(width - self._width)
+            rows = self._rows = {item: row + pad for item, row in rows.items()}
+            self._width = width
+            self._masks = {}
+        width = self._width
+        for item, servers in fresh:
+            bits = 0
+            for server in servers:
+                bits |= 1 << server
+            rows[item] = bits.to_bytes(width, "little")
+            self._homes[item] = servers[0]
+        return True
 
     def _finish(
         self,

@@ -20,6 +20,8 @@ PACKAGE = os.path.dirname(repro.__file__)
 
 #: the counts before the engine was shared (hand-written async methods)
 HAND_WRITTEN = {"get_multi": 101, "set_versioned": 83}
+#: ... and since a warm plan stopped calling the placer per key (20 keys)
+BUDGET = {**HAND_WRITTEN, "get_multi": 81}
 SLACK = 10
 
 
@@ -55,4 +57,4 @@ def test_a_warm_request_costs_a_few_calls_more_at_most():
 
     counted = run(scenario())
     for name, calls in counted.items():
-        assert calls <= HAND_WRITTEN[name] + SLACK, (name, calls)
+        assert calls <= BUDGET[name] + SLACK, (name, calls)

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import bundling
 from repro.core.bundling import Bundler
+from repro.errors import CoverError
 from repro.hashing.rch import RangedConsistentHashPlacer
+from repro.membership import EpochedPlacer
 from repro.types import ReplicaSet, Request
 
 
@@ -177,3 +180,43 @@ class TestLimitPlans:
         bundler = Bundler(placer, tie_break="random")  # no rng
         with pytest.raises(ValueError):
             bundler.plan(Request(items=(1, 2, 3)))
+
+
+class TestPackedMemo:
+    """The per-epoch memo of packed replica rows behind ``plan``."""
+
+    REQUEST = Request(items=tuple(f"key{i}" for i in range(40)))
+
+    def test_a_new_epoch_is_planned_afresh(self):
+        placer = EpochedPlacer("rch", 6, 3, seed=2013)
+        bundler = Bundler(placer)
+        first = bundler.plan(self.REQUEST)
+        victim = first.transactions[0].server
+        placer.install_view(placer.view.without(victim))
+        after_loss = bundler.plan(self.REQUEST)
+        assert after_loss == Bundler(placer).plan(self.REQUEST)
+        assert victim not in after_loss.servers
+        # a joining id past 64 widens every row to nine bytes; the keys it
+        # takes over were memoised without it
+        placer.install_view(placer.view.with_join(70))
+        taken = tuple(k for k in self.REQUEST.items if 70 in placer.servers_for(k))
+        moved = Request(items=taken)
+        after_join = bundler.plan(moved)
+        assert after_join == Bundler(placer).plan(moved)
+        assert 70 in after_join.servers
+
+    def test_a_full_memo_is_cleared_and_refilled(self, monkeypatch):
+        placer = RangedConsistentHashPlacer(16, 3, vnodes=32)
+        monkeypatch.setattr(bundling, "_MEMO_LIMIT", 50)
+        bundler = Bundler(placer)
+        requests = [Request(items=tuple(range(lo, lo + 30))) for lo in (0, 30, 60, 0)]
+        for request in requests:
+            assert bundler.plan(request) == Bundler(placer).plan(request)
+            assert len(bundler._rows) <= 50
+
+    def test_an_item_without_replicas_raises_as_before(self):
+        placer = FixedPlacer({"a": (0, 1), "b": (1, 2), "orphan": ()}, 3)
+        bundler = Bundler(placer)
+        assert bundler.plan(Request(items=("a", "b"))).servers == (1,)
+        with pytest.raises(CoverError, match="infeasible"):
+            bundler.plan(Request(items=("a", "orphan")))

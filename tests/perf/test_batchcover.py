@@ -122,8 +122,9 @@ def test_chunk_planner_matches_mask_oracle(kind, single_item_rule):
         homes = [tbl.distinguished_for(item) for item in request.items]
         assert footprints[row] == _oracle.footprint(picks[row], homes, single_item_rule)
         replica_sets = [tbl.servers_for(item) for item in request.items]
-        assert plans[row] == bundler._finish_masks(
-            request, request.items, replica_sets, picks[row]
+        by_server = {server: list(iter_bits(mask)) for server, mask in picks[row]}
+        assert plans[row] == bundler._finish(
+            request, request.items, replica_sets, by_server, None
         )
 
 

@@ -12,6 +12,7 @@ from repro.cluster.placement import RandomPlacer
 from repro.core.bundling import Bundler
 from repro.core.client import RnBClient
 from repro.core.setcover import greedy_partial_cover
+from repro.obs import MetricsRegistry
 from repro.perf.table import PlacementTable
 from repro.types import Request
 from repro.utils.bitset import bit_indices
@@ -34,45 +35,61 @@ def _mixed_requests(rng, n=120):
     return requests
 
 
-TIE_BREAKS = ["lowest", "random", lambda candidates: candidates[-1]]
-
-
-@given(
-    st.integers(0, 2**31),
-    st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, min(n, 4)))),
-    st.lists(st.integers(0, 399), min_size=1, max_size=80, unique=True),
-    st.booleans(),
-    st.sampled_from([None, 0.1, 0.5, 0.9]),
-    st.sampled_from(TIE_BREAKS),
-)
-@settings(max_examples=300, deadline=None)
-def test_finish_masks_matches_finish(seed, fleet, items, single_item_rule, limit, tie_break):
-    """``plan`` and ``plan_batch`` both finish through ``_finish_masks``, so neither
-    checks the other: pin it to the general ``_finish`` on the same cover."""
-    placer = RandomPlacer(*fleet, seed=seed)
-    bundler = Bundler(
-        placer,
-        single_item_rule=single_item_rule,
-        tie_break=tie_break,
-        rng=np.random.default_rng(seed),
-    )
-    request = Request(items=tuple(items), limit_fraction=limit)
-    replica_sets = [placer.servers_for(item) for item in items]
+def cover_then_finish(bundler, request):
+    """The specification of :meth:`Bundler.plan` without exclusions: the
+    general solver's cover, decoded to index lists, through ``_finish``."""
+    replica_sets = [bundler.placer.servers_for(item) for item in request.items]
     subsets: dict[int, int] = {}
     for idx, servers in enumerate(replica_sets):
         for server in servers:
             subsets[server] = subsets.get(server, 0) | (1 << idx)
     cover = greedy_partial_cover(
-        subsets, len(items), request.required_items, tie_break=tie_break, rng=bundler.rng
+        subsets,
+        len(request.items),
+        request.required_items,
+        tie_break=bundler.tie_break,
+        rng=bundler.rng,
     )
     assigned = {server: bit_indices(mask) for server, mask in cover.assignment.items()}
-    want = bundler._finish(request, request.items, replica_sets, assigned, None)
-    picks = cover.assignment.items()
-    assert bundler._finish_masks(request, request.items, replica_sets, picks) == want
-    for exclude in (None, frozenset()):
-        bundler.rng = np.random.default_rng(seed)  # replay the cover's draws
-        assert bundler.plan(request, exclude=exclude) == want
-    assert sum(len(t.primary) for t in want.transactions) == request.required_items
+    return bundler._finish(request, request.items, replica_sets, assigned, None)
+
+
+@given(
+    st.integers(0, 2**31),
+    # fleets past 8 and past 64 server ids: rows of 1 to 25 bytes
+    st.sampled_from([4, 8, 9, 16, 64, 65, 72, 128, 200]).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, min(n, 4)))
+    ),
+    st.lists(
+        st.lists(st.integers(0, 9_999), min_size=1, max_size=64, unique=True),
+        min_size=1,
+        max_size=3,
+    ),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([None, 1.0]),
+)
+@settings(max_examples=300, deadline=None)
+def test_packed_plan_matches_cover_then_finish(
+    seed, fleet, item_lists, string_ids, single_item_rule, limit
+):
+    """The packed kernel (a full cover, ``lowest`` tie-break, no exclusions, no
+    hitchhikers) plans what the general solver and ``_finish`` plan, and
+    counts it the same in ``rnb_plans_total`` / ``rnb_cover_size``.  The
+    requests share one bundler, so a later one can widen the memo's rows."""
+    placer = RandomPlacer(*fleet, seed=seed)
+    packed_registry, spec_registry = MetricsRegistry(), MetricsRegistry()
+    packed = Bundler(placer, single_item_rule=single_item_rule, metrics=packed_registry)
+    spec = Bundler(placer, single_item_rule=single_item_rule, metrics=spec_registry)
+    for items in item_lists:
+        ids = tuple(f"item:{i}" for i in items) if string_ids else tuple(items)
+        request = Request(items=ids, limit_fraction=limit)
+        want = cover_then_finish(spec, request)
+        assert packed.plan(request) == want
+        assert packed.plan(request, exclude=frozenset()) == want  # the memo, warm
+        assert sum(len(t.primary) for t in want.transactions) == len(ids)
+        cover_then_finish(spec, request)  # two plans a request on each side
+    assert packed_registry.snapshot() == spec_registry.snapshot()
 
 
 @pytest.mark.parametrize("single_item_rule", [True, False])
