@@ -16,6 +16,7 @@ from paper section IV:
 Run:  python examples/live_cluster.py
 """
 
+from repro.aio.server import serve_aio
 from repro.core.bundling import Bundler
 from repro.faults.health import HealthTracker
 from repro.membership import (
@@ -26,7 +27,7 @@ from repro.membership import (
 )
 from repro.protocol.consistency import atomic_update
 from repro.protocol.memclient import MemcachedConnection
-from repro.protocol.memserver import MemcachedServer, serve_tcp
+from repro.protocol.memserver import MemcachedServer
 from repro.protocol.rnbclient import RnBProtocolClient
 from repro.protocol.retry import RetryPolicy
 from repro.protocol.transport import TCPTransport
@@ -46,13 +47,13 @@ POLICY = RetryPolicy(
 
 
 def main() -> None:
-    backends, tcp_servers, conns = {}, [], {}
+    backends, handles, conns = {}, [], {}
     try:
         for sid in range(N_SERVERS):
             backend = MemcachedServer(name=f"mem{sid}")
-            server, (host, port) = serve_tcp(backend)
+            handle, (host, port) = serve_aio(backend)
             backends[sid] = backend
-            tcp_servers.append(server)
+            handles.append(handle)
             conns[sid] = MemcachedConnection(
                 TCPTransport(host, port, policy=POLICY), policy=POLICY
             )
@@ -109,8 +110,7 @@ def main() -> None:
 
         # --- self-healing: kill a server for real ---
         dead_sid = 3
-        tcp_servers[dead_sid].shutdown()
-        tcp_servers[dead_sid].server_close()
+        handles[dead_sid].stop()
         conns[dead_sid].transport.close()
         print(f"\nkilled server {dead_sid} (socket closed)")
         on_dead = [k for k in keys if dead_sid in placer.servers_for(k)]
@@ -130,9 +130,8 @@ def main() -> None:
         )
 
     finally:
-        for server in tcp_servers:
-            server.shutdown()
-            server.server_close()
+        for handle in handles:
+            handle.stop()
         for conn in conns.values():
             conn.transport.close()
         print("\ncluster shut down cleanly")

@@ -1,19 +1,19 @@
 """Asyncio front for the memcached server (docs/SERVING.md).
 
-:class:`AsyncMemcachedServer` serves the *same*
-:class:`repro.protocol.memserver.MemcachedServer` backend as the
-threaded ``serve_tcp`` front, callback-driven: one small
-:class:`asyncio.Protocol` object per connection instead of one OS thread
-(or task), so a single process holds tens of thousands of concurrent
-connections — the regime the open-loop load generator
-(:mod:`repro.loadgen`) drives.  Every command a received chunk completes
-is executed inline; the batch is answered with ONE ``transport.write``.
+:class:`AsyncMemcachedServer` is the socket front of a
+:class:`repro.protocol.memserver.MemcachedServer` backend,
+callback-driven: one small :class:`asyncio.Protocol` object per
+connection instead of one OS thread (or task), so a single process holds
+tens of thousands of concurrent connections — the regime the open-loop
+load generator (:mod:`repro.loadgen`) drives.  Every command a received
+chunk completes is executed inline; the batch is answered with ONE
+``transport.write``.
 
-Properties the async front preserves from the threaded one:
+Properties the front keeps:
 
-* **shared storage** — the backend's lock still serialises command
-  execution, so a threaded front, an async front and in-process
-  loopback callers can all serve the same byte-accounted LRU at once;
+* **shared storage** — the backend's lock serialises command
+  execution, so several fronts and in-process loopback callers can all
+  serve the same byte-accounted LRU at once;
 * **pipelining** — a connection may send many commands before reading
   any response; responses come back in request order (the memcached
   contract the pipelined :class:`repro.aio.transport.AsyncConnection`
@@ -26,8 +26,8 @@ Properties the async front preserves from the threaded one:
 
 Two ways to run it: ``await server.start()`` inside an existing event
 loop (the load generator does this), or :func:`serve_aio` which owns a
-background thread + loop for synchronous callers (tests, examples) and
-mirrors :func:`repro.protocol.memserver.serve_tcp`'s return shape.
+background thread + loop for synchronous callers (``rnb stats
+--boot-demo``, tests, examples).
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ class AsyncMemcachedServer:
     async def start(self) -> tuple[str, int]:
         """Bind and start accepting; returns the bound address.
 
-        ``port=0`` picks a free port, mirroring ``serve_tcp``.
+        ``port=0`` picks a free port.
         """
         self._server = await asyncio.get_running_loop().create_server(
             lambda: _Connection(self), self.host, self.port
@@ -165,11 +165,19 @@ class AioServerHandle:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._started = threading.Event()
+        #: what binding raised on the server thread, for start() to re-raise
+        self._error: Exception | None = None
 
     def _run(self) -> None:
         self._loop = asyncio.new_event_loop()
-        self.address = self._loop.run_until_complete(self.server.start())
-        self._started.set()
+        try:
+            self.address = self._loop.run_until_complete(self.server.start())
+        except Exception as exc:  # e.g. OSError: the port is taken
+            self._error = exc
+            self._loop.close()
+            return
+        finally:
+            self._started.set()
         try:
             self._loop.run_forever()
         finally:
@@ -181,6 +189,9 @@ class AioServerHandle:
         self._thread.start()
         if not self._started.wait(timeout=10.0):  # pragma: no cover - startup hang
             raise RuntimeError("async server failed to start within 10s")
+        if self._error is not None:
+            self._thread.join()
+            raise self._error
         return self
 
     def stop(self) -> None:
@@ -198,8 +209,8 @@ def serve_aio(
     """Start an async front on a background thread (sync-caller helper).
 
     Returns ``(handle, (host, port))``; call ``handle.stop()`` to stop.
-    The signature mirrors :func:`repro.protocol.memserver.serve_tcp`, so
-    sync tests exercise both fronts through one fixture shape.
+    ``port=0`` picks a free port; a bind error (the port is taken) is
+    raised here, on the caller's thread.
     """
     handle = AioServerHandle(AsyncMemcachedServer(backend, host=host, port=port)).start()
     return handle, handle.address

@@ -265,7 +265,7 @@ def _run_stats(args) -> int:
         return 0
     finally:
         for server in demo_servers:
-            server.shutdown()
+            server.stop()
 
 
 def main(argv: list[str] | None = None) -> int:

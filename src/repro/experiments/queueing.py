@@ -3,7 +3,8 @@
 The end-to-end throughput story (paper §V-B future work): sweep the
 offered request rate on a fixed 16-server fleet and measure p95 latency
 for the classic client and RnB (R=4, memory-rich), under Poisson
-arrivals and FIFO server queues (:mod:`repro.sim.des`).
+arrivals and FIFO server queues — :func:`repro.overload.desim.
+simulate_overload` with every client policy off.
 
 Expected outcome: identical latency at low load (both are RTT-bound);
 the classic deployment's latency explodes at the load where its
@@ -18,12 +19,14 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from repro.analysis.calibration import DEFAULT_MEMCACHED_MODEL, CostModel
 from repro.core.bundling import Bundler
 from repro.experiments.base import ExperimentResult
 from repro.hashing.rch import RangedConsistentHashPlacer
 from repro.cluster.placement import SingleHashPlacer
-from repro.sim.des import make_bundled_planner, make_classic_planner, simulate_queueing
+from repro.overload.desim import simulate_overload
 from repro.utils.rng import derive_rng
 from repro.workloads.graphs import SocialGraph
 from repro.workloads.requests import EgoRequestGenerator
@@ -33,14 +36,26 @@ DEFAULT_LOAD_FRACTIONS = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.6)
 
 
 def _nominal_capacity(
-    graph: SocialGraph, planner, n_servers: int, cost_model: CostModel, seed: int
+    graph: SocialGraph,
+    placer: SingleHashPlacer,
+    n_servers: int,
+    cost_model: CostModel,
+    seed: int,
 ) -> float:
-    """Work-conservation capacity estimate used to scale the load axis."""
+    """Work-conservation capacity of the classic deployment, used to scale
+    the load axis.  A request's transactions are its items grouped by home
+    in first-seen order, and the sum runs in that order: summing the
+    bundler's server-sorted transactions instead moves the result by an
+    ulp at some scales, and the pinned queueing token with it."""
     gen = EgoRequestGenerator(graph, rng=derive_rng(seed, 10))
     total = 0.0
     n = 400
     for request in gen.stream(n):
-        for _, n_items in planner(request):
+        groups: dict[int, int] = {}
+        for item in request.items:
+            home = placer.distinguished_for(item)
+            groups[home] = groups.get(home, 0) + 1
+        for n_items in groups.values():
             total += cost_model.txn_time(n_items)
     return n_servers / (total / n)
 
@@ -60,29 +75,29 @@ def run(
 
     single = SingleHashPlacer(n_servers, vnodes=64)
     rch = RangedConsistentHashPlacer(n_servers, replication, vnodes=64)
-    planners = {
-        "classic": make_classic_planner(single),
-        f"RnB R={replication}": make_bundled_planner(Bundler(rch)),
+    bundlers = {
+        "classic": Bundler(single),
+        f"RnB R={replication}": Bundler(rch),
     }
 
     # scale the load axis by the CLASSIC deployment's nominal capacity so
     # fraction 1.0 is exactly its work-conservation limit
-    base_capacity = _nominal_capacity(graph, planners["classic"], n_servers, cost_model, seed)
+    base_capacity = _nominal_capacity(graph, single, n_servers, cost_model, seed)
 
     series: dict[str, list[float]] = {}
-    for label, planner in planners.items():
+    for label, bundler in bundlers.items():
         p95s, utils = [], []
         for frac in load_fractions:
             gen = EgoRequestGenerator(graph, rng=derive_rng(seed, 11, int(frac * 100)))
-            result = simulate_queueing(
+            result = simulate_overload(
                 itertools.islice(gen.stream(), n_requests),
-                planner,
+                bundler,
                 n_servers=n_servers,
                 cost_model=cost_model,
                 arrival_rate=frac * base_capacity,
                 rng=derive_rng(seed, 12, int(frac * 100)),
             )
-            p95s.append(result.p95_latency * 1e6)
+            p95s.append(float(np.percentile(result.latencies, 95)) * 1e6)
             utils.append(result.max_utilization)
         series[f"{label} p95 us"] = p95s
         series[f"{label} max util"] = utils

@@ -71,31 +71,31 @@ def boot_demo_fleet(
 
     Builds ``n_servers`` :class:`repro.protocol.memserver.MemcachedServer`
     instances sharing one :class:`repro.obs.MetricsRegistry`, serves each
-    on a free local port, loads ``n_items`` keys through an RnB client
-    (so planner/request families have data) and returns ``(addresses,
-    tcp_servers, registry)``.  Callers own shutdown:
-    ``for srv in tcp_servers: srv.shutdown()``.
+    on a free local port (:func:`repro.aio.server.serve_aio`), loads
+    ``n_items`` keys through an RnB client (so planner/request families
+    have data) and returns ``(addresses, handles, registry)``.  Callers
+    own shutdown: ``for handle in handles: handle.stop()``.
     """
+    from repro.aio.server import serve_aio
     from repro.cluster.placement import RangedConsistentHashPlacer
     from repro.obs.metrics import MetricsRegistry
     from repro.protocol.memclient import MemcachedConnection
-    from repro.protocol.memserver import MemcachedServer, serve_tcp
+    from repro.protocol.memserver import MemcachedServer
     from repro.protocol.rnbclient import RnBProtocolClient
+    from repro.protocol.transport import TCPTransport
     from repro.utils.rng import ensure_rng
 
     registry = MetricsRegistry()
     backends = [
         MemcachedServer(name=f"demo{i}", metrics=registry) for i in range(n_servers)
     ]
-    tcp_servers: list = []
+    handles: list = []
     addresses: list[str] = []
     connections: dict[int, MemcachedConnection] = {}
     for sid, backend in enumerate(backends):
-        server, (host, port) = serve_tcp(backend)
-        tcp_servers.append(server)
+        handle, (host, port) = serve_aio(backend)
+        handles.append(handle)
         addresses.append(f"{host}:{port}")
-        from repro.protocol.transport import TCPTransport
-
         connections[sid] = MemcachedConnection(TCPTransport(host, port))
     placer = RangedConsistentHashPlacer(
         n_servers, min(2, n_servers), vnodes=32, seed=seed
@@ -108,4 +108,4 @@ def boot_demo_fleet(
     for _ in range(n_items // 4):
         batch = [keys[int(rng.integers(0, len(keys)))] for _ in range(6)]
         client.get_multi(batch)
-    return addresses, tcp_servers, registry
+    return addresses, handles, registry

@@ -1,9 +1,13 @@
 """Event-driven overload simulator: the full serving loop under pressure.
 
-:mod:`repro.sim.des` answers "where does the fleet saturate?" with exact
-FIFO bookkeeping and no client policy at all — every transaction stalls
-in whatever queue its cover picked.  This module is the other half of
-the overload story: a true event-heap DES in which the *client reacts*:
+Every server is a FIFO queue whose service time per transaction comes
+from the calibrated :class:`CostModel`; a request's transactions enter
+the queues at its arrival instant and it completes with the slowest.
+With every policy off (the default :class:`OverloadConfig`) that is
+all: the paper's §V-B queueing question, "where does the fleet
+saturate?" (``rnb run queueing``), with every transaction stalling in
+whatever queue its cover picked.  Each policy below makes the *client
+react* instead:
 
 * servers run bounded FIFO queues with optional token-bucket admission
   (:class:`repro.overload.load.AdmissionControl`); an overflowing

@@ -9,8 +9,8 @@ The server is transport-agnostic: :meth:`handle` consumes raw request
 bytes (possibly several pipelined commands) and returns response bytes.
 :class:`repro.protocol.transport.LoopbackTransport` calls it in-process
 — this is what the calibration micro-benchmarks drive — and
-``serve_tcp`` exposes the same instance on a real socket for the
-``examples/live_cluster.py`` demo.
+:mod:`repro.aio.server` (``serve_aio`` for synchronous callers) exposes
+the same instance on a real socket.
 
 Thread safety: a single lock serialises command execution, mirroring
 memcached's per-item locking at the granularity our benchmarks need and
@@ -19,7 +19,6 @@ making the two-client contention experiment (paper Fig 14) meaningful.
 
 from __future__ import annotations
 
-import socketserver
 import threading
 import time
 from collections import OrderedDict
@@ -356,42 +355,3 @@ class MemcachedServer:
     def __contains__(self, key: str) -> bool:
         return key in self._items
 
-
-class _Handler(socketserver.BaseRequestHandler):
-    def handle(self) -> None:  # pragma: no cover - exercised in the live example
-        buf = codec.CommandBuffer()
-        while True:
-            chunk = self.request.recv(65536)
-            if not chunk:
-                return
-            buf.feed(chunk)
-            try:
-                commands = buf.commands()
-            except ProtocolError:
-                self.request.sendall(b"ERROR" + CRLF)
-                return
-            for cmd in commands:
-                self.request.sendall(self.server.backend.execute(cmd))
-
-
-class TCPMemcachedServer(socketserver.ThreadingTCPServer):
-    """TCP front for a :class:`MemcachedServer` (daemon threads)."""
-
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, address: tuple[str, int], backend: MemcachedServer):
-        super().__init__(address, _Handler)
-        self.backend = backend
-
-
-def serve_tcp(backend: MemcachedServer, host: str = "127.0.0.1", port: int = 0):
-    """Start serving ``backend`` on a background thread.
-
-    Returns ``(server, (host, port))``; call ``server.shutdown()`` to stop.
-    ``port=0`` picks a free port.
-    """
-    server = TCPMemcachedServer((host, port), backend)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server, server.server_address

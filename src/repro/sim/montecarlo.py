@@ -7,9 +7,9 @@ random and independent of the previous request."
 
 Under those assumptions there is no state at all: each trial draws, for
 every requested item, a uniformly random set of ``replication`` distinct
-servers, and runs the greedy (partial) cover.  The implementation is
-vectorised with NumPy boolean matrices — one greedy step is a masked
-column sum + argmax — so thousands of trials per sweep point are cheap.
+servers (one NumPy draw per trial), and runs the bundler's greedy
+(partial) cover, :func:`repro.core.setcover.cover_from_replica_lists`,
+on them.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.setcover import cover_from_replica_lists
 from repro.utils.rng import ensure_rng
 
 
@@ -37,39 +38,6 @@ class MonteCarloResult:
     @property
     def stderr_tpr(self) -> float:
         return self.std_tpr / np.sqrt(self.n_trials)
-
-
-def _greedy_cover_trial(
-    presence: np.ndarray, required: int
-) -> tuple[int, int]:
-    """Greedy (partial) cover on one trial's M x N presence matrix.
-
-    Returns (transactions, items_covered).  Ties break toward the lowest
-    server id (argmax's first-match rule), matching the bit-set solver.
-    """
-    m, _ = presence.shape
-    uncovered = np.ones(m, dtype=bool)
-    covered = 0
-    txns = 0
-    while covered < required:
-        coverage = presence[uncovered].sum(axis=0)
-        server = int(np.argmax(coverage))
-        gain = int(coverage[server])
-        if gain == 0:  # pragma: no cover - impossible: every item has a server
-            raise RuntimeError("greedy stalled")
-        newly = uncovered & presence[:, server]
-        need = required - covered
-        if gain > need:
-            # LIMIT trimming: only `need` of the newly covered items count;
-            # which ones is irrelevant for TPR, so clear the first `need`.
-            idx = np.nonzero(newly)[0][:need]
-            uncovered[idx] = False
-            covered += need
-        else:
-            uncovered[newly] = False
-            covered += gain
-        txns += 1
-    return txns, covered
 
 
 def mc_tpr(
@@ -112,11 +80,9 @@ def mc_tpr(
         # random permutation of servers — uniform over distinct sets
         scores = rng.random((request_size, n_servers))
         replicas = np.argpartition(scores, replication - 1, axis=1)[:, :replication]
-        presence = np.zeros((request_size, n_servers), dtype=bool)
-        presence[np.arange(request_size)[:, None], replicas] = True
-        txns, covered = _greedy_cover_trial(presence, required)
-        tprs[t] = txns
-        items[t] = covered
+        cover = cover_from_replica_lists(replicas.tolist(), required=required)
+        tprs[t] = cover.n_selected
+        items[t] = cover.n_covered
     return MonteCarloResult(
         n_servers=n_servers,
         request_size=request_size,

@@ -7,14 +7,16 @@ import socket
 import threading
 import time
 
+import pytest
+
 from repro.aio.memclient import AsyncMemcachedClient
 from repro.aio.server import AsyncMemcachedServer, serve_aio
 from repro.aio.transport import AsyncConnection
 from repro.overload.load import AdmissionControl
 from repro.protocol.codec import Command
 from repro.protocol.memclient import MemcachedConnection
-from repro.protocol.memserver import MemcachedServer, serve_tcp
-from repro.protocol.transport import TCPTransport
+from repro.protocol.memserver import MemcachedServer
+from repro.protocol.transport import LoopbackTransport, TCPTransport
 
 
 def run(coro):
@@ -22,32 +24,35 @@ def run(coro):
 
 
 class TestSharedBackend:
-    def test_async_and_threaded_fronts_serve_one_store(self):
+    def test_two_fronts_and_loopback_serve_one_store(self):
         backend = MemcachedServer()
-        threaded, (th, tp) = serve_tcp(backend)
-        aio_handle, (ah, ap) = serve_aio(backend)
+        first, (h1, p1) = serve_aio(backend)
+        second, (h2, p2) = serve_aio(backend)
         try:
-            sync_client = MemcachedConnection(TCPTransport(th, tp, timeout=2.0))
-            sync_client.set("via-sync", b"1")
+            sync_client = MemcachedConnection(TCPTransport(h1, p1, timeout=2.0))
+            sync_client.set("via-first", b"1")
 
-            async def via_async():
-                conn = AsyncConnection(ah, ap, timeout=2.0)
+            async def via_second():
+                conn = AsyncConnection(h2, p2, timeout=2.0)
                 client = AsyncMemcachedClient(conn)
                 try:
-                    # the async front reads what the threaded front wrote
-                    assert await client.get("via-sync") == b"1"
-                    assert await client.set("via-async", b"2")
+                    # the second front reads what the first one wrote
+                    assert await client.get("via-first") == b"1"
+                    assert await client.set("via-second", b"2")
                 finally:
                     conn.close()
 
-            run(via_async())
-            # ... and vice versa
-            assert sync_client.get("via-async") == b"2"
+            run(via_second())
+            # ... and vice versa, and an in-process caller shares the store
+            assert sync_client.get("via-second") == b"2"
+            loopback = MemcachedConnection(LoopbackTransport(backend))
+            assert loopback.get("via-first") == b"1"
+            loopback.set("via-loopback", b"3")
+            assert sync_client.get("via-loopback") == b"3"
             sync_client.transport.close()
         finally:
-            aio_handle.stop()
-            threaded.shutdown()
-            threaded.server_close()
+            first.stop()
+            second.stop()
 
 
 class TestProtocol:
@@ -98,8 +103,6 @@ class TestAdmission:
             try:
                 from repro.errors import ServerBusy
 
-                import pytest
-
                 with pytest.raises(ServerBusy):
                     await client.get("anything")
             finally:
@@ -122,8 +125,8 @@ class TestAdmission:
 
 class TestStatsMetricsVerb:
     def test_async_front_serves_the_obs_catalog(self):
-        # `stats metrics` delegates to the shared backend, so the async
-        # front exports the same telemetry the threaded front does
+        # `stats metrics` delegates to the shared backend, so the front
+        # exports the same telemetry an in-process caller reads
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
@@ -244,6 +247,17 @@ class TestFraming:
             assert drip == whole
 
         run(scenario())
+
+
+class TestStart:
+    def test_a_taken_port_raises_the_bind_error_at_once(self):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            began = time.monotonic()
+            with pytest.raises(OSError):
+                serve_aio(MemcachedServer(), port=taken.getsockname()[1])
+            assert time.monotonic() - began < 1.0
 
 
 class TestStop:

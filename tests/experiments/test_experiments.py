@@ -7,6 +7,8 @@ on the output series.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -21,9 +23,11 @@ from repro.experiments import (
     fig11,
     fig12,
     fig13_14,
+    scalability,
 )
 from repro.experiments.base import ExperimentResult
 from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
+from repro.hashing.hashfns import stable_hash64
 from repro.workloads.synthetic import make_slashdot_like
 
 TINY = dict(scale=0.02, n_requests=150, seed=5)
@@ -144,6 +148,26 @@ class TestFig12:
         [res] = results
         assert res.series["R=5"][0] < res.series["R=2"][0]
         assert res.series["R=2"][0] < res.series["R=1 no LIMIT"][0]
+
+
+class TestMonteCarloDeterminism:
+    """The Monte-Carlo figures are pure functions of their parameters: the
+    tokens hold every trial's draws and the number of servers the greedy
+    cover picks for them, LIMIT trimming included."""
+
+    @pytest.mark.parametrize(
+        "experiment, params, token",
+        [
+            (fig11, {"n_trials": 30, "seed": 2013}, 3056574915132707205),
+            (fig12, {"n_trials": 20, "seed": 2013}, 16320283673406251052),
+            (scalability, {"n_trials": 10, "seed": 2013}, 11806435391299373463),
+        ],
+        ids=["fig11", "fig12", "scalability"],
+    )
+    def test_pinned_token(self, experiment, params, token):
+        results = experiment.run(**params)
+        doc = json.dumps([r.to_dict() for r in results], sort_keys=True)
+        assert stable_hash64(doc) == token
 
 
 class TestFig13_14:

@@ -31,12 +31,12 @@ class TestParseAddress:
 class TestFleetScrape:
     @pytest.fixture(scope="class")
     def fleet(self):
-        addresses, tcp_servers, registry = boot_demo_fleet(
+        addresses, handles, registry = boot_demo_fleet(
             n_servers=2, n_items=40, seed=3
         )
         yield addresses, registry
-        for srv in tcp_servers:
-            srv.shutdown()
+        for handle in handles:
+            handle.stop()
 
     def test_scrape_covers_core_families(self, fleet):
         addresses, _registry = fleet

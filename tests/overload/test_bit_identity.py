@@ -16,9 +16,10 @@ import pytest
 
 from repro.analysis.calibration import DEFAULT_MEMCACHED_MODEL
 from repro.core.bundling import Bundler
+from repro.errors import ConfigurationError
 from repro.hashing.rch import RangedConsistentHashPlacer
+from repro.overload.desim import simulate_overload
 from repro.sim.config import ClientConfig, ClusterConfig, SimConfig
-from repro.sim.des import make_bundled_planner, simulate_queueing
 from repro.sim.engine import run_simulation
 from repro.utils.rng import derive_rng
 from repro.workloads.graphs import SocialGraph
@@ -73,11 +74,10 @@ class TestQueueingMultipliersOff:
     def _run(self, multipliers):
         graph = make_slashdot_like(seed=3, scale=0.02)
         placer = RangedConsistentHashPlacer(8, 2, vnodes=32)
-        planner = make_bundled_planner(Bundler(placer))
         gen = EgoRequestGenerator(graph, rng=derive_rng(3, 1))
-        return simulate_queueing(
+        return simulate_overload(
             itertools.islice(gen.stream(), 600),
-            planner,
+            Bundler(placer),
             n_servers=8,
             cost_model=DEFAULT_MEMCACHED_MODEL,
             arrival_rate=3000.0,
@@ -90,16 +90,16 @@ class TestQueueingMultipliersOff:
         off = self._run(None)
         neutral = self._run([1.0] * 8)
         np.testing.assert_array_equal(off.latencies, neutral.latencies)
-        assert off.p95_latency == neutral.p95_latency
         assert off.max_utilization == neutral.max_utilization
+        assert off.metrics_token == neutral.metrics_token
 
     def test_straggler_actually_straggles(self):
         slow = self._run([1.0] * 7 + [30.0])
         off = self._run(None)
-        assert slow.p95_latency > off.p95_latency
+        assert np.percentile(slow.latencies, 95) > np.percentile(off.latencies, 95)
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             self._run([1.0, 1.0])
 
 

@@ -18,7 +18,7 @@ from repro.aio.server import serve_aio
 from repro.aio.transport import AsyncConnection
 from repro.protocol.codec import FrameBuffer, parse_response
 from repro.protocol.memclient import MemcachedConnection
-from repro.protocol.memserver import MemcachedServer, serve_tcp
+from repro.protocol.memserver import MemcachedServer
 from repro.protocol.transport import LoopbackTransport, TCPTransport
 
 # A pipelined stream of four responses with adversarial payloads: empty,
@@ -167,7 +167,7 @@ class TestClientMaterialisation:
 class TestOverRealSockets:
     def test_tcp_transport_pipelined_multi_get(self):
         backend = MemcachedServer()
-        threaded, (host, port) = serve_tcp(backend)
+        handle, (host, port) = serve_aio(backend)
         try:
             c = MemcachedConnection(TCPTransport(host, port, timeout=2.0))
             for i in range(20):
@@ -176,8 +176,7 @@ class TestOverRealSockets:
             assert out == {f"k{i}": (b"v%d" % i) * (i + 1) for i in range(20)}
             c.transport.close()
         finally:
-            threaded.shutdown()
-            threaded.server_close()
+            handle.stop()
 
     def test_async_client_raw_parity(self):
         backend = MemcachedServer()

@@ -1,5 +1,5 @@
 """Server ingest: ``CommandBuffer`` frames commands incrementally, and a data
-block that spans many socket chunks is parsed once, on both fronts."""
+block that spans many socket chunks is parsed once by the socket front."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from repro.aio.server import AsyncMemcachedServer, _Connection
 from repro.errors import ProtocolError
 from repro.protocol import codec
 from repro.protocol.codec import Command, CommandBuffer, encode_command, parse_command_stream
-from repro.protocol.memserver import MemcachedServer, _Handler
+from repro.protocol.memserver import MemcachedServer
 
 STREAM = (
     b"set alpha 5 0 12\r\nhello\r\nworld\r\n"
@@ -89,19 +89,13 @@ def chunks() -> list[bytes]:
 
 
 class _Sink:
-    """A transport (``write``) or a socket (``recv`` / ``sendall``) for a front."""
+    """A transport for the front: keeps what it is given to ``write``."""
 
-    def __init__(self, pieces=()) -> None:
-        self.pieces = list(pieces)
+    def __init__(self) -> None:
         self.out = bytearray()
 
     def write(self, data) -> None:
         self.out += data
-
-    sendall = write
-
-    def recv(self, n: int) -> bytes:
-        return self.pieces.pop(0) if self.pieces else b""
 
 
 STORED_THEN_VALUE = b"STORED\r\nVALUE big 0 %d\r\n%s\r\nEND\r\n" % (len(PAYLOAD), PAYLOAD)
@@ -119,13 +113,4 @@ class TestLinearIngest:
         for piece in chunks():
             conn.data_received(piece)
         assert bytes(transport.out) == STORED_THEN_VALUE
-        assert sum(parsed) <= 2 * len(PAYLOAD)
-
-    def test_threaded_front(self, parsed):
-        class Server:
-            backend = MemcachedServer()
-
-        request = _Sink(chunks())
-        _Handler(request, ("127.0.0.1", 0), Server)  # handles until recv() returns b""
-        assert bytes(request.out) == STORED_THEN_VALUE
         assert sum(parsed) <= 2 * len(PAYLOAD)

@@ -182,10 +182,10 @@ class TestConnectionRetries:
 
 class TestTransportTimeoutPlumbing:
     def test_policy_sets_socket_timeouts(self):
-        from repro.protocol.memserver import serve_tcp
+        from repro.aio.server import serve_aio
 
         policy = RetryPolicy(connect_timeout=2.5, request_timeout=0.75)
-        server, (host, port) = serve_tcp(MemcachedServer())
+        handle, (host, port) = serve_aio(MemcachedServer())
         try:
             transport = TCPTransport(host, port, policy=policy)
             assert transport._sock.gettimeout() == 0.75
@@ -195,17 +195,15 @@ class TestTransportTimeoutPlumbing:
             assert transport._sock.gettimeout() == 3.0
             transport.close()
         finally:
-            server.shutdown()
-            server.server_close()
+            handle.stop()
 
     def test_default_policy_when_nothing_passed(self):
-        from repro.protocol.memserver import serve_tcp
+        from repro.aio.server import serve_aio
 
-        server, (host, port) = serve_tcp(MemcachedServer())
+        handle, (host, port) = serve_aio(MemcachedServer())
         try:
             transport = TCPTransport(host, port)
             assert transport._sock.gettimeout() == DEFAULT_POLICY.request_timeout
             transport.close()
         finally:
-            server.shutdown()
-            server.server_close()
+            handle.stop()

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.protocol.memserver import MemcachedServer, serve_tcp
+from repro.aio.server import serve_aio
+from repro.protocol.memserver import MemcachedServer
 from repro.protocol.retry import RetryPolicy
 from repro.protocol.transport import TCPTransport
 
@@ -12,10 +13,9 @@ from repro.protocol.transport import TCPTransport
 @pytest.fixture()
 def live_server():
     backend = MemcachedServer()
-    server, (host, port) = serve_tcp(backend)
+    handle, (host, port) = serve_aio(backend)
     yield host, port
-    server.shutdown()
-    server.server_close()
+    handle.stop()
 
 
 class TestTimeoutPrecedence:

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.aio.server import serve_aio
 from repro.errors import ProtocolError
 from repro.protocol.codec import Command, encode_command
-from repro.protocol.memserver import MemcachedServer, serve_tcp
+from repro.protocol.memserver import MemcachedServer
 from repro.protocol.transport import LoopbackTransport, TCPTransport
 
 
@@ -41,10 +42,9 @@ class TestTCP:
     @pytest.fixture()
     def live_server(self):
         backend = MemcachedServer()
-        server, (host, port) = serve_tcp(backend)
+        handle, (host, port) = serve_aio(backend)
         yield backend, host, port
-        server.shutdown()
-        server.server_close()
+        handle.stop()
 
     def test_roundtrip_over_socket(self, live_server):
         _, host, port = live_server

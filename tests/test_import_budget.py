@@ -14,8 +14,12 @@ import subprocess
 import sys
 
 BLOCKED = ("scipy", "networkx")
-# multiprocessing: only a sweep fanned over processes (max_workers > 1) needs it
-DENIED = {*BLOCKED, "matplotlib", "pandas", "pytest", "hypothesis", "multiprocessing"}
+# multiprocessing: only a sweep fanned over processes (max_workers > 1) needs it;
+# socketserver: the one socket front is asyncio's
+DENIED = {
+    *BLOCKED, "matplotlib", "pandas", "pytest", "hypothesis", "multiprocessing",
+    "socketserver",
+}
 
 PROBE = f"""
 import sys
