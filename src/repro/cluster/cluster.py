@@ -97,22 +97,22 @@ class Cluster:
         # limited memory the per-server LRUs immediately trim the overflow,
         # and the warmup phase then re-orders survivors by actual use.
         # With memory_factor=None (naive allocation) everything stays
-        # resident, giving exactly Fig 6's setting.
+        # resident, giving exactly Fig 6's setting.  Servers are
+        # independent, so loading each one's replicas in item order
+        # reproduces the item-by-item load exactly.
+        loads: dict[int, list[ItemId]] = defaultdict(list)
         if table is not None:
-            # Each server receives its replica items in ascending item
-            # order either way (an item never maps twice to one server),
-            # so bulk insertion reproduces the per-item load exactly.
             replicas = table[:, 1:]
             if replicas.size:
-                flat_item = np.repeat(
-                    np.arange(len(self.items)), replicas.shape[1]
-                )
+                flat_item = np.repeat(np.arange(len(self.items)), replicas.shape[1])
                 for sid, items in self._group_by_server(flat_item, replicas.ravel()):
-                    self.servers[sid].store.put_all(items.tolist())
+                    loads[sid] = items.tolist()
         else:
             for item in self.items:
                 for sid in placer.servers_for(item)[1:]:
-                    self.servers[sid].store.put(item)
+                    loads[sid].append(item)
+        for sid, items in loads.items():
+            self.servers[sid].preload_replicas(items)
 
         #: optional fault-injection gate (see repro.faults.injector); when
         #: attached, server accesses may raise ServerDown / ServerTimeout

@@ -80,25 +80,22 @@ class LRUCache:
     def put_all(self, keys: Iterable[Hashable]) -> None:
         """Insert many keys; equivalent to ``put`` per key, in order.
 
-        With *fresh* keys — distinct, none already present — the per-key
-        path reduces to appending each key, so a single bulk dict update,
-        which preserves iteration order for new keys, produces the
-        identical LRU state without a Python-level loop.  Under a capacity
-        that holds when the LRU starts empty too: of ``n`` fresh keys the
-        last ``capacity`` survive and the other ones count as evictions,
-        as one ``put`` per key would leave it.  Anything else falls back
-        to the per-key path (``update`` would skip the move-to-end refresh
-        a present or repeated key gets).
+        Into an empty LRU, distinct keys are appended one after another,
+        so one ``OrderedDict.fromkeys`` builds the identical LRU without a
+        Python-level loop, under any capacity: of ``n`` keys the last
+        ``capacity`` survive and the other ones count as evictions, as one
+        ``put`` per key would leave it.  Anything else — a filled LRU, a
+        repeated key — takes the per-key path (a bulk build would skip the
+        move-to-end refresh a present or repeated key gets).
         """
         keys = list(keys)
-        fresh = dict.fromkeys(keys)
-        if len(fresh) == len(keys) and self._entries.keys().isdisjoint(fresh):
-            if self.capacity is None:
-                self._entries.update(fresh)
-                return
-            if not self._entries:
-                overflow = max(0, len(keys) - self.capacity)
-                self._entries.update(dict.fromkeys(keys[overflow:]))
+        if not self._entries:
+            overflow = 0 if self.capacity is None else max(0, len(keys) - self.capacity)
+            fresh = OrderedDict.fromkeys(keys[overflow:])
+            # a repeat can hide in the dropped prefix, so then check them all
+            distinct = len(set(keys)) == len(keys) if overflow else len(fresh) == len(keys)
+            if distinct:
+                self._entries = fresh
                 self.evictions += overflow
                 return
         for key in keys:

@@ -93,9 +93,8 @@ class Server:
         self.store.pin_all(items)
 
     def preload_replicas(self, items: Iterable[ItemId]) -> None:
-        """Warm the replica LRU (used by memory-rich experiments)."""
-        for item in items:
-            self.store.put(item)
+        """Load replica copies, in order, as one ``put`` per item would."""
+        self.store.put_all(items)
 
     # -- the transaction ------------------------------------------------
 

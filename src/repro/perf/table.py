@@ -205,8 +205,9 @@ class PlacementTable:
         """Vectorised batch lookup: ``(k,) item ids -> (k, R) server ids``.
 
         All ids must lie in the compiled universe ``0..n_items-1``.
+        ``take`` gathers the rows faster than ``table[items]`` does.
         """
-        return self.table[items]
+        return self.table.take(items, axis=0)
 
     @property
     def distinguished(self) -> np.ndarray:

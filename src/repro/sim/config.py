@@ -102,7 +102,12 @@ class SimConfig:
     tie-break does not read live load: that many requests are drawn,
     flattened to one array entry per requested item and covered together
     (:func:`repro.perf.batchcover.batch_cover`), so it trades nothing but
-    array sizes — requests of any width share a chunk.  In the tally
+    array sizes — requests of any width share a chunk.  The cover kernel
+    makes a few NumPy calls per greedy round whatever the chunk holds, so
+    a larger chunk pays them for more items; 2 048 is where both simulator
+    workloads of ``bench/`` are fastest (docs/PERFORMANCE.md, "PR 30").
+    Its price is array memory: one round's gain matrix is ``batch_size x
+    n_servers`` int64, 16 MiB at 1 024 servers.  In the tally
     regime (``memory_factor=None``, pinned LRU, no hitchhiking) on the
     plain ego stream a chunk is drawn as a
     :class:`repro.types.RequestBlock` and stays two arrays until it has
@@ -120,7 +125,7 @@ class SimConfig:
     n_requests: int = 2000
     warmup_requests: int = 1000
     seed: int = 0
-    batch_size: int = 256
+    batch_size: int = 2048
 
     def __post_init__(self) -> None:
         if self.n_requests < 1:

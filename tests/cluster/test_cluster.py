@@ -7,7 +7,9 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.cluster.placement import SingleHashPlacer
 from repro.errors import CapacityError, ConfigurationError
+from repro.hashing.multihash import MultiHashPlacer
 from repro.hashing.rch import RangedConsistentHashPlacer
+from repro.perf.table import PlacementTable
 
 
 def make_cluster(n_servers=8, replication=3, n_items=1000, memory_factor=None):
@@ -40,6 +42,43 @@ class TestProvisioning:
     def test_memory_factor_below_one_rejected(self):
         with pytest.raises(CapacityError):
             make_cluster(memory_factor=0.9)
+
+
+def _fleet_state(cluster):
+    return [
+        (s.store.pinned_keys(), s.store.replica_keys(), s.store.evictions, len(s.store))
+        for s in cluster
+    ]
+
+
+class TestBulkProvisioning:
+    """Over a compiled table the cluster groups items by server in arrays and
+    bulk-loads each store; over the raw placer it walks item by item.  Both
+    must leave every store as the other does, LRU order included."""
+
+    @pytest.mark.parametrize(
+        "placer",
+        [
+            RangedConsistentHashPlacer(8, 3, vnodes=32),
+            SingleHashPlacer(8, vnodes=32),
+            MultiHashPlacer(8, 4, seed=3),
+        ],
+        ids=["rch-r3", "single-hash", "multihash-r4"],
+    )
+    @pytest.mark.parametrize("memory_factor", [None, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("lru_policy", ["pinned", "priority"])
+    def test_compiled_table_provisions_like_the_raw_placer(
+        self, placer, memory_factor, lru_policy
+    ):
+        n_items = 700
+        table = PlacementTable.compile(placer, n_items)
+        assert table is not placer
+        raw, bulk = (
+            Cluster(p, range(n_items), memory_factor=memory_factor, lru_policy=lru_policy)
+            for p in (placer, table)
+        )
+        assert _fleet_state(bulk) == _fleet_state(raw)
+        assert bulk.total_resident_items() == raw.total_resident_items()
 
 
 class TestMemoryBudget:

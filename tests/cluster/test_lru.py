@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.cluster.lru import (
@@ -336,6 +336,31 @@ def test_put_all_is_put_per_key(capacity, before, keys, distinct):
     bulk.put_all(iter(keys))
     assert bulk.keys() == per_key.keys()
     assert bulk.evictions == per_key.evictions
+
+
+@given(
+    st.sampled_from([0, 1, 7, None]),
+    st.sets(st.integers(0, 30), max_size=8),
+    st.lists(st.integers(0, 30), max_size=10),
+    st.lists(st.integers(0, 30), max_size=40),
+)
+@example(7, {1, 2}, [], [3, 1, 4, 2, 5])  # some keys pinned
+@example(7, {1, 2}, [], [3, 4, 5, 6, 8, 9, 10, 11])  # none pinned (provisioning)
+def test_pinned_put_all_is_put_per_key(capacity, pinned, before, keys):
+    """Pinned keys in the bulk load are skipped as ``put`` skips them, and a
+    load that names none of them (provisioning's case) skips nothing."""
+    per_key, bulk = PinnedLRU(capacity), PinnedLRU(capacity)
+    for store in (per_key, bulk):
+        store.pin_all(pinned)
+        for key in before:
+            store.put(key)
+    for key in keys:
+        per_key.put(key)
+    bulk.put_all(iter(keys))
+    assert bulk.replica_keys() == per_key.replica_keys()
+    assert bulk.pinned_keys() == per_key.pinned_keys()
+    assert bulk.evictions == per_key.evictions
+    assert len(bulk) == len(per_key)
 
 
 def test_bounded_bulk_load_keeps_the_last_keys():

@@ -19,6 +19,7 @@ from repro.obs import MetricsRegistry
 from repro.sim.config import ClientConfig, ClusterConfig, SimConfig
 from repro.sim import engine
 from repro.sim.engine import _TABLE_CACHE, build_cluster, run_simulation
+from repro.workloads.synthetic import make_slashdot_like
 from tests.sim._oracle import run_scalar
 
 CONFIGS = [
@@ -136,6 +137,63 @@ def test_batch_size_does_not_change_results(small_slashdot):
     for other in results[1:]:
         assert dataclasses.asdict(other.stats) == dataclasses.asdict(first.stats)
         assert other.txn_histogram == first.txn_histogram
+
+
+@pytest.mark.parametrize("memory_factor", [None, 1.5], ids=["tally", "executor"])
+def test_batch_size_does_not_change_results_over_many_chunks(small_slashdot, memory_factor):
+    """Several chunks a phase, a warm-up that ends mid-chunk, and limited
+    memory, which runs the executor regime instead of the tally one."""
+    base = SimConfig(
+        cluster=ClusterConfig(n_servers=8, replication=3, memory_factor=memory_factor),
+        client=ClientConfig(mode="rnb"),
+        warmup_requests=777,
+        seed=2013,
+    )
+    base = dataclasses.replace(base, n_requests=2 * base.batch_size + 555)
+    results = [
+        run_simulation(small_slashdot, dataclasses.replace(base, batch_size=batch_size))
+        for batch_size in (1, 7, 256, 2048)
+    ] + [run_simulation(small_slashdot, base)]
+    first = results[0]
+    for other in results[1:]:
+        assert other.determinism_token() == first.determinism_token()
+        assert dataclasses.asdict(other.stats) == dataclasses.asdict(first.stats)
+        assert other.txn_histogram == first.txn_histogram
+
+
+class TestPinnedBenchShapes:
+    """``bench/``'s two simulator workloads give the numbers they gave when
+    the literals below were generated, so a change to chunking, the cover
+    kernel or provisioning that moves a result fails in tier 1.  Shapes as
+    in ``bench/spec.py``: slashdot-like graph at scale 0.1, 16 servers."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return make_slashdot_like(scale=0.1, seed=7)
+
+    @pytest.mark.parametrize(
+        "replication, memory_factor, n_requests, warmup, token, tpr",
+        [
+            (3, None, 20_000, 0, 18409122967460574868, 2.62805),
+            (4, 2.0, 5_000, 2_500, 11440372295460263216, 3.372),
+        ],
+        ids=["sim_fig6", "sim_fig8"],
+    )
+    def test_pinned_token(
+        self, graph, replication, memory_factor, n_requests, warmup, token, tpr
+    ):
+        config = SimConfig(
+            cluster=ClusterConfig(
+                n_servers=16, replication=replication, memory_factor=memory_factor
+            ),
+            client=ClientConfig(mode="rnb"),
+            n_requests=n_requests,
+            warmup_requests=warmup,
+            seed=2013,
+        )
+        result = run_simulation(graph, config)
+        assert result.determinism_token() == token
+        assert result.tpr == tpr
 
 
 def test_compiled_table_cache_reused(small_slashdot, monkeypatch):
