@@ -189,6 +189,50 @@ class PinnedLRU:
                 absent.append(key)
         return present, absent
 
+    def replay(self, keys: list, edges: list[int], *, put: bool = True) -> list[int]:
+        """Serve a run of transactions in order; returns where they missed.
+
+        ``keys[edges[i]:edges[i + 1]]`` is the ``i``-th transaction, its
+        keys distinct.  Each one is :meth:`touch_many`, then, with
+        ``put``, a :meth:`put` of each of its misses in turn.  The LRU and
+        its evictions end as those calls would leave them, in one call
+        instead of one per transaction and one per miss.  Returns the
+        positions in ``keys`` that missed, in order.
+        """
+        pinned = self._pinned
+        entries = self._lru._entries
+        capacity = self._lru.capacity
+        missed: list[int] = []
+        evicted = 0
+        lo = edges[0]
+        for hi in edges[1:]:
+            absent = []
+            for i, key in enumerate(keys[lo:hi], lo):
+                if key in entries:
+                    entries.move_to_end(key)
+                elif key not in pinned:
+                    absent.append(i)
+            lo = hi
+            missed += absent
+            if not put:
+                continue
+            # LRUCache.put of a key known to be absent
+            for i in absent:
+                if capacity is not None:
+                    if capacity == 0:
+                        evicted += 1
+                        continue
+                    while len(entries) >= capacity:
+                        entries.popitem(last=False)
+                        evicted += 1
+                entries[keys[i]] = None
+        self._lru.evictions += evicted
+        return missed
+
+    def pins_all(self, keys: Iterable[Hashable]) -> bool:
+        """True iff every key is pinned here."""
+        return self._pinned.issuperset(keys)
+
     def put(self, key: Hashable) -> None:
         """Insert a replica copy (no-op if the key is pinned here)."""
         if key in self._pinned:

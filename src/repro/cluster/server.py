@@ -163,6 +163,27 @@ class Server:
             self.stamps.pop(item, None)
         self.counters.writes += 1
 
+    def record_write_backs(self, items: Sequence[ItemId], stamps: Sequence | None) -> None:
+        """Finish :meth:`write_back` for copies the store has already put.
+
+        ``PinnedLRU.replay`` puts a run of misses as it serves them; this
+        sets or drops each copy's stamp and counts the writes, in the
+        order one :meth:`write_back` per item would.  ``stamps=None``
+        installs every copy unversioned.  Only a store with no replica
+        space drops a copy it is given, and the copy's stamp with it.
+        """
+        own = self.stamps
+        if stamps is not None and self.store.replica_capacity != 0:
+            for item, stamp in zip(items, stamps):
+                if stamp is None:
+                    own.pop(item, None)
+                else:
+                    own[item] = stamp
+        elif own:
+            for item in items:
+                own.pop(item, None)
+        self.counters.writes += len(items)
+
     def wipe(self) -> None:
         """Lose all stored data (crash): capacity survives, contents do not."""
         self.store.wipe()

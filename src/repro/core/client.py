@@ -26,10 +26,18 @@ from typing import Iterable
 import numpy as np
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.lru import PinnedLRU
 from repro.core.bundling import Bundler
 from repro.errors import ConfigurationError
 from repro.types import ClusterStats, FetchPlan, FetchResult, ItemId, Request, RequestBlock
 from repro.utils.histogram import first_seen_counts
+
+
+def _by_server(sids: np.ndarray, n_servers: int) -> np.ndarray:
+    """A stable ``argsort`` of server ids: grouped by server, each group in
+    its original order.  Ids fit a byte for up to 256 servers, and NumPy
+    sorts 8- and 16-bit keys by radix, several times faster than int64."""
+    return np.argsort(sids.astype(np.min_scalar_type(n_servers - 1)), kind="stable")
 
 
 class RnBClient:
@@ -211,27 +219,43 @@ class RnBClient:
     def execute_chunk(
         self, chunk: RequestBlock | Iterable[Request], stats: ClusterStats | None = None
     ) -> None:
-        """Execute a chunk, request after request, without a plan object.
+        """Execute a chunk from the planner's arrays, a server at a time.
 
         The executor regime's :meth:`tally_chunk`: it leaves every store
         (LRU order, evictions, stamps), every server's counters and
         ``stats`` as planning the chunk, running :meth:`execute_plan` on
         each plan and recording each result would (property-tested
         against exactly that, down to the key order of the histograms).
-        The stores see the same calls in the same order — one
-        ``touch_many`` per transaction, ``Server.write_back`` per miss —
-        but the transactions are slices of one list of the planner's
-        arrays, and the counters are folded once per chunk.
+
+        Within a chunk every server's LRU evolves on its own, because
+
+        * a request's first round sends a server at most one transaction;
+        * a miss is written back to the server it missed on;
+        * the stamp a write-back copies lives on the item's home, where
+          the item is pinned, so it never misses or is written back there;
+        * a second-round touch on a :class:`PinnedLRU` reads only its
+          pinned set.
+
+        So each server replays its transactions in request order in one
+        :meth:`PinnedLRU.replay` (touch a transaction, put its misses),
+        and :meth:`Server.record_write_backs` stamps the copies.  Round
+        two is arrays: one transaction per (request, home) of the misses,
+        in :meth:`_second_round_order`, each checked against its home's
+        pinned set and merged behind its request's first round.  The
+        counters and stats are folded once per chunk.
 
         A chunk off the vectorised envelope (see
-        :meth:`Bundler.plan_cells`), or a cluster with a fault injector
-        or an admission gate attached, runs through :meth:`execute_plan`.
+        :meth:`Bundler.plan_cells`), a cluster with a fault injector or an
+        admission gate attached, or one whose stores are not all
+        :class:`PinnedLRU`, runs through :meth:`execute_plan`.
         """
         if not isinstance(chunk, RequestBlock):
             chunk = list(chunk)
         fleet = self.cluster.servers
         planned = None
-        if self.cluster.injector is None and all(s.admission is None for s in fleet):
+        if self.cluster.injector is None and all(
+            s.admission is None and isinstance(s.store, PinnedLRU) for s in fleet
+        ):
             planned = self.bundler.plan_cells(chunk)
         if planned is None:
             requests = chunk.requests() if isinstance(chunk, RequestBlock) else chunk
@@ -242,55 +266,58 @@ class RnBClient:
             return
 
         block, servers, cell, txn_servers, txn_sizes, n_txns = planned
-        members = block.items[np.argsort(cell, kind="stable")].tolist()
-        ends = np.cumsum(txn_sizes).tolist()
-        groups = [members[lo:hi] for lo, hi in zip([0] + ends, ends)]
-        txn_sids = txn_servers.tolist()
-        home_of = dict(zip(block.items.tolist(), servers[:, 0].tolist()))
-        touch_many = [server.store.touch_many for server in fleet]
-        missed_on = [0] * len(fleet)
-        # round two, in execution order: (request row, server, size)
-        second: list[tuple[int, int, int]] = []
-        txn = 0
-        for row, k in enumerate(n_txns.tolist()):
-            end = txn + k
-            missed = []  # (item, server it missed on), in miss order
-            for sid, group in zip(txn_sids[txn:end], groups[txn:end]):
-                absent = touch_many[sid](group)[1]
-                if absent:
-                    missed_on[sid] += len(absent)
-                    missed += [(item, sid) for item in absent]
-            txn = end
-            if not missed:
-                continue
-            by_home: dict[int, list[ItemId]] = {}
-            for item, sid in missed:
-                home = home_of[item]
-                if self.write_back:
+        n = len(fleet)
+        # every item server-major: a server's transactions in request
+        # order (the block is request-major), each in request-local order
+        flat = _by_server(cell % n, n)
+        keys = block.items[flat].tolist()
+        edges = [0, *np.cumsum(txn_sizes[_by_server(txn_servers, n)]).tolist()]
+        missed: list[int] = []
+        first, put = 0, self.write_back
+        for server, k in zip(fleet, np.bincount(txn_servers, minlength=n).tolist()):
+            missed += server.store.replay(keys, edges[first : first + k + 1], put=put)
+            first += k
+        at = flat[np.array(missed, dtype=np.int64)]
+        missed_on = np.bincount(cell[at] % n, minlength=n).tolist()
+
+        n_second = 0
+        if len(at):
+            items, homes = block.items[at], servers[at, 0]
+            if self.write_back:
+                item_list = items.tolist()
+                stamps = None  # nothing is versioned: every copy goes in unversioned
+                if any(s.stamps for s in fleet):
                     # _authoritative_stamp, with no injector to pass
-                    fleet[sid].write_back(item, stamp=fleet[home].stamps.get(item))
-                by_home.setdefault(home, []).append(item)
-            for home, group in self._second_round_order(by_home):
-                absent = touch_many[home](group)[1]
-                if absent:  # pragma: no cover - invariant guard, as in execute_plan
+                    stamps_of = [s.stamps for s in fleet]
+                    stamps = [stamps_of[h].get(i) for i, h in zip(item_list, homes.tolist())]
+                lo = 0
+                for server, k in zip(fleet, missed_on):
+                    theirs = None if stamps is None else stamps[lo : lo + k]
+                    server.record_write_backs(item_list[lo : lo + k], theirs)
+                    lo += k
+            grouped = items[_by_server(homes, n)].tolist()
+            lo = 0
+            for home, k in enumerate(np.bincount(homes, minlength=n).tolist()):
+                group, lo = grouped[lo : lo + k], lo + k
+                if not fleet[home].store.pins_all(group):
+                    absent = [i for i in group if not fleet[home].store.is_pinned(i)]
                     raise ConfigurationError(
                         f"distinguished copies missing on server {home}: {absent}"
                     )
-                second.append((row, home, len(group)))
-
-        if second:
-            # each request's second round right after its first
-            rows, sids, sizes = np.array(second, dtype=np.int64).T
+            # round two: one transaction per (request, home), each request's
+            # largest first, ties to the lowest home, right after its round one
+            cells, sizes = np.unique(cell[at] // n * n + homes, return_counts=True)
+            rows, sids = np.divmod(cells, n)
+            order = np.lexsort((sids, -sizes, rows))
+            n_second = len(order)
             first_rows = np.repeat(np.arange(len(n_txns)), n_txns)
             merged = np.argsort(
-                np.concatenate((2 * first_rows, 2 * rows + 1)), kind="stable"
+                np.concatenate((2 * first_rows, 2 * rows[order] + 1)), kind="stable"
             )
-            txn_servers = np.concatenate((txn_servers, sids))[merged]
-            txn_sizes = np.concatenate((txn_sizes, sizes))[merged]
+            txn_servers = np.concatenate((txn_servers, sids[order]))[merged]
+            txn_sizes = np.concatenate((txn_sizes, sizes[order]))[merged]
         if stats is not None:
-            stats.record_transactions(
-                len(block), txn_servers, txn_sizes, sum(missed_on), len(second)
-            )
+            stats.record_transactions(len(block), txn_servers, txn_sizes, len(at), n_second)
         self._fold_counters(txn_servers, txn_sizes, missed_on)
 
     # -- helpers ---------------------------------------------------------------

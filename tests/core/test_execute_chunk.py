@@ -21,6 +21,7 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.placement import RandomPlacer
 from repro.core.bundling import Bundler
 from repro.core.client import RnBClient
+from repro.errors import ConfigurationError
 from repro.perf.table import PlacementTable
 from repro.types import ClusterStats, Request
 from tests.perf.test_tally_chunk import _as_block
@@ -66,15 +67,16 @@ def _state(client: RnBClient, stats: ClusterStats):
 @st.composite
 def chunk_runs(draw):
     """Chunks of requests over a hot slice of the items, so LRUs evict and
-    items miss; optionally salted with requests the block path cannot take
+    items miss (twenty hot items make one item miss twice on one server
+    within a chunk); optionally salted with requests the block path cannot take
     (an item outside the table has no copy to execute against)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**31)))
-    hot = draw(st.sampled_from([60, 200, N_ITEMS]))
+    hot = draw(st.sampled_from([20, 60, 200, N_ITEMS]))
     chunks = []
     for _ in range(draw(st.integers(1, 4))):
         sizes = draw(st.lists(st.sampled_from([1, 2, 3, 5, 9, 25, 60]), max_size=30))
         chunk = [
-            Request(items=tuple(rng.choice(hot, size=size, replace=False).tolist()))
+            Request(items=tuple(rng.choice(hot, size=min(size, hot), replace=False).tolist()))
             for size in sizes
         ]
         odd = {
@@ -90,13 +92,14 @@ def chunk_runs(draw):
 
 @given(
     chunk_runs(),
-    st.sampled_from([1.0, 1.3, 2.0, None]),
+    # 1.05: two replica slots a server, fewer than a transaction's items
+    st.sampled_from([1.0, 1.05, 1.3, 2.0, None]),
     st.sampled_from(["pinned", "priority"]),
     st.booleans(),
     st.booleans(),
     st.booleans(),
 )
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_execute_chunk_is_the_per_request_fold(
     chunks, memory_factor, lru_policy, write_back, single_item_rule, as_blocks
 ):
@@ -148,3 +151,61 @@ def test_second_rounds_are_counted_where_they_ran():
     assert stats.items_fetched == 20 * 50
     assert sum(s.counters.writes for s in client.cluster.servers) == stats.misses
     assert sum(s.counters.misses for s in client.cluster.servers) == stats.misses
+
+
+def test_an_item_missing_twice_on_one_server_keeps_its_stamp_slot():
+    """Two replica slots a server and twenty hot items, all versioned: an
+    item is written back to one server, evicted, another item's copy is
+    stamped there, and the first is written back again.  Its stamp keeps
+    the dict slot of its first write-back."""
+    rng = np.random.default_rng(3)
+    chunk = [
+        Request(items=tuple(rng.choice(20, size=size, replace=False).tolist()))
+        for size in rng.integers(1, 12, size=60)
+    ]
+    spec, got = (_client(1.05, "pinned", True) for _ in range(2))
+    assert spec.cluster.replica_capacity_per_server == 2
+    for client in (spec, got):
+        for item in range(20):
+            client.cluster.servers[TABLE.distinguished_for(item)].stamps[item] = f"v{item}"
+    written = []
+    for server in spec.cluster.servers:
+
+        def write_back(item, *, stamp=None, _sid=server.server_id, _method=server.write_back):
+            written.append((_sid, item))
+            _method(item, stamp=stamp)
+
+        server.write_back = write_back
+    spec_stats, got_stats = ClusterStats(), ClusterStats()
+    for request in chunk:
+        spec_stats.record(spec.execute_plan(spec.bundler.plan(request)))
+    got.execute_chunk(_as_block(chunk), got_stats)
+    # some server is written x, then another item, then x again
+    by_server: dict[int, list] = {}
+    for sid, item in written:
+        by_server.setdefault(sid, []).append(item)
+    assert any(
+        item in seq[:i] and seq[i - 1] != item
+        for seq in by_server.values()
+        for i, item in enumerate(seq)
+    )
+    assert _state(got, got_stats) == _state(spec, spec_stats)
+
+
+@pytest.mark.parametrize("write_back", [True, False])
+def test_a_wiped_home_fails_the_block_path_as_it_fails_the_specification(write_back):
+    """A crashed home has lost its distinguished copies: a miss it should
+    repair raises, whichever path runs the chunk."""
+    rng = np.random.default_rng(4)
+    chunk = [
+        Request(items=tuple(rng.choice(N_ITEMS, size=20, replace=False).tolist()))
+        for _ in range(50)
+    ]
+    spec, got = (_client(1.0, "pinned", write_back) for _ in range(2))
+    for client in (spec, got):
+        client.cluster.wipe_server(0)
+    with pytest.raises(ConfigurationError, match="distinguished copies missing on server 0"):
+        for request in chunk:
+            spec.execute_plan(spec.bundler.plan(request))
+    with pytest.raises(ConfigurationError, match="distinguished copies missing on server 0"):
+        got.execute_chunk(_as_block(chunk), ClusterStats())

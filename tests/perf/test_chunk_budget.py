@@ -76,6 +76,27 @@ def test_planner_telemetry_costs_calls_per_cover_size_not_per_request():
     assert bare < small <= bare + 2 * N_SERVERS + 2
 
 
+def _execute_calls(n_requests: int) -> int:
+    table = PlacementTable.compile(RandomPlacer(N_SERVERS, 3, seed=9), N_ITEMS)
+    cluster = Cluster(table, range(N_ITEMS), memory_factor=1.0)
+    client = RnBClient(cluster, Bundler(table))
+    block = _as_block(_chunk(20, n_requests))
+    stats = ClusterStats()
+    counted = python_calls(lambda: client.execute_chunk(block, stats))
+    assert stats.requests == n_requests and stats.second_round_transactions > 0
+    assert all(server.counters.writes for server in cluster.servers)
+    return counted
+
+
+def test_execute_chunk_calls_do_not_grow_with_the_chunk():
+    """An executor chunk with no replica space, so every replica read
+    misses: its stores, write-backs, second rounds, counters and stats
+    take a fixed number of Python-level calls, none per transaction or
+    per miss and at most a few per server."""
+    assert _execute_calls(64) == _execute_calls(512)
+    assert _execute_calls(64) < 8 * N_SERVERS
+
+
 PER_REQUEST_OBJECTS = (Request, Transaction, FetchPlan, FetchResult)
 
 
