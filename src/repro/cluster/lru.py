@@ -195,37 +195,44 @@ class PinnedLRU:
         ``keys[edges[i]:edges[i + 1]]`` is the ``i``-th transaction, its
         keys distinct.  Each one is :meth:`touch_many`, then, with
         ``put``, a :meth:`put` of each of its misses in turn.  The LRU and
-        its evictions end as those calls would leave them, in one call
-        instead of one per transaction and one per miss.  Returns the
-        positions in ``keys`` that missed, in order.
+        its evictions end as those calls would leave them, under any
+        capacity, in one call instead of one per transaction and one per
+        miss.  Returns the positions in ``keys`` that missed, in order.
+
+        A pinned key is a hit that moves nothing (it is never in the
+        replica LRU), so a caller may leave those out:
+        :meth:`RnBClient.execute_chunk` passes only the reads that can
+        reach the replica LRU.
         """
         pinned = self._pinned
-        entries = self._lru._entries
-        capacity = self._lru.capacity
+        entries, capacity = self._lru._entries, self._lru.capacity
+        move, pop = entries.move_to_end, entries.popitem
         missed: list[int] = []
-        evicted = 0
+        miss = missed.append
+        evicted = done = 0
         lo = edges[0]
         for hi in edges[1:]:
-            absent = []
-            for i, key in enumerate(keys[lo:hi], lo):
+            for i in range(lo, hi):
+                key = keys[i]
                 if key in entries:
-                    entries.move_to_end(key)
+                    move(key)
                 elif key not in pinned:
-                    absent.append(i)
+                    miss(i)
             lo = hi
-            missed += absent
-            if not put:
+            if not put or done == len(missed):
                 continue
-            # LRUCache.put of a key known to be absent
-            for i in absent:
-                if capacity is not None:
-                    if capacity == 0:
-                        evicted += 1
-                        continue
+            # LRUCache.put of each key known to be absent
+            for i in missed[done:]:
+                if capacity is None:
+                    entries[keys[i]] = None
+                elif capacity:
                     while len(entries) >= capacity:
-                        entries.popitem(last=False)
+                        pop(False)
                         evicted += 1
-                entries[keys[i]] = None
+                    entries[keys[i]] = None
+                else:
+                    evicted += 1  # immediately dropped
+            done = len(missed)
         self._lru.evictions += evicted
         return missed
 

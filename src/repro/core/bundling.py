@@ -630,18 +630,32 @@ class Bundler:
                 assigned, replica_sets, exclude=exclude
             )
 
-        transactions = []
-        for server in sorted(assigned):
-            idxs = assigned[server]
-            if not idxs:
-                continue
-            primary = tuple(items[i] for i in idxs)
-            hitchhikers: tuple[ItemId, ...] = ()
-            if self.hitchhiking:
-                hitchhikers = self._hitchhikers_for(server, idxs, items, replica_sets)
-            transactions.append(
-                Transaction(server=server, primary=primary, hitchhikers=hitchhikers)
+        primaries = {server: idxs for server, idxs in assigned.items() if idxs}
+        # hitchhikers, in one walk over the request: per transaction server,
+        # the requested items with a replica there that are not its
+        # primaries (an item is the primary of one server at most)
+        riders: dict[int, list[ItemId]] = {}
+        if self.hitchhiking:
+            owner: list[int | None] = [None] * len(items)
+            for server, idxs in primaries.items():
+                for idx in idxs:
+                    owner[idx] = server
+            riders = {server: [] for server in primaries}
+            rides_on = riders.get
+            for item, own, servers in zip(items, owner, replica_sets):
+                for server in servers:
+                    if server != own:
+                        out = rides_on(server)
+                        if out is not None:
+                            out.append(item)
+        transactions = [
+            Transaction(
+                server=server,
+                primary=tuple(items[i] for i in primaries[server]),
+                hitchhikers=tuple(riders.get(server, ())),
             )
+            for server in sorted(primaries)
+        ]
         self._record_plan(len(transactions))
         return FetchPlan(request=request, transactions=tuple(transactions))
 
@@ -686,21 +700,3 @@ class Bundler:
             moved[home].append(idx)
         # keep item order stable within each transaction
         return {s: sorted(v) for s, v in moved.items()}
-
-    def _hitchhikers_for(
-        self,
-        server: int,
-        primary_idxs: Sequence[int],
-        items: Sequence[ItemId],
-        replica_sets: Sequence[Sequence[int]],
-    ) -> tuple[ItemId, ...]:
-        """Requested items with a logical replica on ``server`` not already
-        assigned to it."""
-        primary_set = set(primary_idxs)
-        out: list[ItemId] = []
-        for idx, servers in enumerate(replica_sets):
-            if idx in primary_set:
-                continue
-            if server in servers:
-                out.append(items[idx])
-        return tuple(out)

@@ -40,6 +40,20 @@ def _by_server(sids: np.ndarray, n_servers: int) -> np.ndarray:
     return np.argsort(sids.astype(np.min_scalar_type(n_servers - 1)), kind="stable")
 
 
+def _require_pinned(fleet: list, grouped: list, counts: list[int]) -> None:
+    """Check that server ``i`` pins the ``i``-th run of ``grouped``, whose
+    lengths are ``counts``: one ``issuperset`` per server.  Distinguished
+    copies never miss, so one that is not pinned is a mis-provisioned
+    cluster (a wiped or unpinned home), and raises."""
+    lo = 0
+    for home, k in enumerate(counts):
+        group, lo = grouped[lo : lo + k], lo + k
+        store = fleet[home].store
+        if not store.pins_all(group):
+            absent = [i for i in group if not store.is_pinned(i)]
+            raise ConfigurationError(f"distinguished copies missing on server {home}: {absent}")
+
+
 class RnBClient:
     """Stateless front-end client executing RnB reads.
 
@@ -238,7 +252,14 @@ class RnBClient:
 
         So each server replays its transactions in request order in one
         :meth:`PinnedLRU.replay` (touch a transaction, put its misses),
-        and :meth:`Server.record_write_backs` stamps the copies.  Round
+        and :meth:`Server.record_write_backs` stamps the copies.  A read
+        of an item on its home never enters the replay: it finds the
+        pinned copy, and :meth:`PinnedLRU.touch` of a pinned key moves no
+        LRU (a pinned key is never in the replica LRU), so one
+        :meth:`PinnedLRU.pins_all` per server checks them all and the
+        replay gets only the replica reads, and only the transactions
+        that have any.  A home copy that is not pinned raises
+        :class:`ConfigurationError`, as a second round to it does.  Round
         two is arrays: one transaction per (request, home) of the misses,
         in :meth:`_second_round_order`, each checked against its home's
         pinned set and merged behind its request's first round.  The
@@ -269,16 +290,29 @@ class RnBClient:
         n = len(fleet)
         # every item server-major: a server's transactions in request
         # order (the block is request-major), each in request-local order
-        flat = _by_server(cell % n, n)
+        sid = cell % n
+        flat = _by_server(sid, n)
+        on_home = servers[flat, 0] == sid[flat]
+        # reads of an item on its home touch only its pinned copy
+        homes_read = flat[on_home]
+        _require_pinned(
+            fleet,
+            block.items[homes_read].tolist(),
+            np.bincount(sid[homes_read], minlength=n).tolist(),
+        )
+        # the replica reads, cut where the cell changes: one run per
+        # transaction that has any
+        flat = flat[~on_home]
+        starts = np.flatnonzero(np.diff(cell[flat], prepend=-1))
         keys = block.items[flat].tolist()
-        edges = [0, *np.cumsum(txn_sizes[_by_server(txn_servers, n)]).tolist()]
+        edges = [*starts.tolist(), len(keys)]
         missed: list[int] = []
         first, put = 0, self.write_back
-        for server, k in zip(fleet, np.bincount(txn_servers, minlength=n).tolist()):
+        for server, k in zip(fleet, np.bincount(sid[flat[starts]], minlength=n).tolist()):
             missed += server.store.replay(keys, edges[first : first + k + 1], put=put)
             first += k
         at = flat[np.array(missed, dtype=np.int64)]
-        missed_on = np.bincount(cell[at] % n, minlength=n).tolist()
+        missed_on = np.bincount(sid[at], minlength=n).tolist()
 
         n_second = 0
         if len(at):
@@ -295,15 +329,11 @@ class RnBClient:
                     theirs = None if stamps is None else stamps[lo : lo + k]
                     server.record_write_backs(item_list[lo : lo + k], theirs)
                     lo += k
-            grouped = items[_by_server(homes, n)].tolist()
-            lo = 0
-            for home, k in enumerate(np.bincount(homes, minlength=n).tolist()):
-                group, lo = grouped[lo : lo + k], lo + k
-                if not fleet[home].store.pins_all(group):
-                    absent = [i for i in group if not fleet[home].store.is_pinned(i)]
-                    raise ConfigurationError(
-                        f"distinguished copies missing on server {home}: {absent}"
-                    )
+            _require_pinned(
+                fleet,
+                items[_by_server(homes, n)].tolist(),
+                np.bincount(homes, minlength=n).tolist(),
+            )
             # round two: one transaction per (request, home), each request's
             # largest first, ties to the lowest home, right after its round one
             cells, sizes = np.unique(cell[at] // n * n + homes, return_counts=True)

@@ -368,3 +368,37 @@ def test_bounded_bulk_load_keeps_the_last_keys():
     lru.put_all(range(10))
     assert lru.keys() == [7, 8, 9]
     assert lru.evictions == 7
+
+
+@given(
+    st.sampled_from([0, 1, 7, None]),
+    st.sets(st.integers(0, 30), max_size=8),
+    st.lists(st.integers(0, 30), max_size=10),
+    st.lists(st.lists(st.integers(0, 30), max_size=8, unique=True), max_size=8),
+    st.integers(0, 3),
+    st.booleans(),
+)
+@example(1, {1}, [2], [[3, 1, 4], [2, 3]], 0, True)  # pinned keys among evicting puts
+def test_replay_is_touch_many_then_put_per_miss(capacity, pinned, before, txns, pad, put):
+    """``replay`` of a run of transactions leaves the LRU order and the
+    eviction count that ``touch_many`` per transaction and a ``put`` per
+    miss leave, and returns the positions of the misses, for every
+    capacity and without puts; the run may start past position 0."""
+    per_txn, replayed = PinnedLRU(capacity), PinnedLRU(capacity)
+    for store in (per_txn, replayed):
+        store.pin_all(pinned)
+        for key in before:
+            store.put(key)
+    keys, edges, want = [-1] * pad, [pad], []
+    for txn in txns:
+        _, absent = per_txn.touch_many(txn)
+        want += [len(keys) + txn.index(key) for key in absent]
+        if put:
+            for key in absent:
+                per_txn.put(key)
+        keys += txn
+        edges.append(len(keys))
+    assert replayed.replay(keys, edges, put=put) == want
+    assert replayed.replica_keys() == per_txn.replica_keys()
+    assert replayed.evictions == per_txn.evictions
+    assert replayed.pinned_keys() == per_txn.pinned_keys()

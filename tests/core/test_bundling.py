@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cluster.placement import RandomPlacer
 from repro.core import bundling
 from repro.core.bundling import Bundler
 from repro.errors import CoverError
 from repro.hashing.rch import RangedConsistentHashPlacer
 from repro.membership import EpochedPlacer
+from repro.perf.table import PlacementTable
 from repro.types import ReplicaSet, Request
 
 
@@ -158,6 +162,56 @@ class TestHitchhiking:
             for item in items:
                 if txn.server in placer.servers_for(item):
                     assert item in carried
+
+
+def _hitchhikers_oracle(server, primary_idxs, items, replica_sets):
+    """The per-transaction definition ``Bundler`` used to apply: requested
+    items with a replica on ``server`` not already assigned to it, in
+    request order — one scan of the request per transaction."""
+    primary_set = set(primary_idxs)
+    out = []
+    for idx, servers in enumerate(replica_sets):
+        if idx in primary_set:
+            continue
+        if server in servers:
+            out.append(items[idx])
+    return tuple(out)
+
+
+_HH_PLACERS = {
+    "rch": RangedConsistentHashPlacer(16, 3, vnodes=32),
+    "random": RandomPlacer(12, 4, seed=3),
+    "table": PlacementTable.compile(RandomPlacer(8, 2, seed=5), 200),
+}
+
+
+@given(
+    st.sampled_from(sorted(_HH_PLACERS)),
+    st.lists(st.lists(st.integers(0, 199), max_size=40, unique=True), max_size=6),
+    st.booleans(),
+    st.sets(st.integers(0, 7), max_size=2),
+)
+@settings(max_examples=150, deadline=None)
+def test_hitchhikers_match_the_per_transaction_definition(
+    placer_name, item_lists, single_item_rule, exclude
+):
+    """``plan`` — and ``plan_batch`` without exclusions — with hitchhiking,
+    with and without the single-item rule, carries on every transaction
+    exactly the hitchhikers the per-transaction scan gives it."""
+    placer = _HH_PLACERS[placer_name]
+    bundler = Bundler(placer, hitchhiking=True, single_item_rule=single_item_rule)
+    requests = [Request(items=tuple(items)) for items in item_lists]
+    plans = [bundler.plan(r, exclude=exclude or None) for r in requests]
+    if not exclude:
+        assert bundler.plan_batch(requests) == plans
+    for request, plan in zip(requests, plans):
+        items = request.items
+        replica_sets = [placer.servers_for(item) for item in items]
+        for txn in plan.transactions:
+            primary_idxs = [items.index(item) for item in txn.primary]
+            assert txn.hitchhikers == _hitchhikers_oracle(
+                txn.server, primary_idxs, items, replica_sets
+            )
 
 
 class TestLimitPlans:

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.lru import PinnedLRU
 from repro.cluster.placement import RandomPlacer
 from repro.core.bundling import Bundler
 from repro.core.client import RnBClient
@@ -209,3 +210,42 @@ def test_a_wiped_home_fails_the_block_path_as_it_fails_the_specification(write_b
             spec.execute_plan(spec.bundler.plan(request))
     with pytest.raises(ConfigurationError, match="distinguished copies missing on server 0"):
         got.execute_chunk(_as_block(chunk), ClusterStats())
+
+
+def test_replay_sees_no_read_of_an_item_on_its_home(monkeypatch):
+    """A read of an item on its home finds the pinned copy and moves no
+    LRU, so the block path leaves it out of ``replay``: no position a
+    replayed transaction covers holds a key its server pins."""
+    rng = np.random.default_rng(5)
+    chunk = [
+        Request(items=tuple(rng.choice(N_ITEMS, size=size, replace=False).tolist()))
+        for size in rng.integers(1, 30, size=80)
+    ]
+    client = _client(1.3, "pinned", True)
+    replay, seen = PinnedLRU.replay, []
+
+    def spy(store, keys, edges, *, put=True):
+        seen.extend(key for key in keys[edges[0] : edges[-1]] if store.is_pinned(key))
+        seen.append(None)  # one mark a call: the spy ran
+        return replay(store, keys, edges, put=put)
+
+    monkeypatch.setattr(PinnedLRU, "replay", spy)
+    stats = ClusterStats()
+    client.execute_chunk(_as_block(chunk), stats)
+    assert seen == [None] * len(client.cluster.servers)
+    assert stats.misses > 0 and stats.items_fetched == sum(len(r.items) for r in chunk)
+
+
+@pytest.mark.parametrize("write_back", [True, False])
+def test_an_unpinned_home_copy_read_on_its_home_raises(write_back):
+    """A home that lost one distinguished copy (``unpin``, the rest of the
+    server intact) fails the block path the first time the item is read
+    there: the single-item rule sends a lone item to its home."""
+    client = _client(1.0, "pinned", write_back)
+    item = 42
+    home = TABLE.distinguished_for(item)
+    assert client.cluster.servers[home].store.unpin(item)
+    with pytest.raises(
+        ConfigurationError, match=rf"distinguished copies missing on server {home}: \[{item}\]"
+    ):
+        client.execute_chunk(_as_block([Request(items=(7, 300)), Request(items=(item,))]))

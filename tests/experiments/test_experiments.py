@@ -20,6 +20,8 @@ from repro.experiments import (
     fig06,
     fig07,
     fig08,
+    fig09,
+    fig10,
     fig11,
     fig12,
     fig13_14,
@@ -169,6 +171,33 @@ class TestMonteCarloDeterminism:
         doc = json.dumps([r.to_dict() for r in results], sort_keys=True)
         assert stable_hash64(doc) == token
 
+
+
+class TestHitchhikingDeterminism:
+    """The overbooking figures run the hitchhiking planner and the
+    per-request executor (``plan_batch`` + ``execute_plan``) over a seeded
+    simulation: the tokens hold every TPR they report."""
+
+    @pytest.mark.parametrize(
+        "experiment, token",
+        [
+            (fig08, 9278580554950993850),
+            (fig09, 12407916495032735012),
+            (fig10, 418096490721193798),
+        ],
+        ids=["fig08", "fig09", "fig10"],
+    )
+    def test_pinned_token(self, tiny_sd, experiment, token):
+        results = experiment.run(
+            graph=tiny_sd,
+            replications=(1, 3),
+            memory_factors=(1.0, 2.0, 4.0),
+            n_requests=200,
+            warmup_requests=400,
+            seed=5,
+        )
+        doc = json.dumps([r.to_dict() for r in results], sort_keys=True)
+        assert stable_hash64(doc) == token
 
 class TestFig13_14:
     def test_microbench_curves(self):
