@@ -17,6 +17,7 @@ Run:  python examples/live_cluster.py
 """
 
 from repro.aio.server import serve_aio
+from repro.aio.transport import BlockingConnection
 from repro.core.bundling import Bundler
 from repro.faults.health import HealthTracker
 from repro.membership import (
@@ -30,7 +31,6 @@ from repro.protocol.memclient import MemcachedConnection
 from repro.protocol.memserver import MemcachedServer
 from repro.protocol.rnbclient import RnBProtocolClient
 from repro.protocol.retry import RetryPolicy
-from repro.protocol.transport import TCPTransport
 
 N_SERVERS = 4
 REPLICATION = 3
@@ -55,7 +55,7 @@ def main() -> None:
             backends[sid] = backend
             handles.append(handle)
             conns[sid] = MemcachedConnection(
-                TCPTransport(host, port, policy=POLICY), policy=POLICY
+                BlockingConnection(host, port, policy=POLICY), policy=POLICY
             )
             print(f"server {sid} listening on {host}:{port}")
 

@@ -1,17 +1,16 @@
 """Async high-concurrency serving layer (docs/SERVING.md).
 
-The live :mod:`repro.protocol` stack is synchronous: one blocking socket
-per client, one thread per connection on the server.  That is faithful
-to the paper's proof-of-concept but cannot exercise the "millions of
-users" regime the ROADMAP targets.  This package rebuilds the serving
-path on ``asyncio`` while sharing everything below the transport:
+This package holds every socket in the repo, on ``asyncio``, sharing
+everything below the transport with :mod:`repro.protocol`:
 
 * :mod:`repro.aio.server` — :class:`AsyncMemcachedServer`, an asyncio
   front over the same :class:`repro.protocol.memserver.MemcachedServer`
   backend (shared storage, pipelining, admission BUSY verdicts);
 * :mod:`repro.aio.transport` — :class:`AsyncConnection`, a pipelined
   connection multiplexing many in-flight exchanges FIFO over one
-  socket, and :class:`AsyncConnectionPool` spreading them over a few;
+  socket, :class:`AsyncConnectionPool` spreading them over a few, and
+  :class:`BlockingConnection`, the same connection behind a blocking
+  ``exchange`` for the sync client (:mod:`repro.protocol`);
 * :mod:`repro.aio.memclient` — :class:`AsyncMemcachedClient`, typed
   async ops with idempotent retries under the shared
   :class:`repro.protocol.retry.RetryPolicy`;
@@ -28,7 +27,7 @@ process.
 from repro.aio.memclient import AsyncMemcachedClient
 from repro.aio.rnbclient import AsyncRnBClient
 from repro.aio.server import AioServerHandle, AsyncMemcachedServer, serve_aio
-from repro.aio.transport import AsyncConnection, AsyncConnectionPool
+from repro.aio.transport import AsyncConnection, AsyncConnectionPool, BlockingConnection
 
 __all__ = [
     "AioServerHandle",
@@ -37,5 +36,6 @@ __all__ = [
     "AsyncMemcachedClient",
     "AsyncMemcachedServer",
     "AsyncRnBClient",
+    "BlockingConnection",
     "serve_aio",
 ]

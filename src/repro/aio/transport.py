@@ -1,4 +1,4 @@
-"""Pipelined asyncio transport (the async twin of ``TCPTransport``).
+"""Pipelined asyncio transport: the one socket client.
 
 :class:`AsyncConnection` multiplexes many in-flight exchanges over ONE
 socket.  :meth:`AsyncConnection.submit` is the one synchronous entry
@@ -18,13 +18,12 @@ stream buffer in between; while the send buffer is over its high-water
 mark ``submit`` declines and ``exchange`` waits *before* writing — a slow
 peer blocks callers instead of growing it.
 
-Timeout semantics mirror :class:`repro.protocol.transport.TCPTransport`
-knob for knob (the PR-5 connect/read split, audited here for parity):
+Timeouts come in two phases:
 
 * ``connect_timeout`` bounds connection establishment and surfaces as
   :class:`repro.errors.ServerTimeout`; a refused connection propagates
   as :class:`ConnectionRefusedError` — both retryable under
-  :func:`repro.protocol.retry.async_call_with_retries`;
+  :func:`repro.protocol.retry.call_with_retries` and its async twin;
 * ``read_timeout`` bounds each exchange; on expiry the connection is
   torn down (a stale late response must not desync the FIFO pairing)
   and the exchange raises :class:`ServerTimeout`.  Other exchanges
@@ -32,24 +31,29 @@ knob for knob (the PR-5 connect/read split, audited here for parity):
   on a fresh connection under their own policies.  ONE timer per
   connection watches the head's deadline (they never decrease along the
   FIFO), not one timer per exchange;
-* precedence is identical: explicit per-phase kwarg > legacy
-  ``timeout`` > :class:`repro.protocol.retry.RetryPolicy`.
+* precedence: explicit per-phase keyword > :class:`repro.protocol.retry.RetryPolicy`.
 
-Unlike the sync transport, connecting is lazy (first exchange) because
-``__init__`` cannot await — :meth:`ensure_connected` is exposed for
-callers that want connect errors eagerly.
+Connecting is lazy (first exchange) because ``__init__`` cannot await —
+:meth:`AsyncConnection.ensure_connected` is exposed for callers that
+want connect errors eagerly.  After a teardown the next exchange
+reconnects.
+
+:class:`BlockingConnection` is the blocking face of the same connection
+for the sync request engine (:class:`repro.protocol.memclient.MemcachedConnection`
+over it): each call runs on one daemon event-loop thread that every
+blocking connection in the process shares.
 """
 
 from __future__ import annotations
 
 import asyncio
+import threading
 from collections import deque
 
 from repro.errors import ProtocolError, ServerTimeout
 from repro.protocol import codec
 from repro.protocol.codec import Response
 from repro.protocol.retry import DEFAULT_POLICY, RetryPolicy
-from repro.protocol.transport import TCPTransport
 
 
 class AsyncConnection(asyncio.Protocol):
@@ -61,17 +65,18 @@ class AsyncConnection(asyncio.Protocol):
         port: int,
         *,
         policy: RetryPolicy | None = None,
-        timeout: float | None = None,
         connect_timeout: float | None = None,
         read_timeout: float | None = None,
     ) -> None:
         self.host = host
         self.port = port
         self.policy = policy or DEFAULT_POLICY
-        # explicit per-phase kwarg > legacy timeout > policy: TCPTransport's rule
-        pick = TCPTransport._pick
-        self.connect_timeout = pick(connect_timeout, timeout, self.policy.connect_timeout)
-        self.read_timeout = pick(read_timeout, timeout, self.policy.request_timeout)
+        if connect_timeout is None:
+            connect_timeout = self.policy.connect_timeout
+        if read_timeout is None:
+            read_timeout = self.policy.request_timeout
+        self.connect_timeout = connect_timeout
+        self.read_timeout = read_timeout
         self._loop: asyncio.AbstractEventLoop | None = None
         self._transport: asyncio.Transport | None = None
         self._connect_lock = asyncio.Lock()
@@ -268,7 +273,6 @@ class AsyncConnectionPool:
         *,
         size: int = 4,
         policy: RetryPolicy | None = None,
-        timeout: float | None = None,
         connect_timeout: float | None = None,
         read_timeout: float | None = None,
     ) -> None:
@@ -278,10 +282,7 @@ class AsyncConnectionPool:
         self.port = port
         self.size = size
         self._kwargs = dict(
-            policy=policy,
-            timeout=timeout,
-            connect_timeout=connect_timeout,
-            read_timeout=read_timeout,
+            policy=policy, connect_timeout=connect_timeout, read_timeout=read_timeout
         )
         self._connections: list[AsyncConnection] = []
 
@@ -311,3 +312,63 @@ class AsyncConnectionPool:
         for conn in self._connections:
             conn.close()
         self._connections.clear()
+
+
+_background: asyncio.AbstractEventLoop | None = None
+_background_lock = threading.Lock()
+
+
+def _background_loop() -> asyncio.AbstractEventLoop:
+    """The process's one daemon event-loop thread, started on first use."""
+    global _background
+    with _background_lock:
+        if _background is None:
+            loop = asyncio.new_event_loop()
+            threading.Thread(
+                target=loop.run_forever, name="repro-blocking-io", daemon=True
+            ).start()
+            _background = loop
+    return _background
+
+
+class BlockingConnection:
+    """A blocking :class:`AsyncConnection`, for the sync request engine.
+
+    ``exchange`` and ``close`` run the connection's coroutines on the
+    shared background loop and wait for them, so errors, timeouts and
+    the lazy reconnect after a teardown or ``close`` are exactly
+    :class:`AsyncConnection`'s.  It takes the same keywords.
+    """
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        *,
+        policy: RetryPolicy | None = None,
+        connect_timeout: float | None = None,
+        read_timeout: float | None = None,
+    ) -> None:
+        self.connection = AsyncConnection(
+            host,
+            port,
+            policy=policy,
+            connect_timeout=connect_timeout,
+            read_timeout=read_timeout,
+        )
+        self._loop = _background_loop()
+
+    def _run(self, coro):
+        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
+
+    def exchange(self, request: bytes, n_responses: int = 1) -> list[Response]:
+        return self._run(self.connection.exchange(request, n_responses))
+
+    async def _close(self) -> None:
+        # the abort queues the socket's close on the loop ahead of this
+        # coroutine's completion, so ``close`` returns after the socket is shut
+        self.connection.close()
+
+    def close(self) -> None:
+        """Close the socket; returns once it is closed."""
+        self._run(self._close())

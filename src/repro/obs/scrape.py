@@ -28,11 +28,11 @@ def parse_address(address: str) -> tuple[str, int]:
 
 def scrape_address(address: str, *, timeout: float = 2.0) -> dict[str, float]:
     """One server's ``stats metrics`` samples as ``{sample_name: value}``."""
+    from repro.aio.transport import BlockingConnection
     from repro.protocol.memclient import MemcachedConnection
-    from repro.protocol.transport import TCPTransport
 
     host, port = parse_address(address)
-    transport = TCPTransport(host, port, timeout=timeout)
+    transport = BlockingConnection(host, port, connect_timeout=timeout, read_timeout=timeout)
     try:
         conn = MemcachedConnection(transport)
         return {name: float(value) for name, value in conn.stats("metrics").items()}
@@ -77,12 +77,12 @@ def boot_demo_fleet(
     own shutdown: ``for handle in handles: handle.stop()``.
     """
     from repro.aio.server import serve_aio
+    from repro.aio.transport import BlockingConnection
     from repro.cluster.placement import RangedConsistentHashPlacer
     from repro.obs.metrics import MetricsRegistry
     from repro.protocol.memclient import MemcachedConnection
     from repro.protocol.memserver import MemcachedServer
     from repro.protocol.rnbclient import RnBProtocolClient
-    from repro.protocol.transport import TCPTransport
     from repro.utils.rng import ensure_rng
 
     registry = MetricsRegistry()
@@ -96,16 +96,20 @@ def boot_demo_fleet(
         handle, (host, port) = serve_aio(backend)
         handles.append(handle)
         addresses.append(f"{host}:{port}")
-        connections[sid] = MemcachedConnection(TCPTransport(host, port))
+        connections[sid] = MemcachedConnection(BlockingConnection(host, port))
     placer = RangedConsistentHashPlacer(
         n_servers, min(2, n_servers), vnodes=32, seed=seed
     )
     client = RnBProtocolClient(connections, placer, metrics=registry)
     keys = [f"item:{i}" for i in range(n_items)]
-    for key in keys:
-        client.set(key, f"value-{key}".encode())
-    rng = ensure_rng(seed)
-    for _ in range(n_items // 4):
-        batch = [keys[int(rng.integers(0, len(keys)))] for _ in range(6)]
-        client.get_multi(batch)
+    try:
+        for key in keys:
+            client.set(key, f"value-{key}".encode())
+        rng = ensure_rng(seed)
+        for _ in range(n_items // 4):
+            batch = [keys[int(rng.integers(0, len(keys)))] for _ in range(6)]
+            client.get_multi(batch)
+    finally:
+        for conn in connections.values():
+            conn.transport.close()
     return addresses, handles, registry

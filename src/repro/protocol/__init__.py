@@ -9,7 +9,8 @@ its simulator with micro-benchmarks against a real memcached server
   (get/gets/set/cas/delete/flush_all/stats).
 * :mod:`repro.protocol.memserver` — a complete key-value server with
   byte-accounted LRU eviction, servable in-process or over TCP.
-* :mod:`repro.protocol.transport` — loopback and TCP byte transports.
+* :mod:`repro.protocol.transport` — the in-process loopback transport
+  (sockets: :class:`repro.aio.transport.BlockingConnection`).
 * :mod:`repro.protocol.memclient` — a plain memcached client plus the
   classic consistent-hashing sharded client.
 * :mod:`repro.protocol.rnbclient` — the RnB client: replicated writes,
@@ -28,7 +29,7 @@ from repro.protocol.codec import (
 from repro.protocol.memclient import MemcachedConnection, ShardedClient
 from repro.protocol.memserver import MemcachedServer
 from repro.protocol.rnbclient import RnBProtocolClient
-from repro.protocol.transport import LoopbackTransport, TCPTransport
+from repro.protocol.transport import LoopbackTransport
 
 __all__ = [
     "Command",
@@ -38,7 +39,6 @@ __all__ = [
     "Response",
     "RnBProtocolClient",
     "ShardedClient",
-    "TCPTransport",
     "encode_command",
     "parse_command_stream",
 ]

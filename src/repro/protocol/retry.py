@@ -1,12 +1,12 @@
 """Timeouts, bounded retries and exponential backoff for the live path.
 
 One config object — :class:`RetryPolicy` — carries every network knob
-end-to-end: :class:`repro.protocol.transport.TCPTransport` takes its
-timeouts from it, :class:`repro.protocol.memclient.MemcachedConnection`
-retries idempotent retrieval ops with it, and
-:class:`repro.protocol.rnbclient.RnBProtocolClient` uses it for failover
-re-dispatch.  Previously the transport hard-coded ``timeout=5.0`` and
-nothing upstream could change it.
+end-to-end: :class:`repro.aio.transport.AsyncConnection` (and so
+:class:`repro.aio.transport.BlockingConnection`) takes its socket
+timeouts from it unless a per-phase keyword overrides one,
+:class:`repro.protocol.memclient.MemcachedConnection` retries idempotent
+retrieval ops with it, and :class:`repro.protocol.rnbclient.RnBProtocolClient`
+uses it for failover re-dispatch.
 
 The backoff schedule is the standard capped exponential with full
 jitter on top: attempt ``k`` (0-based) sleeps

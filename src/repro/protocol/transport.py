@@ -1,26 +1,21 @@
-"""Byte transports connecting protocol clients to servers.
+"""The in-process byte transport.
 
-* :class:`LoopbackTransport` — direct in-process call into a
-  :class:`repro.protocol.memserver.MemcachedServer`; zero copies, used by
-  the calibration micro-benchmarks and the test suite.
-* :class:`TCPTransport` — a real socket to any memcached-speaking
-  server (ours or the original), used by ``examples/live_cluster.py``.
-
-A transport exchanges one request for one complete response.  Response
-completeness is protocol-dependent, so the caller passes the number of
-responses expected and the transport reads until the parser is satisfied
-— see :meth:`TCPTransport.exchange`.
+A transport exchanges one request for its complete responses: the
+caller passes the number of responses expected, because completeness is
+protocol-dependent.  :class:`LoopbackTransport` is a direct in-process
+call into a :class:`repro.protocol.memserver.MemcachedServer`, used by
+the calibration micro-benchmarks, the examples and the test suite.  The
+socket transport with the same ``exchange`` / ``close`` face is
+:class:`repro.aio.transport.BlockingConnection`, the blocking side of
+the one socket client.
 """
 
 from __future__ import annotations
 
-import socket
-
-from repro.errors import ProtocolError, ServerTimeout
+from repro.errors import ProtocolError
 from repro.protocol import codec
 from repro.protocol.codec import Response
 from repro.protocol.memserver import MemcachedServer
-from repro.protocol.retry import DEFAULT_POLICY, RetryPolicy
 
 
 class LoopbackTransport:
@@ -43,111 +38,5 @@ class LoopbackTransport:
             )
         return responses
 
-    def close(self) -> None:  # symmetric API with TCPTransport
+    def close(self) -> None:  # same face as BlockingConnection
         pass
-
-
-class TCPTransport:
-    """Blocking TCP transport with incremental response parsing.
-
-    Timeouts are two separate budgets: ``connect_timeout`` bounds
-    connection establishment (including the transparent reconnect after
-    a timed-out exchange) and ``read_timeout`` bounds each exchange.
-    Both default from the :class:`repro.protocol.retry.RetryPolicy` —
-    the same config object that tunes client retries tunes the socket —
-    and either can be overridden individually.  The legacy ``timeout``
-    keyword still works and overrides both, for callers that only care
-    about one number.
-
-    Every timeout surfaces as :class:`repro.errors.ServerTimeout`
-    (connect-phase ones included) and a refused connection propagates as
-    :class:`ConnectionRefusedError` — both retryable under
-    :func:`repro.protocol.retry.call_with_retries`.
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        policy: RetryPolicy | None = None,
-        timeout: float | None = None,
-        connect_timeout: float | None = None,
-        read_timeout: float | None = None,
-    ):
-        self.host = host
-        self.port = port
-        self.policy = policy or DEFAULT_POLICY
-        # precedence: explicit per-phase kwarg > legacy timeout > policy
-        self._connect_timeout = self._pick(
-            connect_timeout, timeout, self.policy.connect_timeout
-        )
-        self._request_timeout = self._pick(
-            read_timeout, timeout, self.policy.request_timeout
-        )
-        self._sock: socket.socket | None = None
-        self._frames = codec.FrameBuffer()
-        self._connect()
-
-    @staticmethod
-    def _pick(explicit: float | None, legacy: float | None, fallback: float) -> float:
-        if explicit is not None:
-            return explicit
-        if legacy is not None:
-            return legacy
-        return fallback
-
-    @property
-    def connect_timeout(self) -> float:
-        return self._connect_timeout
-
-    @property
-    def read_timeout(self) -> float:
-        return self._request_timeout
-
-    def _connect(self) -> None:
-        try:
-            self._sock = socket.create_connection(
-                (self.host, self.port), timeout=self._connect_timeout
-            )
-        except socket.timeout as exc:
-            raise ServerTimeout(
-                f"connect to {self.host}:{self.port} did not complete within "
-                f"{self._connect_timeout}s"
-            ) from exc
-        self._sock.settimeout(self._request_timeout)
-        self._frames.clear()
-
-    def exchange(self, request: bytes, n_responses: int = 1) -> list[Response]:
-        if self._sock is None:
-            # previous exchange timed out mid-stream: reconnect so a stale
-            # late response cannot desync request/response pairing
-            self._connect()
-        try:
-            self._sock.sendall(request)
-            responses: list[Response] = []
-            while len(responses) < n_responses:
-                resp = self._frames.next_response()
-                if resp is not None:
-                    responses.append(resp)
-                    continue
-                chunk = self._sock.recv(65536)
-                if not chunk:
-                    raise ProtocolError("connection closed mid-response")
-                self._frames.feed(chunk)
-            return responses
-        except socket.timeout as exc:
-            self.close()
-            raise ServerTimeout(
-                f"no complete response within {self._request_timeout}s"
-            ) from exc
-
-    def close(self) -> None:
-        if self._sock is None:
-            return
-        try:
-            self._sock.close()
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
-        self._sock = None
-        self._frames.clear()

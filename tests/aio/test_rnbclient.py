@@ -117,7 +117,9 @@ class _Cluster:
     async def __aenter__(self) -> "_Cluster":
         addrs = [await s.start() for s in self.servers]
         self.pools = [
-            AsyncConnectionPool(h, p, size=self.pool_size, timeout=2.0)
+            AsyncConnectionPool(
+                h, p, size=self.pool_size, connect_timeout=2.0, read_timeout=2.0
+            )
             for h, p in addrs
         ]
         self.client = AsyncRnBClient(
@@ -251,7 +253,9 @@ class _HeldFleet:
             listener = await asyncio.start_server(self._serve, "127.0.0.1", 0)
             self.listeners.append(listener)
             host, port = listener.sockets[0].getsockname()[:2]
-            self.pools.append(AsyncConnectionPool(host, port, size=1, timeout=5.0))
+            self.pools.append(
+                AsyncConnectionPool(host, port, size=1, connect_timeout=5.0, read_timeout=5.0)
+            )
         self.client = AsyncRnBClient(
             {sid: self.wrap(AsyncMemcachedClient(p)) for sid, p in enumerate(self.pools)},
             self.placer,

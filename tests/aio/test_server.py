@@ -11,12 +11,12 @@ import pytest
 
 from repro.aio.memclient import AsyncMemcachedClient
 from repro.aio.server import AsyncMemcachedServer, serve_aio
-from repro.aio.transport import AsyncConnection
+from repro.aio.transport import AsyncConnection, BlockingConnection
 from repro.overload.load import AdmissionControl
 from repro.protocol.codec import Command
 from repro.protocol.memclient import MemcachedConnection
 from repro.protocol.memserver import MemcachedServer
-from repro.protocol.transport import LoopbackTransport, TCPTransport
+from repro.protocol.transport import LoopbackTransport
 
 
 def run(coro):
@@ -29,11 +29,12 @@ class TestSharedBackend:
         first, (h1, p1) = serve_aio(backend)
         second, (h2, p2) = serve_aio(backend)
         try:
-            sync_client = MemcachedConnection(TCPTransport(h1, p1, timeout=2.0))
+            transport = BlockingConnection(h1, p1, connect_timeout=2.0, read_timeout=2.0)
+            sync_client = MemcachedConnection(transport)
             sync_client.set("via-first", b"1")
 
             async def via_second():
-                conn = AsyncConnection(h2, p2, timeout=2.0)
+                conn = AsyncConnection(h2, p2, connect_timeout=2.0, read_timeout=2.0)
                 client = AsyncMemcachedClient(conn)
                 try:
                     # the second front reads what the first one wrote
@@ -98,7 +99,7 @@ class TestAdmission:
         async def scenario():
             server = AsyncMemcachedServer(backend)
             host, port = await server.start()
-            conn = AsyncConnection(host, port, timeout=2.0)
+            conn = AsyncConnection(host, port, connect_timeout=2.0, read_timeout=2.0)
             client = AsyncMemcachedClient(conn)
             try:
                 from repro.errors import ServerBusy
@@ -136,7 +137,7 @@ class TestStatsMetricsVerb:
         try:
 
             async def scrape():
-                conn = AsyncConnection(host, port, timeout=2.0)
+                conn = AsyncConnection(host, port, connect_timeout=2.0, read_timeout=2.0)
                 client = AsyncMemcachedClient(conn)
                 try:
                     await client.set("k", b"v")

@@ -31,7 +31,7 @@ class TestConnectionGate:
             server = AsyncMemcachedServer(MemcachedServer(), gate=lambda: True)
             host, port = await server.start()
             try:
-                conn = AsyncConnection(host, port, timeout=2.0)
+                conn = AsyncConnection(host, port, connect_timeout=2.0, read_timeout=2.0)
                 client = AsyncMemcachedClient(conn)
                 try:
                     await client.get("k")
@@ -52,7 +52,7 @@ class TestConnectionGate:
         async def scenario():
             server = AsyncMemcachedServer(MemcachedServer(), gate=lambda: False)
             host, port = await server.start()
-            conn = AsyncConnection(host, port, timeout=2.0)
+            conn = AsyncConnection(host, port, connect_timeout=2.0, read_timeout=2.0)
             client = AsyncMemcachedClient(conn)
             try:
                 assert await client.set("k", b"v")
@@ -69,7 +69,7 @@ class TestConnectionGate:
         async def scenario():
             server = AsyncMemcachedServer(MemcachedServer())
             host, port = await server.start()
-            conn = AsyncConnection(host, port, timeout=2.0)
+            conn = AsyncConnection(host, port, connect_timeout=2.0, read_timeout=2.0)
             client = AsyncMemcachedClient(conn)
             try:
                 assert await client.set("k", b"v")
@@ -85,7 +85,7 @@ class TestConnectionGate:
             cut = {"on": False}
             server = AsyncMemcachedServer(MemcachedServer(), gate=lambda: cut["on"])
             host, port = await server.start()
-            conn = AsyncConnection(host, port, timeout=2.0)
+            conn = AsyncConnection(host, port, connect_timeout=2.0, read_timeout=2.0)
             client = AsyncMemcachedClient(conn)
             try:
                 assert await client.set("k", b"v")  # session established

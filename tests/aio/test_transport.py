@@ -4,16 +4,17 @@ from __future__ import annotations
 
 import asyncio
 import socket
+import sys
 import threading
 
 import pytest
 
-from repro.aio.server import AsyncMemcachedServer
-from repro.aio.transport import AsyncConnection, AsyncConnectionPool
+from repro.aio.server import AsyncMemcachedServer, serve_aio
+from repro.aio.transport import AsyncConnection, AsyncConnectionPool, BlockingConnection
 from repro.errors import ServerTimeout
 from repro.protocol.codec import Command, encode_command
 from repro.protocol.memserver import MemcachedServer
-from repro.protocol.retry import RetryPolicy
+from repro.protocol.retry import RETRYABLE_ERRORS, RetryPolicy
 
 from tests.aio.test_rnbclient import counting
 
@@ -84,7 +85,7 @@ class TestPipelining:
 
 
 class TestTimeoutParity:
-    """The PR-5 connect/read split, audited knob for knob vs TCPTransport."""
+    """The connect/read split: an explicit per-phase keyword beats the policy."""
 
     def test_policy_is_the_default_source(self):
         policy = RetryPolicy(connect_timeout=3.5, request_timeout=7.5)
@@ -92,27 +93,10 @@ class TestTimeoutParity:
         assert conn.connect_timeout == 3.5
         assert conn.read_timeout == 7.5
 
-    def test_legacy_timeout_overrides_both(self):
-        policy = RetryPolicy(connect_timeout=3.5, request_timeout=7.5)
-        conn = AsyncConnection("127.0.0.1", 1, policy=policy, timeout=1.25)
-        assert conn.connect_timeout == 1.25
-        assert conn.read_timeout == 1.25
-
-    def test_per_phase_kwargs_beat_legacy(self):
-        conn = AsyncConnection(
-            "127.0.0.1", 1, timeout=9.0, connect_timeout=0.5, read_timeout=2.0
-        )
-        assert conn.connect_timeout == 0.5
-        assert conn.read_timeout == 2.0
-
-    def test_one_phase_overridden_other_from_legacy(self):
-        conn = AsyncConnection("127.0.0.1", 1, timeout=9.0, connect_timeout=0.5)
-        assert conn.connect_timeout == 0.5
-        assert conn.read_timeout == 9.0
-
     def test_pool_propagates_the_split(self):
+        policy = RetryPolicy(connect_timeout=3.5, request_timeout=7.5)
         pool = AsyncConnectionPool(
-            "127.0.0.1", 1, timeout=9.0, connect_timeout=0.5, read_timeout=2.0
+            "127.0.0.1", 1, policy=policy, connect_timeout=0.5, read_timeout=2.0
         )
         conn = pool._pick_connection()
         assert conn.connect_timeout == 0.5
@@ -386,6 +370,10 @@ async def _counted(conn: AsyncConnection) -> _CountingTransport:
     return conn._transport
 
 
+def _set(key: str, value: bytes) -> bytes:
+    return encode_command(Command(name="set", keys=(key,), data=value))
+
+
 def _get(key: str) -> bytes:
     return encode_command(Command(name="get", keys=(key,)))
 
@@ -569,3 +557,108 @@ class TestCoalescing:
                 await server.wait_closed()
 
         run(scenario())
+
+
+class TestBlockingConnection:
+    """The blocking facade: ``AsyncConnection`` on the shared background loop."""
+
+    @pytest.fixture()
+    def live_server(self):
+        handle, (host, port) = serve_aio(MemcachedServer())
+        yield handle, host, port
+        handle.stop()
+
+    def test_exchange_after_close_reconnects(self, live_server):
+        handle, host, port = live_server
+        conn = BlockingConnection(host, port, read_timeout=5.0)
+        try:
+            [stored] = conn.exchange(_set("k", b"v"))
+            assert stored.status == "STORED"
+            sock = conn.connection._transport.get_extra_info("socket")
+            conn.close()
+            assert sock.fileno() == -1  # closed by the time close() returns
+            assert not conn.connection.connected
+            [got] = conn.exchange(_get("k"))
+            assert got.values["k"][1] == b"v"
+            assert handle.server.connections_accepted == 2
+        finally:
+            conn.close()
+
+    def test_stopped_server_gives_a_retryable_error(self, live_server):
+        handle, host, port = live_server
+        conn = BlockingConnection(host, port, read_timeout=5.0)
+        try:
+            conn.exchange(_set("k", b"v"))
+            handle.stop()
+            # the server's close may or may not have reached the client yet
+            with pytest.raises(RETRYABLE_ERRORS):
+                conn.exchange(_get("k"))
+            # either way the dead socket is gone: the next exchange reconnects
+            with pytest.raises(ConnectionRefusedError):
+                conn.exchange(_get("k"))
+        finally:
+            conn.close()
+
+    def test_mute_listener_times_out_and_the_next_exchange_reconnects(self):
+        with socket.socket() as listener:  # accepts (in the kernel), never answers
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(8)
+            conn = BlockingConnection(*listener.getsockname(), read_timeout=0.2)
+            try:
+                for _ in range(2):
+                    with pytest.raises(ServerTimeout):
+                        conn.exchange(_get("k"))
+                    assert not conn.connection.connected  # torn down, not reused
+            finally:
+                conn.close()
+            listener.settimeout(2.0)
+            first, _ = listener.accept()
+            second, _ = listener.accept()  # the second exchange's fresh socket
+            first.close()
+            second.close()
+
+    def test_connections_share_one_loop_thread(self, live_server):
+        _, host, port = live_server
+        before = threading.active_count()  # the shared loop may not have started
+        conns = [BlockingConnection(host, port, read_timeout=5.0) for _ in range(20)]
+        try:
+            for i, conn in enumerate(conns):
+                [stored] = conn.exchange(_set(f"k{i}", b"v"))
+                assert stored.status == "STORED"
+            assert threading.active_count() <= before + 1
+        finally:
+            for conn in conns:
+                conn.close()
+
+    def test_threads_sharing_the_loop_each_get_their_own_answers(self, live_server):
+        # more threads than cores, switching often: every blocking call crosses
+        # to the one loop thread, and no answer may reach the wrong caller
+        _, host, port = live_server
+        errors: list[Exception] = []
+
+        def worker(t: int) -> None:
+            conn = BlockingConnection(host, port, read_timeout=5.0)
+            try:
+                for i in range(50):
+                    key, value = f"t{t}-{i}", b"%d-%d" % (t, i)
+                    conn.exchange(_set(key, value))
+                    [got] = conn.exchange(_get(key))
+                    assert got.values[key][1] == value
+            except Exception as exc:  # re-raised below, on the test's thread
+                errors.append(exc)
+            finally:
+                conn.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        if errors:
+            raise errors[0]

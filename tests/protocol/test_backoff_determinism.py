@@ -17,9 +17,9 @@ import socket
 import numpy as np
 import pytest
 
+from repro.aio.transport import BlockingConnection
 from repro.errors import ConfigurationError
 from repro.protocol.retry import RetryPolicy, call_with_retries
-from repro.protocol.transport import TCPTransport
 
 POLICY = RetryPolicy(
     max_retries=6, backoff_base=0.01, backoff_multiplier=3.0, backoff_max=0.2, jitter=0.25
@@ -114,19 +114,18 @@ class TestConnectRefused:
         return port
 
     def test_refused_connection_propagates(self, dead_port):
+        conn = BlockingConnection("127.0.0.1", dead_port, connect_timeout=1.0)
         with pytest.raises(ConnectionRefusedError):
-            TCPTransport("127.0.0.1", dead_port, connect_timeout=1.0)
+            conn.exchange(b"get k\r\n")  # connecting is lazy: the first exchange
 
     def test_refused_connection_is_retried(self, dead_port):
         policy = RetryPolicy(max_retries=2, backoff_base=0.0, backoff_max=0.0, jitter=0.0)
         retries = []
-
-        def connect():
-            return TCPTransport("127.0.0.1", dead_port, connect_timeout=1.0)
+        conn = BlockingConnection("127.0.0.1", dead_port, connect_timeout=1.0)
 
         with pytest.raises(ConnectionRefusedError):
             call_with_retries(
-                connect,
+                lambda: conn.exchange(b"get k\r\n"),
                 policy,
                 sleep=lambda s: None,
                 on_retry=lambda attempt, exc: retries.append(attempt),

@@ -1,11 +1,10 @@
-"""Dead-port semantics, shared across the sync and async transports.
+"""Dead-port semantics, shared by the blocking and the async connection.
 
-PR 5 split connect/read timeouts and pinned down refused-connect
-behaviour for ``TCPTransport``: a connection refused propagates as
-``ConnectionRefusedError`` (an ``OSError``, hence retryable) rather than
-being wrapped.  The async transport must agree — a client failing over
-between transports cannot change its error taxonomy — so both are
-exercised here against the same dead port.
+A connection refused propagates as ``ConnectionRefusedError`` (an
+``OSError``, hence retryable) rather than being wrapped.  The blocking
+facade must agree with the coroutine API under it — a client moving
+between the sync and async engines cannot change its error taxonomy —
+so both are exercised here against the same dead port.
 """
 
 from __future__ import annotations
@@ -15,13 +14,12 @@ import socket
 
 import pytest
 
-from repro.aio.transport import AsyncConnection
+from repro.aio.transport import AsyncConnection, BlockingConnection
 from repro.protocol.retry import (
     RetryPolicy,
     async_call_with_retries,
     call_with_retries,
 )
-from repro.protocol.transport import TCPTransport
 
 
 @pytest.fixture()
@@ -39,18 +37,21 @@ FAST = RetryPolicy(
     backoff_base=0.0001,
     backoff_max=0.001,
 )
+TIMEOUTS = dict(connect_timeout=2.0, read_timeout=2.0)
 
 
 class TestSyncTransport:
     def test_refused_connect_propagates(self, dead_port):
+        conn = BlockingConnection("127.0.0.1", dead_port, **TIMEOUTS)
         with pytest.raises(ConnectionRefusedError):
-            TCPTransport("127.0.0.1", dead_port, timeout=2.0)
+            conn.exchange(b"get k\r\n")  # connecting is lazy: the first exchange
 
     def test_refused_connect_is_retryable(self, dead_port):
+        conn = BlockingConnection("127.0.0.1", dead_port, **TIMEOUTS)
         attempts = []
         with pytest.raises(ConnectionRefusedError):
             call_with_retries(
-                lambda: TCPTransport("127.0.0.1", dead_port, timeout=2.0),
+                lambda: conn.exchange(b"get k\r\n"),
                 FAST,
                 sleep=lambda _: None,
                 on_retry=lambda n, exc: attempts.append(type(exc)),
@@ -61,7 +62,7 @@ class TestSyncTransport:
 class TestAsyncTransport:
     def test_refused_connect_propagates(self, dead_port):
         async def scenario():
-            conn = AsyncConnection("127.0.0.1", dead_port, timeout=2.0)
+            conn = AsyncConnection("127.0.0.1", dead_port, **TIMEOUTS)
             with pytest.raises(ConnectionRefusedError):
                 await conn.ensure_connected()
             assert not conn.connected
@@ -73,7 +74,7 @@ class TestAsyncTransport:
             attempts = []
 
             async def connect():
-                conn = AsyncConnection("127.0.0.1", dead_port, timeout=2.0)
+                conn = AsyncConnection("127.0.0.1", dead_port, **TIMEOUTS)
                 await conn.ensure_connected()
                 return conn
 
@@ -94,7 +95,7 @@ class TestAsyncTransport:
     def test_exchange_on_dead_port_also_refuses(self, dead_port):
         # the lazy connect inside exchange must not change the taxonomy
         async def scenario():
-            conn = AsyncConnection("127.0.0.1", dead_port, timeout=2.0)
+            conn = AsyncConnection("127.0.0.1", dead_port, **TIMEOUTS)
             with pytest.raises(ConnectionRefusedError):
                 await conn.exchange(b"get k\r\n")
 
@@ -105,16 +106,14 @@ class TestParity:
     def test_both_transports_raise_the_same_error_type(self, dead_port):
         sync_exc = async_exc = None
         try:
-            TCPTransport("127.0.0.1", dead_port, timeout=2.0)
+            BlockingConnection("127.0.0.1", dead_port, **TIMEOUTS).exchange(b"get k\r\n")
         except OSError as exc:
             sync_exc = type(exc)
 
         async def try_async():
             nonlocal async_exc
             try:
-                await AsyncConnection(
-                    "127.0.0.1", dead_port, timeout=2.0
-                ).ensure_connected()
+                await AsyncConnection("127.0.0.1", dead_port, **TIMEOUTS).ensure_connected()
             except OSError as exc:
                 async_exc = type(exc)
 

@@ -15,11 +15,11 @@ import pytest
 
 from repro.aio.memclient import AsyncMemcachedClient
 from repro.aio.server import serve_aio
-from repro.aio.transport import AsyncConnection
+from repro.aio.transport import AsyncConnection, BlockingConnection
 from repro.protocol.codec import FrameBuffer, parse_response
 from repro.protocol.memclient import MemcachedConnection
 from repro.protocol.memserver import MemcachedServer
-from repro.protocol.transport import LoopbackTransport, TCPTransport
+from repro.protocol.transport import LoopbackTransport
 
 # A pipelined stream of four responses with adversarial payloads: empty,
 # CRLF-only, and one embedding a spoofed "END\r\n" terminator.
@@ -169,7 +169,8 @@ class TestOverRealSockets:
         backend = MemcachedServer()
         handle, (host, port) = serve_aio(backend)
         try:
-            c = MemcachedConnection(TCPTransport(host, port, timeout=2.0))
+            transport = BlockingConnection(host, port, connect_timeout=2.0, read_timeout=2.0)
+            c = MemcachedConnection(transport)
             for i in range(20):
                 c.set(f"k{i}", (b"v%d" % i) * (i + 1))
             out = c.get_multi([f"k{i}" for i in range(20)])
@@ -184,7 +185,7 @@ class TestOverRealSockets:
         try:
 
             async def scenario():
-                conn = AsyncConnection(host, port, timeout=2.0)
+                conn = AsyncConnection(host, port, connect_timeout=2.0, read_timeout=2.0)
                 client = AsyncMemcachedClient(conn)
                 try:
                     for i in range(10):

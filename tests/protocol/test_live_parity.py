@@ -242,7 +242,10 @@ class AsyncSide:
 
     async def __aenter__(self) -> "AsyncSide":
         addrs = [await server.start() for server in self.servers]
-        self.pools = [AsyncConnectionPool(h, p, size=1, timeout=2.0) for h, p in addrs]
+        self.pools = [
+            AsyncConnectionPool(h, p, size=1, connect_timeout=2.0, read_timeout=2.0)
+            for h, p in addrs
+        ]
 
         async def sleep(delay: float) -> None:
             pass

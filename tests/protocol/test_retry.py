@@ -14,7 +14,7 @@ from repro.protocol.retry import (
     RetryPolicy,
     call_with_retries,
 )
-from repro.protocol.transport import LoopbackTransport, TCPTransport
+from repro.protocol.transport import LoopbackTransport
 
 
 class TestPolicyValidation:
@@ -183,27 +183,34 @@ class TestConnectionRetries:
 class TestTransportTimeoutPlumbing:
     def test_policy_sets_socket_timeouts(self):
         from repro.aio.server import serve_aio
+        from repro.aio.transport import BlockingConnection
 
         policy = RetryPolicy(connect_timeout=2.5, request_timeout=0.75)
         handle, (host, port) = serve_aio(MemcachedServer())
         try:
-            transport = TCPTransport(host, port, policy=policy)
-            assert transport._sock.gettimeout() == 0.75
+            transport = BlockingConnection(host, port, policy=policy)
+            assert MemcachedConnection(transport).set("k", b"v")  # a live socket
+            assert transport.connection.connect_timeout == 2.5
+            assert transport.connection.read_timeout == 0.75
             transport.close()
-            # legacy keyword still wins over the policy
-            transport = TCPTransport(host, port, policy=policy, timeout=3.0)
-            assert transport._sock.gettimeout() == 3.0
+            # a per-phase keyword wins over the policy
+            transport = BlockingConnection(host, port, policy=policy, read_timeout=3.0)
+            assert transport.connection.read_timeout == 3.0
+            assert transport.connection.connect_timeout == 2.5
             transport.close()
         finally:
             handle.stop()
 
     def test_default_policy_when_nothing_passed(self):
         from repro.aio.server import serve_aio
+        from repro.aio.transport import BlockingConnection
 
         handle, (host, port) = serve_aio(MemcachedServer())
         try:
-            transport = TCPTransport(host, port)
-            assert transport._sock.gettimeout() == DEFAULT_POLICY.request_timeout
+            transport = BlockingConnection(host, port)
+            assert MemcachedConnection(transport).get("k") is None
+            assert transport.connection.read_timeout == DEFAULT_POLICY.request_timeout
+            assert transport.connection.connect_timeout == DEFAULT_POLICY.connect_timeout
             transport.close()
         finally:
             handle.stop()

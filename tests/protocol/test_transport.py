@@ -1,14 +1,15 @@
-"""Tests for loopback and TCP transports."""
+"""Tests for the loopback transport and the blocking socket connection."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.aio.server import serve_aio
+from repro.aio.transport import BlockingConnection
 from repro.errors import ProtocolError
 from repro.protocol.codec import Command, encode_command
 from repro.protocol.memserver import MemcachedServer
-from repro.protocol.transport import LoopbackTransport, TCPTransport
+from repro.protocol.transport import LoopbackTransport
 
 
 class TestLoopback:
@@ -48,7 +49,7 @@ class TestTCP:
 
     def test_roundtrip_over_socket(self, live_server):
         _, host, port = live_server
-        t = TCPTransport(host, port)
+        t = BlockingConnection(host, port)
         try:
             [resp] = t.exchange(encode_command(Command("set", keys=("k",), data=b"v")))
             assert resp.status == "STORED"
@@ -59,7 +60,7 @@ class TestTCP:
 
     def test_two_connections_share_state(self, live_server):
         _, host, port = live_server
-        t1, t2 = TCPTransport(host, port), TCPTransport(host, port)
+        t1, t2 = BlockingConnection(host, port), BlockingConnection(host, port)
         try:
             t1.exchange(encode_command(Command("set", keys=("shared",), data=b"x")))
             [resp] = t2.exchange(encode_command(Command("get", keys=("shared",))))
@@ -70,7 +71,7 @@ class TestTCP:
 
     def test_large_value_chunked(self, live_server):
         _, host, port = live_server
-        t = TCPTransport(host, port)
+        t = BlockingConnection(host, port)
         payload = b"z" * 200_000  # larger than one recv buffer
         try:
             [resp] = t.exchange(

@@ -4,8 +4,10 @@ Every ``import repro.*`` runs ``repro/__init__``, so one heavy import
 anywhere in the package is paid by the CLI, every client and every
 server process.  The probe below runs in a fresh interpreter with the
 scientific stack *blocked* and drives the CLI, the live asyncio stack,
-the simulator and the analytic model.  No timing assertion: the box
-drifts 1-2x, the module set does not.
+the simulator and the analytic model.  A second probe holds the sync
+request engine and the simulator to no network stack at all: sockets
+live in :mod:`repro.aio` only.  No timing assertion: the box drifts
+1-2x, the module set does not.
 """
 
 from __future__ import annotations
@@ -45,3 +47,20 @@ def test_cli_live_stack_simulator_and_model_run_without_the_scientific_stack():
     loaded = set(done.stdout.splitlines()[-1].split()[1:])
     assert {"repro", "numpy", "asyncio"} <= loaded
     assert not loaded & DENIED
+
+
+SYNC_PROBE = """
+import sys
+import repro, repro.protocol, repro.sim.engine
+print("LOADED", *sorted(m for m, mod in sys.modules.items() if mod is not None))
+"""
+
+
+def test_sync_engine_and_simulator_load_neither_socket_nor_asyncio():
+    done = subprocess.run(
+        [sys.executable, "-c", SYNC_PROBE], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.splitlines()[-1].split()[1:])
+    assert "repro.protocol.rnbclient" in loaded
+    assert not loaded & {"socket", "asyncio"}
