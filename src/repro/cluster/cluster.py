@@ -19,8 +19,6 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable
 
-import numpy as np
-
 from repro.cluster.lru import PinnedLRU, PriorityClassStore
 from repro.cluster.placement import ReplicaPlacer
 from repro.cluster.server import Server
@@ -56,21 +54,16 @@ class Cluster:
         self.lru_policy = lru_policy
         self.n_servers = placer.n_servers
 
-        # When the placer is a compiled table covering exactly our items,
-        # grouping by home server is an argsort instead of a per-item loop
-        # (order-equivalent: stable sort keeps items ascending per group,
-        # exactly as appending while iterating items in order does).
-        table = getattr(placer, "table", None)
-        if table is not None and self.items == tuple(range(table.shape[0])):
-            grouped = self._group_by_server(np.arange(len(self.items)), table[:, 0])
-            homes: dict[int, list[ItemId]] = {
-                sid: items.tolist() for sid, items in grouped
-            }
+        # A compiled table covering exactly our items has the groupings
+        # ready (order-equivalent to the loops: items ascend per server)
+        if isinstance(items, range) and items == range(getattr(placer, "n_items", 0)):
+            homes, loads = placer.provisioning
         else:
-            table = None
-            homes = defaultdict(list)
+            homes, loads = defaultdict(list), defaultdict(list)
             for item in self.items:
                 homes[placer.distinguished_for(item)].append(item)
+                for sid in placer.servers_for(item)[1:]:
+                    loads[sid].append(item)
 
         self.servers: list[Server] = []
         for sid in range(self.n_servers):
@@ -100,35 +93,12 @@ class Cluster:
         # resident, giving exactly Fig 6's setting.  Servers are
         # independent, so loading each one's replicas in item order
         # reproduces the item-by-item load exactly.
-        loads: dict[int, list[ItemId]] = defaultdict(list)
-        if table is not None:
-            replicas = table[:, 1:]
-            if replicas.size:
-                flat_item = np.repeat(np.arange(len(self.items)), replicas.shape[1])
-                for sid, items in self._group_by_server(flat_item, replicas.ravel()):
-                    loads[sid] = items.tolist()
-        else:
-            for item in self.items:
-                for sid in placer.servers_for(item)[1:]:
-                    loads[sid].append(item)
         for sid, items in loads.items():
             self.servers[sid].preload_replicas(items)
 
         #: optional fault-injection gate (see repro.faults.injector); when
         #: attached, server accesses may raise ServerDown / ServerTimeout
         self.injector = None
-
-    @staticmethod
-    def _group_by_server(items: np.ndarray, sids: np.ndarray):
-        """Group ``items`` by server id, items ascending within each group."""
-        order = np.lexsort((items, sids))
-        sids_sorted = sids[order]
-        items_sorted = items[order]
-        boundaries = np.flatnonzero(np.diff(sids_sorted)) + 1
-        starts = np.concatenate(([0], boundaries))
-        return zip(
-            sids_sorted[starts].tolist(), np.split(items_sorted, boundaries)
-        )
 
     # -- access -----------------------------------------------------------
 

@@ -119,8 +119,9 @@ class Bundler:
     item's replica set as a packed row of bits (:meth:`_plan_packed`), so
     a warm :meth:`plan` makes no placer call per item.  Clients that share
     a placer share the memo by sharing one bundler (their ``bundler=``).
-    Like the metrics it feeds, the memo is not guarded for use from
-    several threads at once.
+    It also remembers the cover of every graph row a chunk has planned
+    (:meth:`_cover_chunk`).  Like the metrics they feed, the memos are
+    not guarded for use from several threads at once.
     """
 
     def __init__(
@@ -153,6 +154,8 @@ class Bundler:
         # no placer's epoch: the first packed plan builds the memo, so a
         # bundler that only plans chunks (the simulator) never holds one
         self._epoch = -1
+        # (source, epoch, per-slot servers) of the rows _cover_chunk solved
+        self._covered: tuple | None = None
 
     def _record_plan(self, n_transactions: int) -> None:
         if self._m_plans is not None:
@@ -474,6 +477,13 @@ class Bundler:
         server the cover assigns it to — or ``None`` when the block is
         not on the vectorised envelope: no compiled table, another
         tie-break, an empty request, or item ids outside the table.
+
+        A block with ``slots`` (an ego draw) is a set of whole adjacency
+        rows of its ``source``, and a row's cover depends on nothing else
+        for a fixed placement.  So the bundler keeps, per slot, the server
+        the cover chose, and one ``take`` answers every row it has solved
+        since the source or the placer's epoch last changed; only the
+        rows not seen yet go through :func:`batch_cover`.
         """
         lookup = getattr(self.placer, "lookup", None)
         items, sizes = block.items, block.offsets[1:] - block.offsets[:-1]
@@ -488,7 +498,29 @@ class Bundler:
             return None
         row = np.repeat(np.arange(len(block)), sizes)
         servers = lookup(items)
-        assigned = batch_cover(row, servers, len(block), self.placer.n_servers)
+        n_servers = self.placer.n_servers
+        if block.slots is None:
+            return row, servers, batch_cover(row, servers, len(block), n_servers)
+        epoch = getattr(self.placer, "epoch", None)
+        memo = self._covered
+        if memo is None or memo[0] is not block.source or memo[1] != epoch:
+            # nothing known: the kernel on the chunk's own arrays, and the
+            # per-slot array waits for a second chunk (a one-chunk run has none)
+            assigned = batch_cover(row, servers, len(block), n_servers)
+            self._covered = (block.source, epoch, (block.slots, assigned))
+            return row, servers, assigned
+        planned = memo[2]
+        if isinstance(planned, tuple):  # the second chunk: -1 is "not planned yet"
+            slots, first = planned
+            planned = np.full(len(block.source.indices), -1, dtype=np.int64)
+            planned[slots] = first
+            self._covered = (block.source, epoch, planned)
+        assigned = planned.take(block.slots)
+        fresh = np.flatnonzero(assigned < 0)
+        assigned[fresh] = batch_cover(
+            row.take(fresh), servers.take(fresh, axis=0), len(block), n_servers
+        )
+        planned[block.slots] = assigned
         return row, servers, assigned
 
     # -- the packed kernel ----------------------------------------------------

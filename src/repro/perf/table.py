@@ -36,6 +36,8 @@ what warming the placer's memo would.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from repro.cluster.placement import (
@@ -144,6 +146,18 @@ def _compile_generic(placer: ReplicaPlacer, n_items: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.int64)
 
 
+def _group_by_server(items: np.ndarray, sids: np.ndarray) -> dict[int, list[int]]:
+    """Group ``items`` by server id, items ascending within each group."""
+    if not sids.size:
+        return {}
+    order = np.lexsort((items, sids))
+    sids_sorted = sids[order]
+    boundaries = np.flatnonzero(np.diff(sids_sorted)) + 1
+    starts = np.concatenate(([0], boundaries))
+    groups = np.split(items[order], boundaries)
+    return dict(zip(sids_sorted[starts].tolist(), (group.tolist() for group in groups)))
+
+
 class PlacementTable:
     """A compiled, array-backed view of a replica placer.
 
@@ -213,6 +227,22 @@ class PlacementTable:
     def distinguished(self) -> np.ndarray:
         """The distinguished-copy column (``(n_items,)`` server ids)."""
         return self.table[:, 0]
+
+    @cached_property
+    def provisioning(self) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+        """Per server, the items it is home to and the items it holds a
+        replica of, each in item order: what a
+        :class:`~repro.cluster.cluster.Cluster` over exactly the compiled
+        universe pins and preloads.  Computed once per table, so every run
+        that shares a compiled table shares them; the lists are read, never
+        changed.
+        """
+        items = np.arange(self.n_items)
+        replicas = self.table[:, 1:]
+        return (
+            _group_by_server(items, self.table[:, 0]),
+            _group_by_server(np.repeat(items, replicas.shape[1]), replicas.ravel()),
+        )
 
     # -- ReplicaPlacer protocol ---------------------------------------
 

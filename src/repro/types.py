@@ -80,10 +80,18 @@ class RequestBlock:
     :meth:`repro.core.bundling.Bundler.plan_transactions`), where
     nothing reads a request but its planner; :meth:`requests` is the way
     out for everything that wants :class:`Request` objects.
+
+    A block drawn from a graph may also say where each item sits in it:
+    ``items == source.indices[slots]``, each request one whole adjacency
+    row.  Two requests with the same slots are the same request, which
+    lets the planner solve each row once per run
+    (:meth:`repro.core.bundling.Bundler._cover_chunk`).
     """
 
     items: np.ndarray  # int64[T], every request's items end to end
     offsets: np.ndarray  # int64[n + 1], offsets[0] == 0, offsets[n] == T
+    slots: np.ndarray | None = None  # int64[T], each item's index into source.indices
+    source: object = None  # the graph ``slots`` index
 
     def __len__(self) -> int:
         return len(self.offsets) - 1

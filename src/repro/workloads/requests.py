@@ -63,17 +63,17 @@ class EgoRequestGenerator:
         offsets = np.zeros(k + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
         # flat position t of request i reads indices[first[i] + t - offsets[i]]
-        items = self.graph.indices[
-            np.arange(offsets[-1]) + np.repeat(first - offsets[:-1], sizes)
-        ]
-        if self.include_self:
-            # the root first, then its friends without the root itself: the
-            # roots lead the concatenation, so a stable sort by request does it
-            keep = items != np.repeat(roots, sizes)
-            row = np.concatenate((np.arange(k), np.repeat(np.arange(k), sizes)[keep]))
-            items = np.concatenate((roots, items[keep]))[np.argsort(row, kind="stable")]
-            offsets = np.zeros(k + 1, dtype=np.int64)
-            np.cumsum(np.bincount(row, minlength=k), out=offsets[1:])
+        slots = np.arange(offsets[-1]) + np.repeat(first - offsets[:-1], sizes)
+        items = self.graph.indices[slots]
+        if not self.include_self:
+            return RequestBlock(items, offsets, slots, self.graph)
+        # the root first, then its friends without the root itself: the
+        # roots lead the concatenation, so a stable sort by request does it
+        keep = items != np.repeat(roots, sizes)
+        row = np.concatenate((np.arange(k), np.repeat(np.arange(k), sizes)[keep]))
+        items = np.concatenate((roots, items[keep]))[np.argsort(row, kind="stable")]
+        offsets = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=k), out=offsets[1:])
         return RequestBlock(items, offsets)
 
     def blocks(self, n: int | None = None) -> Iterator[RequestBlock]:

@@ -30,6 +30,8 @@ from repro.experiments import (
 from repro.experiments.base import ExperimentResult
 from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
 from repro.hashing.hashfns import stable_hash64
+from repro.sim.config import ClientConfig, ClusterConfig, SimConfig
+from repro.sim.engine import run_simulation
 from repro.workloads.synthetic import make_slashdot_like
 
 TINY = dict(scale=0.02, n_requests=150, seed=5)
@@ -198,6 +200,32 @@ class TestHitchhikingDeterminism:
         )
         doc = json.dumps([r.to_dict() for r in results], sort_keys=True)
         assert stable_hash64(doc) == token
+
+
+class TestBlockPathDeterminism:
+    """Without hitchhiking the simulator plans ego blocks, and a run that
+    draws each user several times plans most rows from the bundler's cover
+    memo: 6 000 requests, three chunks, over graphs of 1 643 (slashdot)
+    and 1 509 (epinions) non-isolated users.  The tokens hold what those
+    runs report, in the tally regime (``fig06``) and the executor regime."""
+
+    def test_fig06_pinned_token(self):
+        results = fig06.run(scale=0.02, n_requests=6000, seed=5)
+        doc = json.dumps([r.to_dict() for r in results], sort_keys=True)
+        assert stable_hash64(doc) == 9431092729647470685
+
+    def test_limited_memory_pinned_token(self, tiny_sd):
+        config = SimConfig(
+            cluster=ClusterConfig(n_servers=16, replication=3, memory_factor=2.0),
+            client=ClientConfig(mode="rnb"),
+            n_requests=6000,
+            warmup_requests=1000,
+            seed=5,
+        )
+        assert 3 * len(tiny_sd.nonisolated_nodes()) <= config.n_requests
+        result = run_simulation(tiny_sd, config)
+        assert result.determinism_token() == 12915705928981475274
+
 
 class TestFig13_14:
     def test_microbench_curves(self):

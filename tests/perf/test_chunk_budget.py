@@ -22,7 +22,8 @@ from repro.obs import MetricsRegistry
 from repro.perf.table import PlacementTable
 from repro.sim.config import ClientConfig, ClusterConfig, SimConfig
 from repro.sim.engine import run_simulation
-from repro.types import ClusterStats, FetchPlan, FetchResult, Request, Transaction
+from repro.types import ClusterStats, FetchPlan, FetchResult, Request, RequestBlock, Transaction
+from repro.workloads.requests import EgoRequestGenerator
 from tests.perf.test_tally_chunk import _as_block
 from tests.protocol.test_per_key_budget import python_calls
 
@@ -64,6 +65,49 @@ def test_tally_chunk_calls_do_not_grow_with_the_chunk():
     request, per transaction or per item."""
     assert _tally_calls(1, 256) == _tally_calls(100, 256) == _tally_calls(100, 16)
     assert _tally_calls(1, 256) < 256
+
+
+def _rows(block: RequestBlock, keep: np.ndarray) -> RequestBlock:
+    """The rows of an ego block that ``keep`` (a mask over its requests) marks."""
+    sizes = np.diff(block.offsets)
+    at = np.repeat(keep, sizes)
+    offsets = np.concatenate(([0], np.cumsum(sizes[keep]))).astype(np.int64)
+    return RequestBlock(block.items[at], offsets, block.slots[at], block.source)
+
+
+def _heads(block: RequestBlock) -> np.ndarray:
+    return block.slots[block.offsets[:-1]]
+
+
+def _ego_tally_calls(graph, block: RequestBlock, warm: RequestBlock | None = None) -> int:
+    table = PlacementTable.compile(RandomPlacer(N_SERVERS, 3, seed=9), graph.n_nodes)
+    client = RnBClient(Cluster(table, range(graph.n_nodes)), Bundler(table))
+    if warm is not None:
+        client.tally_chunk(warm, ClusterStats())
+    stats = ClusterStats()
+    counted = python_calls(lambda: client.tally_chunk(block, stats))
+    assert stats.requests == len(block) and stats.items_fetched == len(block.items)
+    return counted
+
+
+def test_ego_tally_calls_do_not_depend_on_the_cover_memo(small_slashdot):
+    """A tally chunk of an ego block costs the same Python-level calls whether
+    the bundler has solved none of its rows (on a fresh memo or a warm one),
+    all of them or some, and none per request."""
+    gen = EgoRequestGenerator(small_slashdot, rng=2013)
+    block, other, large = gen.block(256), gen.block(256), gen.block(1024)
+    unseen = _rows(other, ~np.isin(_heads(other), _heads(block)))
+    half = _rows(block, np.arange(len(block)) % 2 == 0)
+    assert len(unseen) and np.isin(_heads(block), _heads(half)).mean() < 1
+    counts = {
+        "new": _ego_tally_calls(small_slashdot, block),
+        "new, warm memo": _ego_tally_calls(small_slashdot, block, warm=unseen),
+        "hits": _ego_tally_calls(small_slashdot, block, warm=block),
+        "mixed": _ego_tally_calls(small_slashdot, block, warm=half),
+        "large, mixed": _ego_tally_calls(small_slashdot, large, warm=block),
+    }
+    assert len(set(counts.values())) == 1, counts
+    assert counts["new"] < 256
 
 
 def test_planner_telemetry_costs_calls_per_cover_size_not_per_request():
