@@ -11,7 +11,7 @@ connection faults (docs/OVERLOAD.md).
 
 A transaction is two synchronous halves around the wire: ``begin``
 (encode, ``transport.submit``) and ``settle`` (BUSY and status checks,
-``transactions`` count, value materialisation).  The coroutines await
+``transactions`` count, the result).  The coroutines await
 ``transport.exchange`` between them; :mod:`repro.aio.rnbclient`'s
 fan-out, which has its own completion sinks, calls them directly.
 """
@@ -87,13 +87,18 @@ class AsyncMemcachedClient:
         """Put ``op(*args)`` (``get_multi`` / ``get`` / ``set`` / ``delete``) on the wire
         now; ``sink`` gets the raw responses for :meth:`settle`.  ``False``, nothing sent,
         if the transport cannot ``submit`` or this client has its own ``policy`` (it
-        retries inside the coroutine)."""
+        retries inside the coroutine).  A ``get_multi``'s keys are sent as given: the
+        request engine checked them (``validate_keys``) before planning."""
         submit = getattr(self.transport, "submit", None)
         if submit is None or self.policy is not None:
             return False
-        return submit(self._encode(op, args), 1, sink)
+        if op == "get_multi":
+            request = f"get {' '.join(args[0])}\r\n".encode()
+        else:
+            request = self._encode(op, args)
+        return submit(request, 1, sink)
 
-    def settle(self, op: str, args: tuple, responses, with_cas=False, raw=False):
+    def settle(self, op: str, args: tuple, responses, with_cas=False):
         """What ``op(*args)`` returns for ``responses``; a shed raises :class:`ServerBusy`."""
         [resp] = self._checked(responses)
         if op == "set" or op == "delete":
@@ -104,27 +109,19 @@ class AsyncMemcachedClient:
         self.transactions += 1
         items = resp.values.items()
         if with_cas:
-            return {k: (v[1] if raw else bytes(v[1]), v[2]) for k, v in items}
-        values = {k: v[1] for k, v in items} if raw else {k: bytes(v[1]) for k, v in items}
+            return {k: (v[1], v[2]) for k, v in items}
+        values = {k: v[1] for k, v in items}
         return values.get(args[0]) if op == "get" else values
 
     # -- retrieval -------------------------------------------------------
 
-    async def get_multi(
-        self, keys, *, with_cas: bool = False, raw: bool = False
-    ) -> dict:
-        """Fetch many keys in ONE transaction (missing keys absent).
-
-        VALUE bodies are parsed zero-copy off the connection's receive
-        buffer and materialised to ``bytes`` here by default; ``raw=True``
-        returns the memoryview slices themselves (no per-item copy —
-        see :meth:`repro.protocol.memclient.MemcachedConnection.get_multi`).
-        """
+    async def get_multi(self, keys, *, with_cas: bool = False) -> dict:
+        """Fetch many keys in ONE transaction (missing keys absent)."""
         args = (tuple(keys),)
         if not args[0]:
             return {}
         responses = await self._exchange_idempotent(self._encode("get_multi", args, with_cas))
-        return self.settle("get_multi", args, responses, with_cas, raw)
+        return self.settle("get_multi", args, responses, with_cas)
 
     async def get(self, key: str) -> bytes | None:
         return (await self.get_multi([key])).get(key)

@@ -31,7 +31,8 @@ _ASCII_KEY = rf"[!-~]{{1,{MAX_KEY_LEN}}}"
 _ASCII_KEY_LINE = re.compile(rf"{_ASCII_KEY}(?: {_ASCII_KEY})*").fullmatch
 #: what ``_BAD_KEY_CHAR`` forbids and ``str.split()`` leaves in its tokens
 _BAD_TOKEN_CHAR = re.compile(r"[\x00-\x08\x0e-\x1b\x7f]").search
-#: a well-formed VALUE header; anything else takes ``parse_response_at``'s general loop
+#: a well-formed VALUE header; any other line but ``END`` takes ``parse_response_at``'s
+#: general loop
 _VALUE_HEADER = re.compile(rb"VALUE ([!-~]+) (\d+) (\d+)(?: (\d+))?\r\n").match
 STORAGE_COMMANDS = frozenset({"set", "add", "replace", "append", "prepend", "cas"})
 RETRIEVAL_COMMANDS = frozenset({"get", "gets"})
@@ -39,7 +40,7 @@ COUNTER_COMMANDS = frozenset({"incr", "decr"})
 SIMPLE_COMMANDS = frozenset({"delete", "touch", "flush_all", "stats", "version"})
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Command:
     """One parsed client command."""
 
@@ -53,22 +54,17 @@ class Command:
     delta: int = 0  # incr/decr amount
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Response:
     """One parsed server response.
 
     ``status`` is the terminal line (``END``, ``STORED`` ...);
-    ``values`` maps key -> (flags, data, cas-or-None) for retrievals.
-    ``data`` is ``bytes`` from :func:`parse_response` or a zero-copy
-    ``memoryview`` when parsed off a transport's :class:`FrameBuffer`
-    (equal to the bytes it aliases; clients materialise at their
-    boundary — see ``MemcachedConnection.get_multi``).
+    ``values`` maps key -> (flags, data, cas-or-None) for retrievals,
+    ``data`` a ``bytes`` sliced once out of the received buffer.
     """
 
     status: str
-    values: dict[str, tuple[int, bytes | memoryview, int | None]] = field(
-        default_factory=dict
-    )
+    values: dict[str, tuple[int, bytes, int | None]] = field(default_factory=dict)
     stats: dict[str, str] = field(default_factory=dict)
 
 
@@ -174,35 +170,29 @@ _TERMINAL_TOKENS = frozenset(
 )
 
 
-def parse_response_at(
-    data: bytes, pos: int = 0, *, view: memoryview | None = None
-) -> tuple[Response, int]:
+def parse_response_at(data: bytes, pos: int = 0) -> tuple[Response, int]:
     """Parse one complete response from ``data`` starting at offset ``pos``.
 
     Returns ``(response, end_offset)``.  This is the offset-based core
     both :func:`parse_response` and :class:`FrameBuffer` share: it never
     re-slices the unconsumed tail, so parsing a pipelined buffer is
-    linear in its length instead of quadratic.
-
-    With ``view`` (a ``memoryview`` of ``data``), VALUE payloads are
-    returned as zero-copy slices of that view.  ``data`` must then be an
-    *immutable* ``bytes`` object — the views alias it and stay valid for
-    as long as the caller holds them.  Without ``view``, payloads are
-    materialised ``bytes`` copies (the legacy behaviour).
+    linear in its length instead of quadratic.  Each VALUE payload is
+    one ``bytes`` slice of ``data``, the only copy the client makes of it.
     """
-    values: dict[str, tuple[int, bytes | memoryview, int | None]] = {}
+    values: dict[str, tuple[int, bytes, int | None]] = {}
     stats: dict[str, str] = {}
     n_data = len(data)
-    payloads = data if view is None else view
     while True:
         # fast path: one match takes a well-formed VALUE header apart; any other
-        # line, malformed ones included, goes through the general parse below
+        # line but END, malformed ones included, goes through the general parse below
         header = _VALUE_HEADER(data, pos)
         if header is not None:
             key, flags, nbytes, cas = header.groups()
             key, flags, nbytes = key.decode(), int(flags), int(nbytes)
             cas = None if cas is None else int(cas)
             line_end = header.end()
+        elif data.startswith(b"END\r\n", pos):  # what every retrieval ends with
+            return Response(status="END", values=values, stats=stats), pos + 5
         else:
             eol = data.find(CRLF, pos)
             if eol < 0:
@@ -235,9 +225,9 @@ def parse_response_at(
         body_end = line_end + nbytes
         if n_data < body_end + 2:
             raise IncompleteResponse("value data incomplete")
-        if data[body_end : body_end + 2] != CRLF:
+        if not data.startswith(CRLF, body_end):
             raise ProtocolError("value data not CRLF-terminated")
-        values[key] = (flags, payloads[line_end:body_end], cas)
+        values[key] = (flags, data[line_end:body_end], cas)
         pos = body_end + 2
 
 
@@ -247,10 +237,6 @@ def parse_response(data: bytes) -> tuple[Response, bytes]:
     Returns (response, remaining bytes).  Raises ``ProtocolError`` on
     malformed input and ``IncompleteResponse`` (a ``ProtocolError``
     subclass via ``need_more``) when more bytes are required.
-
-    Payloads are materialised ``bytes``; transports that want zero-copy
-    VALUE bodies use :class:`FrameBuffer` / :func:`parse_response_at`
-    with a ``view`` instead.
     """
     resp, end = parse_response_at(bytes(data), 0)
     return resp, data[end:]
@@ -261,23 +247,15 @@ class IncompleteResponse(ProtocolError):
 
 
 class FrameBuffer:
-    """Incremental response framing with zero-copy VALUE payloads.
+    """Incremental response framing.
 
     Transports feed raw socket chunks in; :meth:`next_response` parses
     out one complete response at a time, returning ``None`` when more
     bytes are needed.  Internally the unconsumed bytes are tracked as an
     (immutable snapshot, offset) pair plus a list of not-yet-joined
     chunks, so pipelined response streams parse with one join per read
-    instead of one whole-buffer copy per value block.
-
-    VALUE payloads are ``memoryview`` slices into the immutable
-    snapshot (``zero_copy=True``, the default): no per-item bytes copy
-    is made, and because the snapshot is ``bytes`` the views stay valid
-    for as long as the caller keeps them — at the cost of keeping the
-    snapshot alive.  Callers that hand payloads to long-lived storage
-    should materialise them (``bytes(payload)``) at their boundary;
-    :meth:`repro.protocol.memclient.MemcachedConnection.get_multi` does
-    exactly that unless asked for ``raw`` views.
+    instead of one whole-buffer copy per value block.  VALUE payloads
+    are ``bytes`` sliced out of the snapshot, so none of them keeps it alive.
     """
 
     __slots__ = ("_data", "_pos", "_chunks")
@@ -318,20 +296,11 @@ class FrameBuffer:
         self._pos = 0
         self._chunks.clear()
 
-    def next_response(self, *, zero_copy: bool = True) -> Response | None:
-        """Parse one response if complete, else ``None``.
-
-        With ``zero_copy`` the response's VALUE payloads are memoryview
-        slices of this buffer's current snapshot (see class docstring);
-        otherwise they are independent ``bytes``.
-        """
+    def next_response(self) -> Response | None:
+        """Parse one response if complete, else ``None``."""
         self._consolidate()
         try:
-            resp, end = parse_response_at(
-                self._data,
-                self._pos,
-                view=memoryview(self._data) if zero_copy else None,
-            )
+            resp, end = parse_response_at(self._data, self._pos)
         except IncompleteResponse:
             return None
         self._pos = end

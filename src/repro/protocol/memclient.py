@@ -79,18 +79,11 @@ class MemcachedConnection:
 
     # -- retrieval -------------------------------------------------------
 
-    def get_multi(self, keys, *, with_cas: bool = False, raw: bool = False) -> dict:
+    def get_multi(self, keys, *, with_cas: bool = False) -> dict:
         """Fetch many keys in ONE transaction.
 
         Returns key -> bytes (or key -> (bytes, cas) when ``with_cas``);
         missing keys are simply absent.
-
-        The transport parses VALUE bodies zero-copy (memoryview slices
-        into the receive buffer); by default they are materialised to
-        independent ``bytes`` here, at the client boundary.  ``raw=True``
-        hands back the memoryviews themselves — no per-item copy, equal
-        (``==``) to the bytes they alias, but they pin the underlying
-        receive buffer alive for as long as the caller holds them.
         """
         keys = tuple(keys)
         if not keys:
@@ -100,13 +93,9 @@ class MemcachedConnection:
         if resp.status != "END":
             raise ProtocolError(f"unexpected retrieval status: {resp.status}")
         self.transactions += 1
-        if raw:
-            if with_cas:
-                return {k: (v[1], v[2]) for k, v in resp.values.items()}
-            return {k: v[1] for k, v in resp.values.items()}
         if with_cas:
-            return {k: (bytes(v[1]), v[2]) for k, v in resp.values.items()}
-        return {k: bytes(v[1]) for k, v in resp.values.items()}
+            return {k: (v[1], v[2]) for k, v in resp.values.items()}
+        return {k: v[1] for k, v in resp.values.items()}
 
     def get(self, key: str) -> bytes | None:
         return self.get_multi([key]).get(key)

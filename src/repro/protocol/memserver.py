@@ -40,6 +40,9 @@ class _Entry:
     data: bytes
     cas: int
     expires_at: float | None = None
+    #: ``VALUE <key> <flags> <bytes>\r\n``, built on the entry's first ``get`` hit;
+    #: every store makes a new entry, so it never outlives the flags and data it names
+    header: bytes | None = None
 
     @property
     def size(self) -> int:
@@ -169,7 +172,8 @@ class MemcachedServer:
         if name in ("get", "gets"):
             # one pass, no call into this module per key (an entry with a TTL
             # excepted): every hit's VALUE block goes straight into the reply's
-            # parts, joined once, so a payload is copied once
+            # parts, joined once, so a payload is copied once; a plain get
+            # formats an entry's header once, a gets each time (its cas)
             lookup, touch = self._items.get, self._items.move_to_end
             with_cas = name == "gets"
             parts: list[bytes] = []
@@ -181,9 +185,14 @@ class MemcachedServer:
                     continue
                 touch(key)
                 data = entry.data
-                cas = f" {entry.cas}" if with_cas else ""
-                header = f"VALUE {key} {entry.flags} {len(data)}{cas}\r\n"
-                parts += (header.encode(), data, CRLF)
+                if with_cas:
+                    header = f"VALUE {key} {entry.flags} {len(data)} {entry.cas}\r\n".encode()
+                else:
+                    header = entry.header
+                    if header is None:
+                        header = f"VALUE {key} {entry.flags} {len(data)}\r\n".encode()
+                        entry.header = header
+                parts += (header, data, CRLF)
             hits = len(parts) // 3
             self.stats["cmd_get"] += 1
             self.stats["get_hits"] += hits

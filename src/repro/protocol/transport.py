@@ -25,16 +25,15 @@ class LoopbackTransport:
         self.server = server
 
     def exchange(self, request: bytes, n_responses: int = 1) -> list[Response]:
-        raw = bytes(self.server.handle(request))
-        view = memoryview(raw)
+        data = self.server.handle(request)
         responses: list[Response] = []
         pos = 0
         for _ in range(n_responses):
-            resp, pos = codec.parse_response_at(raw, pos, view=view)
+            resp, pos = codec.parse_response_at(data, pos)
             responses.append(resp)
-        if pos != len(raw):
+        if pos != len(data):
             raise ProtocolError(
-                f"unexpected trailing response bytes: {raw[pos : pos + 40]!r}"
+                f"unexpected trailing response bytes: {data[pos : pos + 40]!r}"
             )
         return responses
 

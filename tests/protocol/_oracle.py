@@ -57,10 +57,8 @@ def format_values(items: list[tuple[str, int, bytes, int | None]], with_cas: boo
     return bytes(out)
 
 
-def parse_response_at(
-    data: bytes, pos: int = 0, *, view: memoryview | None = None
-) -> tuple[Response, int]:
-    values: dict[str, tuple[int, bytes | memoryview, int | None]] = {}
+def parse_response_at(data: bytes, pos: int = 0) -> tuple[Response, int]:
+    values: dict[str, tuple[int, bytes, int | None]] = {}
     stats: dict[str, str] = {}
     n_data = len(data)
     while True:
@@ -83,11 +81,7 @@ def parse_response_at(
                 raise IncompleteResponse("value data incomplete")
             if data[body_end : body_end + 2] != CRLF:
                 raise ProtocolError("value data not CRLF-terminated")
-            if view is not None:
-                payload: bytes | memoryview = view[line_end:body_end]
-            else:
-                payload = data[line_end:body_end]
-            values[key] = (flags, payload, cas)
+            values[key] = (flags, data[line_end:body_end], cas)
             pos = body_end + 2
             continue
         if token == "STAT":

@@ -1,6 +1,6 @@
-"""Zero-copy response framing: FrameBuffer vs the legacy bytes parser.
+"""Response framing: FrameBuffer vs the whole-buffer parser.
 
-The memoryview framing layer must be behaviourally invisible: for any
+The framing layer must be behaviourally invisible: for any
 way a pipelined response stream is sliced into TCP reads — including
 splits inside a VALUE header, inside a payload, or mid-CRLF — the
 FrameBuffer yields exactly the responses ``parse_response`` produces on
@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import asyncio
 
-import pytest
-
 from repro.aio.memclient import AsyncMemcachedClient
 from repro.aio.server import serve_aio
 from repro.aio.transport import AsyncConnection, BlockingConnection
-from repro.protocol.codec import FrameBuffer, parse_response
+from repro.protocol.codec import Command, FrameBuffer, encode_command, parse_response
 from repro.protocol.memclient import MemcachedConnection
 from repro.protocol.memserver import MemcachedServer
 from repro.protocol.transport import LoopbackTransport
@@ -41,20 +39,16 @@ def _legacy_parse_all(data: bytes):
 
 
 def _normal(resp):
-    """Comparable form: materialise payload views to bytes."""
-    return (
-        resp.status,
-        {k: (f, bytes(d), c) for k, (f, d, c) in resp.values.items()},
-        resp.stats,
-    )
+    """Comparable form."""
+    return resp.status, resp.values, resp.stats
 
 
 EXPECTED = [_normal(r) for r in _legacy_parse_all(WIRE)]
 
 
-def _drain(frames: FrameBuffer, **kwargs):
+def _drain(frames: FrameBuffer):
     out = []
-    while (resp := frames.next_response(**kwargs)) is not None:
+    while (resp := frames.next_response()) is not None:
         out.append(resp)
     return out
 
@@ -97,26 +91,6 @@ class TestFrameBuffer:
         assert bytes(resp.values["a"][1]) == b"abcde"
         assert resp.status == "END"
 
-    def test_zero_copy_payloads_are_views_and_stay_valid(self):
-        frames = FrameBuffer()
-        frames.feed(WIRE)
-        resp = frames.next_response()
-        payload = resp.values["a"][1]
-        assert isinstance(payload, memoryview)
-        # drain and reuse the buffer: views alias an immutable snapshot,
-        # so earlier payloads must survive later feeds/parses
-        _drain(frames)
-        frames.feed(b"STORED\r\n")
-        assert frames.next_response().status == "STORED"
-        assert bytes(payload) == b"xyz"
-
-    def test_zero_copy_off_gives_bytes(self):
-        frames = FrameBuffer()
-        frames.feed(WIRE)
-        resp = frames.next_response(zero_copy=False)
-        assert isinstance(resp.values["a"][1], bytes)
-        assert resp.values["b"] == (5, b"hi", 77)
-
     def test_peek_and_clear(self):
         frames = FrameBuffer()
         frames.feed(b"VALUE a")
@@ -143,26 +117,6 @@ class TestClientMaterialisation:
         assert out == {"a": b"xyz", "b": b"hi", "crlf": b"\r\n\r\n"}
         assert all(isinstance(v, bytes) for v in out.values())
 
-    def test_get_multi_raw_views_equal_bytes(self):
-        c = self._conn()
-        raw = c.get_multi(["a", "b", "crlf"], raw=True)
-        assert {k: bytes(v) for k, v in raw.items()} == {
-            "a": b"xyz",
-            "b": b"hi",
-            "crlf": b"\r\n\r\n",
-        }
-
-    def test_get_multi_with_cas_raw_and_default(self):
-        c = self._conn()
-        default = c.get_multi(["a", "b"], with_cas=True)
-        raw = c.get_multi(["a", "b"], with_cas=True, raw=True)
-        for key in ("a", "b"):
-            value, cas = default[key]
-            raw_value, raw_cas = raw[key]
-            assert isinstance(value, bytes)
-            assert bytes(raw_value) == value
-            assert raw_cas == cas
-
 
 class TestOverRealSockets:
     def test_tcp_transport_pipelined_multi_get(self):
@@ -179,31 +133,54 @@ class TestOverRealSockets:
         finally:
             handle.stop()
 
-    def test_async_client_raw_parity(self):
+    def test_every_payload_is_bytes(self):
+        # every face hands out each payload as bytes: one carrying CRLFs and a
+        # spoofed terminator, and one large enough to span several socket reads
+        values = {"a": b"xyz", "crlf": b"\r\n\r\nEND\r\n", "big": bytes(range(256)) * 4096}
+        keys = [*values, "nope"]
+
+        def check(got: dict) -> None:
+            got = {k: v[0] if isinstance(v, tuple) else v for k, v in got.items()}
+            assert got == values
+            assert all(type(v) is bytes for v in got.values())
+
         backend = MemcachedServer()
+        for key, value in values.items():
+            backend.execute(Command(name="set", keys=(key,), data=value))
+        request = encode_command(Command(name="get", keys=tuple(keys)))
+        wire = backend.handle(request)
+        frames = FrameBuffer()
+        frames.feed(wire[:40])  # a split inside the "crlf" block
+        assert frames.next_response() is None
+        frames.feed(wire[40:])
+        check({k: v[1] for k, v in frames.next_response().values.items()})
+        loopback = LoopbackTransport(backend)
+        [resp] = loopback.exchange(request)
+        check({k: v[1] for k, v in resp.values.items()})
+
         handle, (host, port) = serve_aio(backend)
+        blocking = BlockingConnection(host, port, connect_timeout=2.0, read_timeout=2.0)
         try:
+            for transport in (loopback, blocking):
+                conn = MemcachedConnection(transport)
+                check(conn.get_multi(keys))
+                check(conn.get_multi(keys, with_cas=True))
 
             async def scenario():
                 conn = AsyncConnection(host, port, connect_timeout=2.0, read_timeout=2.0)
+                reads = []
+                received = conn.data_received
+                conn.data_received = lambda data: (reads.append(data), received(data))
                 client = AsyncMemcachedClient(conn)
                 try:
-                    for i in range(10):
-                        await client.set(f"k{i}", b"payload-%d" % i)
-                    default = await client.get_multi([f"k{i}" for i in range(10)])
-                    raw = await client.get_multi(
-                        [f"k{i}" for i in range(10)], raw=True
-                    )
-                    assert default == {
-                        f"k{i}": b"payload-%d" % i for i in range(10)
-                    }
-                    assert {k: bytes(v) for k, v in raw.items()} == default
-                    with_cas = await client.get_multi(["k0"], with_cas=True)
-                    value, cas = with_cas["k0"]
-                    assert isinstance(value, bytes) and cas is not None
+                    check(await client.get_multi(keys))
+                    assert len(reads) > 1
+                    check(await client.get_multi(keys, with_cas=True))
+                    assert await client.get("crlf") == values["crlf"]
                 finally:
                     conn.close()
 
             asyncio.run(scenario())
         finally:
+            blocking.close()
             handle.stop()
