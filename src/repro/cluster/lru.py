@@ -248,8 +248,9 @@ class PinnedLRU:
 
     def put_all(self, keys: Iterable[Hashable]) -> None:
         """Bulk :meth:`put`; order-equivalent to putting one at a time."""
-        pinned = self._pinned
-        if pinned:
+        # provisioning never preloads a pinned key: filter only if one is
+        keys, pinned = list(keys), self._pinned
+        if not pinned.isdisjoint(keys):
             keys = [k for k in keys if k not in pinned]
         self._lru.put_all(keys)
 

@@ -31,7 +31,7 @@ import numpy as np
 from repro.cluster.placement import ReplicaPlacer
 from repro.core.setcover import greedy_partial_cover
 from repro.perf.batchcover import batch_cover
-from repro.types import FetchPlan, ItemId, Request, RequestBlock, Transaction
+from repro.types import FetchPlan, ItemId, Request, RequestBlock, Transaction, runs
 from repro.utils.bitset import iter_bits
 from repro.utils.histogram import first_seen_counts
 
@@ -119,9 +119,10 @@ class Bundler:
     item's replica set as a packed row of bits (:meth:`_plan_packed`), so
     a warm :meth:`plan` makes no placer call per item.  Clients that share
     a placer share the memo by sharing one bundler (their ``bundler=``).
-    It also remembers the cover of every graph row a chunk has planned
-    (:meth:`_cover_chunk`).  Like the metrics they feed, the memos are
-    not guarded for use from several threads at once.
+    It also keeps a row table of the graph its ego blocks come from: the
+    cover and the transactions of every row a chunk has planned
+    (:meth:`_plan_rows`).  Like the metrics they feed, the memos are not
+    guarded for use from several threads at once.
     """
 
     def __init__(
@@ -154,8 +155,8 @@ class Bundler:
         # no placer's epoch: the first packed plan builds the memo, so a
         # bundler that only plans chunks (the simulator) never holds one
         self._epoch = -1
-        # (source, epoch, per-slot servers) of the rows _cover_chunk solved
-        self._covered: tuple | None = None
+        # (source, epoch, table) of the rows _plan_rows planned
+        self._row_table: tuple | None = None
 
     def _record_plan(self, n_transactions: int) -> None:
         if self._m_plans is not None:
@@ -386,14 +387,20 @@ class Bundler:
         request order, and how many of them each request has.  A
         :class:`~repro.types.RequestBlock` on the vectorised envelope
         gets there without a Python object per request or per
-        transaction — the arrays are :func:`_chunk_transactions`' own;
-        so does a list of requests the adapter can turn into one block.
+        transaction: an ego block reads its rows' pairs from the row
+        table (:meth:`_plan_rows`) and never gathers its items, any other
+        block takes :func:`_chunk_transactions`' arrays, and so does a
+        list of requests the adapter can turn into one block.
         Anything else (a LIMIT or empty request in the chunk, ids outside
         the table, no table, hitchhiking) is :meth:`plan_footprints`
         flattened, so the arrays are the same either way (property-tested).
         """
         if not isinstance(chunk, RequestBlock):
             chunk = list(chunk)
+        elif chunk.source is not None:
+            planned = self._plan_rows(chunk)
+            if planned is not None:
+                return planned[1:]
         planned = self.plan_cells(chunk)
         if planned is not None:
             return planned[3:]
@@ -409,10 +416,18 @@ class Bundler:
         Returns ``(block, servers, cell, txn_servers, txn_sizes, n_txns)``:
         the chunk as a block, each of its items' ``(R,)`` replica servers
         and transaction cell, then the footprints of
-        :meth:`plan_transactions`.  ``None`` when the chunk is off the
-        vectorised envelope: hitchhiking, or any request
+        :meth:`plan_transactions`.  An ego block's cells and footprints
+        come from the row table (:meth:`_plan_rows`).  ``None`` when the
+        chunk is off the vectorised envelope: hitchhiking, or any request
         :meth:`_cover_chunk` or the adapter cannot take.
         """
+        if isinstance(chunk, RequestBlock) and chunk.source is not None:
+            planned = self._plan_rows(chunk)
+            if planned is None:
+                return None
+            row = np.repeat(np.arange(len(chunk)), chunk.offsets[1:] - chunk.offsets[:-1])
+            cell = row * self.placer.n_servers + planned[0][3].take(chunk.slots)
+            return chunk, self.placer.lookup(chunk.items), cell, *planned[1:]
         if isinstance(chunk, RequestBlock):
             block = chunk
         else:
@@ -477,13 +492,6 @@ class Bundler:
         server the cover assigns it to — or ``None`` when the block is
         not on the vectorised envelope: no compiled table, another
         tie-break, an empty request, or item ids outside the table.
-
-        A block with ``slots`` (an ego draw) is a set of whole adjacency
-        rows of its ``source``, and a row's cover depends on nothing else
-        for a fixed placement.  So the bundler keeps, per slot, the server
-        the cover chose, and one ``take`` answers every row it has solved
-        since the source or the placer's epoch last changed; only the
-        rows not seen yet go through :func:`batch_cover`.
         """
         lookup = getattr(self.placer, "lookup", None)
         items, sizes = block.items, block.offsets[1:] - block.offsets[:-1]
@@ -498,30 +506,58 @@ class Bundler:
             return None
         row = np.repeat(np.arange(len(block)), sizes)
         servers = lookup(items)
-        n_servers = self.placer.n_servers
-        if block.slots is None:
-            return row, servers, batch_cover(row, servers, len(block), n_servers)
-        epoch = getattr(self.placer, "epoch", None)
-        memo = self._covered
-        if memo is None or memo[0] is not block.source or memo[1] != epoch:
-            # nothing known: the kernel on the chunk's own arrays, and the
-            # per-slot array waits for a second chunk (a one-chunk run has none)
-            assigned = batch_cover(row, servers, len(block), n_servers)
-            self._covered = (block.source, epoch, (block.slots, assigned))
-            return row, servers, assigned
-        planned = memo[2]
-        if isinstance(planned, tuple):  # the second chunk: -1 is "not planned yet"
-            slots, first = planned
-            planned = np.full(len(block.source.indices), -1, dtype=np.int64)
-            planned[slots] = first
-            self._covered = (block.source, epoch, planned)
-        assigned = planned.take(block.slots)
-        fresh = np.flatnonzero(assigned < 0)
-        assigned[fresh] = batch_cover(
-            row.take(fresh), servers.take(fresh, axis=0), len(block), n_servers
+        return row, servers, batch_cover(row, servers, len(block), self.placer.n_servers)
+
+    def _plan_rows(self, block: RequestBlock):
+        """An ego block's plans, read from the per-run row table.
+
+        Returns ``(table, txn_servers, txn_sizes, n_txns)``, the table and
+        the block's footprints as :meth:`plan_transactions` gives them, or
+        ``None`` off the vectorised envelope of :meth:`_cover_chunk`.  A
+        row's plan depends on the row alone for a fixed placement, so the
+        table keeps every planned row until the source or the placer's
+        epoch changes: four int32 arrays over the source's slots, where a
+        row with head ``h``, ``d`` slots and ``k`` transactions holds ``k``
+        at ``table[0, h]`` (0: not planned), its transactions' servers and
+        sizes at ``table[1:3, h:h + k]`` and each item's transaction server
+        at ``table[3, h:h + d]``.  The rows the table lacks go through
+        :func:`batch_cover` once each, on arrays that may be empty.
+        """
+        sizes = block.offsets[1:] - block.offsets[:-1]
+        lookup = None if self.hitchhiking else getattr(self.placer, "lookup", None)
+        if lookup is None or self.tie_break != "lowest" or not len(sizes) or sizes.min() < 1:
+            return None
+        source, epoch = block.source, getattr(self.placer, "epoch", None)
+        memo = self._row_table
+        if memo is None or memo[0] is not source or memo[1] != epoch:
+            table = np.zeros((4, source.indices.size), dtype=np.int32)
+            memo = self._row_table = (source, epoch, table)
+        table, heads = memo[2], block.heads
+        at = np.flatnonzero(table[0].take(heads) == 0)
+        # one request of each row not planned yet: the one whose index its
+        # head slot keeps when every such request has written it there
+        table[3][heads[at]] = at
+        at = at[table[3].take(heads[at]) == at]
+        fresh, sizes = heads[at], sizes[at]
+        n_fresh, n_servers = len(fresh), self.placer.n_servers
+        slots = runs(fresh, sizes)
+        items = source.indices.take(slots)
+        if len(items) and (items.min() < 0 or items.max() >= self.placer.n_items):
+            return None  # the marks above sit in unplanned rows, which nothing reads
+        row = np.repeat(np.arange(n_fresh), sizes)
+        servers = lookup(items)
+        cell, txn_servers, txn_sizes, n_txns = _chunk_transactions(
+            row, servers, batch_cover(row, servers, n_fresh, n_servers), n_fresh, n_servers,
+            self.single_item_rule,
         )
-        planned[block.slots] = assigned
-        return row, servers, assigned
+        table[3][slots] = cell % n_servers
+        planned = runs(fresh, n_txns)
+        table[1][planned], table[2][planned], table[0][fresh] = txn_servers, txn_sizes, n_txns
+
+        n_txns = table[0].take(heads).astype(np.int64)
+        txn_servers, txn_sizes = table[1:3].take(runs(heads, n_txns), axis=1).astype(np.int64)
+        self._record_plan_sizes(n_txns)
+        return table, txn_servers, txn_sizes, n_txns
 
     # -- the packed kernel ----------------------------------------------------
 

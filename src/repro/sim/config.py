@@ -110,8 +110,9 @@ class SimConfig:
     n_servers`` int64, 16 MiB at 1 024 servers.  In the tally
     regime (``memory_factor=None``, pinned LRU, no hitchhiking) on the
     plain ego stream a chunk is drawn as a
-    :class:`repro.types.RequestBlock` and stays two arrays until it has
-    become counter increments (:meth:`repro.core.client.RnBClient.tally_chunk`);
+    :class:`repro.types.RequestBlock` of its rows' heads and stays arrays
+    until it has become counter increments
+    (:meth:`repro.core.client.RnBClient.tally_chunk`);
     a merge window, a LIMIT fraction and every other regime draw the same
     requests as :class:`repro.types.Request` objects, and
     ``tie_break="least_loaded"`` and the two baseline modes serve them one

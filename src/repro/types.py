@@ -69,9 +69,13 @@ class Request:
         return max(1, min(n, math.ceil(self.limit_fraction * n - 1e-9)))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+def runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``starts[i] + j`` for every ``j < lengths[i]``, the runs end to end."""
+    return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+
+
 class RequestBlock:
-    """A chunk of plain (no LIMIT) requests as two arrays.
+    """A chunk of plain (no LIMIT) requests as arrays.
 
     Request ``i`` asks for ``items[offsets[i]:offsets[i + 1]]``, distinct
     within the slice.  This is the form a chunk keeps from the graph to
@@ -81,17 +85,35 @@ class RequestBlock:
     nothing reads a request but its planner; :meth:`requests` is the way
     out for everything that wants :class:`Request` objects.
 
-    A block drawn from a graph may also say where each item sits in it:
-    ``items == source.indices[slots]``, each request one whole adjacency
-    row.  Two requests with the same slots are the same request, which
-    lets the planner solve each row once per run
-    (:meth:`repro.core.bundling.Bundler._cover_chunk`).
+    A block drawn from a graph (``source``) is whole adjacency rows:
+    request ``i`` is the row that starts at slot ``heads[i]`` of
+    ``source.indices``, so ``items == source.indices[slots]``.  Built
+    from its heads (an ego draw) or its slots, it gathers ``slots`` and
+    ``items`` only when they are first read.  Two requests with the same
+    head are the same request: the planner plans each row once per run
+    and tallies a known row without its items
+    (:meth:`repro.core.bundling.Bundler._plan_rows`).
     """
 
-    items: np.ndarray  # int64[T], every request's items end to end
-    offsets: np.ndarray  # int64[n + 1], offsets[0] == 0, offsets[n] == T
-    slots: np.ndarray | None = None  # int64[T], each item's index into source.indices
-    source: object = None  # the graph ``slots`` index
+    __slots__ = ("_items", "offsets", "_slots", "source", "heads")
+
+    def __init__(self, items, offsets, slots=None, source=None, heads=None) -> None:
+        # int64 arrays: items[T] end to end, offsets[n + 1] with offsets[n] == T,
+        # each item's slot and each request's first slot in source.indices
+        self._items, self.offsets, self._slots, self.source = items, offsets, slots, source
+        self.heads = slots[offsets[:-1]] if heads is None and slots is not None else heads
+
+    @property
+    def items(self) -> np.ndarray:
+        if self._items is None:
+            self._items = self.source.indices.take(self.slots)
+        return self._items
+
+    @property
+    def slots(self) -> np.ndarray | None:
+        if self._slots is None and self.heads is not None:
+            self._slots = runs(self.heads, self.offsets[1:] - self.offsets[:-1])
+        return self._slots
 
     def __len__(self) -> int:
         return len(self.offsets) - 1

@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.types import Request, RequestBlock
+from repro.types import Request, RequestBlock, runs
 from repro.utils.rng import ensure_rng
 from repro.workloads.graphs import SocialGraph
 
@@ -38,8 +38,8 @@ class EgoRequestGenerator:
     There is one draw path, :meth:`block`: ``k`` roots from one
     ``rng.integers(len(roots), size=k)`` call — the values of ``k``
     scalar draws in order, however the ``k`` are split over calls
-    (tested) — and their adjacency rows gathered with one fancy index
-    into a :class:`~repro.types.RequestBlock`.  :meth:`stream` and
+    (tested) — and their adjacency rows, named by where each starts in
+    the graph, as a :class:`~repro.types.RequestBlock`.  :meth:`stream` and
     :meth:`generate` are that block turned into :class:`Request` objects,
     so every consumer sees the same requests and leaves the rng in the
     same place; the simulator's tally regime plans the blocks directly
@@ -55,18 +55,18 @@ class EgoRequestGenerator:
             raise WorkloadError("graph has no nodes with out-neighbours")
 
     def block(self, k: int) -> RequestBlock:
-        """The next ``k`` requests as one block."""
+        """The next ``k`` requests as one block: their rows' heads (each
+        root's first slot in ``graph.indices``), whose items the block
+        gathers only when read — or, with ``include_self``, their items."""
         roots = self._roots[self.rng.integers(len(self._roots), size=k)]
         indptr = self.graph.indptr
-        first = indptr[roots]
-        sizes = indptr[roots + 1] - first
+        heads = indptr[roots]
+        sizes = indptr[roots + 1] - heads
         offsets = np.zeros(k + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
-        # flat position t of request i reads indices[first[i] + t - offsets[i]]
-        slots = np.arange(offsets[-1]) + np.repeat(first - offsets[:-1], sizes)
-        items = self.graph.indices[slots]
         if not self.include_self:
-            return RequestBlock(items, offsets, slots, self.graph)
+            return RequestBlock(None, offsets, source=self.graph, heads=heads)
+        items = self.graph.indices[runs(heads, sizes)]
         # the root first, then its friends without the root itself: the
         # roots lead the concatenation, so a stable sort by request does it
         keep = items != np.repeat(roots, sizes)

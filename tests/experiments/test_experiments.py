@@ -204,10 +204,13 @@ class TestHitchhikingDeterminism:
 
 class TestBlockPathDeterminism:
     """Without hitchhiking the simulator plans ego blocks, and a run that
-    draws each user several times plans most rows from the bundler's cover
-    memo: 6 000 requests, three chunks, over graphs of 1 643 (slashdot)
-    and 1 509 (epinions) non-isolated users.  The tokens hold what those
-    runs report, in the tally regime (``fig06``) and the executor regime."""
+    draws each user several times reads most rows' plans from the
+    bundler's row table: 6 000 requests, three chunks, over graphs of
+    1 643 (slashdot) and 1 509 (epinions) non-isolated users.  The tally
+    regime (``fig06``) reads each known row's transactions without
+    gathering its items; the executor regime reads its items' cells.  The
+    tokens hold what those runs report, and were pinned before the table
+    held transactions."""
 
     def test_fig06_pinned_token(self):
         results = fig06.run(scale=0.02, n_requests=6000, seed=5)

@@ -8,6 +8,10 @@ padded to the chunk's widest request, and a per-request loop decodes
 the pick masks again.  ``test_batchcover.py`` holds the item-major
 kernel and ``Bundler``'s array finishing to them.  They need
 ``np.bitwise_count`` (NumPy >= 2.0), which is why they left ``src/``.
+
+:func:`optimal_cover_size` is the yardstick of cover quality instead:
+the exact minimum cover by exhaustive search, which no code in ``src/``
+computes (``test_cover_quality.py``).
 """
 
 from __future__ import annotations
@@ -156,3 +160,21 @@ def footprint(picks, homes, single_item_rule):
     else:
         merged.update(picks)
     return tuple((server, merged[server].bit_count()) for server in sorted(merged))
+
+
+def optimal_cover_size(replica_rows, n_servers: int) -> int:
+    """OPT: the fewest servers whose replica masks OR to the whole request.
+
+    ``replica_rows[i]`` are the servers holding a replica of the
+    request's item *i*.  A server subset covers the request iff it meets
+    every item's replica set, so the search is one AND over the request's
+    distinct replica-set masks for all ``2 ** n_servers`` subsets at once
+    (``n_servers <= 16``), then the smallest popcount among the covers.
+    """
+    assert n_servers <= 16
+    subsets = np.arange(1 << n_servers, dtype=np.int64)
+    covers = np.ones(subsets.size, dtype=bool)
+    for mask in {sum(1 << server for server in row) for row in replica_rows}:
+        covers &= (subsets & mask) != 0
+    sizes = sum((subsets >> bit) & 1 for bit in range(n_servers))
+    return int(sizes[covers].min())

@@ -1,12 +1,14 @@
-"""The per-run cover memo against planning every request afresh.
+"""The per-run row table against planning every request afresh.
 
-An ego block carries each item's slot in its graph (``slots``) and the
-graph itself (``source``); ``Bundler._cover_chunk`` then solves each
-adjacency row once and reads it back for every later draw of the same
-user.  The same blocks with ``slots`` and ``source`` stripped take the
-memo-free path, so every plan must come out the same either way —
-across chunks, across graphs, with ``include_self`` and across a change
-of the placer's epoch.
+An ego block names its rows by their heads in its graph (``source``);
+``Bundler._plan_rows`` then plans each adjacency row once, keeps its
+cover and transactions in a table over the graph's slots, and reads
+them back for every later draw of the same user.  The same blocks with
+their heads, slots and source stripped take the table-free path, so
+every plan must come out the same either way — across chunks, across
+graphs, with ``include_self``, across a change of the placer's epoch,
+for a row drawn twice before it is planned, for a block that names its
+rows by slots alone and for a block whose items are never read.
 """
 
 from __future__ import annotations
@@ -46,8 +48,7 @@ def _stripped(block: RequestBlock) -> RequestBlock:
 
 def _repeated_roots(block: RequestBlock) -> int:
     """How many of the block's requests repeat an earlier one of the block."""
-    heads = block.slots[block.offsets[:-1]]
-    return len(heads) - len(np.unique(heads))
+    return len(block.heads) - len(np.unique(block.heads))
 
 
 def _assert_same_plans(memo: Bundler, fresh: Bundler, block: RequestBlock) -> None:
@@ -133,3 +134,66 @@ def test_a_new_epoch_plans_afresh(graphs):
     placer.install(after)
     for block in blocks:  # the same rows again, now placed elsewhere
         _assert_same_plans(memo, fresh, block)
+
+
+def test_a_fresh_row_drawn_twice_in_one_chunk_is_planned_once(graphs, solved):
+    graph = graphs[0]
+    table = _table(graph.n_nodes)
+    memo, fresh = Bundler(table), Bundler(table)
+    gen = EgoRequestGenerator(graph, rng=3)
+    first, second = gen.block(5), gen.block(5)
+    # the second chunk: a planned row, then a new row three times over
+    heads = np.concatenate((first.heads[:1], np.repeat(second.heads[:1], 3)))
+    assert not np.isin(second.heads[:1], first.heads).any()
+    roots = np.searchsorted(graph.indptr, heads, side="right") - 1
+    sizes = graph.indptr[roots + 1] - heads
+    offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    twice = RequestBlock(None, offsets, source=graph, heads=heads)
+    assert twice.requests() == first.requests()[:1] + second.requests()[:1] * 3
+    for a, b in zip(memo.plan_transactions(first), fresh.plan_transactions(_stripped(first))):
+        np.testing.assert_array_equal(a, b)
+    del solved[:]
+    _assert_same_plans(memo, fresh, twice)
+    # plan_cells then plan_transactions of each bundler: the table's one
+    # kernel call saw the new row once, and the second none
+    assert solved[0::2] == [sizes[1], 0]
+
+
+@pytest.mark.parametrize("single_item_rule", [True, False])
+def test_a_block_with_slots_and_no_heads(graphs, single_item_rule):
+    graph = graphs[0]
+    table = _table(graph.n_nodes)
+    memo, fresh = (Bundler(table, single_item_rule=single_item_rule) for _ in range(2))
+    gen = EgoRequestGenerator(graph, rng=4)
+    for _ in range(3):
+        drawn = gen.block(500)
+        by_slots = RequestBlock(drawn.items, drawn.offsets, drawn.slots, drawn.source)
+        np.testing.assert_array_equal(by_slots.heads, drawn.heads)
+        _assert_same_plans(memo, fresh, by_slots)
+
+
+class _Unread(RequestBlock):
+    """An ego block that fails the test if anything reads its items or slots."""
+
+    __slots__ = ()
+
+    @property
+    def items(self):
+        raise AssertionError("the block's items were read")
+
+    @property
+    def slots(self):
+        raise AssertionError("the block's slots were read")
+
+
+def test_a_tally_never_reads_the_blocks_items(graphs):
+    graph = graphs[0]
+    table = _table(graph.n_nodes)
+    memo, fresh = Bundler(table), Bundler(table)
+    gen = EgoRequestGenerator(graph, rng=6)
+    for _ in range(3):  # new rows, then mostly known ones
+        drawn = gen.block(700)
+        unread = _Unread(None, drawn.offsets, source=graph, heads=drawn.heads)
+        got = memo.plan_transactions(unread)
+        for a, b in zip(got, fresh.plan_transactions(_stripped(drawn))):
+            np.testing.assert_array_equal(a, b)
