@@ -7,13 +7,7 @@ eviction with pinned *distinguished copies*.
 """
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.lru import (
-    LRUCache,
-    PartitionedLRU,
-    PinnedLRU,
-    PriorityClassStore,
-    PriorityLRU,
-)
+from repro.cluster.lru import PinnedLRU, PriorityClassStore
 from repro.cluster.placement import (
     FullReplicationPlacer,
     ReplicaPlacer,
@@ -25,11 +19,8 @@ from repro.cluster.server import Server
 __all__ = [
     "Cluster",
     "FullReplicationPlacer",
-    "LRUCache",
-    "PartitionedLRU",
     "PinnedLRU",
     "PriorityClassStore",
-    "PriorityLRU",
     "ReplicaPlacer",
     "Server",
     "SingleHashPlacer",

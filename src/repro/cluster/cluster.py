@@ -65,23 +65,10 @@ class Cluster:
                 for sid in placer.servers_for(item)[1:]:
                     loads[sid].append(item)
 
-        self.servers: list[Server] = []
-        for sid in range(self.n_servers):
-            if memory_factor is None:
-                store = PinnedLRU(None) if lru_policy == "pinned" else PriorityClassStore(None)
-            elif lru_policy == "pinned":
-                # fixed reserve: distinguished copies outside the LRU, the
-                # extra memory split evenly as replica space (paper III-D)
-                extra_total = (memory_factor - 1.0) * len(self.items)
-                store = PinnedLRU(int(round(extra_total / self.n_servers)))
-            else:
-                # shared budget: one capacity for both classes; replicas
-                # always evicted first.  Clamped so every server can hold
-                # its distinguished copies even under placement imbalance.
-                budget = int(round(memory_factor * len(self.items) / self.n_servers))
-                store = PriorityClassStore(max(budget, len(homes.get(sid, ()))))
-            self.servers.append(Server(sid, store=store))
-
+        self.servers = [
+            Server(sid, store=self._store(len(homes.get(sid, ()))))
+            for sid in range(self.n_servers)
+        ]
         for sid, pinned in homes.items():
             self.servers[sid].pin_distinguished(pinned)
 
@@ -139,24 +126,24 @@ class Cluster:
         provisioning model.
         """
         while len(self.servers) <= sid:
-            new_id = len(self.servers)
-            if self.memory_factor is None:
-                store = (
-                    PinnedLRU(None)
-                    if self.lru_policy == "pinned"
-                    else PriorityClassStore(None)
-                )
-            elif self.lru_policy == "pinned":
-                extra_total = (self.memory_factor - 1.0) * len(self.items)
-                store = PinnedLRU(int(round(extra_total / self.n_servers)))
-            else:
-                budget = int(
-                    round(self.memory_factor * len(self.items) / self.n_servers)
-                )
-                store = PriorityClassStore(max(budget, 1))
-            self.servers.append(Server(new_id, store=store))
+            self.servers.append(Server(len(self.servers), store=self._store(0)))
         self.n_servers = len(self.servers)
         return self.servers[sid]
+
+    def _store(self, n_homes: int) -> PinnedLRU:
+        """A new server's store, for a server home to ``n_homes`` items."""
+        if self.memory_factor is None:
+            return PinnedLRU(None)  # unlimited: either policy keeps every copy
+        if self.lru_policy == "pinned":
+            # fixed reserve: distinguished copies outside the LRU, the
+            # extra memory split evenly as replica space (paper III-D)
+            extra_total = (self.memory_factor - 1.0) * len(self.items)
+            return PinnedLRU(int(round(extra_total / self.n_servers)))
+        # shared budget: one capacity for both classes; replicas always
+        # evicted first.  Clamped so the server can hold its distinguished
+        # copies even under placement imbalance.
+        budget = int(round(self.memory_factor * len(self.items) / self.n_servers))
+        return PriorityClassStore(max(budget, n_homes))
 
     def wipe_server(self, sid: int) -> None:
         """Simulate a crash losing server ``sid``'s memory (not its budget).

@@ -54,24 +54,18 @@ class Server:
     ----------
     server_id:
         Id within the cluster.
-    replica_capacity:
-        LRU capacity (item units) for *replica* copies; distinguished
-        copies are pinned separately and never evicted.  ``None`` means
-        unlimited (the naive allocation of Fig 6, where physical memory
-        equals replication level times the item count).
+    store:
+        The server's two-class store.  Defaults to ``PinnedLRU(None)``:
+        distinguished copies pinned, replicas in an unlimited LRU (the
+        naive allocation of Fig 6, where physical memory equals
+        replication level times the item count).
     """
 
-    def __init__(
-        self,
-        server_id: int,
-        replica_capacity: int | None = None,
-        *,
-        store=None,
-    ) -> None:
+    def __init__(self, server_id: int, *, store: PinnedLRU | None = None) -> None:
         self.server_id = server_id
-        # any PinnedLRU-compatible two-class store may be injected (e.g.
-        # PriorityClassStore for the shared-budget policy ablation)
-        self.store = store if store is not None else PinnedLRU(replica_capacity)
+        # either two-class store: a PinnedLRU (fixed reserve) or a
+        # PriorityClassStore (shared budget, the policy ablation)
+        self.store = store if store is not None else PinnedLRU(None)
         self.counters = ServerCounters()
         #: per-key version stamps (repro.consistency); items are
         #: presence-only so the "value envelope" on the simulated path is

@@ -265,10 +265,14 @@ class RnBClient:
         pinned set and merged behind its request's first round.  The
         counters and stats are folded once per chunk.
 
-        A chunk off the vectorised envelope (see
-        :meth:`Bundler.plan_cells`), a cluster with a fault injector or an
-        admission gate attached, or one whose stores are not all
-        :class:`PinnedLRU`, runs through :meth:`execute_plan`.
+        All of that needs one store invariant: pins never enter the
+        replica LRU.  Both stores keep it, so a shared-budget
+        :class:`PriorityClassStore` (a :class:`PinnedLRU` whose replica
+        capacity is what its pins leave) takes this path too.  A chunk
+        off the vectorised envelope (see :meth:`Bundler.plan_cells`), a
+        cluster with a fault injector or an admission gate attached, or
+        one whose stores are not all :class:`PinnedLRU`, runs through
+        :meth:`execute_plan`.
         """
         if not isinstance(chunk, RequestBlock):
             chunk = list(chunk)

@@ -1,4 +1,4 @@
-"""Tests for the LRU caches and their two-service-class variants."""
+"""Tests for the two-service-class LRU stores."""
 
 from __future__ import annotations
 
@@ -6,28 +6,22 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.cluster.lru import (
-    CLASS_DISTINGUISHED,
-    CLASS_REPLICA,
-    LRUCache,
-    PartitionedLRU,
-    PinnedLRU,
-    PriorityClassStore,
-    PriorityLRU,
-)
+from repro.cluster.lru import PinnedLRU, PriorityClassStore
 from repro.errors import CapacityError
 
 
-class TestLRUCache:
+class TestReplicaLRU:
+    """A :class:`PinnedLRU` with no pins is a plain LRU of its replicas."""
+
     def test_unlimited(self):
-        lru = LRUCache(None)
+        lru = PinnedLRU(None)
         for i in range(1000):
             lru.put(i)
         assert len(lru) == 1000
         assert lru.evictions == 0
 
     def test_eviction_order(self):
-        lru = LRUCache(3)
+        lru = PinnedLRU(3)
         for k in "abc":
             lru.put(k)
         lru.put("d")  # evicts "a"
@@ -35,7 +29,7 @@ class TestLRUCache:
         assert lru.evictions == 1
 
     def test_touch_prevents_eviction(self):
-        lru = LRUCache(3)
+        lru = PinnedLRU(3)
         for k in "abc":
             lru.put(k)
         assert lru.touch("a")
@@ -43,10 +37,10 @@ class TestLRUCache:
         assert "a" in lru and "b" not in lru
 
     def test_touch_missing(self):
-        assert not LRUCache(2).touch("nope")
+        assert not PinnedLRU(2).touch("nope")
 
     def test_put_existing_refreshes(self):
-        lru = LRUCache(2)
+        lru = PinnedLRU(2)
         lru.put("a")
         lru.put("b")
         lru.put("a")  # refresh, no eviction
@@ -55,27 +49,27 @@ class TestLRUCache:
         assert len(lru) == 2
 
     def test_zero_capacity_drops_everything(self):
-        lru = LRUCache(0)
+        lru = PinnedLRU(0)
         lru.put("a")
         assert "a" not in lru
         assert lru.evictions == 1
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(CapacityError):
-            LRUCache(-1)
+            PinnedLRU(-1)
 
     def test_discard(self):
-        lru = LRUCache(2)
+        lru = PinnedLRU(2)
         lru.put("a")
         assert lru.discard("a")
         assert not lru.discard("a")
 
     def test_keys_lru_order(self):
-        lru = LRUCache(3)
+        lru = PinnedLRU(3)
         for k in "abc":
             lru.put(k)
         lru.touch("a")
-        assert lru.keys() == ["b", "c", "a"]
+        assert lru.replica_keys() == ["b", "c", "a"]
 
 
 class TestPinnedLRU:
@@ -148,87 +142,54 @@ class TestPinnedLRU:
         assert "b" not in store and "a" in store and "c" in store
 
 
-class TestPartitionedLRU:
-    def test_classes_do_not_steal(self):
-        store = PartitionedLRU(capacity_a=2, capacity_b=2)
-        store.put("a1", CLASS_DISTINGUISHED)
-        store.put("a2", CLASS_DISTINGUISHED)
-        for i in range(5):
-            store.put(f"b{i}", CLASS_REPLICA)
-        assert "a1" in store and "a2" in store
-        assert len(store) == 4
+class TestSharedBudgetLRU:
+    """A :class:`PriorityClassStore` shares its capacity: the replica LRU
+    gets what the pins leave."""
 
-    def test_class_migration(self):
-        store = PartitionedLRU(2, 2)
-        store.put("x", CLASS_REPLICA)
-        store.put("x", CLASS_DISTINGUISHED)
-        assert len(store) == 1
-
-    def test_touch_and_discard(self):
-        store = PartitionedLRU(2, 2)
-        store.put("a", CLASS_DISTINGUISHED)
-        assert store.touch("a")
-        assert store.discard("a")
-        assert not store.touch("a")
-
-    def test_eviction_counted(self):
-        store = PartitionedLRU(1, 1)
-        store.put("a", CLASS_REPLICA)
-        store.put("b", CLASS_REPLICA)
-        assert store.evictions == 1
-
-
-class TestPriorityLRU:
     def test_replica_evicted_before_distinguished(self):
-        store = PriorityLRU(capacity=3)
-        store.put("d1", CLASS_DISTINGUISHED)
-        store.put("r1", CLASS_REPLICA)
-        store.put("r2", CLASS_REPLICA)
-        store.put("d2", CLASS_DISTINGUISHED)  # evicts r1 (LRU replica)
+        store = PriorityClassStore(capacity=3)
+        store.pin("d1")
+        store.put("r1")
+        store.put("r2")
+        store.pin("d2")  # evicts r1 (LRU replica)
         assert "d1" in store and "d2" in store
         assert "r1" not in store and "r2" in store
+        assert store.evictions == 1
 
     def test_replica_insert_dropped_when_full_of_distinguished(self):
-        store = PriorityLRU(capacity=2)
-        store.put("d1", CLASS_DISTINGUISHED)
-        store.put("d2", CLASS_DISTINGUISHED)
-        store.put("r", CLASS_REPLICA)
+        store = PriorityClassStore(capacity=2)
+        store.pin("d1")
+        store.pin("d2")
+        store.put("r")
         assert "r" not in store
         assert "d1" in store and "d2" in store
 
-    def test_distinguished_evicts_lru_distinguished_when_needed(self):
-        store = PriorityLRU(capacity=2)
-        store.put("d1", CLASS_DISTINGUISHED)
-        store.put("d2", CLASS_DISTINGUISHED)
-        store.put("d3", CLASS_DISTINGUISHED)
-        assert "d1" not in store and "d3" in store
-
     def test_touch_refreshes(self):
-        store = PriorityLRU(capacity=2)
-        store.put("r1", CLASS_REPLICA)
-        store.put("r2", CLASS_REPLICA)
+        store = PriorityClassStore(capacity=2)
+        store.put("r1")
+        store.put("r2")
         store.touch("r1")
-        store.put("r3", CLASS_REPLICA)  # evicts r2
+        store.put("r3")  # evicts r2
         assert "r1" in store and "r2" not in store
 
     def test_zero_capacity(self):
-        store = PriorityLRU(capacity=0)
-        store.put("x", CLASS_REPLICA)
+        store = PriorityClassStore(capacity=0)
+        store.put("x")
         assert "x" not in store
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(CapacityError):
-            PriorityLRU(capacity=-1)
+            PriorityClassStore(capacity=-1)
 
     def test_reinsert_same_key(self):
-        store = PriorityLRU(capacity=2)
-        store.put("a", CLASS_REPLICA)
-        store.put("a", CLASS_REPLICA)
+        store = PriorityClassStore(capacity=2)
+        store.put("a")
+        store.put("a")
         assert len(store) == 1
 
 
 # ---------------------------------------------------------------------------
-# model-based property test: LRUCache behaves like an ordered-dict reference
+# model-based property test: the replica LRU behaves like an ordered-dict reference
 # ---------------------------------------------------------------------------
 
 ops = st.lists(
@@ -242,7 +203,7 @@ ops = st.lists(
 
 @given(st.integers(min_value=1, max_value=5), ops)
 def test_lru_matches_reference_model(capacity, operations):
-    lru = LRUCache(capacity)
+    lru = PinnedLRU(capacity)
     model: list[int] = []  # LRU -> MRU order
 
     for op, key in operations:
@@ -264,7 +225,7 @@ def test_lru_matches_reference_model(capacity, operations):
             assert lru.discard(key) == (key in model)
             if key in model:
                 model.remove(key)
-        assert lru.keys() == model
+        assert lru.replica_keys() == model
 
 
 @given(
@@ -311,8 +272,6 @@ def test_touch_many_is_touch_per_key(policy, pinned, puts, transactions):
         assert absent == [key for key, hit in touched if not hit]
     assert per_txn.replica_keys() == per_key.replica_keys()
     assert per_txn.pinned_keys() == per_key.pinned_keys()
-    if policy == "priority":  # distinguished copies have a recency order too
-        assert per_txn._lru._a.keys() == per_key._lru._a.keys()
 
 
 @given(
@@ -327,14 +286,14 @@ def test_put_all_is_put_per_key(capacity, before, keys, distinct):
     fresh keys and for keys repeated or already present."""
     if distinct:
         keys = list(dict.fromkeys(keys))
-    per_key, bulk = LRUCache(capacity), LRUCache(capacity)
+    per_key, bulk = PinnedLRU(capacity), PinnedLRU(capacity)
     for lru in (per_key, bulk):
         for key in before:
             lru.put(key)
     for key in keys:
         per_key.put(key)
     bulk.put_all(iter(keys))
-    assert bulk.keys() == per_key.keys()
+    assert bulk.replica_keys() == per_key.replica_keys()
     assert bulk.evictions == per_key.evictions
 
 
@@ -364,9 +323,9 @@ def test_pinned_put_all_is_put_per_key(capacity, pinned, before, keys):
 
 
 def test_bounded_bulk_load_keeps_the_last_keys():
-    lru = LRUCache(3)
+    lru = PinnedLRU(3)
     lru.put_all(range(10))
-    assert lru.keys() == [7, 8, 9]
+    assert lru.replica_keys() == [7, 8, 9]
     assert lru.evictions == 7
 
 
@@ -377,14 +336,23 @@ def test_bounded_bulk_load_keeps_the_last_keys():
     st.lists(st.lists(st.integers(0, 30), max_size=8, unique=True), max_size=8),
     st.integers(0, 3),
     st.booleans(),
+    st.booleans(),
 )
-@example(1, {1}, [2], [[3, 1, 4], [2, 3]], 0, True)  # pinned keys among evicting puts
-def test_replay_is_touch_many_then_put_per_miss(capacity, pinned, before, txns, pad, put):
+# pinned keys among evicting puts
+@example(1, {1}, [2], [[3, 1, 4], [2, 3]], 0, True, False)
+def test_replay_is_touch_many_then_put_per_miss(capacity, pinned, before, txns, pad, put, shared):
     """``replay`` of a run of transactions leaves the LRU order and the
     eviction count that ``touch_many`` per transaction and a ``put`` per
     miss leave, and returns the positions of the misses, for every
-    capacity and without puts; the run may start past position 0."""
-    per_txn, replayed = PinnedLRU(capacity), PinnedLRU(capacity)
+    capacity and without puts; the run may start past position 0.  A
+    shared-budget store whose pins leave ``capacity`` replays alike."""
+
+    def build():
+        if not shared:
+            return PinnedLRU(capacity)
+        return PriorityClassStore(None if capacity is None else capacity + len(pinned))
+
+    per_txn, replayed = build(), build()
     for store in (per_txn, replayed):
         store.pin_all(pinned)
         for key in before:

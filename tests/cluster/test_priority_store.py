@@ -7,7 +7,7 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.cluster.lru import PinnedLRU, PriorityClassStore
 from repro.cluster.server import Server
-from repro.errors import ConfigurationError
+from repro.errors import CapacityError, ConfigurationError
 from repro.hashing.rch import RangedConsistentHashPlacer
 
 
@@ -81,6 +81,45 @@ class TestPriorityClassStore:
         assert store.replica_capacity is None
 
 
+    def test_pin_past_capacity_raises_and_changes_nothing(self):
+        store = PriorityClassStore(capacity=2)
+        store.pin("a")
+        store.pin("b")
+        with pytest.raises(CapacityError):
+            store.pin("c")
+        assert store.pinned_keys() == ["a", "b"]
+        assert "a" in store and "b" in store and "c" not in store
+        assert store.n_replicas == 0 and store.evictions == 0
+        store.pin("a")  # already pinned: takes no room
+        assert store.n_pinned == 2
+
+    def test_pin_evicts_the_lru_replica_never_a_pin(self):
+        store = PriorityClassStore(capacity=3)
+        store.pin("a")
+        store.put("r1")
+        store.put("r2")
+        store.touch("r1")
+        store.pin("b")  # the free space is all replicas: r2 is the LRU one
+        assert store.replica_keys() == ["r1"] and store.evictions == 1
+        assert store.replica_capacity == 1
+        store.pin("r1")  # promoting a replica takes no extra room
+        assert store.n_replicas == 0 and store.evictions == 1
+        assert all(store.is_pinned(k) and k in store for k in ("a", "b", "r1"))
+
+    def test_unpin_and_wipe_return_room_to_replicas(self):
+        store = PriorityClassStore(capacity=2)
+        store.pin("d")
+        store.put("r1")
+        store.put("r2")  # one replica slot: evicts r1
+        assert store.replica_keys() == ["r2"]
+        store.unpin("d")
+        store.put("r3")
+        assert store.replica_keys() == ["r2", "r3"]
+        store.pin("d")  # evicts r2 again
+        store.wipe()
+        assert len(store) == 0 and store.replica_capacity == 2
+
+
 class TestServerInjection:
     def test_server_accepts_custom_store(self):
         server = Server(0, store=PriorityClassStore(capacity=5))
@@ -112,6 +151,14 @@ class TestClusterPolicy:
         for item in range(0, 800, 41):
             home = cluster.placer.distinguished_for(item)
             assert item in cluster.server(home).store
+
+    def test_joined_server_gets_the_budget_of_a_server_with_no_homes(self):
+        # three items over eight servers: a server home to none gets 0
+        placer = RangedConsistentHashPlacer(8, 3, vnodes=32)
+        cluster = Cluster(placer, range(3), memory_factor=1.0, lru_policy="priority")
+        idle = [s.store for s in cluster if s.store.n_pinned == 0]
+        assert idle and all(store.capacity == 0 for store in idle)
+        assert cluster.add_server(8).store.capacity == 0
 
     def test_total_budget_matches_memory_factor(self):
         cluster = self.make("priority", memory_factor=2.0)

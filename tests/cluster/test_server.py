@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.lru import PinnedLRU
 from repro.cluster.server import Server
 
 
@@ -17,7 +18,7 @@ class TestMultiGet:
         assert s.counters.hits == 3
 
     def test_misses(self):
-        s = Server(0, replica_capacity=10)
+        s = Server(0, store=PinnedLRU(10))
         s.pin_distinguished([1])
         hits, misses, _ = s.multi_get([1, 2])
         assert hits == [1] and misses == [2]
@@ -28,7 +29,7 @@ class TestMultiGet:
             Server(0).multi_get([])
 
     def test_hitchhikers_counted_separately(self):
-        s = Server(0, replica_capacity=10)
+        s = Server(0, store=PinnedLRU(10))
         s.pin_distinguished([1])
         s.preload_replicas([5])
         hits, misses, hh = s.multi_get([1], hitchhikers=[5, 6])
@@ -43,7 +44,7 @@ class TestMultiGet:
         assert s.counters.txn_sizes.counts == {3: 1}
 
     def test_hit_touches_lru(self):
-        s = Server(0, replica_capacity=2)
+        s = Server(0, store=PinnedLRU(2))
         s.preload_replicas([10, 11])
         s.multi_get([10])  # 10 becomes MRU
         s.write_back(12)  # evicts 11
@@ -51,7 +52,7 @@ class TestMultiGet:
 
     def test_hitchhiker_hit_touches_lru(self):
         """Paper policy: LRU updated upon a hitchhiker hit."""
-        s = Server(0, replica_capacity=2)
+        s = Server(0, store=PinnedLRU(2))
         s.preload_replicas([10, 11])
         s.pin_distinguished([1])
         s.multi_get([1], hitchhikers=[10])
@@ -59,7 +60,7 @@ class TestMultiGet:
         assert 10 in s.store and 11 not in s.store
 
     def test_hitchhiker_miss_does_not_insert(self):
-        s = Server(0, replica_capacity=5)
+        s = Server(0, store=PinnedLRU(5))
         s.pin_distinguished([1])
         s.multi_get([1], hitchhikers=[99])
         assert 99 not in s.store
@@ -67,19 +68,19 @@ class TestMultiGet:
 
 class TestWriteBack:
     def test_write_back_inserts(self):
-        s = Server(0, replica_capacity=2)
+        s = Server(0, store=PinnedLRU(2))
         s.write_back(7)
         assert 7 in s.store
         assert s.counters.writes == 1
 
     def test_write_back_respects_capacity(self):
-        s = Server(0, replica_capacity=1)
+        s = Server(0, store=PinnedLRU(1))
         s.write_back(1)
         s.write_back(2)
         assert 1 not in s.store and 2 in s.store
 
     def test_unversioned_write_back_drops_an_evicted_copys_stamp(self):
-        s = Server(0, replica_capacity=1)
+        s = Server(0, store=PinnedLRU(1))
         s.write_back(10, stamp="v1")
         s.write_back(11)  # evicts 10
         assert 10 not in s.store
@@ -87,7 +88,7 @@ class TestWriteBack:
         assert 10 in s.store and 10 not in s.stamps
 
     def test_a_copy_that_does_not_land_keeps_no_stamp(self):
-        s = Server(0, replica_capacity=0)
+        s = Server(0, store=PinnedLRU(0))
         s.stamps[5] = "old"
         s.write_back(5, stamp="v2")
         assert 5 not in s.store and 5 not in s.stamps
@@ -104,7 +105,7 @@ class TestCounters:
         assert 1 in s.store  # data survives a counter reset
 
     def test_items_requested_vs_returned(self):
-        s = Server(0, replica_capacity=0)
+        s = Server(0, store=PinnedLRU(0))
         s.pin_distinguished([1])
         s.multi_get([1, 2, 3])
         assert s.counters.items_requested == 3

@@ -48,13 +48,11 @@ def _state(client: RnBClient, stats: ClusterStats):
     for server in client.cluster.servers:
         c = dataclasses.asdict(server.counters)
         c["txn_sizes"] = list(server.counters.txn_sizes.counts.items())
-        # a priority store's distinguished copies have a recency order too
-        distinguished = getattr(server.store._lru, "_a", None)
         servers.append(
             (
                 c,
                 server.store.replica_keys(),
-                distinguished and distinguished.keys(),
+                server.store.pinned_keys(),
                 server.store.evictions,
                 list(server.stamps.items()),
             )

@@ -230,6 +230,37 @@ class TestBlockPathDeterminism:
         assert result.determinism_token() == 12915705928981475274
 
 
+class TestSharedBudgetDeterminism:
+    """The shared-budget store (``lru_policy="priority"``) is a
+    ``PinnedLRU``: without hitchhiking its runs take the block executor's
+    replay, with it the per-request executor.  The tokens hold what those
+    runs and the policy ablation report, and were pinned while the
+    priority store still ran every request through ``execute_plan``."""
+
+    @pytest.mark.parametrize(
+        "hitchhiking, token",
+        [(False, 8059892473531903884), (True, 1349714968921879897)],
+        ids=["replay", "per-request"],
+    )
+    def test_priority_token(self, small_slashdot, hitchhiking, token):
+        config = SimConfig(
+            cluster=ClusterConfig(
+                n_servers=16, replication=3, memory_factor=1.5, lru_policy="priority"
+            ),
+            client=ClientConfig(mode="rnb", hitchhiking=hitchhiking),
+            n_requests=6000,
+            warmup_requests=2000,
+            seed=5,
+        )
+        assert run_simulation(small_slashdot, config).determinism_token() == token
+
+    def test_lru_policy_ablation_token(self, tiny_sd):
+        results = ablations.run(graph=tiny_sd, n_requests=200, warmup=400, seed=5)
+        [policy] = [r for r in results if r.name == "ablation_lru_policy"]
+        doc = json.dumps(policy.to_dict(), sort_keys=True)
+        assert stable_hash64(doc) == 15541132889808755492
+
+
 class TestFig13_14:
     def test_microbench_curves(self):
         f13, f14 = fig13_14.run(
