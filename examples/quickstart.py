@@ -14,8 +14,6 @@ from repro import (
     RangedConsistentHashPlacer,
     Request,
     RnBClient,
-    SingleHashPlacer,
-    NoReplicationClient,
     expected_tpr,
 )
 
@@ -25,9 +23,9 @@ def main() -> None:
     request = Request(items=tuple(range(1000, 1040)))  # 40 items
 
     # --- classic memcached: one copy per item, consistent hashing ---
-    single = SingleHashPlacer(n_servers)
+    single = RangedConsistentHashPlacer(n_servers, replication=1)
     classic_cluster = Cluster(single, items=range(n_items), memory_factor=1.0)
-    classic = NoReplicationClient(classic_cluster)
+    classic = RnBClient(classic_cluster, Bundler(single))
     classic_result = classic.execute(request)
 
     # --- RnB: 4 replicas per item, greedy set-cover bundling ---

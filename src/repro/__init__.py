@@ -36,11 +36,10 @@ from repro.cluster.placement import (
     FullReplicationPlacer,
     RandomPlacer,
     ReplicaPlacer,
-    SingleHashPlacer,
     make_placer,
 )
 from repro.cluster.server import Server
-from repro.core.baselines import FullReplicationClient, NoReplicationClient
+from repro.core.baselines import FullReplicationClient
 from repro.core.bundling import Bundler
 from repro.core.client import RnBClient
 from repro.core.merge import merge_requests, merge_stream
@@ -71,7 +70,6 @@ __all__ = [
     "FullReplicationClient",
     "FullReplicationPlacer",
     "MultiHashPlacer",
-    "NoReplicationClient",
     "RandomPlacer",
     "RandomRequestGenerator",
     "RangedConsistentHashPlacer",
@@ -82,7 +80,6 @@ __all__ = [
     "RnBError",
     "Server",
     "SimConfig",
-    "SingleHashPlacer",
     "SocialGraph",
     "Transaction",
     "__version__",

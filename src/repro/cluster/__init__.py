@@ -11,7 +11,6 @@ from repro.cluster.lru import PinnedLRU, PriorityClassStore
 from repro.cluster.placement import (
     FullReplicationPlacer,
     ReplicaPlacer,
-    SingleHashPlacer,
     make_placer,
 )
 from repro.cluster.server import Server
@@ -23,6 +22,5 @@ __all__ = [
     "PriorityClassStore",
     "ReplicaPlacer",
     "Server",
-    "SingleHashPlacer",
     "make_placer",
 ]

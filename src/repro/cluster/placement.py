@@ -4,11 +4,13 @@ A placer is any object mapping an item to an ordered tuple of distinct
 server ids (index 0 = distinguished copy).  The library ships four:
 
 * :class:`repro.hashing.rch.RangedConsistentHashPlacer` — the paper's
-  recommended scheme (section IV).
+  recommended scheme (section IV).  At ``R = 1`` it is plain consistent
+  hashing, the no-replication baseline (industry solution 1 in section
+  II-C): an item's first RCH server is its consistent-hashing home.
 * :class:`repro.hashing.multihash.MultiHashPlacer` — one independent hash
   function per replica (section III-B simulations).
-* :class:`SingleHashPlacer` — plain consistent hashing, the no-replication
-  baseline (industry solution 1 in section II-C).
+* :class:`RandomPlacer` — uniform random replica sets, the model of the
+  simplified Monte-Carlo simulator (section III-F).
 * :class:`FullReplicationPlacer` — full-system replication in *banks*
   (industry solution 3 in section II-C, the paper's baseline): the fleet
   is split into ``banks`` groups, each holding a complete copy of the
@@ -38,31 +40,6 @@ class ReplicaPlacer(Protocol):
     def servers_for(self, item) -> tuple: ...
 
     def distinguished_for(self, item) -> int: ...
-
-
-class SingleHashPlacer:
-    """Classic one-copy consistent hashing (the no-replication baseline).
-
-    Thin wrapper over :class:`RangedConsistentHashPlacer` with R=1 so the
-    distinguished copy of every item coincides with the location a plain
-    memcached deployment would use.
-    """
-
-    def __init__(self, n_servers: int, *, vnodes: int = 128, seed: int = 0) -> None:
-        self._inner = RangedConsistentHashPlacer(
-            n_servers, 1, vnodes=vnodes, seed=seed
-        )
-        self.n_servers = n_servers
-        self.replication = 1
-
-    def replicas_for(self, item) -> ReplicaSet:
-        return self._inner.replicas_for(item)
-
-    def servers_for(self, item) -> tuple:
-        return self._inner.servers_for(item)
-
-    def distinguished_for(self, item) -> int:
-        return self._inner.distinguished_for(item)
 
 
 class FullReplicationPlacer:
@@ -186,9 +163,8 @@ def make_placer(
 ) -> ReplicaPlacer:
     """Build a placer by name: ``rch``, ``multihash`` or ``random``.
 
-    ``single`` and ``full`` have dedicated constructors
-    (:class:`SingleHashPlacer`, :class:`FullReplicationPlacer`) because
-    their signatures differ.
+    :class:`FullReplicationPlacer` has its own constructor, because its
+    signature differs.
     """
     try:
         factory = _PLACER_FACTORIES[kind]

@@ -8,12 +8,13 @@
 * :mod:`repro.core.client` — executes plans against a
   :class:`repro.cluster.Cluster`, handling misses, second rounds and
   write-back.
-* :mod:`repro.core.baselines` — the industry comparators from paper
-  section II-C (no replication; full-system replication).
+* :mod:`repro.core.baselines` — full-system replication, the paper's
+  section II-C comparator; the no-replication comparator is an
+  :class:`RnBClient` over an ``R = 1`` placement.
 * :mod:`repro.core.merge` — cross-request merging (section III-E).
 """
 
-from repro.core.baselines import FullReplicationClient, NoReplicationClient
+from repro.core.baselines import FullReplicationClient
 from repro.core.bundling import Bundler
 from repro.core.client import RnBClient
 from repro.core.merge import merge_requests, merge_stream
@@ -23,7 +24,6 @@ __all__ = [
     "Bundler",
     "CoverResult",
     "FullReplicationClient",
-    "NoReplicationClient",
     "RnBClient",
     "greedy_partial_cover",
     "greedy_set_cover",

@@ -1,79 +1,25 @@
-"""Baseline clients from paper section II-C.
+"""The full-replication baseline of paper section II-C.
 
-* :class:`NoReplicationClient` — industry solution 1: plain consistent
-  hashing, one copy per item, transactions = number of distinct home
-  servers touched by the request.  Supports the LIMIT clause by greedily
-  skipping the servers that contribute fewest items (Fig 11's
-  "no replication" curves).
-* :class:`FullReplicationClient` — industry solution 3, the paper's
-  comparison baseline: ``banks`` complete copies of the whole system; the
-  client picks one bank uniformly at random per request and fetches
-  everything from it.  k banks give exactly k-fold throughput and no
-  more ("one gets exactly what one pays for").
+Industry solution 3, the paper's comparison baseline: ``banks`` complete
+copies of the whole system; the client picks one bank uniformly at random
+per request and fetches everything from it.  k banks give exactly k-fold
+throughput and no more ("one gets exactly what one pays for").
+
+The no-replication baseline (solution 1, plain consistent hashing) needs
+no client of its own: it is an :class:`repro.core.client.RnBClient` over
+a :class:`repro.hashing.rch.RangedConsistentHashPlacer` with ``R = 1``,
+whose only copy of an item is the one plain consistent hashing picks.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 from repro.cluster.cluster import Cluster
 from repro.cluster.placement import FullReplicationPlacer
+from repro.core.bundling import Bundler
+from repro.core.client import RnBClient
 from repro.errors import ConfigurationError
-from repro.types import FetchResult, ItemId, Request
+from repro.types import FetchResult, Request
 from repro.utils.rng import ensure_rng
-
-
-class NoReplicationClient:
-    """Single-copy consistent-hashing client (multi-get hole baseline).
-
-    Works against a cluster whose placer has ``replication == 1``; all
-    copies are distinguished, so there are never misses or second rounds.
-    """
-
-    def __init__(self, cluster: Cluster) -> None:
-        if cluster.placer.replication != 1:
-            raise ConfigurationError(
-                "NoReplicationClient requires a replication-1 placer"
-            )
-        self.cluster = cluster
-
-    def execute(self, request: Request) -> FetchResult:
-        groups: dict[int, list[ItemId]] = defaultdict(list)
-        for item in request.items:
-            groups[self.cluster.placer.distinguished_for(item)].append(item)
-
-        required = request.required_items
-        # LIMIT: serve the largest groups first and stop when satisfied —
-        # the greedy partial cover specialises to exactly this when every
-        # item has a single replica.
-        ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-        obtained = 0
-        servers_contacted: list[int] = []
-        txn_sizes: list[int] = []
-        for server_id, group in ordered:
-            if obtained >= required:
-                break
-            fetch = group[: required - obtained] if request.limit_fraction else group
-            server = self.cluster.server(server_id)
-            hits, misses, _ = server.multi_get(fetch)
-            if misses:  # pragma: no cover - invariant guard
-                raise ConfigurationError(
-                    f"single-copy items missing on server {server_id}: {misses}"
-                )
-            obtained += len(hits)
-            servers_contacted.append(server_id)
-            txn_sizes.append(len(fetch))
-
-        return FetchResult(
-            request=request,
-            transactions=len(servers_contacted),
-            items_fetched=obtained,
-            items_transferred=obtained,
-            misses=0,
-            second_round_transactions=0,
-            servers_contacted=tuple(servers_contacted),
-            txn_sizes=tuple(txn_sizes),
-        )
 
 
 class FullReplicationClient:
@@ -81,15 +27,15 @@ class FullReplicationClient:
 
     The cluster must use a :class:`FullReplicationPlacer` with unlimited
     memory (every bank holds a full copy).  Each request goes to one
-    uniformly chosen bank; within the bank, items group by their home
-    server as in plain consistent hashing.
+    uniformly chosen bank and is read through an :class:`RnBClient` that
+    excludes every server outside it: an item's bank copy is its only
+    candidate, so the cover groups the items by their home in the bank.
     """
 
     def __init__(self, cluster: Cluster, *, rng=None) -> None:
-        if not isinstance(cluster.placer, FullReplicationPlacer):
-            raise ConfigurationError(
-                "FullReplicationClient requires a FullReplicationPlacer"
-            )
+        placer = cluster.placer
+        if not isinstance(placer, FullReplicationPlacer):
+            raise ConfigurationError("FullReplicationClient requires a FullReplicationPlacer")
         if cluster.memory_factor is not None:
             raise ConfigurationError(
                 "full-system replication assumes every bank holds a complete copy; "
@@ -97,41 +43,14 @@ class FullReplicationClient:
             )
         self.cluster = cluster
         self.rng = ensure_rng(rng)
+        self.reader = RnBClient(cluster, Bundler(placer))
+        # per bank, the servers its requests must not touch
+        self._outside = [
+            frozenset(s for s in range(placer.n_servers) if s // placer.bank_size != bank)
+            for bank in range(placer.banks)
+        ]
 
     def execute(self, request: Request) -> FetchResult:
-        placer: FullReplicationPlacer = self.cluster.placer
-        bank = int(self.rng.integers(placer.banks))
-
-        groups: dict[int, list[ItemId]] = defaultdict(list)
-        for item in request.items:
-            groups[placer.servers_for(item)[bank]].append(item)
-
-        required = request.required_items
-        ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-        obtained = 0
-        servers_contacted: list[int] = []
-        txn_sizes: list[int] = []
-        for server_id, group in ordered:
-            if obtained >= required:
-                break
-            fetch = group[: required - obtained] if request.limit_fraction else group
-            server = self.cluster.server(server_id)
-            hits, misses, _ = server.multi_get(fetch)
-            if misses:  # pragma: no cover - invariant guard
-                raise ConfigurationError(
-                    f"bank {bank} is missing items on server {server_id}: {misses}"
-                )
-            obtained += len(hits)
-            servers_contacted.append(server_id)
-            txn_sizes.append(len(fetch))
-
-        return FetchResult(
-            request=request,
-            transactions=len(servers_contacted),
-            items_fetched=obtained,
-            items_transferred=obtained,
-            misses=0,
-            second_round_transactions=0,
-            servers_contacted=tuple(servers_contacted),
-            txn_sizes=tuple(txn_sizes),
-        )
+        bank = int(self.rng.integers(len(self._outside)))
+        plan = self.reader.bundler.plan(request, exclude=self._outside[bank])
+        return self.reader.execute_plan(plan)

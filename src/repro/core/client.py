@@ -26,7 +26,6 @@ from typing import Iterable
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.lru import PinnedLRU
 from repro.core.bundling import Bundler
 from repro.errors import ConfigurationError
 from repro.types import ClusterStats, FetchPlan, FetchResult, ItemId, Request, RequestBlock
@@ -269,18 +268,15 @@ class RnBClient:
         replica LRU.  Both stores keep it, so a shared-budget
         :class:`PriorityClassStore` (a :class:`PinnedLRU` whose replica
         capacity is what its pins leave) takes this path too.  A chunk
-        off the vectorised envelope (see :meth:`Bundler.plan_cells`), a
-        cluster with a fault injector or an admission gate attached, or
-        one whose stores are not all :class:`PinnedLRU`, runs through
-        :meth:`execute_plan`.
+        off the vectorised envelope (see :meth:`Bundler.plan_cells`), or
+        a cluster with a fault injector or an admission gate attached,
+        runs through :meth:`execute_plan`.
         """
         if not isinstance(chunk, RequestBlock):
             chunk = list(chunk)
         fleet = self.cluster.servers
         planned = None
-        if self.cluster.injector is None and all(
-            s.admission is None and isinstance(s.store, PinnedLRU) for s in fleet
-        ):
+        if self.cluster.injector is None and all(s.admission is None for s in fleet):
             planned = self.bundler.plan_cells(chunk)
         if planned is None:
             requests = chunk.requests() if isinstance(chunk, RequestBlock) else chunk

@@ -25,7 +25,6 @@ from repro.analysis.calibration import DEFAULT_MEMCACHED_MODEL, CostModel
 from repro.core.bundling import Bundler
 from repro.experiments.base import ExperimentResult
 from repro.hashing.rch import RangedConsistentHashPlacer
-from repro.cluster.placement import SingleHashPlacer
 from repro.overload.desim import simulate_overload
 from repro.utils.rng import derive_rng
 from repro.workloads.graphs import SocialGraph
@@ -37,7 +36,7 @@ DEFAULT_LOAD_FRACTIONS = (0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.6)
 
 def _nominal_capacity(
     graph: SocialGraph,
-    placer: SingleHashPlacer,
+    placer: RangedConsistentHashPlacer,
     n_servers: int,
     cost_model: CostModel,
     seed: int,
@@ -73,7 +72,7 @@ def run(
 ) -> list[ExperimentResult]:
     graph = graph or make_slashdot_like(seed=seed, scale=scale)
 
-    single = SingleHashPlacer(n_servers, vnodes=64)
+    single = RangedConsistentHashPlacer(n_servers, 1, vnodes=64)
     rch = RangedConsistentHashPlacer(n_servers, replication, vnodes=64)
     bundlers = {
         "classic": Bundler(single),

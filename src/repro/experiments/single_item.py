@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.core.merge import merge_stream
 from repro.experiments.base import ExperimentResult
-from repro.sim.config import ClientConfig, ClusterConfig, SimConfig
+from repro.sim.config import ClusterConfig, SimConfig
 from repro.sim.engine import build_client, build_cluster
 from repro.types import ClusterStats
 from repro.utils.rng import derive_rng
@@ -37,14 +37,12 @@ def _run_point(
     n_requests: int,
     seed: int,
 ) -> float:
-    mode = "noreplication" if replication == 1 else "rnb"
     config = SimConfig(
         cluster=ClusterConfig(
             n_servers=n_servers,
             replication=replication,
             memory_factor=1.0 if replication == 1 else None,
         ),
-        client=ClientConfig(mode=mode),
         n_requests=n_requests,
         warmup_requests=0,
         seed=seed,

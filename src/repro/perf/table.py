@@ -40,11 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.cluster.placement import (
-    FullReplicationPlacer,
-    ReplicaPlacer,
-    SingleHashPlacer,
-)
+from repro.cluster.placement import FullReplicationPlacer, ReplicaPlacer
 from repro.errors import ConfigurationError
 from repro.hashing.multihash import MultiHashPlacer
 from repro.hashing.rch import RangedConsistentHashPlacer
@@ -201,8 +197,6 @@ class PlacementTable:
             return cls.compile(placer.base, n_items)
         if isinstance(placer, RangedConsistentHashPlacer):
             table = _compile_ring(placer.ring, placer.replication, n_items)
-        elif isinstance(placer, SingleHashPlacer):
-            table = _compile_ring(placer._inner.ring, 1, n_items)
         elif isinstance(placer, MultiHashPlacer):
             table = _compile_multihash(placer, n_items)
         elif isinstance(placer, FullReplicationPlacer):

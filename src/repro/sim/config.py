@@ -115,8 +115,8 @@ class SimConfig:
     (:meth:`repro.core.client.RnBClient.tally_chunk`);
     a merge window, a LIMIT fraction and every other regime draw the same
     requests as :class:`repro.types.Request` objects, and
-    ``tie_break="least_loaded"`` and the two baseline modes serve them one
-    at a time.  Which of these happens follows from the fields below;
+    ``tie_break="least_loaded"`` and ``fullreplication`` serve them one at
+    a time.  Which of these happens follows from the fields below;
     nothing selects it, and the results are those of the request-at-a-time
     loop bit for bit (enforced by ``tests/sim``).
     """
@@ -135,6 +135,11 @@ class SimConfig:
             raise ConfigurationError("batch_size must be >= 1")
         if self.warmup_requests < 0:
             raise ConfigurationError("warmup_requests must be >= 0")
+        if self.client.mode != "rnb" and self.cluster.placement != "rch":
+            raise ConfigurationError(
+                f"{self.client.mode} places by consistent hashing; placement must "
+                f"be 'rch', got {self.cluster.placement!r}"
+            )
         if self.client.mode == "noreplication" and self.cluster.replication != 1:
             raise ConfigurationError(
                 "noreplication client requires cluster replication == 1"

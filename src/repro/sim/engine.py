@@ -17,12 +17,8 @@ from itertools import islice
 from typing import Iterable
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.placement import (
-    FullReplicationPlacer,
-    SingleHashPlacer,
-    make_placer,
-)
-from repro.core.baselines import FullReplicationClient, NoReplicationClient
+from repro.cluster.placement import FullReplicationPlacer, make_placer
+from repro.core.baselines import FullReplicationClient
 from repro.core.bundling import Bundler
 from repro.core.client import RnBClient
 from repro.core.merge import merge_stream
@@ -59,8 +55,6 @@ def _compiled_placer(config: SimConfig, n_items: int) -> PlacementTable:
 
 def _raw_placer(config: SimConfig):
     cc = config.cluster
-    if config.client.mode == "noreplication":
-        return SingleHashPlacer(cc.n_servers, vnodes=cc.vnodes, seed=cc.placement_seed)
     if config.client.mode == "fullreplication":
         return FullReplicationPlacer(
             cc.n_servers, cc.replication, vnodes=cc.vnodes, seed=cc.placement_seed
@@ -77,12 +71,12 @@ def _raw_placer(config: SimConfig):
 def build_cluster(config: SimConfig, n_items: int) -> Cluster:
     """Provision the cluster (placer + servers + pinned copies) for a run."""
     cc = config.cluster
-    if n_items > 0 and config.client.mode == "rnb":
+    if n_items > 0 and config.client.mode != "fullreplication":
         # Compile once over the item universe: provisioning, planning and
         # second-round routing all become table lookups.  The full-
-        # replication client dispatches on the concrete placer type, and
-        # the no-replication client never batches, so those modes keep
-        # the raw placer (compiling would be pure overhead).
+        # replication client dispatches on the concrete placer type and
+        # never batches, so it keeps the raw placer (compiling would be
+        # pure overhead).
         placer = _compiled_placer(config, n_items)
     else:
         placer = _raw_placer(config)
@@ -97,14 +91,16 @@ def build_cluster(config: SimConfig, n_items: int) -> Cluster:
 def build_client(config: SimConfig, cluster: Cluster, *, metrics=None):
     """Build the client matching the configuration's mode.
 
+    ``fullreplication`` gets a :class:`FullReplicationClient`; the other
+    two modes get the same :class:`RnBClient`, which reads a
+    ``noreplication`` cluster's R = 1 placement as plain consistent
+    hashing.
+
     ``metrics`` (a :class:`repro.obs.MetricsRegistry`) makes the RnB
     client's bundler feed the planner families (``rnb_plans_total``,
     ``rnb_cover_size``; docs/OBSERVABILITY.md).
     """
-    mode = config.client.mode
-    if mode == "noreplication":
-        return NoReplicationClient(cluster)
-    if mode == "fullreplication":
+    if config.client.mode == "fullreplication":
         return FullReplicationClient(cluster, rng=derive_rng(config.seed, 2))
     tie_break = config.client.tie_break
     if tie_break == "least_loaded":
@@ -157,7 +153,7 @@ def run_simulation(graph: SocialGraph, config: SimConfig, *, metrics=None) -> Si
     # Load-aware tie-breaking reads per-server counters that execution
     # updates, so planning must interleave with execution request by
     # request; chunked planning would freeze the load signal mid-batch.
-    # The two baselines have no planner to batch.
+    # Full replication draws a bank per request, so it plans one at a time.
     batched = isinstance(client, RnBClient) and config.client.tie_break != "least_loaded"
     # With naive allocation (Fig 6) every replica stays resident, so
     # executing a plan is pure counter arithmetic — see

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.placement import SingleHashPlacer
 from repro.errors import CapacityError, ConfigurationError
 from repro.hashing.multihash import MultiHashPlacer
 from repro.hashing.rch import RangedConsistentHashPlacer
@@ -60,7 +59,7 @@ class TestBulkProvisioning:
         "placer",
         [
             RangedConsistentHashPlacer(8, 3, vnodes=32),
-            SingleHashPlacer(8, vnodes=32),
+            RangedConsistentHashPlacer(8, 1, vnodes=32),
             MultiHashPlacer(8, 4, seed=3),
         ],
         ids=["rch-r3", "single-hash", "multihash-r4"],
@@ -131,7 +130,7 @@ class TestCounters:
 
 class TestSingleCopyCluster:
     def test_no_replicas_with_single_hash(self):
-        placer = SingleHashPlacer(4, vnodes=16)
+        placer = RangedConsistentHashPlacer(4, 1, vnodes=16)
         cluster = Cluster(placer, range(100), memory_factor=1.0)
         assert cluster.total_resident_items() == 100
         for s in cluster:

@@ -1,4 +1,4 @@
-"""Tests for placement policies: single-hash, full-replication, random."""
+"""Tests for placement policies: the protocol, full replication, random."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.cluster.placement import (
     FullReplicationPlacer,
     RandomPlacer,
     ReplicaPlacer,
-    SingleHashPlacer,
     make_placer,
 )
 from repro.errors import ConfigurationError
@@ -21,7 +20,7 @@ class TestProtocolConformance:
     @pytest.mark.parametrize(
         "placer",
         [
-            SingleHashPlacer(8),
+            RangedConsistentHashPlacer(8, 1),
             FullReplicationPlacer(8, 2),
             RandomPlacer(8, 3),
             RangedConsistentHashPlacer(8, 3),
@@ -37,13 +36,6 @@ class TestProtocolConformance:
         assert len(rs.servers) == placer.replication
         assert len(set(rs.servers)) == len(rs.servers)
         assert all(0 <= s < placer.n_servers for s in rs.servers)
-
-
-class TestSingleHashPlacer:
-    def test_replication_is_one(self):
-        p = SingleHashPlacer(8)
-        assert p.replication == 1
-        assert len(p.servers_for(5)) == 1
 
 
 class TestFullReplicationPlacer:

@@ -13,7 +13,7 @@ import weakref
 
 import pytest
 
-from repro.cluster.placement import RandomPlacer, SingleHashPlacer
+from repro.cluster.placement import RandomPlacer
 from repro.hashing.multihash import MultiHashPlacer
 from repro.hashing.rch import RangedConsistentHashPlacer
 
@@ -21,7 +21,7 @@ FACTORIES = [
     pytest.param(lambda: RangedConsistentHashPlacer(8, 2, vnodes=16, seed=1), id="rch"),
     pytest.param(lambda: MultiHashPlacer(8, 2, seed=1), id="multihash"),
     pytest.param(lambda: RandomPlacer(8, 2, seed=1), id="random"),
-    pytest.param(lambda: SingleHashPlacer(8, vnodes=16, seed=1), id="single"),
+    pytest.param(lambda: RangedConsistentHashPlacer(8, 1, vnodes=16, seed=1), id="single"),
 ]
 
 

@@ -1,9 +1,17 @@
-"""Reference implementation: the greedy cover as the original rescan loop.
+"""Reference implementations: executable specifications the fast code
+is held to.
 
-Moved whole out of ``repro.core.setcover`` (docs/PERFORMANCE.md, "PR 24"),
-where it had no caller left but the property tests in
-``test_setcover_incremental.py``, which hold the incremental kernel to it
-pick for pick: selection order, assignment masks, rng consumption.
+``greedy_partial_cover_reference`` is the greedy cover as the original
+rescan loop.  It moved whole out of ``repro.core.setcover``
+(docs/PERFORMANCE.md, "PR 24"), where it had no caller left but the
+property tests in ``test_setcover_incremental.py``, which hold the
+incremental kernel to it pick for pick: selection order, assignment
+masks, rng consumption.
+
+``full_replication_reference`` is a full-replication read as the paper
+states it: group the request by home inside one bank and fetch the
+groups, largest first.  ``test_baselines.py`` holds
+``FullReplicationClient``, which reads through the RnB client, to it.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from repro.core.setcover import (
     _trim_overshoot,
 )
 from repro.errors import CoverError
+from repro.types import FetchResult, Request
 
 
 def greedy_partial_cover_reference(
@@ -92,4 +101,39 @@ def greedy_partial_cover_reference(
         assignment=assignment,
         covered=covered,
         n_elements=n_elements,
+    )
+
+
+def full_replication_reference(cluster, request: Request, bank: int) -> FetchResult:
+    """Read ``request`` from bank ``bank`` of a full-replication cluster.
+
+    Items group by their copy in the bank; groups are fetched largest
+    first, ties to the lowest server, and a LIMIT request stops once it
+    holds enough, its last group cut to the items it still needs.
+    """
+    groups: dict[int, list] = {}
+    for item in request.items:
+        groups.setdefault(cluster.placer.servers_for(item)[bank], []).append(item)
+    required = request.required_items
+    obtained = 0
+    servers_contacted: list[int] = []
+    txn_sizes: list[int] = []
+    for server_id, group in sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0])):
+        if obtained >= required:
+            break
+        fetch = group[: required - obtained]
+        hits, misses, _ = cluster.server(server_id).multi_get(fetch)
+        assert not misses, f"bank {bank} is missing items on server {server_id}"
+        obtained += len(hits)
+        servers_contacted.append(server_id)
+        txn_sizes.append(len(fetch))
+    return FetchResult(
+        request=request,
+        transactions=len(servers_contacted),
+        items_fetched=obtained,
+        items_transferred=obtained,
+        misses=0,
+        second_round_transactions=0,
+        servers_contacted=tuple(servers_contacted),
+        txn_sizes=tuple(txn_sizes),
     )

@@ -1,31 +1,36 @@
-"""Tests for the baseline clients (no replication / full replication)."""
+"""Tests for the baselines: no replication (RnB over R = 1 RCH) and
+full replication."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.urn import expected_tpr
 from repro.cluster.cluster import Cluster
-from repro.cluster.placement import FullReplicationPlacer, SingleHashPlacer
-from repro.core.baselines import FullReplicationClient, NoReplicationClient
+from repro.cluster.placement import FullReplicationPlacer
+from repro.core.baselines import FullReplicationClient
+from repro.core.bundling import Bundler
+from repro.core.client import RnBClient
 from repro.errors import ConfigurationError
 from repro.hashing.rch import RangedConsistentHashPlacer
 from repro.types import Request
+from tests.core._oracle import full_replication_reference
 
 
 def no_repl_stack(n_servers=16, n_items=5000):
-    placer = SingleHashPlacer(n_servers, vnodes=64)
+    placer = RangedConsistentHashPlacer(n_servers, 1, vnodes=64)
     cluster = Cluster(placer, range(n_items), memory_factor=1.0)
-    return cluster, NoReplicationClient(cluster)
+    return cluster, RnBClient(cluster, Bundler(placer))
 
 
-class TestNoReplicationClient:
-    def test_requires_single_replication(self):
-        placer = RangedConsistentHashPlacer(4, 2)
-        cluster = Cluster(placer, range(10))
-        with pytest.raises(ConfigurationError):
-            NoReplicationClient(cluster)
+class TestNoReplication:
+    """Plain consistent hashing is RnB over RCH at R = 1: one copy per
+    item, transactions = distinct home servers touched."""
 
     def test_all_items_fetched(self):
         _, client = no_repl_stack()
@@ -39,6 +44,7 @@ class TestNoReplicationClient:
         homes = {cluster.placer.distinguished_for(i) for i in items}
         res = client.execute(Request(items=items))
         assert res.transactions == len(homes)
+        assert set(res.servers_contacted) == homes
 
     def test_tpr_matches_urn_model(self):
         """Mean transactions over random requests ~ N*W(N,M)."""
@@ -128,3 +134,37 @@ class TestFullReplicationClient:
             res = client.execute(Request(items=(i, i + 1000, i + 2000)))
             bank_hits[res.servers_contacted[0] // cluster.placer.bank_size] += 1
         assert bank_hits.min() > 50  # each bank gets a fair share
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from([(4, 1), (8, 2), (12, 3), (16, 4)]),
+        requests=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 299), min_size=1, max_size=40, unique=True),
+                st.sampled_from([None, 0.2, 0.5, 0.9, 1.0]),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_per_bank_grouping(self, shape, requests, seed):
+        """Bank by bank, the RnB read does what grouping by home in the bank
+        does: the same fetches, up to transaction order, and the same LRU
+        order on every server."""
+        n_servers, banks = shape
+        placer = FullReplicationPlacer(n_servers, banks, vnodes=16, seed=seed)
+        cluster, reference = (Cluster(placer, range(300)) for _ in range(2))
+        client = FullReplicationClient(cluster, rng=np.random.default_rng(seed))
+        bank_rng = np.random.default_rng(seed)  # the client's draws, one per request
+        for items, limit in requests:
+            request = Request(items=tuple(items), limit_fraction=limit)
+            got = client.execute(request)
+            want = full_replication_reference(reference, request, int(bank_rng.integers(banks)))
+            blank = dict(servers_contacted=(), txn_sizes=())
+            assert dataclasses.replace(got, **blank) == dataclasses.replace(want, **blank)
+            assert sorted(zip(got.servers_contacted, got.txn_sizes)) == sorted(
+                zip(want.servers_contacted, want.txn_sizes)
+            )
+        for ours, theirs in zip(cluster.servers, reference.servers):
+            assert ours.store.replica_keys() == theirs.store.replica_keys()

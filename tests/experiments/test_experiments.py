@@ -261,6 +261,42 @@ class TestSharedBudgetDeterminism:
         assert stable_hash64(doc) == 15541132889808755492
 
 
+class TestBaselineDeterminism:
+    """The paper's baselines, read through the RnB client: no replication
+    is RnB over R = 1 consistent hashing, full replication an RnB read
+    confined to one bank.  The tokens were pinned while each baseline
+    still had a client and a read loop of its own."""
+
+    @pytest.mark.parametrize(
+        "replication, memory_factor, client, token",
+        [
+            (1, 1.0, dict(mode="noreplication"), 11030613096435489932),
+            (1, 1.0, dict(mode="noreplication", limit_fraction=0.5), 15535249781448378480),
+            (1, 1.0, dict(mode="noreplication", merge_window=2), 15196589873984121730),
+            (1, None, dict(mode="noreplication"), 9344210377831173282),
+            (2, None, dict(mode="fullreplication"), 13181652251718827278),
+            (4, None, dict(mode="fullreplication", limit_fraction=0.5), 1264989334679598455),
+        ],
+        ids=[
+            "noreplication",
+            "noreplication-limit",
+            "noreplication-merged",
+            "noreplication-unlimited",
+            "fullreplication",
+            "fullreplication-limit",
+        ],
+    )
+    def test_baseline_token(self, small_slashdot, replication, memory_factor, client, token):
+        config = SimConfig(
+            cluster=ClusterConfig(16, replication, memory_factor=memory_factor),
+            client=ClientConfig(**client),
+            n_requests=3000,
+            warmup_requests=1000,
+            seed=5,
+        )
+        assert run_simulation(small_slashdot, config).determinism_token() == token
+
+
 class TestFig13_14:
     def test_microbench_curves(self):
         f13, f14 = fig13_14.run(

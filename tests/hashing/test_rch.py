@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster.placement import SingleHashPlacer
 from repro.errors import ConfigurationError
 from repro.hashing.rch import RangedConsistentHashPlacer
 
@@ -41,7 +40,7 @@ class TestReplicaSets:
         """RnB's distinguished copy = classic memcached location, so a
         deployment can be migrated in place (paper section IV)."""
         rch = RangedConsistentHashPlacer(16, 4, vnodes=32, seed=3)
-        single = SingleHashPlacer(16, vnodes=32, seed=3)
+        single = RangedConsistentHashPlacer(16, 1, vnodes=32, seed=3)
         for item in range(300):
             assert rch.distinguished_for(item) == single.distinguished_for(item)
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from repro.cluster.placement import (
     FullReplicationPlacer,
     RandomPlacer,
-    SingleHashPlacer,
 )
 from repro.core.bundling import Bundler
 from repro.core.setcover import greedy_partial_cover
@@ -35,7 +34,7 @@ SIZES = (1, 2, 7, 63, 64, 200, 700)
 PLACERS = {
     "rch": lambda: RangedConsistentHashPlacer(16, 3, vnodes=32, seed=3),
     "multihash": lambda: MultiHashPlacer(16, 3, seed=3),
-    "single": lambda: SingleHashPlacer(16, vnodes=32, seed=3),  # R = 1
+    "single": lambda: RangedConsistentHashPlacer(16, 1, vnodes=32, seed=3),  # R = 1
     "full": lambda: FullReplicationPlacer(16, 4, vnodes=32, seed=3),
     "generic": lambda: RandomPlacer(12, 3, seed=3),  # the per-item compiler
 }

@@ -8,7 +8,6 @@ import pytest
 from repro.cluster.placement import (
     FullReplicationPlacer,
     RandomPlacer,
-    SingleHashPlacer,
 )
 from repro.errors import ConfigurationError
 from repro.hashing.hashfns import hash64_int
@@ -24,7 +23,7 @@ PLACERS = [
         lambda: RangedConsistentHashPlacer(16, 3, vnodes=32, seed=5), id="rch"
     ),
     pytest.param(lambda: MultiHashPlacer(16, 3, seed=5), id="multihash"),
-    pytest.param(lambda: SingleHashPlacer(16, vnodes=32, seed=5), id="single"),
+    pytest.param(lambda: RangedConsistentHashPlacer(16, 1, vnodes=32, seed=5), id="single"),
     pytest.param(lambda: FullReplicationPlacer(16, 4, vnodes=32, seed=5), id="full"),
     pytest.param(lambda: RandomPlacer(16, 3, seed=5), id="random-generic"),
 ]

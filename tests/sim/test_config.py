@@ -75,6 +75,19 @@ class TestSimConfig:
         with pytest.raises(ConfigurationError):
             self.base(client=ClientConfig(mode="noreplication"))
 
+    @pytest.mark.parametrize("placement", ["multihash", "random"])
+    @pytest.mark.parametrize(
+        "mode, replication", [("noreplication", 1), ("fullreplication", 2)]
+    )
+    def test_baselines_place_by_consistent_hashing(self, mode, replication, placement):
+        """Both baselines place by consistent hashing, whatever the cluster
+        asks for: a placement they would ignore is refused."""
+        with pytest.raises(ConfigurationError, match="placement"):
+            SimConfig(
+                cluster=ClusterConfig(16, replication, placement=placement),
+                client=ClientConfig(mode=mode),
+            )
+
     def test_fullreplication_divisibility(self):
         with pytest.raises(ConfigurationError):
             SimConfig(

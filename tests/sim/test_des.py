@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.calibration import CostModel
-from repro.cluster.placement import SingleHashPlacer
 from repro.core.bundling import Bundler
 from repro.errors import ConfigurationError
 from repro.hashing.rch import RangedConsistentHashPlacer
@@ -47,7 +46,7 @@ def homed_requests(placer, n, per_server, seed=0):
 
 
 #: one server: every request is one 5-item transaction on server 0
-ONE_SERVER = SingleHashPlacer(1, vnodes=16)
+ONE_SERVER = RangedConsistentHashPlacer(1, 1, vnodes=16)
 
 
 def run(reqs, *, bundler=None, n_servers=1, rate, rtt=200e-6, seed):
@@ -87,7 +86,7 @@ class TestMechanics:
 
     def test_parallel_transactions_take_the_max(self):
         """Two txns on two idle servers finish in one service time."""
-        placer = SingleHashPlacer(2, vnodes=16)
+        placer = RangedConsistentHashPlacer(2, 1, vnodes=16)
         res = run(
             homed_requests(placer, 100, 5),
             bundler=Bundler(placer),
@@ -117,7 +116,7 @@ class TestMechanics:
 
 class TestPlanners:
     def test_classic_planner_groups_by_home(self):
-        placer = SingleHashPlacer(4, vnodes=16)
+        placer = RangedConsistentHashPlacer(4, 1, vnodes=16)
         req = Request(items=tuple(range(30)))
         txns = Bundler(placer).plan(req).transactions
         assert sum(len(t.primary) for t in txns) == 30
@@ -126,7 +125,7 @@ class TestPlanners:
         assert all(placer.distinguished_for(i) == t.server for t in txns for i in t.primary)
 
     def test_bundled_planner_uses_fewer_servers(self):
-        single = SingleHashPlacer(16, vnodes=16)
+        single = RangedConsistentHashPlacer(16, 1, vnodes=16)
         rch = RangedConsistentHashPlacer(16, 4, vnodes=16)
         req = Request(items=tuple(range(40)))
         classic = Bundler(single).plan(req).transactions
@@ -137,7 +136,7 @@ class TestPlanners:
     def test_rnb_raises_saturation_capacity(self):
         """The headline, with queues: at a load that saturates the classic
         deployment, RnB still has headroom."""
-        single = SingleHashPlacer(8, vnodes=16)
+        single = RangedConsistentHashPlacer(8, 1, vnodes=16)
         rch = RangedConsistentHashPlacer(8, 3, vnodes=16)
         reqs = requests(3000, size=20, universe=5000)
         rate = 18_000.0  # past classic capacity for 20-item requests

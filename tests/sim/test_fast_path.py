@@ -1,8 +1,9 @@
 """The compiled pipeline is an implementation detail: results are bit-identical.
 
-``run_simulation`` serves an RnB run from a compiled placement table,
-chunked ``plan_batch`` planning and (when nothing can miss) counter-only
-execution.  None of that may change a single number in the result —
+``run_simulation`` serves an RnB run (``noreplication`` is one, at R = 1)
+from a compiled placement table, chunked ``plan_batch`` planning and
+(when nothing can miss) counter-only execution.  None of that may change
+a single number in the result —
 these tests run it and the request-at-a-time oracle (``_oracle.run_scalar``:
 raw placer, one ``execute`` per request) over the same configurations and
 require equality of every aggregate.
@@ -22,6 +23,7 @@ from repro.sim.engine import _TABLE_CACHE, build_cluster, run_simulation
 from repro.workloads.synthetic import make_slashdot_like
 from tests.sim._oracle import run_scalar
 
+NO_REPLICATION = dict(replication=1, memory_factor=1.0)
 CONFIGS = [
     pytest.param(dict(), dict(), id="defaults"),
     pytest.param(dict(replication=1), dict(), id="r1"),
@@ -47,6 +49,13 @@ CONFIGS = [
     pytest.param(dict(), dict(limit_fraction=1.0), id="limit-all"),
     pytest.param(dict(replication=4, memory_factor=2.0), dict(), id="fig8-shape"),
     pytest.param(dict(memory_factor=1.5), dict(merge_window=2), id="merged-limited-memory"),
+    pytest.param(NO_REPLICATION, dict(mode="noreplication"), id="noreplication"),
+    pytest.param(
+        NO_REPLICATION, dict(mode="noreplication", limit_fraction=0.5), id="noreplication-limit"
+    ),
+    pytest.param(
+        NO_REPLICATION, dict(mode="noreplication", merge_window=2), id="noreplication-merged"
+    ),
 ]
 
 
@@ -55,7 +64,7 @@ def _config(cluster_kwargs, client_kwargs):
     warmup = 50 if cluster_kwargs.get("memory_factor") else 0
     return SimConfig(
         cluster=ClusterConfig(**cluster_kwargs),
-        client=ClientConfig(mode="rnb", **client_kwargs),
+        client=ClientConfig(**{"mode": "rnb", **client_kwargs}),
         n_requests=120,
         warmup_requests=warmup,
         seed=2013,
@@ -105,7 +114,7 @@ def test_tally_regime_reports_what_the_scalar_engine_does(
     the scalar oracle builds nothing else."""
     config = SimConfig(
         cluster=ClusterConfig(n_servers=16, replication=3),
-        client=ClientConfig(mode="rnb", **client_kwargs),
+        client=ClientConfig(**{"mode": "rnb", **client_kwargs}),
         n_requests=700,
         seed=2013,
         **{"warmup_requests": 0, "batch_size": 256, **sim_kwargs},
