@@ -51,10 +51,11 @@ class FullReplicationPlacer:
     position*, mirroring Facebook's reported deployment where whole
     memcached pools are cloned (paper ref [2]).
 
-    The paper's point — "one gets exactly what one pays for: k replicas of
-    the system yield a k-fold increase in the throughput, but no more" —
-    falls out of this placer combined with
-    :class:`repro.core.baselines.FullReplicationClient`.
+    A bank is plain consistent hashing (``_inner``: RCH at ``R = 1`` over
+    ``bank_size`` servers) shifted by ``b * bank_size``.  The paper's point
+    — "one gets exactly what one pays for: k replicas of the system yield
+    a k-fold increase in the throughput, but no more" — falls out of this
+    placer and :class:`repro.core.baselines.FullReplicationClient`.
     """
 
     def __init__(
@@ -73,30 +74,18 @@ class FullReplicationPlacer:
         self._inner = RangedConsistentHashPlacer(
             self.bank_size, 1, vnodes=vnodes, seed=seed
         )
-        # Plain dict memo (see RangedConsistentHashPlacer for why not an
-        # instance-bound lru_cache).
-        self._cache: dict = {}
-        self._cache_size = 1 << 20
-
-    def _compute(self, item) -> tuple:
-        pos = self._inner.distinguished_for(item)
-        return tuple(pos + b * self.bank_size for b in range(self.banks))
 
     def replicas_for(self, item) -> ReplicaSet:
         return ReplicaSet(item=item, servers=self.servers_for(item))
 
     def servers_for(self, item) -> tuple:
-        cache = self._cache
-        servers = cache.get(item)
-        if servers is None:
-            servers = self._compute(item)
-            if len(cache) >= self._cache_size:
-                cache.clear()
-            cache[item] = servers
-        return servers
+        # no memo of its own: the bank ring memoises, and the simulator
+        # reads a compiled table
+        pos = self._inner.distinguished_for(item)
+        return tuple(pos + b * self.bank_size for b in range(self.banks))
 
     def distinguished_for(self, item) -> int:
-        return self.servers_for(item)[0]
+        return self._inner.distinguished_for(item)
 
 
 class RandomPlacer:

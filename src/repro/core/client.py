@@ -53,6 +53,44 @@ def _require_pinned(fleet: list, grouped: list, counts: list[int]) -> None:
             raise ConfigurationError(f"distinguished copies missing on server {home}: {absent}")
 
 
+def fold_counters(
+    fleet: list,
+    txn_servers: np.ndarray,
+    txn_sizes: np.ndarray,
+    missed_on: list[int] | None = None,
+) -> None:
+    """Count a chunk's transactions, in execution order, on their servers.
+
+    Hitchhiker-free transactions: ``missed_on[sid]`` of the items sent to
+    server ``fleet[sid]`` missed, every other one hit.  One ``bincount``
+    per counter and one pass per distinct ``(server, size)`` pair, in
+    first-seen order — the key order ``Histogram.add`` per transaction
+    would leave.
+    """
+    if not len(txn_servers):
+        return
+    counters = [server.counters for server in fleet]
+    missed_on = missed_on or [0] * len(counters)
+    transactions = np.bincount(txn_servers, minlength=len(counters)).tolist()
+    # float64 weights: exact, item counts stay far below 2**53
+    items = np.bincount(txn_servers, weights=txn_sizes, minlength=len(counters))
+    for c, n, n_items, n_missed in zip(
+        counters, transactions, items.astype(np.int64).tolist(), missed_on
+    ):
+        c.transactions += n
+        c.items_requested += n_items
+        c.items_returned += n_items - n_missed
+        c.hits += n_items - n_missed
+        c.misses += n_missed
+    histograms = [c.txn_sizes.counts for c in counters]
+    stride = int(txn_sizes.max()) + 1
+    keys, ns = first_seen_counts(txn_servers * stride + txn_sizes)
+    sids, sizes_seen = np.divmod(keys, stride)
+    for sid, size, n in zip(sids.tolist(), sizes_seen.tolist(), ns.tolist()):
+        sizes = histograms[sid]
+        sizes[size] = sizes.get(size, 0) + n
+
+
 class RnBClient:
     """Stateless front-end client executing RnB reads.
 
@@ -177,7 +215,7 @@ class RnBClient:
         Precondition (the caller's to guarantee — the simulation engine
         checks it once per run): every planned primary item is resident on
         its transaction's server and *stays* resident, i.e. unlimited
-        memory (``memory_factor=None``) with the pinned LRU policy, no
+        memory (``memory_factor=None``, either LRU policy), no
         hitchhikers, and no fault injection.  Under naive allocation every
         logical replica is preloaded and nothing is ever evicted, so each
         ``multi_get`` would return all-hits and the recency reordering it
@@ -227,7 +265,7 @@ class RnBClient:
         txn_servers, txn_sizes, n_txns = self.bundler.plan_transactions(chunk)
         if stats is not None:
             stats.record_transactions(len(n_txns), txn_servers, txn_sizes)
-        self._fold_counters(txn_servers, txn_sizes)
+        fold_counters(self.cluster.servers, txn_servers, txn_sizes)
 
     def execute_chunk(
         self, chunk: RequestBlock | Iterable[Request], stats: ClusterStats | None = None
@@ -348,43 +386,9 @@ class RnBClient:
             txn_sizes = np.concatenate((txn_sizes, sizes[order]))[merged]
         if stats is not None:
             stats.record_transactions(len(block), txn_servers, txn_sizes, len(at), n_second)
-        self._fold_counters(txn_servers, txn_sizes, missed_on)
+        fold_counters(fleet, txn_servers, txn_sizes, missed_on)
 
     # -- helpers ---------------------------------------------------------------
-
-    def _fold_counters(
-        self, txn_servers: np.ndarray, txn_sizes: np.ndarray, missed_on: list[int] | None = None
-    ) -> None:
-        """Count a chunk's transactions, in execution order, on their servers.
-
-        Hitchhiker-free transactions: ``missed_on[sid]`` of the items sent
-        to server ``sid`` missed, every other one hit.  One ``bincount``
-        per counter and one pass per distinct ``(server, size)`` pair, in
-        first-seen order — the key order ``Histogram.add`` per transaction
-        would leave.
-        """
-        if not len(txn_servers):
-            return
-        counters = [server.counters for server in self.cluster.servers]
-        missed_on = missed_on or [0] * len(counters)
-        transactions = np.bincount(txn_servers, minlength=len(counters)).tolist()
-        # float64 weights: exact, item counts stay far below 2**53
-        items = np.bincount(txn_servers, weights=txn_sizes, minlength=len(counters))
-        for c, n, n_items, n_missed in zip(
-            counters, transactions, items.astype(np.int64).tolist(), missed_on
-        ):
-            c.transactions += n
-            c.items_requested += n_items
-            c.items_returned += n_items - n_missed
-            c.hits += n_items - n_missed
-            c.misses += n_missed
-        histograms = [c.txn_sizes.counts for c in counters]
-        stride = int(txn_sizes.max()) + 1
-        keys, ns = first_seen_counts(txn_servers * stride + txn_sizes)
-        sids, sizes_seen = np.divmod(keys, stride)
-        for sid, size, n in zip(sids.tolist(), sizes_seen.tolist(), ns.tolist()):
-            sizes = histograms[sid]
-            sizes[size] = sizes.get(size, 0) + n
 
     def _authoritative_stamp(self, item: ItemId, home: int):
         """Version stamp a DB-fetched copy of ``item`` should carry.

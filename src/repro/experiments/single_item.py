@@ -17,6 +17,8 @@ dropping well below 1.0.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from repro.core.merge import merge_stream
 from repro.experiments.base import ExperimentResult
 from repro.sim.config import ClusterConfig, SimConfig
@@ -52,11 +54,9 @@ def _run_point(
     gen = ZipfRequestGenerator(
         n_items, 1, exponent=0.9, rng=derive_rng(seed, window, replication)
     )
-    stream = merge_stream(gen.stream(), window)
-    stats = ClusterStats()
     merged_count = n_requests // window
-    for _ in range(merged_count):
-        stats.record(client.execute(next(stream)))
+    stats = ClusterStats()
+    client.execute_chunk(islice(merge_stream(gen.stream(), window), merged_count), stats)
     return stats.transactions / (merged_count * window)
 
 

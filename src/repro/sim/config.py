@@ -107,18 +107,17 @@ class SimConfig:
     a larger chunk pays them for more items; 2 048 is where both simulator
     workloads of ``bench/`` are fastest (docs/PERFORMANCE.md, "PR 30").
     Its price is array memory: one round's gain matrix is ``batch_size x
-    n_servers`` int64, 16 MiB at 1 024 servers.  In the tally
-    regime (``memory_factor=None``, pinned LRU, no hitchhiking) on the
-    plain ego stream a chunk is drawn as a
-    :class:`repro.types.RequestBlock` of its rows' heads and stays arrays
-    until it has become counter increments
-    (:meth:`repro.core.client.RnBClient.tally_chunk`);
-    a merge window, a LIMIT fraction and every other regime draw the same
-    requests as :class:`repro.types.Request` objects, and
-    ``tie_break="least_loaded"`` and ``fullreplication`` serve them one at
-    a time.  Which of these happens follows from the fields below;
-    nothing selects it, and the results are those of the request-at-a-time
-    loop bit for bit (enforced by ``tests/sim``).
+    n_servers`` int64, 16 MiB at 1 024 servers.  In the tally regime
+    (``memory_factor=None``, no hitchhiking; a ``fullreplication`` run is
+    always in it) a chunk becomes counter increments without a result per
+    request (:meth:`repro.core.client.RnBClient.tally_chunk`).  On the
+    plain ego stream a chunk is drawn as a :class:`repro.types.RequestBlock`
+    of its rows' heads; a merge window or a LIMIT fraction draws the same
+    requests as :class:`repro.types.Request` objects.
+    ``tie_break="least_loaded"`` serves them one at a time.  Which of these
+    happens follows from the fields below; nothing selects it, and the
+    results are those of the request-at-a-time loop bit for bit (enforced
+    by ``tests/sim``).
     """
 
     cluster: ClusterConfig
@@ -153,4 +152,9 @@ class SimConfig:
                 raise ConfigurationError(
                     "full replication banks hold complete copies; memory_factor "
                     "must be None"
+                )
+            if self.client.hitchhiking or self.client.tie_break != "lowest":
+                raise ConfigurationError(
+                    "full replication has one copy per bank: nothing to hitchhike "
+                    "on or tie-break; use hitchhiking=False, tie_break='lowest'"
                 )

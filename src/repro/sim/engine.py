@@ -42,7 +42,9 @@ _TABLE_CACHE_MAX = 8
 
 def _compiled_placer(config: SimConfig, n_items: int) -> PlacementTable:
     cc = config.cluster
-    key = (cc.placement, cc.n_servers, cc.replication, cc.vnodes, cc.placement_seed, n_items)
+    # full replication compiles its banks, not RCH at the same R
+    kind = "banks" if config.client.mode == "fullreplication" else cc.placement
+    key = (kind, cc.n_servers, cc.replication, cc.vnodes, cc.placement_seed, n_items)
     table = _TABLE_CACHE.get(key)
     if table is None:
         # the raw placer is only the compiler's input: on a hit, skip it
@@ -69,19 +71,14 @@ def _raw_placer(config: SimConfig):
 
 
 def build_cluster(config: SimConfig, n_items: int) -> Cluster:
-    """Provision the cluster (placer + servers + pinned copies) for a run."""
+    """Provision the cluster (placer + servers + pinned copies) for a run.
+
+    Every mode's placement is compiled over the item universe, so
+    provisioning, planning and routing are table lookups.
+    """
     cc = config.cluster
-    if n_items > 0 and config.client.mode != "fullreplication":
-        # Compile once over the item universe: provisioning, planning and
-        # second-round routing all become table lookups.  The full-
-        # replication client dispatches on the concrete placer type and
-        # never batches, so it keeps the raw placer (compiling would be
-        # pure overhead).
-        placer = _compiled_placer(config, n_items)
-    else:
-        placer = _raw_placer(config)
     return Cluster(
-        placer,
+        _compiled_placer(config, n_items),
         range(n_items),
         memory_factor=cc.memory_factor,
         lru_policy=cc.lru_policy,
@@ -91,10 +88,10 @@ def build_cluster(config: SimConfig, n_items: int) -> Cluster:
 def build_client(config: SimConfig, cluster: Cluster, *, metrics=None):
     """Build the client matching the configuration's mode.
 
-    ``fullreplication`` gets a :class:`FullReplicationClient`; the other
-    two modes get the same :class:`RnBClient`, which reads a
-    ``noreplication`` cluster's R = 1 placement as plain consistent
-    hashing.
+    ``fullreplication`` gets a :class:`FullReplicationClient` (a tally
+    only); the other two modes get the same :class:`RnBClient`, which
+    reads a ``noreplication`` cluster's R = 1 placement as plain
+    consistent hashing.
 
     ``metrics`` (a :class:`repro.obs.MetricsRegistry`) makes the RnB
     client's bundler feed the planner families (``rnb_plans_total``,
@@ -144,8 +141,9 @@ def run_simulation(graph: SocialGraph, config: SimConfig, *, metrics=None) -> Si
     to let the replica LRUs converge, then all counters are reset; the
     measurement phase executes ``config.n_requests`` more.  Both phases
     draw from the same endless request stream, so measurement continues
-    the warmed state rather than replaying it.  ``metrics`` threads an
-    obs registry into the client's planner (:func:`build_client`).
+    the warmed state rather than replaying it, one call per chunk.
+    ``metrics`` threads an obs registry into the client's planner
+    (:func:`build_client`).
     """
     cluster = build_cluster(config, graph.n_nodes)
     client = build_client(config, cluster, metrics=metrics)
@@ -153,21 +151,17 @@ def run_simulation(graph: SocialGraph, config: SimConfig, *, metrics=None) -> Si
     # Load-aware tie-breaking reads per-server counters that execution
     # updates, so planning must interleave with execution request by
     # request; chunked planning would freeze the load signal mid-batch.
-    # Full replication draws a bank per request, so it plans one at a time.
-    batched = isinstance(client, RnBClient) and config.client.tie_break != "least_loaded"
+    chunk_size = 1 if config.client.tie_break == "least_loaded" else config.batch_size
     # With naive allocation (Fig 6) every replica stays resident, so
     # executing a plan is pure counter arithmetic — see
-    # RnBClient.tally_footprint for the full precondition argument.
-    tally = (
-        batched
-        and cluster.injector is None
-        and config.cluster.memory_factor is None
-        and config.cluster.lru_policy == "pinned"
-        and not config.client.hitchhiking
-    )
+    # RnBClient.tally_footprint for the full precondition argument (the
+    # cluster is fresh, so it has no injector, and either LRU policy keeps
+    # every copy).  SimConfig holds full replication to this regime.
+    tally = config.cluster.memory_factor is None and not config.client.hitchhiking
+    read = client.tally_chunk if tally else client.execute_chunk
 
     gen = EgoRequestGenerator(graph, rng=derive_rng(config.seed, 1, 0))
-    if batched and config.client.merge_window == 1 and config.client.limit_fraction is None:
+    if config.client.merge_window == 1 and config.client.limit_fraction is None:
         # the plain ego stream: chunks stay arrays from the graph to the
         # counters (docs/PERFORMANCE.md, section 3)
         draw = gen.block
@@ -186,18 +180,9 @@ def run_simulation(graph: SocialGraph, config: SimConfig, *, metrics=None) -> Si
         # vectorised envelope through the per-request path.
         remaining = n_requests
         while remaining > 0:
-            take = min(config.batch_size, remaining) if batched else 1
-            chunk = draw(take)
+            take = min(chunk_size, remaining)
+            read(draw(take), stats)
             remaining -= take
-            if tally:
-                client.tally_chunk(chunk, stats)
-            elif batched:
-                client.execute_chunk(chunk, stats)
-            else:
-                for request in chunk:
-                    result = client.execute(request)
-                    if stats is not None:
-                        stats.record(result)
 
     run_phase(config.warmup_requests, None)
     cluster.reset_counters()

@@ -11,7 +11,7 @@ masks, rng consumption.
 ``full_replication_reference`` is a full-replication read as the paper
 states it: group the request by home inside one bank and fetch the
 groups, largest first.  ``test_baselines.py`` holds
-``FullReplicationClient``, which reads through the RnB client, to it.
+``FullReplicationClient``, which tallies a bank-shifted R = 1 plan, to it.
 """
 
 from __future__ import annotations

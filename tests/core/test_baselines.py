@@ -3,8 +3,6 @@ full replication."""
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +16,8 @@ from repro.core.bundling import Bundler
 from repro.core.client import RnBClient
 from repro.errors import ConfigurationError
 from repro.hashing.rch import RangedConsistentHashPlacer
-from repro.types import Request
+from repro.perf.table import PlacementTable
+from repro.types import ClusterStats, Request
 from tests.core._oracle import full_replication_reference
 
 
@@ -108,10 +107,11 @@ class TestFullReplicationClient:
 
     def test_all_items_fetched_single_bank(self):
         cluster, client = self.make(rng=np.random.default_rng(0))
-        res = client.execute(Request(items=tuple(range(40))))
-        assert res.items_fetched == 40
+        stats = ClusterStats()
+        client.tally_chunk([Request(items=tuple(range(40)))], stats)
+        assert stats.items_fetched == 40
         # all servers contacted lie in one bank
-        banks = {s // cluster.placer.bank_size for s in res.servers_contacted}
+        banks = {s // client.bank_size for s in stats.per_server_transactions}
         assert len(banks) == 1
 
     def test_tpr_matches_bank_sized_urn(self):
@@ -121,19 +121,34 @@ class TestFullReplicationClient:
         )
         rng = np.random.default_rng(5)
         m = 30
-        tprs = []
-        for _ in range(300):
-            items = tuple(int(x) for x in rng.choice(20_000, m, replace=False))
-            tprs.append(client.execute(Request(items=items)).transactions)
-        assert np.mean(tprs) == pytest.approx(expected_tpr(8, m), rel=0.05)
+        requests = [
+            Request(items=tuple(int(x) for x in rng.choice(20_000, m, replace=False)))
+            for _ in range(300)
+        ]
+        stats = ClusterStats()
+        client.tally_chunk(requests, stats)
+        assert stats.tpr == pytest.approx(expected_tpr(8, m), rel=0.05)
 
     def test_banks_used_uniformly(self):
         cluster, client = self.make(banks=4, rng=np.random.default_rng(2))
         bank_hits = np.zeros(4)
         for i in range(400):
-            res = client.execute(Request(items=(i, i + 1000, i + 2000)))
-            bank_hits[res.servers_contacted[0] // cluster.placer.bank_size] += 1
+            stats = ClusterStats()
+            client.tally_chunk([Request(items=(i, i + 1000, i + 2000))], stats)
+            bank_hits[min(stats.per_server_transactions) // client.bank_size] += 1
         assert bank_hits.min() > 50  # each bank gets a fair share
+
+    def test_a_chunk_draws_the_banks_of_one_draw_per_request(self):
+        """One ``integers(banks, size=k)`` per chunk gives the banks that
+        ``k`` scalar draws would, and leaves the generator where they
+        would: the engine's chunk boundaries cannot move a bank."""
+        for banks in range(1, 17):
+            for seed in range(5):
+                chunked, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = [*chunked.integers(banks, size=37), *chunked.integers(banks, size=5)]
+                want = [scalar.integers(banks) for _ in range(42)]
+                assert got == want
+                assert chunked.integers(banks) == scalar.integers(banks)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -146,25 +161,30 @@ class TestFullReplicationClient:
             min_size=1,
             max_size=8,
         ),
+        cut=st.integers(0, 8),
+        compiled=st.booleans(),
         seed=st.integers(0, 2**16),
     )
-    def test_matches_per_bank_grouping(self, shape, requests, seed):
-        """Bank by bank, the RnB read does what grouping by home in the bank
-        does: the same fetches, up to transaction order, and the same LRU
-        order on every server."""
+    def test_matches_per_bank_grouping(self, shape, requests, cut, compiled, seed):
+        """Bank by bank, a tally does what grouping by home in the bank
+        does: the same stats and the same counters on every server.  The
+        tally reads no store, and with every copy resident LRU order is
+        unobservable, so no store is compared."""
         n_servers, banks = shape
         placer = FullReplicationPlacer(n_servers, banks, vnodes=16, seed=seed)
-        cluster, reference = (Cluster(placer, range(300)) for _ in range(2))
+        reference = Cluster(placer, range(300))
+        if compiled:
+            placer = PlacementTable.compile(placer, 300)
+        cluster = Cluster(placer, range(300))
         client = FullReplicationClient(cluster, rng=np.random.default_rng(seed))
         bank_rng = np.random.default_rng(seed)  # the client's draws, one per request
-        for items, limit in requests:
-            request = Request(items=tuple(items), limit_fraction=limit)
-            got = client.execute(request)
-            want = full_replication_reference(reference, request, int(bank_rng.integers(banks)))
-            blank = dict(servers_contacted=(), txn_sizes=())
-            assert dataclasses.replace(got, **blank) == dataclasses.replace(want, **blank)
-            assert sorted(zip(got.servers_contacted, got.txn_sizes)) == sorted(
-                zip(want.servers_contacted, want.txn_sizes)
-            )
-        for ours, theirs in zip(cluster.servers, reference.servers):
-            assert ours.store.replica_keys() == theirs.store.replica_keys()
+        requests = [Request(items=tuple(items), limit_fraction=f) for items, f in requests]
+        got, want = ClusterStats(), ClusterStats()
+        for chunk in (requests[:cut], requests[cut:]):
+            if chunk:
+                client.tally_chunk(chunk, got)
+        for request in requests:
+            bank = int(bank_rng.integers(banks))
+            want.record(full_replication_reference(reference, request, bank))
+        assert got == want
+        assert [s.counters for s in cluster.servers] == [s.counters for s in reference.servers]

@@ -30,6 +30,7 @@ from repro.experiments import (
 from repro.experiments.base import ExperimentResult
 from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
 from repro.hashing.hashfns import stable_hash64
+from repro.sim import engine
 from repro.sim.config import ClientConfig, ClusterConfig, SimConfig
 from repro.sim.engine import run_simulation
 from repro.workloads.synthetic import make_slashdot_like
@@ -254,6 +255,18 @@ class TestSharedBudgetDeterminism:
         )
         assert run_simulation(small_slashdot, config).determinism_token() == token
 
+    def test_unlimited_memory_token(self, small_slashdot):
+        """Unlimited memory gives the priority policy a ``PinnedLRU(None)``,
+        which evicts nothing: the run tallies, as the pinned policy's does.
+        Pinned while this configuration still ran the block executor."""
+        config = SimConfig(
+            cluster=ClusterConfig(16, 3, memory_factor=None, lru_policy="priority"),
+            n_requests=6000,
+            warmup_requests=2000,
+            seed=5,
+        )
+        assert run_simulation(small_slashdot, config).determinism_token() == 6411266473897305670
+
     def test_lru_policy_ablation_token(self, tiny_sd):
         results = ablations.run(graph=tiny_sd, n_requests=200, warmup=400, seed=5)
         [policy] = [r for r in results if r.name == "ablation_lru_policy"]
@@ -295,6 +308,23 @@ class TestBaselineDeterminism:
             seed=5,
         )
         assert run_simulation(small_slashdot, config).determinism_token() == token
+
+    @pytest.mark.parametrize("first", ["fullreplication", "rnb"])
+    def test_modes_share_no_compiled_table(self, small_slashdot, monkeypatch, first):
+        """Full replication over two banks and RnB at R = 2 compile different
+        tables from one cluster config: run in one process, in either order,
+        each keeps its own token."""
+        monkeypatch.setattr(engine, "_TABLE_CACHE", {})
+        tokens = {"fullreplication": 13181652251718827278, "rnb": 13726311110861383439}
+        for mode in sorted(tokens, key=lambda m: m != first):
+            config = SimConfig(
+                cluster=ClusterConfig(16, 2, memory_factor=None),
+                client=ClientConfig(mode=mode),
+                n_requests=3000,
+                warmup_requests=1000,
+                seed=5,
+            )
+            assert run_simulation(small_slashdot, config).determinism_token() == tokens[mode]
 
 
 class TestFig13_14:

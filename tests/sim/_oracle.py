@@ -6,7 +6,9 @@
 ``run_simulation`` compiles the placement, plans a chunk per kernel call
 and, under naive allocation, never builds a result per request;
 ``test_fast_path.py`` and ``tests/overload/test_bit_identity.py`` hold it
-to this loop on every number a run reports.
+to this loop on every number a run reports.  A ``fullreplication`` client
+only tallies chunks, so it has no loop here: ``tests/core/test_baselines.py``
+holds it to ``tests/core/_oracle.py::full_replication_reference``.
 """
 
 from __future__ import annotations

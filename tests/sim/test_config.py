@@ -96,6 +96,24 @@ class TestSimConfig:
                 n_requests=10,
             )
 
+    @pytest.mark.parametrize(
+        "client",
+        [
+            dict(hitchhiking=True),
+            dict(tie_break="random"),
+            dict(tie_break="least_loaded"),
+        ],
+        ids=["hitchhiking", "random", "least_loaded"],
+    )
+    def test_fullreplication_refuses_what_it_would_ignore(self, client):
+        """A bank holds one copy of each item: no replica to hitchhike on and
+        no tie to break, so asking for either is refused."""
+        with pytest.raises(ConfigurationError, match="full replication"):
+            SimConfig(
+                cluster=ClusterConfig(n_servers=8, replication=2),
+                client=ClientConfig(mode="fullreplication", **client),
+            )
+
     def test_fullreplication_needs_unlimited_memory(self):
         with pytest.raises(ConfigurationError):
             SimConfig(
