@@ -38,6 +38,12 @@ class PinnedLRU:
     system had" (section III-D).  ``None`` means unlimited (the naive,
     memory-rich experiments of Fig 6).  A pinned key is never in the
     replica LRU.
+
+    ``pin_version`` counts the changes to the pinned set: :meth:`pin`,
+    :meth:`pin_all`, :meth:`unpin` and :meth:`wipe` move it.  An
+    unchanged version is an unchanged pinned set, so a reader can check
+    its pins once per change instead of once per read
+    (:meth:`RnBClient.execute_chunk` does).
     """
 
     def __init__(self, replica_capacity: int | None = None) -> None:
@@ -48,16 +54,19 @@ class PinnedLRU:
         # the replica LRU, least recently used first (presence only)
         self._entries: OrderedDict[Hashable, None] = OrderedDict()
         self.evictions = 0
+        self.pin_version = 0
 
     def pin(self, key: Hashable) -> None:
         """Insert ``key`` as a pinned (distinguished) entry."""
         self._pinned.add(key)
         self._entries.pop(key, None)
+        self.pin_version += 1
 
     def pin_all(self, keys: Iterable[Hashable]) -> None:
         if not self._entries:
             # nothing to displace: pinning is a plain set update
             self._pinned.update(keys)
+            self.pin_version += 1
             return
         for k in keys:
             self.pin(k)
@@ -217,6 +226,7 @@ class PinnedLRU:
         if key not in self._pinned:
             return False
         self._pinned.remove(key)
+        self.pin_version += 1
         return True
 
     def replica_keys(self) -> list:
@@ -237,6 +247,7 @@ class PinnedLRU:
         self._pinned.clear()
         self._entries = OrderedDict()
         self.evictions = 0
+        self.pin_version += 1
 
 
 class PriorityClassStore(PinnedLRU):

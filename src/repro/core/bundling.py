@@ -413,13 +413,14 @@ class Bundler:
     def plan_cells(self, chunk: RequestBlock | Sequence[Request]):
         """A chunk's plans as :func:`_chunk_transactions` arrays, or ``None``.
 
-        Returns ``(block, servers, cell, txn_servers, txn_sizes, n_txns)``:
-        the chunk as a block, each of its items' ``(R,)`` replica servers
-        and transaction cell, then the footprints of
+        Returns ``(block, home, cell, txn_servers, txn_sizes, n_txns)``:
+        the chunk as a block, each of its items' home (distinguished
+        server) and transaction cell, then the footprints of
         :meth:`plan_transactions`.  An ego block's cells and footprints
-        come from the row table (:meth:`_plan_rows`).  ``None`` when the
-        chunk is off the vectorised envelope: hitchhiking, or any request
-        :meth:`_cover_chunk` or the adapter cannot take.
+        come from the row table (:meth:`_plan_rows`) and its homes from
+        the table's home column, so it gathers no replica rows.  ``None``
+        when the chunk is off the vectorised envelope: hitchhiking, or
+        any request :meth:`_cover_chunk` or the adapter cannot take.
         """
         if isinstance(chunk, RequestBlock) and chunk.source is not None:
             planned = self._plan_rows(chunk)
@@ -427,7 +428,7 @@ class Bundler:
                 return None
             row = np.repeat(np.arange(len(chunk)), chunk.offsets[1:] - chunk.offsets[:-1])
             cell = row * self.placer.n_servers + planned[0][3].take(chunk.slots)
-            return chunk, self.placer.lookup(chunk.items), cell, *planned[1:]
+            return chunk, self.placer.distinguished.take(chunk.items), cell, *planned[1:]
         if isinstance(chunk, RequestBlock):
             block = chunk
         else:
@@ -441,7 +442,7 @@ class Bundler:
             row, servers, assigned, len(block), self.placer.n_servers, self.single_item_rule
         )
         self._record_plan_sizes(planned[3])
-        return block, servers, *planned
+        return block, servers[:, 0], *planned
 
     def _block_of(self, requests: Sequence[Request]):
         """The chunk's vectorisable requests as one block — the adapter.

@@ -32,25 +32,25 @@ from repro.types import ClusterStats, FetchPlan, FetchResult, ItemId, Request, R
 from repro.utils.histogram import first_seen_counts
 
 
-def _by_server(sids: np.ndarray, n_servers: int) -> np.ndarray:
-    """A stable ``argsort`` of server ids: grouped by server, each group in
-    its original order.  Ids fit a byte for up to 256 servers, and NumPy
-    sorts 8- and 16-bit keys by radix, several times faster than int64."""
-    return np.argsort(sids.astype(np.min_scalar_type(n_servers - 1)), kind="stable")
+def _by_server(keys: np.ndarray, n_keys: int) -> np.ndarray:
+    """A stable ``argsort`` of keys below ``n_keys`` (server ids): grouped
+    by key, each group in its original order.  Keys fit a byte up to 256,
+    and NumPy sorts 8- and 16-bit keys by radix, several times faster than
+    int64."""
+    return np.argsort(keys.astype(np.min_scalar_type(n_keys - 1)), kind="stable")
 
 
-def _require_pinned(fleet: list, grouped: list, counts: list[int]) -> None:
-    """Check that server ``i`` pins the ``i``-th run of ``grouped``, whose
-    lengths are ``counts``: one ``issuperset`` per server.  Distinguished
-    copies never miss, so one that is not pinned is a mis-provisioned
-    cluster (a wiped or unpinned home), and raises."""
-    lo = 0
-    for home, k in enumerate(counts):
-        group, lo = grouped[lo : lo + k], lo + k
-        store = fleet[home].store
-        if not store.pins_all(group):
-            absent = [i for i in group if not store.is_pinned(i)]
-            raise ConfigurationError(f"distinguished copies missing on server {home}: {absent}")
+def _require_homes(lost: np.ndarray, items: np.ndarray, homes: np.ndarray) -> None:
+    """Raise unless every one of ``items`` is pinned on its home, the
+    matching entry of ``homes``: ``lost`` flags, per item id, a home that
+    does not pin it.  Distinguished copies never miss, so a lost one is a
+    mis-provisioned cluster (a wiped or unpinned home).  Names the lowest
+    such home and its lost items, in order."""
+    bad = lost.take(items)
+    if bad.any():
+        home = int(homes[bad].min())
+        absent = items[bad & (homes == home)].tolist()
+        raise ConfigurationError(f"distinguished copies missing on server {home}: {absent}")
 
 
 def fold_counters(
@@ -120,6 +120,12 @@ class RnBClient:
         self.cluster = cluster
         self.bundler = bundler
         self.write_back = write_back
+        # per item of the table, "its home does not pin it", as of each
+        # store's pin_version in _pin_versions; _lost_on: the homes with a
+        # flag set (see _lost_homes)
+        self._lost: np.ndarray | None = None
+        self._lost_on: set[int] = set()
+        self._pin_versions: list[int] = []
 
     # -- public API -----------------------------------------------------------
 
@@ -292,15 +298,20 @@ class RnBClient:
         and :meth:`Server.record_write_backs` stamps the copies.  A read
         of an item on its home never enters the replay: it finds the
         pinned copy, and :meth:`PinnedLRU.touch` of a pinned key moves no
-        LRU (a pinned key is never in the replica LRU), so one
-        :meth:`PinnedLRU.pins_all` per server checks them all and the
-        replay gets only the replica reads, and only the transactions
-        that have any.  A home copy that is not pinned raises
-        :class:`ConfigurationError`, as a second round to it does.  Round
-        two is arrays: one transaction per (request, home) of the misses,
-        in :meth:`_second_round_order`, each checked against its home's
-        pinned set and merged behind its request's first round.  The
-        counters and stats are folded once per chunk.
+        LRU (a pinned key is never in the replica LRU), so the replay gets
+        only the replica reads, and only the transactions that have any.
+        Round two is arrays: one transaction per (request, home) of the
+        misses, in :meth:`_second_round_order`, merged behind its
+        request's first round.  The counters and stats are folded once
+        per chunk.
+
+        Pins are checked once per pin change, not once per read: the
+        client flags each item whose home does not pin it, and re-derives
+        a server's flags only when its store's ``pin_version`` moved.
+        With no item flagged, a chunk does no per-read pin work.  A
+        flagged item raises :class:`ConfigurationError`, as in
+        :meth:`execute_plan`: before the replay when the chunk reads it on
+        its home, after the replay when round two fetches it.
 
         All of that needs one store invariant: pins never enter the
         replica LRU.  Both stores keep it, so a shared-budget
@@ -324,23 +335,22 @@ class RnBClient:
                     stats.record(result)
             return
 
-        block, servers, cell, txn_servers, txn_sizes, n_txns = planned
+        block, home, cell, txn_servers, txn_sizes, n_txns = planned
+        lost = self._lost_homes()
         n = len(fleet)
         # every item server-major: a server's transactions in request
-        # order (the block is request-major), each in request-local order
+        # order (the block is request-major), each in request-local order.
+        # Reads of an item on its home touch only its pinned copy: keyed
+        # n above their server, they sort behind every replica read.
         sid = cell % n
-        flat = _by_server(sid, n)
-        on_home = servers[flat, 0] == sid[flat]
-        # reads of an item on its home touch only its pinned copy
-        homes_read = flat[on_home]
-        _require_pinned(
-            fleet,
-            block.items[homes_read].tolist(),
-            np.bincount(sid[homes_read], minlength=n).tolist(),
-        )
+        on_home = home == sid
+        flat = _by_server(sid + on_home * n, 2 * n)
+        cut = len(flat) - np.count_nonzero(on_home)
+        flat, homes_read = flat[:cut], flat[cut:]
+        if lost is not None:
+            _require_homes(lost, block.items.take(homes_read), sid.take(homes_read))
         # the replica reads, cut where the cell changes: one run per
         # transaction that has any
-        flat = flat[~on_home]
         starts = np.flatnonzero(np.diff(cell[flat], prepend=-1))
         keys = block.items[flat].tolist()
         edges = [*starts.tolist(), len(keys)]
@@ -354,24 +364,22 @@ class RnBClient:
 
         n_second = 0
         if len(at):
-            items, homes = block.items[at], servers[at, 0]
-            if self.write_back:
-                item_list = items.tolist()
-                stamps = None  # nothing is versioned: every copy goes in unversioned
-                if any(s.stamps for s in fleet):
-                    # _authoritative_stamp, with no injector to pass
-                    stamps_of = [s.stamps for s in fleet]
-                    stamps = [stamps_of[h].get(i) for i, h in zip(item_list, homes.tolist())]
+            items, homes = block.items[at], home[at]
+            if self.write_back and any(s.stamps for s in fleet):
+                # _authoritative_stamp, with no injector to pass
+                item_list, stamps_of = items.tolist(), [s.stamps for s in fleet]
+                stamps = [stamps_of[h].get(i) for i, h in zip(item_list, homes.tolist())]
                 lo = 0
                 for server, k in zip(fleet, missed_on):
-                    theirs = None if stamps is None else stamps[lo : lo + k]
-                    server.record_write_backs(item_list[lo : lo + k], theirs)
+                    server.record_write_backs(item_list[lo : lo + k], stamps[lo : lo + k])
                     lo += k
-            _require_pinned(
-                fleet,
-                items[_by_server(homes, n)].tolist(),
-                np.bincount(homes, minlength=n).tolist(),
-            )
+            elif self.write_back:
+                # nothing is versioned: every copy goes in unversioned, and
+                # record_write_backs would only count them
+                for server, k in zip(fleet, missed_on):
+                    server.counters.writes += k
+            if lost is not None:
+                _require_homes(lost, items, homes)
             # round two: one transaction per (request, home), each request's
             # largest first, ties to the lowest home, right after its round one
             cells, sizes = np.unique(cell[at] // n * n + homes, return_counts=True)
@@ -389,6 +397,36 @@ class RnBClient:
         fold_counters(fleet, txn_servers, txn_sizes, missed_on)
 
     # -- helpers ---------------------------------------------------------------
+
+    def _lost_homes(self) -> np.ndarray | None:
+        """Per item id of the compiled table, whether its home fails to pin
+        it; ``None`` when every home pins all of its items.
+
+        The flags of a server's homes (``PlacementTable.provisioning``) are
+        re-derived only when its store's ``pin_version`` moved since the
+        last call, so a chunk under unchanged pins does no per-read check.
+        An item outside ``cluster.items`` was never pinned: it is lost.
+        """
+        fleet = self.cluster.servers
+        versions = [server.store.pin_version for server in fleet]
+        seen = self._pin_versions
+        if versions != seen:
+            table = self.bundler.placer
+            if self._lost is None:
+                self._lost = np.zeros(table.n_items, dtype=bool)
+            lost, lost_on = self._lost, self._lost_on
+            for sid, group in table.provisioning[0].items():
+                if sid < len(seen) and seen[sid] == versions[sid]:
+                    continue
+                store = fleet[sid].store
+                if not store.pins_all(group):
+                    lost[group] = [not store.is_pinned(i) for i in group]
+                    lost_on.add(sid)
+                elif sid in lost_on:
+                    lost[group] = False
+                    lost_on.discard(sid)
+            self._pin_versions = versions
+        return self._lost if self._lost_on else None
 
     def _authoritative_stamp(self, item: ItemId, home: int):
         """Version stamp a DB-fetched copy of ``item`` should carry.

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.lru import PinnedLRU
+from repro.cluster.lru import PinnedLRU, PriorityClassStore
 from repro.cluster.placement import RandomPlacer
 from repro.core.bundling import Bundler
 from repro.core.client import RnBClient
@@ -31,13 +31,19 @@ N_ITEMS = 600
 TABLE = PlacementTable.compile(RandomPlacer(16, 3, seed=11), N_ITEMS)
 
 
-def _client(memory_factor, lru_policy, write_back, **bundler_kwargs) -> RnBClient:
-    cluster = Cluster(
-        TABLE, range(N_ITEMS), memory_factor=memory_factor, lru_policy=lru_policy
-    )
-    # a versioned slice of the data: write-backs must carry these stamps
-    for item in range(0, N_ITEMS, 7):
-        cluster.servers[TABLE.distinguished_for(item)].stamps[item] = f"v{item}"
+def _client(
+    memory_factor,
+    lru_policy,
+    write_back,
+    versioned=True,
+    items=range(N_ITEMS),
+    **bundler_kwargs,
+) -> RnBClient:
+    cluster = Cluster(TABLE, items, memory_factor=memory_factor, lru_policy=lru_policy)
+    if versioned:
+        # a versioned slice of the data: write-backs must carry these stamps
+        for item in range(0, N_ITEMS, 7):
+            cluster.servers[TABLE.distinguished_for(item)].stamps[item] = f"v{item}"
     bundler = Bundler(TABLE, rng=np.random.default_rng(1), **bundler_kwargs)
     return RnBClient(cluster, bundler, write_back=write_back)
 
@@ -97,15 +103,18 @@ def chunk_runs(draw):
     st.booleans(),
     st.booleans(),
     st.booleans(),
+    st.booleans(),
 )
 @settings(max_examples=100, deadline=None)
 def test_execute_chunk_is_the_per_request_fold(
-    chunks, memory_factor, lru_policy, write_back, single_item_rule, as_blocks
+    chunks, memory_factor, lru_policy, write_back, single_item_rule, as_blocks, versioned
 ):
+    """Without the versioned slice no server holds a stamp, and the block
+    path only counts its write-backs."""
     kwargs = dict(single_item_rule=single_item_rule)
-    spec = _client(memory_factor, lru_policy, write_back, **kwargs)
+    spec = _client(memory_factor, lru_policy, write_back, versioned, **kwargs)
     spec_stats = ClusterStats()
-    got = _client(memory_factor, lru_policy, write_back, **kwargs)
+    got = _client(memory_factor, lru_policy, write_back, versioned, **kwargs)
     got_stats = ClusterStats()
     for i, chunk in enumerate(chunks):
         for request in chunk:
@@ -247,3 +256,146 @@ def test_an_unpinned_home_copy_read_on_its_home_raises(write_back):
         ConfigurationError, match=rf"distinguished copies missing on server {home}: \[{item}\]"
     ):
         client.execute_chunk(_as_block([Request(items=(7, 300)), Request(items=(item,))]))
+
+
+def _spy_replays(monkeypatch) -> list:
+    """Record one mark per ``PinnedLRU.replay`` call."""
+    replay, calls = PinnedLRU.replay, []
+
+    def spy(store, keys, edges, *, put=True):
+        calls.append(store)
+        return replay(store, keys, edges, put=put)
+
+    monkeypatch.setattr(PinnedLRU, "replay", spy)
+    return calls
+
+
+def _lose(client: RnBClient, item: int, how: str) -> int:
+    """Take ``item``'s distinguished copy off its home; returns the home."""
+    home = TABLE.distinguished_for(item)
+    if how == "unpin":
+        assert client.cluster.servers[home].store.unpin(item)
+    else:
+        client.cluster.wipe_server(home)
+    return home
+
+
+def _chunk(seed: int, n: int = 40, hot: int = N_ITEMS) -> list[Request]:
+    rng = np.random.default_rng(seed)
+    return [
+        Request(items=tuple(rng.choice(hot, size=size, replace=False).tolist()))
+        for size in rng.integers(1, 20, size=n)
+    ]
+
+
+@pytest.mark.parametrize("how", ["unpin", "wipe"])
+@pytest.mark.parametrize("lru_policy", ["pinned", "priority"])
+def test_a_copy_lost_between_chunks_raises_before_the_replay(monkeypatch, how, lru_policy):
+    """The first chunk checks every home; a copy lost after it is caught on
+    the next chunk that reads it on its home, before any server replays."""
+    client = _client(1.3, lru_policy, True)
+    client.execute_chunk(_as_block(_chunk(1)))
+    item = 42
+    home = _lose(client, item, how)
+    calls = _spy_replays(monkeypatch)
+    # the single-item rule sends a lone item to its home
+    with pytest.raises(
+        ConfigurationError, match=rf"distinguished copies missing on server {home}: \[{item}\]"
+    ):
+        client.execute_chunk(_as_block([Request(items=(7, 300)), Request(items=(item,))]))
+    assert calls == []
+
+
+def _fetched_off_its_home(bundler: Bundler, item: int) -> Request:
+    """A two-item request whose plan reads ``item`` on a replica server."""
+    home = TABLE.distinguished_for(item)
+    for other in range(N_ITEMS):
+        if other == item:
+            continue
+        request = Request(items=(item, other))
+        (txn,) = bundler.plan(request).transactions
+        if txn.server != home:
+            return request
+    raise AssertionError("no request reads the item off its home")
+
+
+@pytest.mark.parametrize("how", ["unpin", "wipe"])
+def test_a_lost_copy_reached_only_in_round_two_raises_after_the_replay(monkeypatch, how):
+    """No replica space: a read of ``item`` off its home misses, and its
+    round-two fetch finds the home without the copy.  Both paths raise the
+    same error, the block path once the replay has run."""
+    spec, got = (_client(1.0, "pinned", True) for _ in range(2))
+    item = 42
+    request = _fetched_off_its_home(got.bundler, item)
+    for client in (spec, got):
+        client.execute_chunk(_as_block(_chunk(2)))
+        home = _lose(client, item, how)
+    message = rf"distinguished copies missing on server {home}: \[{item}\]"
+    with pytest.raises(ConfigurationError, match=message):
+        spec.execute_plan(spec.bundler.plan(request))
+    calls = _spy_replays(monkeypatch)
+    with pytest.raises(ConfigurationError, match=message):
+        got.execute_chunk(_as_block([request]))
+    assert calls
+
+
+@pytest.mark.parametrize("lru_policy", ["pinned", "priority"])
+def test_a_chunk_that_reads_no_lost_copy_is_still_the_fold(lru_policy):
+    """With a copy lost on twin clusters, chunks that never read it run as
+    the specification does; pinning it again clears the loss."""
+    spec, got = (_client(1.05, lru_policy, True) for _ in range(2))
+    item = 42
+    for client in (spec, got):
+        _lose(client, item, "unpin")
+    spec_stats, got_stats = ClusterStats(), ClusterStats()
+    for seed in range(3):
+        chunk = [r for r in _chunk(seed, hot=60) if item not in r.items]
+        for request in chunk:
+            spec_stats.record(spec.execute_plan(spec.bundler.plan(request)))
+        got.execute_chunk(_as_block(chunk), got_stats)
+        assert _state(got, got_stats) == _state(spec, spec_stats)
+    home = TABLE.distinguished_for(item)
+    got.cluster.servers[home].store.pin(item)
+    got.execute_chunk(_as_block([Request(items=(item,))]))
+
+
+def test_a_cluster_over_part_of_the_table_raises_on_an_item_it_never_pinned():
+    """The client's flags cover the table's universe, not the cluster's:
+    an item the cluster never provisioned has no pinned copy anywhere."""
+    client = _client(1.3, "pinned", True, items=range(300))
+    client.execute_chunk(_as_block(_chunk(3, hot=300)))
+    item = 500
+    home = TABLE.distinguished_for(item)
+    with pytest.raises(
+        ConfigurationError, match=rf"distinguished copies missing on server {home}: \[{item}\]"
+    ):
+        client.execute_chunk(_as_block([Request(items=(item,))]))
+
+
+@pytest.mark.parametrize("store", [PinnedLRU(3), PriorityClassStore(8)])
+def test_every_pin_change_moves_the_version_and_nothing_else_does(store):
+    seen = {store.pin_version}
+
+    def moved() -> bool:
+        fresh = store.pin_version not in seen
+        seen.add(store.pin_version)
+        return fresh
+
+    store.pin(1)
+    assert moved()
+    store.pin_all([2, 3])
+    assert moved()
+    store.put_all([4, 5])
+    store.put(6)
+    store.touch(4)
+    store.touch_many([1, 5, 9])
+    store.replay([7, 8, 1], [0, 3])
+    store.discard(5)
+    assert not store.unpin(9)
+    assert not moved()
+    store.pin_all([4])  # over a filled LRU: a pin per key
+    assert moved()
+    assert store.unpin(2)
+    assert moved()
+    store.wipe()
+    assert moved()

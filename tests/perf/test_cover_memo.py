@@ -55,6 +55,9 @@ def _assert_same_plans(memo: Bundler, fresh: Bundler, block: RequestBlock) -> No
     got, want = memo.plan_cells(block), fresh.plan_cells(_stripped(block))
     for a, b in zip(got[1:], want[1:]):
         np.testing.assert_array_equal(a, b)
+    # the second array is each item's home, not its replica row
+    homes = [memo.placer.distinguished_for(item) for item in block.items.tolist()]
+    assert got[1].tolist() == homes
     for a, b in zip(memo.plan_transactions(block), fresh.plan_transactions(_stripped(block))):
         np.testing.assert_array_equal(a, b)
 
@@ -112,6 +115,15 @@ def test_include_self_blocks_carry_no_slots(graphs):
         _assert_same_plans(memo, fresh, plain.block(300))
 
 
+def test_an_adapted_list_of_requests_gets_the_home_column(graphs):
+    table = _table(graphs[0].n_nodes)
+    block = EgoRequestGenerator(graphs[0], rng=4).block(200)
+    got = Bundler(table).plan_cells(block.requests())
+    homes = [table.distinguished_for(item) for item in block.items.tolist()]
+    assert got[1].tolist() == homes
+    np.testing.assert_array_equal(got[1], Bundler(table).plan_cells(block)[1])
+
+
 class _EpochedTable(PlacementTable):
     """A compiled table whose rows change with the placer's epoch."""
 
@@ -119,6 +131,7 @@ class _EpochedTable(PlacementTable):
 
     def install(self, other: PlacementTable) -> None:
         self.table, self._tuples = other.table, other._tuples
+        self.distinguished = other.distinguished  # the cached home column
         self.epoch += 1
 
 

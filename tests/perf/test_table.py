@@ -50,6 +50,9 @@ def test_batch_lookup_matches_rows(make):
     assert table.distinguished.tolist() == [
         table.distinguished_for(i) for i in range(N_ITEMS)
     ]
+    # one contiguous column, built once
+    assert table.distinguished.flags.c_contiguous
+    assert table.distinguished is table.distinguished
 
 
 def test_out_of_universe_delegates_to_base():

@@ -12,7 +12,7 @@ Spans that are not dotted names, such as commands, paths, flags and
 literals, are not checked.
 
 Two files are left out until the ROADMAP items that own them land:
-docs/PERFORMANCE.md, whose per-PR notebooks item 10 cuts, and
+docs/PERFORMANCE.md, whose per-PR notebooks item 4 cuts, and
 bench/README.md, whose stale names item 1 purges.  ``ALLOWED`` lists
 the names the docs use on purpose that no ``.py`` file here spells:
 standard-library and third-party names, tools, and environment
