@@ -100,13 +100,3 @@ def expected_tpr_exact(n_servers: int, request_size: int) -> float:
     when items are sampled *with* replacement; used in tests."""
     pmf = occupancy_pmf(n_servers, request_size)
     return float(np.dot(np.arange(len(pmf)), pmf))
-
-
-def expected_tpr_distinct_items(n_servers: int, request_size: int) -> float:
-    """Expected occupied servers when the M items are distinct keys.
-
-    Distinct keys still hash independently and uniformly, so this equals
-    :func:`expected_tpr`; kept as a named alias to make call sites
-    self-documenting about the modelling assumption.
-    """
-    return expected_tpr(n_servers, request_size)

@@ -27,7 +27,17 @@ from repro.types import ItemId
 
 
 class Cluster:
-    """A fleet of simulated memcached servers behind one placer."""
+    """A fleet of simulated memcached servers behind one placer.
+
+    Over a compiled :class:`~repro.perf.table.PlacementTable` and
+    ``items == range(table.n_items)``, ``items`` become the table's
+    ``item_objects`` and each store is loaded in one step from the
+    table's ``provisioning`` groups, on the guarantees those groups give
+    (each distinct and ascending, no replica where its item is pinned).
+    Over anything else the homes and replicas are grouped item by item
+    and loaded through ``pin_all`` / ``put_all``, which check their keys.
+    Both leave every store as one ``pin`` / ``put`` per item would.
+    """
 
     def __init__(
         self,
@@ -38,6 +48,11 @@ class Cluster:
         lru_policy: str = "pinned",
     ) -> None:
         self.placer = placer
+        # a compiled table covering exactly our items has the groupings
+        # ready, over the table's own item objects
+        compiled = isinstance(items, range) and items == range(getattr(placer, "n_items", 0))
+        if compiled:
+            items = placer.item_objects.tolist()
         self.items: tuple[ItemId, ...] = tuple(items)
         if not self.items:
             raise ConfigurationError("a cluster must store at least one item")
@@ -54,9 +69,7 @@ class Cluster:
         self.lru_policy = lru_policy
         self.n_servers = placer.n_servers
 
-        # A compiled table covering exactly our items has the groupings
-        # ready (order-equivalent to the loops: items ascend per server)
-        if isinstance(items, range) and items == range(getattr(placer, "n_items", 0)):
+        if compiled:
             homes, loads = placer.provisioning
         else:
             homes, loads = defaultdict(list), defaultdict(list)
@@ -69,19 +82,24 @@ class Cluster:
             Server(sid, store=self._store(len(homes.get(sid, ()))))
             for sid in range(self.n_servers)
         ]
-        for sid, pinned in homes.items():
-            self.servers[sid].pin_distinguished(pinned)
-
         # Initial data load: a write in RnB goes to every logical replica
         # (section III-G), so all replicas are inserted at load time; with
         # limited memory the per-server LRUs immediately trim the overflow,
         # and the warmup phase then re-orders survivors by actual use.
         # With memory_factor=None (naive allocation) everything stays
         # resident, giving exactly Fig 6's setting.  Servers are
-        # independent, so loading each one's replicas in item order
-        # reproduces the item-by-item load exactly.
-        for sid, items in loads.items():
-            self.servers[sid].preload_replicas(items)
+        # independent, so pinning each one's homes, then loading its
+        # replicas in item order, reproduces the item-by-item load exactly.
+        if compiled:
+            # the table's groups are distinct and ascending, and no server
+            # holds a replica of an item it pins: one step per store
+            for sid, server in enumerate(self.servers):
+                server.store._provision(homes.get(sid, []), loads.get(sid, []))
+        else:
+            for sid, pinned in homes.items():
+                self.servers[sid].pin_distinguished(pinned)
+            for sid, replicas in loads.items():
+                self.servers[sid].preload_replicas(replicas)
 
         #: optional fault-injection gate (see repro.faults.injector); when
         #: attached, server accesses may raise ServerDown / ServerTimeout

@@ -196,7 +196,9 @@ class PinnedLRU:
         ``capacity`` survive and the other ones count as evictions, as one
         ``put`` per key would leave it.  Anything else — a filled LRU, a
         repeated key — takes the per-key path (a bulk build would skip the
-        move-to-end refresh a present or repeated key gets).
+        move-to-end refresh a present or repeated key gets).  It checks
+        its keys for pins and repeats on every call; only a cluster over
+        a compiled table skips those checks (:meth:`_provision`).
         """
         # provisioning never preloads a pinned key: filter only if one is
         keys, pinned = list(keys), self._pinned
@@ -214,6 +216,25 @@ class PinnedLRU:
                 return
         for key in keys:
             self.put(key)
+
+    def _provision(self, pinned: list, replicas: list) -> None:
+        """Load an empty store in one step: :meth:`pin_all` of ``pinned``,
+        then the :meth:`put_all` of ``replicas``, without its checks.
+
+        The caller guarantees what ``put_all`` would check: ``replicas``
+        distinct and none of them in ``pinned``.  A compiled table's
+        :attr:`~repro.perf.table.PlacementTable.provisioning` groups are
+        (``tests/perf/test_table.py``), and the table branch of
+        :class:`~repro.cluster.cluster.Cluster` is the only caller.  Of
+        ``n`` replicas the last ``replica_capacity`` survive, in order,
+        and the others count as evictions, as one ``put`` each would
+        leave them.
+        """
+        self.pin_all(pinned)
+        capacity = self.replica_capacity
+        overflow = 0 if capacity is None else max(0, len(replicas) - capacity)
+        self._entries = OrderedDict.fromkeys(replicas[overflow:])
+        self.evictions += overflow
 
     def discard(self, key: Hashable) -> bool:
         """Remove a replica copy; pinned entries cannot be discarded."""

@@ -78,7 +78,6 @@ class Server:
         #: optional backpressure gate (repro.overload.load.AdmissionControl);
         #: None — the default — admits everything, exactly as before
         self.admission = None
-        self._admission_clock: float = 0.0
 
     # -- provisioning ---------------------------------------------------
 
@@ -106,9 +105,7 @@ class Server:
         """
         if not primary and not hitchhikers:
             raise ValueError("a transaction must request at least one item")
-        if self.admission is not None and not self.admission.try_admit(
-            now=self._admission_clock
-        ):
+        if self.admission is not None and not self.admission.try_admit():
             raise ServerBusy(
                 f"server {self.server_id} shed a {len(primary)}-item transaction"
             )
@@ -132,12 +129,6 @@ class Server:
         """Install a backpressure gate; ``multi_get`` raises
         :class:`repro.errors.ServerBusy` when it rejects."""
         self.admission = admission
-
-    def advance_admission_clock(self, dt: float) -> None:
-        """Move the admission token-bucket clock (logical time; the
-        caller — a tick loop or test — owns the time domain)."""
-        if dt > 0:
-            self._admission_clock += dt
 
     def write_back(self, item: ItemId, *, stamp=None) -> None:
         """Insert a replica copy after a DB fetch (miss path).

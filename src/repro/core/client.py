@@ -303,7 +303,10 @@ class RnBClient:
         Round two is arrays: one transaction per (request, home) of the
         misses, in :meth:`_second_round_order`, merged behind its
         request's first round.  The counters and stats are folded once
-        per chunk.
+        per chunk.  The replay's keys are gathered from the table's
+        ``item_objects``, the int objects the cluster pinned and loaded, so
+        a probe of a store succeeds on identity and the chunk allocates no
+        ints; the per-request fallback builds its requests from them too.
 
         Pins are checked once per pin change, not once per read: the
         client flags each item whose home does not pin it, and re-derives
@@ -328,7 +331,16 @@ class RnBClient:
         if self.cluster.injector is None and all(s.admission is None for s in fleet):
             planned = self.bundler.plan_cells(chunk)
         if planned is None:
-            requests = chunk.requests() if isinstance(chunk, RequestBlock) else chunk
+            requests = chunk
+            if isinstance(chunk, RequestBlock):
+                items = chunk.items
+                objects = getattr(self.bundler.placer, "item_objects", None)
+                if objects is not None and len(items) and items.min() >= 0:
+                    if items.max() < len(objects):
+                        # requests over the table's own item objects, the
+                        # ones the stores hold
+                        chunk = RequestBlock(objects.take(items), chunk.offsets)
+                requests = chunk.requests()
             for plan in self.bundler.plan_batch(requests):
                 result = self.execute_plan(plan)
                 if stats is not None:
@@ -352,7 +364,8 @@ class RnBClient:
         # the replica reads, cut where the cell changes: one run per
         # transaction that has any
         starts = np.flatnonzero(np.diff(cell[flat], prepend=-1))
-        keys = block.items[flat].tolist()
+        objects = self.bundler.placer.item_objects
+        keys = objects.take(block.items.take(flat)).tolist()
         edges = [*starts.tolist(), len(keys)]
         missed: list[int] = []
         first, put = 0, self.write_back
@@ -367,7 +380,7 @@ class RnBClient:
             items, homes = block.items[at], home[at]
             if self.write_back and any(s.stamps for s in fleet):
                 # _authoritative_stamp, with no injector to pass
-                item_list, stamps_of = items.tolist(), [s.stamps for s in fleet]
+                item_list, stamps_of = objects.take(items).tolist(), [s.stamps for s in fleet]
                 stamps = [stamps_of[h].get(i) for i, h in zip(item_list, homes.tolist())]
                 lo = 0
                 for server, k in zip(fleet, missed_on):

@@ -37,9 +37,6 @@ class ExperimentResult:
             out += f"\n  notes: {self.notes}"
         return out
 
-    def series_as_floats(self, name: str) -> list[float]:
-        return [float(v) for v in self.series[name]]
-
     def to_dict(self) -> dict:
         """JSON-serialisable representation (meta reduced to strings)."""
         return {

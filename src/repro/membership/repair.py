@@ -90,12 +90,6 @@ class EpochDelta:
             return 0.0
         return len(self.copies) / self.n_assignments
 
-    @property
-    def touched_fraction(self) -> float:
-        if self.n_items == 0:
-            return 0.0
-        return self.items_touched / self.n_items
-
 
 def compute_epoch_delta(
     old_placement: Callable[[object], Sequence[int]],

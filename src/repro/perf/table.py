@@ -142,15 +142,18 @@ def _compile_generic(placer: ReplicaPlacer, n_items: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.int64)
 
 
-def _group_by_server(items: np.ndarray, sids: np.ndarray) -> dict[int, list[int]]:
-    """Group ``items`` by server id, items ascending within each group."""
+def _group_by_server(
+    items: np.ndarray, sids: np.ndarray, objects: np.ndarray
+) -> dict[int, list[int]]:
+    """Group ``items`` by server id, items ascending within each group,
+    each item given as its Python int ``objects[item]``."""
     if not sids.size:
         return {}
     order = np.lexsort((items, sids))
     sids_sorted = sids[order]
     boundaries = np.flatnonzero(np.diff(sids_sorted)) + 1
     starts = np.concatenate(([0], boundaries))
-    groups = np.split(items[order], boundaries)
+    groups = np.split(objects.take(items[order]), boundaries)
     return dict(zip(sids_sorted[starts].tolist(), (group.tolist() for group in groups)))
 
 
@@ -226,19 +229,36 @@ class PlacementTable:
         return np.ascontiguousarray(self.table[:, 0])
 
     @cached_property
+    def item_objects(self) -> np.ndarray:
+        """The item ids ``0..n_items-1`` as Python ints, one object array
+        built once per table.  Whatever turns ids into Python keys gathers
+        them from here (``item_objects.take(ids).tolist()``): the
+        :attr:`provisioning` groups, ``Cluster.items`` and the executor's
+        replay keys.  So the stores and every probe of them share one int
+        object per item, a dict or set probe succeeds on identity, and a
+        gather allocates no ints."""
+        return np.arange(self.n_items).astype(object)
+
+    @cached_property
     def provisioning(self) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
         """Per server, the items it is home to and the items it holds a
         replica of, each in item order: what a
         :class:`~repro.cluster.cluster.Cluster` over exactly the compiled
         universe pins and preloads.  Computed once per table, so every run
         that shares a compiled table shares them; the lists are read, never
-        changed.
+        changed, and hold the :attr:`item_objects`.
+
+        Each group is strictly ascending (so distinct) and in range, and a
+        server's replica group is disjoint from its home group (a row's
+        servers are distinct): ``Cluster`` loads a store in one step on
+        those guarantees, which ``tests/perf/test_table.py`` checks.
         """
         items = np.arange(self.n_items)
         replicas = self.table[:, 1:]
+        objects = self.item_objects
         return (
-            _group_by_server(items, self.table[:, 0]),
-            _group_by_server(np.repeat(items, replicas.shape[1]), replicas.ravel()),
+            _group_by_server(items, self.table[:, 0], objects),
+            _group_by_server(np.repeat(items, replicas.shape[1]), replicas.ravel(), objects),
         )
 
     # -- ReplicaPlacer protocol ---------------------------------------

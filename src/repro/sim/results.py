@@ -37,11 +37,6 @@ class SimResult:
         return self.stats.transactions / self.n_original_requests
 
     @property
-    def tpr_per_merged_request(self) -> float:
-        """Transactions per simulated (possibly merged) request."""
-        return self.stats.tpr
-
-    @property
     def tprps(self) -> float:
         return self.tpr / self.n_servers
 

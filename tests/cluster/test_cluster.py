@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.placement import FullReplicationPlacer
 from repro.errors import CapacityError, ConfigurationError
 from repro.hashing.multihash import MultiHashPlacer
 from repro.hashing.rch import RangedConsistentHashPlacer
@@ -135,3 +136,48 @@ class TestSingleCopyCluster:
         assert cluster.total_resident_items() == 100
         for s in cluster:
             assert s.store.n_replicas == 0
+
+
+class TestOneStepLoad:
+    """The table branch loads each store in one step, trusting the table's
+    groups (``tests/perf/test_table.py`` checks them); the result must be
+    the fleet that one ``pin`` per home, then one ``put`` per replica in
+    item order, builds."""
+
+    @pytest.mark.parametrize(
+        "placer",
+        [
+            RangedConsistentHashPlacer(8, 3, vnodes=32),
+            MultiHashPlacer(8, 4, seed=3),
+            FullReplicationPlacer(8, 2, vnodes=32),
+        ],
+        ids=["rch-r3", "multihash-r4", "banks-r2"],
+    )
+    @pytest.mark.parametrize("memory_factor", [None, 1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("lru_policy", ["pinned", "priority"])
+    def test_one_step_load_is_one_pin_or_put_per_item(self, placer, memory_factor, lru_policy):
+        n_items = 700
+        table = PlacementTable.compile(placer, n_items)
+
+        def build() -> Cluster:
+            return Cluster(
+                table, range(n_items), memory_factor=memory_factor, lru_policy=lru_policy
+            )
+
+        loaded, per_key = build(), build()
+        for server in per_key:
+            server.wipe()
+        for item in range(n_items):
+            per_key.servers[table.distinguished_for(item)].store.pin(item)
+        for item in range(n_items):
+            for sid in table.servers_for(item)[1:]:
+                per_key.servers[sid].store.put(item)
+        assert _fleet_state(loaded) == _fleet_state(per_key)
+        for a, b in zip(loaded, per_key):
+            assert a.store.replica_capacity == b.store.replica_capacity
+        # the cluster's items and every stored key are the table's objects
+        objects = table.item_objects
+        assert all(item is objects[item] for item in loaded.items)
+        for server in loaded:
+            for key in server.store.pinned_keys() + server.store.replica_keys():
+                assert key is objects[key]

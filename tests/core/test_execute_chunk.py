@@ -25,6 +25,7 @@ from repro.core.client import RnBClient
 from repro.errors import ConfigurationError
 from repro.perf.table import PlacementTable
 from repro.types import ClusterStats, Request
+from repro.workloads.requests import EgoRequestGenerator
 from tests.perf.test_tally_chunk import _as_block
 
 N_ITEMS = 600
@@ -399,3 +400,24 @@ def test_every_pin_change_moves_the_version_and_nothing_else_does(store):
     assert moved()
     store.wipe()
     assert moved()
+
+
+@pytest.mark.parametrize("hitchhiking", [False, True], ids=["block-path", "fallback"])
+def test_stores_and_reads_share_the_tables_item_objects(small_slashdot, hitchhiking):
+    """The cluster pins and loads the table's ``item_objects``, and both the
+    block path's replay and the per-request fallback read and write back
+    those same objects: after a chunk with misses, every key in every
+    store *is* the table's object for it, so a probe hits on identity."""
+    table = PlacementTable.compile(RandomPlacer(16, 4, seed=3), small_slashdot.n_nodes)
+    cluster = Cluster(table, range(table.n_items), memory_factor=1.2)
+    client = RnBClient(cluster, Bundler(table, hitchhiking=hitchhiking))
+    stats = ClusterStats()
+    client.execute_chunk(EgoRequestGenerator(small_slashdot, rng=5).block(400), stats)
+    assert stats.misses > 0 and stats.second_round_transactions > 0
+    objects = table.item_objects
+    written_back = 0
+    for server in cluster.servers:
+        for key in server.store.pinned_keys() + server.store.replica_keys():
+            assert key is objects[key]
+        written_back += server.counters.writes
+    assert written_back > 0

@@ -91,3 +91,44 @@ def test_splitmix64_array_matches_scalar(seed):
     got = splitmix64_array(values, seed=seed)
     expected = [hash64_int(int(v), seed=seed) for v in values.tolist()]
     assert got.tolist() == expected
+
+
+def assert_provisioning_guarantees(table: PlacementTable) -> None:
+    """What ``Cluster`` loads a store in one step on, without checking it
+    per run: every provisioning group is strictly ascending (so distinct)
+    and in range, and holds the table's own item objects; no server holds
+    a replica of an item it is home to; and the groups are the table's
+    rows, every item once a home and ``R - 1`` times a replica."""
+    homes, replicas = table.provisioning
+    objects = table.item_objects
+    for groups in (homes, replicas):
+        for sid, group in groups.items():
+            assert 0 <= sid < table.n_servers
+            assert group and 0 <= group[0] and group[-1] < table.n_items
+            assert all(a < b for a, b in zip(group, group[1:])), sid
+            assert all(item is objects[item] for item in group)
+    for sid, group in replicas.items():
+        assert set(group).isdisjoint(homes.get(sid, ())), sid
+    assert sum(map(len, homes.values())) == table.n_items
+    assert sum(map(len, replicas.values())) == table.n_items * (table.replication - 1)
+
+
+@pytest.mark.parametrize("make", PLACERS)
+def test_provisioning_gives_what_the_one_step_load_relies_on(make):
+    table = PlacementTable.compile(make(), N_ITEMS)
+    assert_provisioning_guarantees(table)
+    objects = table.item_objects
+    assert objects.dtype == object and objects is table.item_objects
+    assert objects.tolist() == list(range(N_ITEMS))
+    assert all(type(item) is int for item in objects.tolist())
+
+
+@pytest.mark.parametrize("row", [[1, 2, 2], [2, 1, 2]], ids=["replica-twice", "home-again"])
+def test_a_table_that_repeats_a_server_in_a_row_fails_the_guarantees(row):
+    """A row naming one server twice puts its item twice in a group, or in
+    a server's home and replica groups both: the check must see it."""
+    base = RangedConsistentHashPlacer(4, 3, vnodes=8, seed=1)
+    rows = PlacementTable.compile(base, 10).table.copy()
+    rows[4] = row
+    with pytest.raises(AssertionError):
+        assert_provisioning_guarantees(PlacementTable(base, rows))
