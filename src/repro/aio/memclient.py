@@ -1,10 +1,10 @@
 """Async memcached client over a pipelined connection or pool.
 
 The coroutine twin of :class:`repro.protocol.memclient.MemcachedConnection`
-with the same policy split: *idempotent* operations (retrieval, plain
-``set``, ``delete``) retry under the attached
-:class:`repro.protocol.retry.RetryPolicy`; everything else runs
-single-shot.  ``SERVER_ERROR busy`` surfaces as
+with the same policy split: *idempotent* operations (retrieval and
+plain ``set``) retry under the attached
+:class:`repro.protocol.retry.RetryPolicy`; everything else, ``delete``
+included, runs single-shot.  ``SERVER_ERROR busy`` surfaces as
 :class:`repro.errors.ServerBusy` inside the retried callable, so
 backpressure sheds ride the same bounded-backoff schedule as transient
 connection faults (docs/OVERLOAD.md).

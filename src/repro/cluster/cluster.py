@@ -31,12 +31,13 @@ class Cluster:
 
     Over a compiled :class:`~repro.perf.table.PlacementTable` and
     ``items == range(table.n_items)``, ``items`` become the table's
-    ``item_objects`` and each store is loaded in one step from the
-    table's ``provisioning`` groups, on the guarantees those groups give
-    (each distinct and ascending, no replica where its item is pinned).
-    Over anything else the homes and replicas are grouped item by item
-    and loaded through ``pin_all`` / ``put_all``, which check their keys.
-    Both leave every store as one ``pin`` / ``put`` per item would.
+    ``item_objects`` and the homes and replicas come from the table's
+    ``provisioning`` groups; over anything else they are grouped item by
+    item, and repeated items raise :class:`ConfigurationError`.  Either
+    way each store is loaded in one step (:meth:`PinnedLRU.provision`),
+    which leaves it as one ``pin`` / ``put`` per item would: the groups
+    hold distinct items, and a placer's servers for one item are
+    distinct, so no server holds a replica of an item it pins.
     """
 
     def __init__(
@@ -72,6 +73,8 @@ class Cluster:
         if compiled:
             homes, loads = placer.provisioning
         else:
+            if len(set(self.items)) != len(self.items):
+                raise ConfigurationError("a cluster's items must be distinct")
             homes, loads = defaultdict(list), defaultdict(list)
             for item in self.items:
                 homes[placer.distinguished_for(item)].append(item)
@@ -90,19 +93,12 @@ class Cluster:
         # resident, giving exactly Fig 6's setting.  Servers are
         # independent, so pinning each one's homes, then loading its
         # replicas in item order, reproduces the item-by-item load exactly.
-        if compiled:
-            # the table's groups are distinct and ascending, and no server
-            # holds a replica of an item it pins: one step per store
-            for sid, server in enumerate(self.servers):
-                server.store._provision(homes.get(sid, []), loads.get(sid, []))
-        else:
-            for sid, pinned in homes.items():
-                self.servers[sid].pin_distinguished(pinned)
-            for sid, replicas in loads.items():
-                self.servers[sid].preload_replicas(replicas)
+        for sid, server in enumerate(self.servers):
+            server.store.provision(homes.get(sid, []), loads.get(sid, []))
 
         #: optional fault-injection gate (see repro.faults.injector); when
-        #: attached, server accesses may raise ServerDown / ServerTimeout
+        #: attached, server accesses may raise ServerDown / ServerTimeout /
+        #: ServerBusy
         self.injector = None
 
     # -- access -----------------------------------------------------------
@@ -111,10 +107,12 @@ class Cluster:
         """The server behind ``sid`` — the *faultable* access path.
 
         With an injector attached this raises
-        :class:`repro.errors.ServerDown` for crash-stopped servers and
+        :class:`repro.errors.ServerDown` for crash-stopped servers,
         :class:`repro.errors.ServerTimeout` for transiently failing
-        attempts; callers that need raw access (provisioning, metrics)
-        should index ``cluster.servers`` directly.
+        attempts and :class:`repro.errors.ServerBusy` for shedding ones
+        (the only way a simulated server sheds); callers that need raw
+        access (provisioning, metrics) should index ``cluster.servers``
+        directly.
         """
         if self.injector is not None:
             self.injector.check(sid)
@@ -123,15 +121,9 @@ class Cluster:
     def attach_injector(self, injector) -> "Cluster":
         """Gate ``server()`` accesses through a fault injector.
 
-        Also stamps per-server latency multipliers for slow servers.
         Pass ``None`` to detach.  Returns the cluster for chaining.
         """
         self.injector = injector
-        if injector is not None:
-            injector.apply_latency(self)
-        else:
-            for server in self.servers:
-                server.latency_multiplier = 1.0
         return self
 
     def add_server(self, sid: int) -> Server:

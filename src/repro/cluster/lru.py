@@ -187,48 +187,15 @@ class PinnedLRU:
                 self.evictions += 1
         entries[key] = None
 
-    def put_all(self, keys: Iterable[Hashable]) -> None:
-        """Bulk :meth:`put`; order-equivalent to putting one at a time.
-
-        Into an empty LRU, distinct keys are appended one after another,
-        so one ``OrderedDict.fromkeys`` builds the identical LRU without a
-        Python-level loop, under any capacity: of ``n`` keys the last
-        ``capacity`` survive and the other ones count as evictions, as one
-        ``put`` per key would leave it.  Anything else — a filled LRU, a
-        repeated key — takes the per-key path (a bulk build would skip the
-        move-to-end refresh a present or repeated key gets).  It checks
-        its keys for pins and repeats on every call; only a cluster over
-        a compiled table skips those checks (:meth:`_provision`).
-        """
-        # provisioning never preloads a pinned key: filter only if one is
-        keys, pinned = list(keys), self._pinned
-        if not pinned.isdisjoint(keys):
-            keys = [k for k in keys if k not in pinned]
-        if not self._entries:
-            capacity = self.replica_capacity
-            overflow = 0 if capacity is None else max(0, len(keys) - capacity)
-            fresh = OrderedDict.fromkeys(keys[overflow:])
-            # a repeat can hide in the dropped prefix, so then check them all
-            distinct = len(set(keys)) == len(keys) if overflow else len(fresh) == len(keys)
-            if distinct:
-                self._entries = fresh
-                self.evictions += overflow
-                return
-        for key in keys:
-            self.put(key)
-
-    def _provision(self, pinned: list, replicas: list) -> None:
+    def provision(self, pinned: list, replicas: list) -> None:
         """Load an empty store in one step: :meth:`pin_all` of ``pinned``,
-        then the :meth:`put_all` of ``replicas``, without its checks.
+        then one :meth:`put` per replica, in order.
 
-        The caller guarantees what ``put_all`` would check: ``replicas``
-        distinct and none of them in ``pinned``.  A compiled table's
-        :attr:`~repro.perf.table.PlacementTable.provisioning` groups are
-        (``tests/perf/test_table.py``), and the table branch of
-        :class:`~repro.cluster.cluster.Cluster` is the only caller.  Of
-        ``n`` replicas the last ``replica_capacity`` survive, in order,
-        and the others count as evictions, as one ``put`` each would
-        leave them.
+        The caller guarantees ``replicas`` distinct and none of them in
+        ``pinned`` (:class:`~repro.cluster.cluster.Cluster` does), so the
+        replicas are appended one after another: of ``n`` the last
+        ``replica_capacity`` survive, in order, and the others count as
+        evictions, as one ``put`` each would leave them.
         """
         self.pin_all(pinned)
         capacity = self.replica_capacity

@@ -13,10 +13,9 @@ implementation lives in :mod:`repro.protocol` instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.cluster.lru import PinnedLRU
-from repro.errors import ServerBusy
 from repro.types import ItemId
 from repro.utils.histogram import Histogram
 
@@ -72,22 +71,6 @@ class Server:
         #: (presence, stamp).  Keys written by unversioned paths simply
         #: have no entry here, which decodes as stamp None.
         self.stamps: dict[ItemId, object] = {}
-        #: latency inflation for slow servers (set by the fault injector;
-        #: consumed by latency models — 1.0 means healthy)
-        self.latency_multiplier: float = 1.0
-        #: optional backpressure gate (repro.overload.load.AdmissionControl);
-        #: None — the default — admits everything, exactly as before
-        self.admission = None
-
-    # -- provisioning ---------------------------------------------------
-
-    def pin_distinguished(self, items: Iterable[ItemId]) -> None:
-        """Install the distinguished copies this server is home to."""
-        self.store.pin_all(items)
-
-    def preload_replicas(self, items: Iterable[ItemId]) -> None:
-        """Load replica copies, in order, as one ``put`` per item would."""
-        self.store.put_all(items)
 
     # -- the transaction ------------------------------------------------
 
@@ -105,10 +88,6 @@ class Server:
         """
         if not primary and not hitchhikers:
             raise ValueError("a transaction must request at least one item")
-        if self.admission is not None and not self.admission.try_admit():
-            raise ServerBusy(
-                f"server {self.server_id} shed a {len(primary)}-item transaction"
-            )
         hits, misses = self.store.touch_many(primary)
         hh_hits: list[ItemId] = []
         if hitchhikers:
@@ -124,11 +103,6 @@ class Server:
         c.hitchhiker_hits += len(hh_hits)
         c.txn_sizes.add(n_req)
         return hits, misses, hh_hits
-
-    def attach_admission(self, admission) -> None:
-        """Install a backpressure gate; ``multi_get`` raises
-        :class:`repro.errors.ServerBusy` when it rejects."""
-        self.admission = admission
 
     def write_back(self, item: ItemId, *, stamp=None) -> None:
         """Insert a replica copy after a DB fetch (miss path).

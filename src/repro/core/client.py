@@ -321,14 +321,13 @@ class RnBClient:
         :class:`PriorityClassStore` (a :class:`PinnedLRU` whose replica
         capacity is what its pins leave) takes this path too.  A chunk
         off the vectorised envelope (see :meth:`Bundler.plan_cells`), or
-        a cluster with a fault injector or an admission gate attached,
-        runs through :meth:`execute_plan`.
+        a cluster with a fault injector attached, runs through
+        :meth:`execute_plan`.
         """
         if not isinstance(chunk, RequestBlock):
             chunk = list(chunk)
-        fleet = self.cluster.servers
         planned = None
-        if self.cluster.injector is None and all(s.admission is None for s in fleet):
+        if self.cluster.injector is None:
             planned = self.bundler.plan_cells(chunk)
         if planned is None:
             requests = chunk
@@ -348,6 +347,7 @@ class RnBClient:
             return
 
         block, home, cell, txn_servers, txn_sizes, n_txns = planned
+        fleet = self.cluster.servers
         lost = self._lost_homes()
         n = len(fleet)
         # every item server-major: a server's transactions in request

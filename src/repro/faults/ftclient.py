@@ -83,7 +83,8 @@ class DegradedFetchResult:
 
 
 class FaultTolerantRnBClient:
-    """RnB reads that survive crash-stop, timeout and slow servers.
+    """RnB reads that survive crash-stop, timeout, shedding and
+    unreachable servers.
 
     Parameters
     ----------
@@ -416,6 +417,9 @@ class FaultTolerantRnBClient:
                 counters["retries"] += 1
                 continue
             except ServerBusy:
+                # backpressure shed: the server is alive, just overloaded.
+                # Feed the breaker (soft) but never the health tracker —
+                # shedding must not walk a server toward a dead verdict.
                 if self.breakers is not None:
                     self.breakers.record_failure(sid)
                 return "busy", None
@@ -425,15 +429,7 @@ class FaultTolerantRnBClient:
                 # but no removal proposal — unreachable is not dead
                 self.health.record_error(sid)
                 return "unreachable", None
-            try:
-                result = server.multi_get(primary, hitchhikers)
-            except ServerBusy:
-                # backpressure shed: the server is alive, just overloaded.
-                # Feed the breaker (soft) but never the health tracker —
-                # shedding must not walk a server toward a dead verdict.
-                if self.breakers is not None:
-                    self.breakers.record_failure(sid)
-                return "busy", None
+            result = server.multi_get(primary, hitchhikers)
             self.health.record_success(sid)
             counters["transactions"] += 1
             return "ok", result

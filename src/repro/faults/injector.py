@@ -4,9 +4,7 @@ The injector sits between the client and :class:`repro.cluster.cluster.
 Cluster`: once attached (``cluster.attach_injector(...)``), every
 ``cluster.server(sid)`` access is vetted against the plan at the current
 logical tick — crashed servers raise :class:`repro.errors.ServerDown`,
-transiently faulty attempts raise :class:`repro.errors.ServerTimeout`,
-and slow servers have ``Server.latency_multiplier`` inflated so latency
-models price them correctly.
+and transiently faulty attempts raise :class:`repro.errors.ServerTimeout`.
 
 Attempt numbering: repeated accesses to the same server within one tick
 are counted, and each gets an independent timeout draw from the plan —
@@ -66,13 +64,6 @@ class FaultInjector:
         """Servers dead at the current tick (oracle view, for metrics)."""
         return self.plan.crashed_at(self.tick)
 
-    def apply_latency(self, cluster) -> None:
-        """Stamp ``latency_multiplier`` onto the cluster's servers."""
-        for server in cluster:
-            server.latency_multiplier = self.plan.latency_multiplier(
-                server.server_id
-            )
-
 
 class DynamicFaultInjector:
     """An injector whose down-set is edited at runtime (no fixed plan).
@@ -81,14 +72,15 @@ class DynamicFaultInjector:
     restarts and joins from an explicit schedule rather than a
     probability model, so it needs ground truth it can mutate:
     :meth:`kill` takes a server down (every later access raises
-    :class:`ServerDown` until :meth:`restore`), and ``timeout_rate``
-    optionally layers deterministic per-attempt transient timeouts on
-    the live servers via the same stateless mixer :class:`repro.faults.
-    plan.FaultPlan` uses.
+    :class:`ServerDown` until :meth:`restore`), :meth:`set_busy` makes
+    it shed (:class:`ServerBusy` until :meth:`clear_busy`), and
+    ``timeout_rate`` optionally layers deterministic per-attempt
+    transient timeouts on the live servers via the same stateless mixer
+    :class:`repro.faults.plan.FaultPlan` uses.
 
     Satisfies the same interface :meth:`repro.cluster.cluster.Cluster.
     attach_injector` expects (``check`` / ``advance`` /
-    ``apply_latency``).
+    ``crashed_now``).
     """
 
     def __init__(self, *, timeout_rate: float = 0.0, seed: int = 0) -> None:
@@ -100,7 +92,6 @@ class DynamicFaultInjector:
         self.seed = seed
         self.tick = 0
         self.down: set[int] = set()
-        self.slow: dict[int, float] = {}
         self.busy: set[int] = set()
         self._attempts: Counter[int] = Counter()
         self.down_rejections = 0
@@ -114,21 +105,6 @@ class DynamicFaultInjector:
 
     def restore(self, server: int) -> None:
         self.down.discard(server)
-
-    def set_slow(self, server: int, factor: float) -> None:
-        """Mark ``server`` as a straggler: alive, but ``factor``x slower.
-
-        Stragglers keep answering (``check`` passes), so health trackers
-        never kill them — routing around them is the circuit breaker's
-        and the load-aware cover's job (:mod:`repro.overload`).
-        """
-        if factor < 1.0:
-            raise ConfigurationError(f"slow factor must be >= 1.0; got {factor}")
-        self.slow[server] = factor
-
-    def clear_slow(self, server: int) -> None:
-        """The straggler recovered; back to nominal service times."""
-        self.slow.pop(server, None)
 
     def set_busy(self, server: int) -> None:
         """Mark ``server`` as saturated: every access is shed with
@@ -174,16 +150,3 @@ class DynamicFaultInjector:
 
     def crashed_now(self) -> frozenset[int]:
         return frozenset(self.down)
-
-    def slow_servers(self) -> frozenset[int]:
-        """Servers currently marked as stragglers."""
-        return frozenset(self.slow)
-
-    def latency_multiplier(self, server: int) -> float:
-        """Current service-time inflation for ``server`` (1.0 = healthy)."""
-        return self.slow.get(server, 1.0)
-
-    def apply_latency(self, cluster) -> None:
-        """Stamp the straggler multipliers onto the cluster's servers."""
-        for server in cluster:
-            server.latency_multiplier = self.latency_multiplier(server.server_id)

@@ -1,7 +1,7 @@
 """The nemesis: one seeded timeline composing every fault family.
 
 A :class:`Nemesis` owns one deterministic timeline of
-:class:`NemesisEvent` entries — crash/restore, straggler, busy-shed, and
+:class:`NemesisEvent` entries — crash/restore, busy-shed, and
 the link-level cuts from :mod:`repro.faults.partition` — and drives both
 injectors from it.  ``write_chaos`` replays its kill/restore schedule
 through one; ``chaos`` (whose ``join`` has no action here) and
@@ -29,9 +29,7 @@ from repro.hashing.hashfns import stable_hash64
 from repro.utils.rng import derive_rng
 
 #: node-fault actions (need an injector); link actions need a plan
-NODE_ACTIONS = frozenset(
-    {"kill", "restore", "slow", "clear_slow", "busy", "clear_busy"}
-)
+NODE_ACTIONS = frozenset({"kill", "restore", "busy", "clear_busy"})
 LINK_ACTIONS = frozenset({"cut", "one_way", "flap", "heal"})
 
 
@@ -39,10 +37,9 @@ LINK_ACTIONS = frozenset({"cut", "one_way", "flap", "heal"})
 class NemesisEvent:
     """One scheduled fault action.
 
-    ``arg`` depends on ``action``: a server id for node actions
-    (``slow`` takes ``(server, factor)``), ``(targets, end)`` for
-    ``cut`` / ``one_way``, ``(targets, end, period, duty)`` for
-    ``flap``, ``None`` for ``heal``.
+    ``arg`` depends on ``action``: a server id for node actions,
+    ``(targets, end)`` for ``cut`` / ``one_way``, ``(targets, end,
+    period, duty)`` for ``flap``, ``None`` for ``heal``.
     """
 
     tick: int
@@ -56,7 +53,7 @@ def make_nemesis_schedule(
     horizon: int,
     *,
     n_faults: int = 4,
-    kinds: tuple[str, ...] = ("kill", "slow", "busy", "cut", "one_way", "flap"),
+    kinds: tuple[str, ...] = ("kill", "busy", "cut", "one_way", "flap"),
 ) -> tuple[NemesisEvent, ...]:
     """A seeded composed-incident timeline over ``[0, horizon)``.
 
@@ -86,11 +83,6 @@ def make_nemesis_schedule(
             events.append(NemesisEvent(tick=start, action=kind, arg=sid))
             paired = "restore" if kind == "kill" else "clear_busy"
             events.append(NemesisEvent(tick=end, action=paired, arg=sid))
-        elif kind == "slow":
-            sid = int(rng.integers(0, n_servers))
-            factor = float(2 + int(rng.integers(0, 7)))
-            events.append(NemesisEvent(tick=start, action="slow", arg=(sid, factor)))
-            events.append(NemesisEvent(tick=end, action="clear_slow", arg=sid))
         else:
             n_cut = int(rng.integers(1, max(2, n_servers // 2)))
             targets = tuple(
@@ -197,11 +189,6 @@ class Nemesis:
             self.injector.restore(arg)
             if self.on_restore is not None:
                 self.on_restore(arg)
-        elif action == "slow":
-            sid, factor = arg
-            self.injector.set_slow(sid, factor)
-        elif action == "clear_slow":
-            self.injector.clear_slow(arg)
         elif action == "busy":
             self.injector.set_busy(arg)
         elif action == "clear_busy":

@@ -1,7 +1,7 @@
 """Link-level faults: partitions, one-way loss, flapping links.
 
 Every fault the layer modelled so far is *node-shaped* — a server is
-down, slow, or shedding.  Real incidents that replicated caches must
+down, timing out, or shedding.  Real incidents that replicated caches must
 survive are just as often *link-shaped*: a switch partitions two racks
 symmetrically, a gray link drops traffic in one direction only, a
 flapping uplink alternates between the two.  :class:`PartitionPlan`
@@ -291,11 +291,11 @@ class PartitionedInjector:
     """A cluster-gate injector layering link cuts over node faults.
 
     Satisfies the :meth:`repro.cluster.cluster.Cluster.attach_injector`
-    contract (``check`` / ``advance`` / ``apply_latency`` /
-    ``crashed_now``) and delegates node-level verdicts to an optional
-    ``inner`` injector (:class:`~repro.faults.injector.FaultInjector` or
+    contract (``check`` / ``advance`` / ``crashed_now``) and delegates
+    node-level verdicts to an optional ``inner`` injector
+    (:class:`~repro.faults.injector.FaultInjector` or
     :class:`~repro.faults.injector.DynamicFaultInjector`), so crash,
-    timeout, slow and busy faults keep working unchanged underneath the
+    timeout and busy faults keep working unchanged underneath the
     partition.
 
     ``vantage`` names the endpoint whose view this gate models; mutable,
@@ -394,12 +394,3 @@ class PartitionedInjector:
         if self.inner is not None:
             return self.inner.crashed_now()
         return frozenset()
-
-    def latency_multiplier(self, server: int) -> float:
-        if self.inner is not None and hasattr(self.inner, "latency_multiplier"):
-            return self.inner.latency_multiplier(server)
-        return 1.0
-
-    def apply_latency(self, cluster) -> None:
-        if self.inner is not None:
-            self.inner.apply_latency(cluster)

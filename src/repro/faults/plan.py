@@ -1,13 +1,13 @@
 """Deterministic failure schedules.
 
 A :class:`FaultPlan` decides, as a pure function of ``(seed, server,
-tick, attempt)``, which servers are down, timing out, or slow at any
-point of a run.  Determinism is load-bearing: the acceptance bar for the
+tick, attempt)``, which servers are down or timing out at any point
+of a run.  Determinism is load-bearing: the acceptance bar for the
 fault-tolerance experiment is that the *same seed reproduces the same
 failure schedule and the same results*, so the plan never consumes
-shared RNG state at query time.  Crash times and slow-server choices are
-drawn once at construction from :func:`repro.utils.rng.derive_rng`;
-per-attempt transient timeouts use the stateless
+shared RNG state at query time.  Crash times are drawn once at
+construction from :func:`repro.utils.rng.derive_rng`; per-attempt
+transient timeouts use the stateless
 :func:`repro.hashing.hashfns.hash64_int` mixer so that retrying the same
 transaction re-rolls the dice without perturbing any other draw.
 
@@ -19,9 +19,6 @@ Failure modes (docs/FAULTS.md):
 * **transient timeout** — an attempt against the server times out with
   probability ``timeout_rate``; independent across attempts, so a retry
   may succeed.
-* **slow server** — the server answers, but with its latency inflated by
-  ``slow_factor`` (fed to latency models via
-  ``Server.latency_multiplier``).
 """
 
 from __future__ import annotations
@@ -41,32 +38,26 @@ class FaultConfig:
 
     ``crash_rate`` is the expected *fraction of servers* that crash-stop
     somewhere in ``[0, horizon)``; ``timeout_rate`` is the per-attempt
-    probability of a transient timeout on a live server; ``slow_rate``
-    is the fraction of servers that are persistently slow by
-    ``slow_factor``.
+    probability of a transient timeout on a live server.
     """
 
     crash_rate: float = 0.0
     timeout_rate: float = 0.0
-    slow_rate: float = 0.0
-    slow_factor: float = 4.0
     horizon: int = 1000
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("crash_rate", "timeout_rate", "slow_rate"):
+        for name in ("crash_rate", "timeout_rate"):
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise ConfigurationError(f"{name} must be in [0, 1]; got {value}")
-        if self.slow_factor < 1.0:
-            raise ConfigurationError("slow_factor must be >= 1.0")
         if self.horizon < 1:
             raise ConfigurationError("horizon must be >= 1")
 
 
 @dataclass(frozen=True, slots=True)
 class FaultEvent:
-    """One scheduled fault: ``kind`` is ``"crash"`` or ``"slow"``."""
+    """One scheduled fault: ``kind`` is ``"crash"``."""
 
     tick: int
     server: int
@@ -91,16 +82,12 @@ class FaultPlan:
         rng = derive_rng(cfg.seed, 0xFA)
         crash_draw = rng.random(n_servers)
         crash_ticks = rng.integers(0, cfg.horizon, size=n_servers)
-        slow_draw = rng.random(n_servers)
 
         self._crash_tick: dict[int, int] = {
             sid: int(crash_ticks[sid])
             for sid in range(n_servers)
             if crash_draw[sid] < cfg.crash_rate
         }
-        self._slow: frozenset[int] = frozenset(
-            sid for sid in range(n_servers) if slow_draw[sid] < cfg.slow_rate
-        )
 
     # -- crash-stop ------------------------------------------------------
 
@@ -136,15 +123,6 @@ class FaultPlan:
         draw = hash64_int(key, seed=self.config.seed ^ 0x7E0) / (_MASK64 + 1)
         return draw < rate
 
-    # -- slowness ---------------------------------------------------------
-
-    def latency_multiplier(self, server: int) -> float:
-        """Latency inflation factor (1.0 for healthy servers)."""
-        return self.config.slow_factor if server in self._slow else 1.0
-
-    def slow_servers(self) -> frozenset[int]:
-        return self._slow
-
     # -- introspection -----------------------------------------------------
 
     def schedule(self) -> tuple[FaultEvent, ...]:
@@ -157,11 +135,10 @@ class FaultPlan:
             FaultEvent(tick=t, server=sid, kind="crash")
             for sid, t in self._crash_tick.items()
         ]
-        events.extend(FaultEvent(tick=0, server=sid, kind="slow") for sid in self._slow)
         return tuple(sorted(events, key=lambda e: (e.tick, e.server, e.kind)))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"FaultPlan(n_servers={self.n_servers}, crashes={len(self._crash_tick)}, "
-            f"slow={len(self._slow)}, seed={self.config.seed})"
+            f"seed={self.config.seed})"
         )

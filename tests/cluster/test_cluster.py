@@ -43,6 +43,11 @@ class TestProvisioning:
         with pytest.raises(CapacityError):
             make_cluster(memory_factor=0.9)
 
+    def test_repeated_items_rejected(self):
+        placer = RangedConsistentHashPlacer(4, 2, vnodes=32)
+        with pytest.raises(ConfigurationError, match="distinct"):
+            Cluster(placer, [3, 1, 3])
+
 
 def _fleet_state(cluster):
     return [
@@ -52,9 +57,9 @@ def _fleet_state(cluster):
 
 
 class TestBulkProvisioning:
-    """Over a compiled table the cluster groups items by server in arrays and
-    bulk-loads each store; over the raw placer it walks item by item.  Both
-    must leave every store as the other does, LRU order included."""
+    """Over a compiled table the cluster groups items by server in arrays;
+    over the raw placer it walks item by item.  Both groupings must leave
+    every store as the other does, LRU order included."""
 
     @pytest.mark.parametrize(
         "placer",
@@ -139,10 +144,10 @@ class TestSingleCopyCluster:
 
 
 class TestOneStepLoad:
-    """The table branch loads each store in one step, trusting the table's
-    groups (``tests/perf/test_table.py`` checks them); the result must be
-    the fleet that one ``pin`` per home, then one ``put`` per replica in
-    item order, builds."""
+    """Each store is loaded in one step, trusting its groups (a table's are
+    checked in ``tests/perf/test_table.py``; ``TestBulkProvisioning``
+    holds a raw placer's to them); the result must be the fleet that one
+    ``pin`` per home, then one ``put`` per replica in item order, builds."""
 
     @pytest.mark.parametrize(
         "placer",

@@ -276,23 +276,15 @@ def test_touch_many_is_touch_per_key(policy, pinned, puts, transactions):
 
 @given(
     st.sampled_from([0, 1, 7, None]),
-    st.lists(st.integers(0, 30), max_size=12),
-    st.lists(st.integers(0, 30), max_size=40),
-    st.booleans(),
+    st.lists(st.integers(0, 30), max_size=40, unique=True),
 )
-def test_put_all_is_put_per_key(capacity, before, keys, distinct):
-    """The bulk load leaves what one ``put`` per key leaves — entries in
-    order and the eviction count — from an empty or a filled LRU, for
-    fresh keys and for keys repeated or already present."""
-    if distinct:
-        keys = list(dict.fromkeys(keys))
+def test_provision_is_put_per_key(capacity, keys):
+    """The one-step load of distinct replicas into an empty LRU leaves what
+    one ``put`` per key leaves: entries in order and the eviction count."""
     per_key, bulk = PinnedLRU(capacity), PinnedLRU(capacity)
-    for lru in (per_key, bulk):
-        for key in before:
-            lru.put(key)
     for key in keys:
         per_key.put(key)
-    bulk.put_all(iter(keys))
+    bulk.provision([], keys)
     assert bulk.replica_keys() == per_key.replica_keys()
     assert bulk.evictions == per_key.evictions
 
@@ -300,22 +292,28 @@ def test_put_all_is_put_per_key(capacity, before, keys, distinct):
 @given(
     st.sampled_from([0, 1, 7, None]),
     st.sets(st.integers(0, 30), max_size=8),
-    st.lists(st.integers(0, 30), max_size=10),
-    st.lists(st.integers(0, 30), max_size=40),
+    st.lists(st.integers(0, 30), max_size=40, unique=True),
+    st.sampled_from(["pinned", "priority"]),
 )
-@example(7, {1, 2}, [], [3, 1, 4, 2, 5])  # some keys pinned
-@example(7, {1, 2}, [], [3, 4, 5, 6, 8, 9, 10, 11])  # none pinned (provisioning)
-def test_pinned_put_all_is_put_per_key(capacity, pinned, before, keys):
-    """Pinned keys in the bulk load are skipped as ``put`` skips them, and a
-    load that names none of them (provisioning's case) skips nothing."""
-    per_key, bulk = PinnedLRU(capacity), PinnedLRU(capacity)
-    for store in (per_key, bulk):
-        store.pin_all(pinned)
-        for key in before:
-            store.put(key)
+@example(7, {1, 2}, [3, 4, 5, 6, 8, 9, 10, 11], "pinned")
+@example(7, {1, 2}, [3, 4, 5, 6, 8, 9, 10, 11], "priority")
+def test_provision_is_pin_and_put_per_key(capacity, pinned, keys, policy):
+    """Either store, loaded in one step with pins and the replicas no pin
+    names (what a cluster gives it), ends as one ``pin`` per pin, then
+    one ``put`` per replica, leaves it."""
+    keys = [key for key in keys if key not in pinned]
+
+    def empty():
+        if policy == "pinned":
+            return PinnedLRU(capacity)
+        return PriorityClassStore(None if capacity is None else capacity + len(pinned))
+
+    per_key, bulk = empty(), empty()
+    for key in sorted(pinned):
+        per_key.pin(key)
     for key in keys:
         per_key.put(key)
-    bulk.put_all(iter(keys))
+    bulk.provision(sorted(pinned), keys)
     assert bulk.replica_keys() == per_key.replica_keys()
     assert bulk.pinned_keys() == per_key.pinned_keys()
     assert bulk.evictions == per_key.evictions
@@ -324,7 +322,7 @@ def test_pinned_put_all_is_put_per_key(capacity, pinned, before, keys):
 
 def test_bounded_bulk_load_keeps_the_last_keys():
     lru = PinnedLRU(3)
-    lru.put_all(range(10))
+    lru.provision([], list(range(10)))
     assert lru.replica_keys() == [7, 8, 9]
     assert lru.evictions == 7
 

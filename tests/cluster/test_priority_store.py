@@ -123,7 +123,7 @@ class TestPriorityClassStore:
 class TestServerInjection:
     def test_server_accepts_custom_store(self):
         server = Server(0, store=PriorityClassStore(capacity=5))
-        server.pin_distinguished([1, 2])
+        server.store.provision([1, 2], [])
         hits, misses, _ = server.multi_get([1, 2, 3])
         assert hits == [1, 2] and misses == [3]
 

@@ -11,7 +11,7 @@ from repro.cluster.server import Server
 class TestMultiGet:
     def test_all_hits(self):
         s = Server(0)
-        s.pin_distinguished([1, 2, 3])
+        s.store.provision([1, 2, 3], [])
         hits, misses, hh = s.multi_get([1, 2, 3])
         assert hits == [1, 2, 3] and misses == [] and hh == []
         assert s.counters.transactions == 1
@@ -19,7 +19,7 @@ class TestMultiGet:
 
     def test_misses(self):
         s = Server(0, store=PinnedLRU(10))
-        s.pin_distinguished([1])
+        s.store.provision([1], [])
         hits, misses, _ = s.multi_get([1, 2])
         assert hits == [1] and misses == [2]
         assert s.counters.misses == 1
@@ -30,8 +30,7 @@ class TestMultiGet:
 
     def test_hitchhikers_counted_separately(self):
         s = Server(0, store=PinnedLRU(10))
-        s.pin_distinguished([1])
-        s.preload_replicas([5])
+        s.store.provision([1], [5])
         hits, misses, hh = s.multi_get([1], hitchhikers=[5, 6])
         assert hits == [1] and misses == [] and hh == [5]
         assert s.counters.hitchhiker_hits == 1
@@ -39,13 +38,13 @@ class TestMultiGet:
 
     def test_txn_size_includes_hitchhikers(self):
         s = Server(0)
-        s.pin_distinguished([1])
+        s.store.provision([1], [])
         s.multi_get([1], hitchhikers=[2, 3])
         assert s.counters.txn_sizes.counts == {3: 1}
 
     def test_hit_touches_lru(self):
         s = Server(0, store=PinnedLRU(2))
-        s.preload_replicas([10, 11])
+        s.store.provision([], [10, 11])
         s.multi_get([10])  # 10 becomes MRU
         s.write_back(12)  # evicts 11
         assert 10 in s.store and 11 not in s.store
@@ -53,15 +52,14 @@ class TestMultiGet:
     def test_hitchhiker_hit_touches_lru(self):
         """Paper policy: LRU updated upon a hitchhiker hit."""
         s = Server(0, store=PinnedLRU(2))
-        s.preload_replicas([10, 11])
-        s.pin_distinguished([1])
+        s.store.provision([1], [10, 11])
         s.multi_get([1], hitchhikers=[10])
         s.write_back(12)  # evicts 11, not the hitchhiker-touched 10
         assert 10 in s.store and 11 not in s.store
 
     def test_hitchhiker_miss_does_not_insert(self):
         s = Server(0, store=PinnedLRU(5))
-        s.pin_distinguished([1])
+        s.store.provision([1], [])
         s.multi_get([1], hitchhikers=[99])
         assert 99 not in s.store
 
@@ -97,7 +95,7 @@ class TestWriteBack:
 class TestCounters:
     def test_reset(self):
         s = Server(0)
-        s.pin_distinguished([1])
+        s.store.provision([1], [])
         s.multi_get([1])
         s.reset_counters()
         assert s.counters.transactions == 0
@@ -106,7 +104,7 @@ class TestCounters:
 
     def test_items_requested_vs_returned(self):
         s = Server(0, store=PinnedLRU(0))
-        s.pin_distinguished([1])
+        s.store.provision([1], [])
         s.multi_get([1, 2, 3])
         assert s.counters.items_requested == 3
         assert s.counters.items_returned == 1

@@ -386,8 +386,8 @@ def test_every_pin_change_moves_the_version_and_nothing_else_does(store):
     assert moved()
     store.pin_all([2, 3])
     assert moved()
-    store.put_all([4, 5])
-    store.put(6)
+    for key in (4, 5, 6):
+        store.put(key)
     store.touch(4)
     store.touch_many([1, 5, 9])
     store.replay([7, 8, 1], [0, 3])

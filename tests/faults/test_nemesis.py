@@ -31,7 +31,7 @@ class TestSchedule:
 
     def test_node_faults_are_paired_with_heals(self):
         schedule = make_nemesis_schedule(5, 8, 200, n_faults=8)
-        opens = {"kill": "restore", "busy": "clear_busy", "slow": "clear_slow"}
+        opens = {"kill": "restore", "busy": "clear_busy"}
         for action, closer in opens.items():
             n_open = sum(1 for e in schedule if e.action == action)
             n_close = sum(1 for e in schedule if e.action == closer)
@@ -44,6 +44,11 @@ class TestSchedule:
             make_nemesis_schedule(1, 8, 10)
         with pytest.raises(ConfigurationError):
             make_nemesis_schedule(1, 8, 200, kinds=("meteor",))
+
+    def test_slow_is_not_a_kind(self):
+        # a simulated server has no slow fault: nothing would read it
+        with pytest.raises(ConfigurationError, match="slow"):
+            make_nemesis_schedule(1, 8, 200, kinds=("slow",))
 
 
 class TestNemesis:
@@ -146,7 +151,7 @@ class TestNemesis:
             nemesis.apply(tick)
             gate.advance(1)
         assert nemesis.pending() == 0
-        assert not inner.down and not inner.busy and not inner.slow
+        assert not inner.down and not inner.busy
 
     def test_actions_partition_cleanly(self):
         assert not (NODE_ACTIONS & LINK_ACTIONS)

@@ -13,7 +13,6 @@ class TestFaultConfig:
         cfg = FaultConfig()
         assert cfg.crash_rate == 0.0
         assert cfg.timeout_rate == 0.0
-        assert cfg.slow_rate == 0.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -21,8 +20,6 @@ class TestFaultConfig:
             {"crash_rate": -0.1},
             {"crash_rate": 1.5},
             {"timeout_rate": 2.0},
-            {"slow_rate": -1.0},
-            {"slow_factor": 0.5},
             {"horizon": 0},
         ],
     )
@@ -33,12 +30,11 @@ class TestFaultConfig:
 
 class TestDeterminism:
     def test_same_seed_same_schedule(self):
-        cfg = FaultConfig(crash_rate=0.4, slow_rate=0.3, timeout_rate=0.2, seed=42)
+        cfg = FaultConfig(crash_rate=0.4, timeout_rate=0.2, seed=42)
         a = FaultPlan(16, cfg)
         b = FaultPlan(16, cfg)
         assert a.schedule() == b.schedule()
         assert a.ever_crashed() == b.ever_crashed()
-        assert a.slow_servers() == b.slow_servers()
         for tick in range(0, 50, 7):
             for sid in range(16):
                 assert a.is_crashed(sid, tick) == b.is_crashed(sid, tick)
@@ -49,10 +45,7 @@ class TestDeterminism:
 
     def test_different_seed_different_schedule(self):
         schedules = {
-            FaultPlan(
-                32, FaultConfig(crash_rate=0.5, slow_rate=0.5, seed=s)
-            ).schedule()
-            for s in range(5)
+            FaultPlan(32, FaultConfig(crash_rate=0.5, seed=s)).schedule() for s in range(5)
         }
         assert len(schedules) > 1
 
@@ -113,19 +106,3 @@ class TestTimeouts:
             plan.is_timeout(sid, tick, 0) for sid in range(8) for tick in range(200)
         )
         assert 0.1 < hits / n < 0.3
-
-
-class TestSlowServers:
-    def test_multiplier(self):
-        plan = FaultPlan(16, FaultConfig(slow_rate=0.5, slow_factor=6.0, seed=2))
-        slow = plan.slow_servers()
-        assert slow
-        for sid in range(16):
-            expected = 6.0 if sid in slow else 1.0
-            assert plan.latency_multiplier(sid) == expected
-
-    def test_slow_events_in_schedule(self):
-        plan = FaultPlan(16, FaultConfig(slow_rate=1.0, seed=2))
-        kinds = {e.kind for e in plan.schedule()}
-        assert kinds == {"slow"}
-        assert len(plan.schedule()) == 16

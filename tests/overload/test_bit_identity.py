@@ -1,10 +1,10 @@
 """Off means off: every overload hook, disabled, is bit-identical to main.
 
 The overload subsystem threads through the planner tie-break, the FIFO
-DES, the engine's chunked planning and the simulated servers.  Each
-hook defaults to *off*; these tests pin the contract that the default
-path produces exactly the results it produced before the subsystem
-existed — not approximately, bit for bit.
+DES and the engine's chunked planning.  Each hook defaults to *off*;
+these tests pin the contract that the default path produces exactly the
+results it produced before the subsystem existed — not approximately,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -101,11 +101,3 @@ class TestQueueingMultipliersOff:
     def test_wrong_length_rejected(self):
         with pytest.raises(ConfigurationError):
             self._run([1.0, 1.0])
-
-
-class TestServerGateOff:
-    def test_fresh_server_has_no_admission(self):
-        from repro.cluster.server import Server
-
-        s = Server(0)
-        assert s.admission is None

@@ -2,8 +2,9 @@
 
 The contract under test, on both read paths:
 
-* an admission-gated server sheds with a retryable BUSY verdict instead
-  of queueing without bound;
+* a shedding server (the injector's busy verdict on the simulated fleet,
+  an admission-gated server on the live one) answers with a retryable
+  BUSY verdict instead of queueing without bound;
 * BUSY sheds trip circuit breakers but never the health tracker (a
   shedding server is alive — it must not be declared dead);
 * tripped servers are excluded from covers exactly like dead ones, and
@@ -17,7 +18,7 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.core.bundling import Bundler
 from repro.errors import ServerBusy
-from repro.faults import FaultTolerantRnBClient, HealthTracker
+from repro.faults import DynamicFaultInjector, FaultTolerantRnBClient, HealthTracker
 from repro.faults.health import ALIVE
 from repro.hashing.rch import RangedConsistentHashPlacer
 from repro.overload import AdmissionControl, BreakerBoard, TokenBucket
@@ -37,16 +38,6 @@ def never_admit() -> AdmissionControl:
 
 
 class TestSimulatedServerGate:
-    def test_multi_get_raises_busy_when_shedding(self):
-        placer = RangedConsistentHashPlacer(N_SERVERS, 2, seed=0, vnodes=32)
-        cluster = Cluster(placer, range(N_ITEMS))
-        server = cluster.servers[0]
-        server.attach_admission(AdmissionControl(queue_limit=1))
-        items = [i for i in range(N_ITEMS) if 0 in placer.servers_for(i)][:2]
-        server.multi_get((items[0],), ())  # fills the queue (tick domain)
-        with pytest.raises(ServerBusy):
-            server.multi_get((items[1],), ())
-
     def test_busy_is_retryable_connection_error(self):
         assert issubclass(ServerBusy, ConnectionError)
 
@@ -61,7 +52,7 @@ class TestSimulatedServerGate:
 @pytest.fixture()
 def ft_setup():
     placer = RangedConsistentHashPlacer(N_SERVERS, 2, seed=0, vnodes=32)
-    cluster = Cluster(placer, range(N_ITEMS))
+    cluster = Cluster(placer, range(N_ITEMS)).attach_injector(DynamicFaultInjector())
     board = BreakerBoard(N_SERVERS, trip_after=2, window=4, open_ticks=5, seed=7)
     health = HealthTracker(N_SERVERS)
     client = FaultTolerantRnBClient(
@@ -73,7 +64,7 @@ def ft_setup():
 class TestFaultTolerantClient:
     def test_requests_complete_despite_shedding_server(self, ft_setup):
         cluster, client, board, health = ft_setup
-        cluster.servers[0].attach_admission(never_admit())
+        cluster.injector.set_busy(0)
         for start in range(0, N_ITEMS, 10):
             res = client.execute(Request(items=tuple(range(start, start + 10))))
             assert res.items_fetched == 10
@@ -81,7 +72,7 @@ class TestFaultTolerantClient:
 
     def test_sheds_trip_breaker_but_not_health(self, ft_setup):
         cluster, client, board, health = ft_setup
-        cluster.servers[0].attach_admission(never_admit())
+        cluster.injector.set_busy(0)
         for start in range(0, 100, 10):
             client.execute(Request(items=tuple(range(start, start + 10))))
         assert board.state(0) in ("open", "half-open")
@@ -89,7 +80,7 @@ class TestFaultTolerantClient:
 
     def test_tripped_server_left_out_of_covers(self, ft_setup):
         cluster, client, board, health = ft_setup
-        cluster.servers[0].attach_admission(never_admit())
+        cluster.injector.set_busy(0)
         for start in range(0, 100, 10):
             client.execute(Request(items=tuple(range(start, start + 10))))
         assert board.state(0) == "open"
@@ -100,10 +91,10 @@ class TestFaultTolerantClient:
 
     def test_breaker_heals_after_gate_lifts(self, ft_setup):
         cluster, client, board, health = ft_setup
-        cluster.servers[0].attach_admission(never_admit())
+        cluster.injector.set_busy(0)
         for start in range(0, 100, 10):
             client.execute(Request(items=tuple(range(start, start + 10))))
-        cluster.servers[0].attach_admission(None)  # pressure gone
+        cluster.injector.clear_busy(0)  # pressure gone
         # breaker clock advances one tick per request; once half-open, a
         # cover that touches server 0 is the probe — sweep the keyspace
         # so one eventually does — and its success closes the breaker
