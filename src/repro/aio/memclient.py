@@ -107,10 +107,10 @@ class AsyncMemcachedClient:
         if resp.status != "END":
             raise ProtocolError(f"unexpected retrieval status: {resp.status}")
         self.transactions += 1
-        items = resp.values.items()
+        values = resp.values
         if with_cas:
-            return {k: (v[1], v[2]) for k, v in items}
-        values = {k: v[1] for k, v in items}
+            cas = resp.cas
+            return {k: (v, cas.get(k)) for k, v in values.items()}
         return values.get(args[0]) if op == "get" else values
 
     # -- retrieval -------------------------------------------------------

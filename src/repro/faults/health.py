@@ -83,6 +83,10 @@ class HealthTracker:
         self.flap_threshold = flap_threshold
         self._health = [ServerHealth() for _ in range(n_servers)]
         self._observers: list = []
+        #: the DEAD and the SUSPECTED servers, kept in step with every state
+        #: change (:meth:`_set_state`) so that :meth:`exclusions` scans nothing
+        self._dead: frozenset[int] = frozenset()
+        self._suspected: frozenset[int] = frozenset()
 
     # -- observers ----------------------------------------------------------
 
@@ -112,6 +116,21 @@ class HealthTracker:
 
     # -- observations -----------------------------------------------------
 
+    def _set_state(self, server: int, h: ServerHealth, state: str) -> None:
+        """Move ``server`` (record ``h``) to ``state``; the one place a state changes."""
+        old = h.state
+        if old == state:
+            return
+        if old == DEAD:
+            self._dead = self._dead - {server}
+        elif old == SUSPECTED:
+            self._suspected = self._suspected - {server}
+        if state == DEAD:
+            self._dead = self._dead | {server}
+        elif state == SUSPECTED:
+            self._suspected = self._suspected | {server}
+        h.state = state
+
     def record_success(self, server: int) -> None:
         """A transaction completed: the server is (back) alive.
 
@@ -124,15 +143,13 @@ class HealthTracker:
         h.consecutive_errors = 0
         h.total_successes += 1
         h.consecutive_successes += 1
-        if (
+        if h.state != ALIVE and not (
             h.state == DEAD
             and self.flap_threshold is not None
             and h.flaps >= 2
             and h.consecutive_successes < self.flap_threshold
-        ):
-            self._notify(server, "success")
-            return  # damped: still not trusted
-        h.state = ALIVE
+        ):  # a damped repeat offender stays untrusted
+            self._set_state(server, h, ALIVE)
         self._notify(server, "success")
 
     def record_error(self, server: int) -> None:
@@ -144,9 +161,9 @@ class HealthTracker:
         if h.consecutive_errors >= self.dead_after:
             if h.state != DEAD:
                 h.flaps += 1
-            h.state = DEAD
+            self._set_state(server, h, DEAD)
         elif h.consecutive_errors >= self.suspect_after:
-            h.state = SUSPECTED
+            self._set_state(server, h, SUSPECTED)
         self._notify(server, "error")
 
     def record_recovery(self, server: int) -> None:
@@ -165,7 +182,7 @@ class HealthTracker:
         """
         h = self._health[server]
         damped = self.flap_threshold is not None and h.flaps >= 2
-        h.state = ALIVE
+        self._set_state(server, h, ALIVE)
         h.consecutive_errors = 0
         h.consecutive_successes = 0
         self._notify(server, "success" if damped else "recovery")
@@ -181,10 +198,7 @@ class HealthTracker:
 
     def exclusions(self, *, include_suspected: bool = False) -> frozenset[int]:
         """Servers the cover should avoid."""
-        banned = (DEAD, SUSPECTED) if include_suspected else (DEAD,)
-        return frozenset(
-            sid for sid, h in enumerate(self._health) if h.state in banned
-        )
+        return self._dead | self._suspected if include_suspected else self._dead
 
     def alive_servers(self) -> frozenset[int]:
         return frozenset(

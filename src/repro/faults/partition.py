@@ -381,7 +381,7 @@ class PartitionedInjector:
         """Oracle round-trip reachability of endpoint ``dst`` from
         ``src`` at the current tick (membership probes use this; it is
         vantage-independent on purpose)."""
-        if self.inner is not None and dst in getattr(self.inner, "down", ()):
+        if self.inner is not None and dst in self.inner.crashed_now():
             return False
         return not (
             self.plan.blocked(src, dst, self.tick)

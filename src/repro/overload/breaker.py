@@ -115,6 +115,10 @@ class BreakerBoard:
         self.tick = 0
         self._breakers = [BreakerState() for _ in range(n_servers)]
         self._registry = None
+        #: the OPEN breakers (what :meth:`advance` ripens) and :meth:`tripped`,
+        #: kept in step with every state change so that neither scans the fleet
+        self._open: set[int] = set()
+        self._tripped: frozenset[int] = frozenset()
 
     # -- metrics ----------------------------------------------------------
 
@@ -178,11 +182,19 @@ class BreakerBoard:
     def advance(self, ticks: int = 1) -> None:
         """Move the logical clock; open breakers ripen toward half-open."""
         self.tick += ticks
-        for b in self._breakers:
-            if b.state == OPEN and self.tick >= b.retry_at:
-                b.state = HALF_OPEN
-                b.probe_inflight = False
-                b.transitions += 1
+        if not self._open:
+            return
+        for sid in [sid for sid in self._open if self.tick >= self._breakers[sid].retry_at]:
+            b = self._breakers[sid]
+            b.state = HALF_OPEN
+            b.probe_inflight = False
+            b.transitions += 1
+            self._open.discard(sid)
+            self._set_tripped(sid, False)
+
+    def _set_tripped(self, sid: int, tripped: bool) -> None:
+        if (sid in self._tripped) != tripped:
+            self._tripped = self._tripped | {sid} if tripped else self._tripped - {sid}
 
     # -- observations -----------------------------------------------------
 
@@ -200,6 +212,8 @@ class BreakerBoard:
         if b.state != OPEN:
             b.transitions += 1
         b.state = OPEN
+        self._open.add(sid)
+        self._set_tripped(sid, True)
         b.trip_streak += 1
         factor = min(2 ** (b.trip_streak - 1), self.MAX_BACKOFF_FACTOR)
         jitter = hash64_int(sid * 1_000_003 + b.trip_streak, seed=self.seed) % (
@@ -220,8 +234,11 @@ class BreakerBoard:
             b.transitions += 1
             b.window.clear()
             b.failures_in_window = 0
-            return
-        self._observe(sid, failure=False)
+            self._set_tripped(sid, False)
+        elif b.failures_in_window:
+            # while the window holds no failure, a success it drops could only
+            # push out other successes: no trip decision changes, so none is kept
+            self._observe(sid, failure=False)
 
     def _failure_local(self, sid: int) -> None:
         b = self._breakers[sid]
@@ -259,6 +276,8 @@ class BreakerBoard:
         if b.state != CLOSED:
             b.transitions += 1
         b.state = CLOSED
+        self._open.discard(sid)
+        self._set_tripped(sid, False)
         b.trip_streak = 0
         b.probe_inflight = False
         b.window.clear()
@@ -296,6 +315,7 @@ class BreakerBoard:
         if b.state != HALF_OPEN or b.probe_inflight:
             return False
         b.probe_inflight = True
+        self._set_tripped(sid, True)
         return True
 
     def state(self, sid: int) -> str:
@@ -304,11 +324,7 @@ class BreakerBoard:
     def tripped(self) -> frozenset[int]:
         """Servers covers must avoid: OPEN, plus HALF_OPEN ones whose
         probe slot is already taken."""
-        return frozenset(
-            sid
-            for sid, b in enumerate(self._breakers)
-            if b.state == OPEN or (b.state == HALF_OPEN and b.probe_inflight)
-        )
+        return self._tripped
 
     def exclusions(self) -> frozenset[int]:
         """Union of breaker trips and (when layered) health exclusions."""

@@ -58,13 +58,17 @@ class Command:
 class Response:
     """One parsed server response.
 
-    ``status`` is the terminal line (``END``, ``STORED`` ...);
-    ``values`` maps key -> (flags, data, cas-or-None) for retrievals,
-    ``data`` a ``bytes`` sliced once out of the received buffer.
+    ``status`` is the terminal line (``END``, ``STORED`` ...).  A retrieval's
+    ``values`` maps key -> data, a ``bytes`` sliced once out of the received
+    buffer: the dict a client's ``get_multi`` returns as it is.  ``cas`` maps
+    key -> cas id for the VALUE lines that carry one (a ``gets`` reply), and
+    ``flags`` key -> flags for the values whose flags are not 0.
     """
 
     status: str
-    values: dict[str, tuple[int, bytes, int | None]] = field(default_factory=dict)
+    values: dict[str, bytes] = field(default_factory=dict)
+    cas: dict[str, int] = field(default_factory=dict)
+    flags: dict[str, int] = field(default_factory=dict)
     stats: dict[str, str] = field(default_factory=dict)
 
 
@@ -179,7 +183,9 @@ def parse_response_at(data: bytes, pos: int = 0) -> tuple[Response, int]:
     linear in its length instead of quadratic.  Each VALUE payload is
     one ``bytes`` slice of ``data``, the only copy the client makes of it.
     """
-    values: dict[str, tuple[int, bytes, int | None]] = {}
+    values: dict[str, bytes] = {}
+    cas_ids: dict[str, int] = {}
+    flag_map: dict[str, int] = {}
     stats: dict[str, str] = {}
     n_data = len(data)
     while True:
@@ -188,11 +194,11 @@ def parse_response_at(data: bytes, pos: int = 0) -> tuple[Response, int]:
         header = _VALUE_HEADER(data, pos)
         if header is not None:
             key, flags, nbytes, cas = header.groups()
-            key, flags, nbytes = key.decode(), int(flags), int(nbytes)
-            cas = None if cas is None else int(cas)
+            key, nbytes = key.decode(), int(nbytes)
+            flags = 0 if flags == b"0" else int(flags)
             line_end = header.end()
         elif data.startswith(b"END\r\n", pos):  # what every retrieval ends with
-            return Response(status="END", values=values, stats=stats), pos + 5
+            return Response("END", values, cas_ids, flag_map, stats), pos + 5
         else:
             eol = data.find(CRLF, pos)
             if eol < 0:
@@ -209,10 +215,10 @@ def parse_response_at(data: bytes, pos: int = 0) -> tuple[Response, int]:
                 continue
             if token.isdigit():
                 # incr/decr reply: the new counter value as a bare number
-                return Response(status=text, values=values, stats=stats), line_end
+                return Response(text, values, cas_ids, flag_map, stats), line_end
             if token in _TERMINAL_TOKENS:
                 status = text if token in ("CLIENT_ERROR", "SERVER_ERROR", "VERSION") else token
-                return Response(status=status, values=values, stats=stats), line_end
+                return Response(status, values, cas_ids, flag_map, stats), line_end
             if token != "VALUE":
                 raise ProtocolError(f"unexpected response line: {text!r}")
             parts = text.split()
@@ -227,7 +233,16 @@ def parse_response_at(data: bytes, pos: int = 0) -> tuple[Response, int]:
             raise IncompleteResponse("value data incomplete")
         if not data.startswith(CRLF, body_end):
             raise ProtocolError("value data not CRLF-terminated")
-        values[key] = (flags, data[line_end:body_end], cas)
+        values[key] = data[line_end:body_end]
+        # a key repeated in one reply keeps its last VALUE line's fields, as its data does
+        if flags:
+            flag_map[key] = flags
+        elif flag_map:
+            flag_map.pop(key, None)
+        if cas is not None:
+            cas_ids[key] = int(cas)
+        elif cas_ids:
+            cas_ids.pop(key, None)
         pos = body_end + 2
 
 

@@ -94,8 +94,9 @@ class MemcachedConnection:
             raise ProtocolError(f"unexpected retrieval status: {resp.status}")
         self.transactions += 1
         if with_cas:
-            return {k: (v[1], v[2]) for k, v in resp.values.items()}
-        return {k: v[1] for k, v in resp.values.items()}
+            cas = resp.cas
+            return {k: (v, cas.get(k)) for k, v in resp.values.items()}
+        return resp.values
 
     def get(self, key: str) -> bytes | None:
         return self.get_multi([key]).get(key)

@@ -173,8 +173,11 @@ class MemcachedServer:
             # one pass, no call into this module per key (an entry with a TTL
             # excepted): every hit's VALUE block goes straight into the reply's
             # parts, joined once, so a payload is copied once; a plain get
-            # formats an entry's header once, a gets each time (its cas)
-            lookup, touch = self._items.get, self._items.move_to_end
+            # formats an entry's header once, a gets each time (its cas).  An
+            # unbounded store never evicts, so nothing reads its LRU order: a
+            # hit moves it only in a bounded one
+            lookup = self._items.get
+            touch = None if self.capacity_bytes is None else self._items.move_to_end
             with_cas = name == "gets"
             parts: list[bytes] = []
             for key in cmd.keys:
@@ -183,7 +186,8 @@ class MemcachedServer:
                     entry = self._get_live(key)
                 if entry is None:
                     continue
-                touch(key)
+                if touch is not None:
+                    touch(key)
                 data = entry.data
                 if with_cas:
                     header = f"VALUE {key} {entry.flags} {len(data)} {entry.cas}\r\n".encode()

@@ -249,7 +249,10 @@ class LiveRnBClient:
 
     def _account(self, sid: int, got, counters: dict) -> None:
         """Health / breaker / busy bookkeeping for one finished read call."""
-        if isinstance(got, ServerBusy):
+        if not isinstance(got, BaseException):
+            if self.health is not None:
+                self.health.record_success(sid)
+        elif isinstance(got, ServerBusy):
             # a shed server is alive: trip breakers, never the health tracker
             self.busy_sheds += 1
             counters["busy"] = counters.get("busy", 0) + 1
@@ -258,12 +261,9 @@ class LiveRnBClient:
             if self._metrics is not None:
                 self._metrics["busy"].inc()
         elif self.health is not None:
-            if isinstance(got, BaseException):
-                self.health.record_error(sid)
-                if self._propose_if_dead(sid):
-                    counters["commits"] = counters.get("commits", 0) + 1
-            else:
-                self.health.record_success(sid)
+            self.health.record_error(sid)
+            if self._propose_if_dead(sid):
+                counters["commits"] = counters.get("commits", 0) + 1
 
     def _propose_if_dead(self, sid: int) -> bool:
         """Promote a health "dead" verdict into a membership proposal.
@@ -310,7 +310,10 @@ class LiveRnBClient:
         cut = False
         txns = plan.transactions
         results = yield [
-            (txn.server, "get_multi", ((*txn.primary, *txn.hitchhikers),)) for txn in txns
+            (txn.server, "get_multi", (txn.primary + txn.hitchhikers,))
+            if txn.hitchhikers
+            else (txn.server, "get_multi", (txn.primary,))
+            for txn in txns
         ], span
         for txn, got in zip(txns, results):
             if got is CUT:
@@ -324,74 +327,14 @@ class LiveRnBClient:
             else:
                 outcome.transactions += 1
                 values.update(got)
-                for key in txn.primary:
-                    if key not in got:
-                        missed_primary[key] = txn.server
+                if not all(map(got.__contains__, txn.primary)):  # a healthy reply skips this
+                    for key in txn.primary:
+                        if key not in got:
+                            missed_primary[key] = txn.server
 
-        # Repair waves: fetch still-missing items from their remaining
-        # replicas — the distinguished copy first, then (only if servers
-        # have failed or evicted) the other replicas.  Each wave bundles
-        # by server; a key is given up only once every live replica has
-        # been tried.
         required = request.required_items
-        pending = {k for k in missed_primary if k not in values}
-        tried: dict[str, set[int]] = {k: {missed_primary[k]} for k in pending}
-        # LIMIT plans cover only `required` items; if failures leave the
-        # quota unreachable from the planned set, recruit the unplanned
-        # request keys as substitutes (any subset satisfies a LIMIT)
-        unplanned = [k for k in keys if k not in values and k not in missed_primary]
-        while not cut and len(values) < required:
-            groups: dict[int, list[str]] = defaultdict(list)
-            for key in sorted(pending):
-                candidates = [
-                    s
-                    for s in self.placer.servers_for(key)
-                    if s not in failed and s not in tried[key]
-                ]
-                if not candidates:
-                    pending.discard(key)  # exhausted: genuinely missing
-                    continue
-                groups[candidates[0]].append(key)
-            if not groups:
-                if unplanned:
-                    pending.update(unplanned)
-                    tried.update((key, set()) for key in unplanned)
-                    unplanned = []
-                    continue
-                break
-            # the wave asks for no more keys than the quota still needs
-            wave, quota = [], required - len(values)
-            for sid, group in sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0])):
-                if quota <= 0:
-                    break
-                wave.append((sid, group[:quota]))
-                quota -= len(group)
-            results = yield [(sid, "get_multi", (group,)) for sid, group in wave], span
-            writebacks = []
-            for (sid, group), got in zip(wave, results):
-                if got is CUT:
-                    cut = True
-                    continue
-                if isinstance(got, BaseException):
-                    failed.add(sid)
-                    continue
-                outcome.transactions += 1
-                outcome.second_round_transactions += 1
-                for key in group:
-                    tried[key].add(sid)
-                values.update(got)
-                outcome.misses_repaired += len(got)
-                pending.difference_update(got)
-                if self.write_back:
-                    for key, value in got.items():
-                        target = missed_primary.get(key)
-                        if target is not None and target not in failed:
-                            writebacks.append((target, "set", (key, value)))
-            if writebacks:
-                results = yield writebacks, span
-                for (target, _, _), res in zip(writebacks, results):
-                    if isinstance(res, BaseException):
-                        failed.add(target)
+        if not cut and len(values) < required:
+            cut = yield from self._repair(keys, required, missed_primary, failed, outcome, span)
 
         # Epoch refresh: if this request's dead verdicts (or another
         # client's) moved the topology mid-flight, give still-missing
@@ -422,7 +365,8 @@ class LiveRnBClient:
                     outcome.misses_repaired += len(got)
         self.seen_epoch = epoch_now
 
-        outcome.missing = tuple(k for k in keys if k not in values)
+        if not all(map(values.__contains__, keys)):
+            outcome.missing = tuple(k for k in keys if k not in values)
         outcome.failed_servers = tuple(sorted(failed))
         outcome.retries = counters.get("retries", 0)
         outcome.busy_sheds = counters.get("busy", 0)
@@ -441,6 +385,77 @@ class LiveRnBClient:
         if span is not None:
             tracer.finish(span, n_missing=len(outcome.missing), deadline_hit=cut)
         return outcome
+
+    def _repair(self, keys, required, missed_primary, failed, outcome, span):
+        """Repair waves of :meth:`_multi_get`: fetch still-missing items from
+        their remaining replicas — the distinguished copy first, then (only
+        if servers have failed or evicted) the other replicas — until
+        ``required`` values are in.  Each wave bundles by server; a key is
+        given up only once every live replica has been tried.  Returns
+        whether the deadline cut a call."""
+        values = outcome.values
+        pending = {k for k in missed_primary if k not in values}
+        tried: dict[str, set[int]] = {k: {missed_primary[k]} for k in pending}
+        # LIMIT plans cover only `required` items; if failures leave the
+        # quota unreachable from the planned set, recruit the unplanned
+        # request keys as substitutes (any subset satisfies a LIMIT)
+        unplanned = [k for k in keys if k not in values and k not in missed_primary]
+        while len(values) < required:
+            groups: dict[int, list[str]] = defaultdict(list)
+            for key in sorted(pending):
+                candidates = [
+                    s
+                    for s in self.placer.servers_for(key)
+                    if s not in failed and s not in tried[key]
+                ]
+                if not candidates:
+                    pending.discard(key)  # exhausted: genuinely missing
+                    continue
+                groups[candidates[0]].append(key)
+            if not groups:
+                if unplanned:
+                    pending.update(unplanned)
+                    tried.update((key, set()) for key in unplanned)
+                    unplanned = []
+                    continue
+                break
+            # the wave asks for no more keys than the quota still needs
+            wave, quota = [], required - len(values)
+            for sid, group in sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0])):
+                if quota <= 0:
+                    break
+                wave.append((sid, group[:quota]))
+                quota -= len(group)
+            results = yield [(sid, "get_multi", (group,)) for sid, group in wave], span
+            writebacks = []
+            cut = False
+            for (sid, group), got in zip(wave, results):
+                if got is CUT:
+                    cut = True
+                    continue
+                if isinstance(got, BaseException):
+                    failed.add(sid)
+                    continue
+                outcome.transactions += 1
+                outcome.second_round_transactions += 1
+                for key in group:
+                    tried[key].add(sid)
+                values.update(got)
+                outcome.misses_repaired += len(got)
+                pending.difference_update(got)
+                if self.write_back:
+                    for key, value in got.items():
+                        target = missed_primary.get(key)
+                        if target is not None and target not in failed:
+                            writebacks.append((target, "set", (key, value)))
+            if writebacks:
+                results = yield writebacks, span
+                for (target, _, _), res in zip(writebacks, results):
+                    if isinstance(res, BaseException):
+                        failed.add(target)
+            if cut:
+                return True
+        return False
 
     def _get(self, key: str):
         """Single-item get — from the distinguished copy (paper section

@@ -55,7 +55,7 @@ class TestPipelining:
         replies = run(_with_server(scenario))
         # every caller got ITS response, not a neighbour's
         for i, [resp] in enumerate(replies):
-            assert resp.values[f"k{i}"][1] == f"v{i}".encode()
+            assert resp.values == {f"k{i}": f"v{i}".encode()}
 
     def test_concurrent_first_use_creates_one_socket(self):
         # racing first exchanges must share ONE socket + read loop, not
@@ -410,7 +410,7 @@ class TestCoalescing:
                 conn.close()
             assert replies[0][0].values == {}
             for i, [resp] in enumerate(replies[1:]):
-                assert resp.values[f"k{i}"][1] == f"v{i}".encode()
+                assert resp.values == {f"k{i}": f"v{i}".encode()}
 
         run(_with_server(scenario))
 
@@ -579,7 +579,7 @@ class TestBlockingConnection:
             assert sock.fileno() == -1  # closed by the time close() returns
             assert not conn.connection.connected
             [got] = conn.exchange(_get("k"))
-            assert got.values["k"][1] == b"v"
+            assert got.values == {"k": b"v"}
             assert handle.server.connections_accepted == 2
         finally:
             conn.close()
@@ -643,7 +643,7 @@ class TestBlockingConnection:
                     key, value = f"t{t}-{i}", b"%d-%d" % (t, i)
                     conn.exchange(_set(key, value))
                     [got] = conn.exchange(_get(key))
-                    assert got.values[key][1] == value
+                    assert got.values == {key: value}
             except Exception as exc:  # re-raised below, on the test's thread
                 errors.append(exc)
             finally:

@@ -12,7 +12,7 @@ from repro.errors import (
     ServerTimeout,
     ServerUnreachable,
 )
-from repro.faults.injector import DynamicFaultInjector
+from repro.faults.injector import DynamicFaultInjector, FaultInjector
 from repro.faults.partition import (
     CLIENT,
     LinkRule,
@@ -20,6 +20,7 @@ from repro.faults.partition import (
     PartitionedInjector,
     link_blackout_windows,
 )
+from repro.faults.plan import FaultConfig, FaultPlan
 from repro.obs import MetricsRegistry
 
 
@@ -198,6 +199,16 @@ class TestPartitionedInjector:
         assert not injector.can_reach(-2, 5)  # round trip broken for -2
         inner.kill(3)
         assert not injector.can_reach(CLIENT, 3)  # dead is unreachable too
+
+    def test_can_reach_sees_a_plan_driven_crash(self):
+        # a FaultInjector has no ``down`` set: its crashes are the plan's
+        inner = FaultInjector(FaultPlan(4, FaultConfig(crash_rate=1.0, horizon=1)))
+        injector = PartitionedInjector(PartitionPlan(), inner)
+        for _ in range(5):
+            injector.advance()
+        with pytest.raises(ServerDown):
+            injector.check(0)
+        assert not injector.can_reach(CLIENT, 0)
 
     def test_vantage_is_repointable(self):
         plan, injector = self.make()

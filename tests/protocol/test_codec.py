@@ -110,8 +110,9 @@ class TestResponses:
         resp, rest = parse_response(wire)
         assert rest == b""
         assert resp.status == "END"
-        assert resp.values["a"] == (1, b"v1", 5)
-        assert resp.values["b"] == (0, b"", 6)
+        assert resp.values == {"a": b"v1", "b": b""}
+        assert resp.cas == {"a": 5, "b": 6}
+        assert resp.flags == {"a": 1}
 
     def test_status_lines(self):
         for status in ("STORED", "NOT_FOUND", "DELETED", "OK"):
@@ -177,9 +178,9 @@ def test_values_roundtrip_property(items):
     )
     resp, rest = parse_response(wire)
     assert rest == b""
-    assert len(resp.values) == len(items)
-    for i, (k, v) in enumerate(items):
-        assert resp.values[k] == (0, v, i)
+    assert resp.values == dict(items)
+    assert resp.cas == {k: i for i, (k, _) in enumerate(items)}
+    assert resp.flags == {}
 
 
 class TestKeyValidation:

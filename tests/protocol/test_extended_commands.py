@@ -69,8 +69,7 @@ class TestAppendPrepend:
         [resp] = conn.transport.exchange(
             encode_command(Command(name="get", keys=("k",)))
         )
-        flags, data, _ = resp.values["k"]
-        assert flags == 7 and data == b"ab"
+        assert resp.values == {"k": b"ab"} and resp.flags == {"k": 7} and resp.cas == {}
 
 
 class TestCounters:

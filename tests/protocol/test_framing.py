@@ -40,7 +40,7 @@ def _legacy_parse_all(data: bytes):
 
 def _normal(resp):
     """Comparable form."""
-    return resp.status, resp.values, resp.stats
+    return resp.status, resp.values, resp.cas, resp.flags, resp.stats
 
 
 EXPECTED = [_normal(r) for r in _legacy_parse_all(WIRE)]
@@ -88,7 +88,7 @@ class TestFrameBuffer:
         assert len(frames) == 15
         frames.feed(b"cde\r\nEND\r\n")
         resp = frames.next_response()
-        assert bytes(resp.values["a"][1]) == b"abcde"
+        assert resp.values == {"a": b"abcde"} and resp.cas == resp.flags == {}
         assert resp.status == "END"
 
     def test_peek_and_clear(self):
@@ -153,10 +153,10 @@ class TestOverRealSockets:
         frames.feed(wire[:40])  # a split inside the "crlf" block
         assert frames.next_response() is None
         frames.feed(wire[40:])
-        check({k: v[1] for k, v in frames.next_response().values.items()})
+        check(frames.next_response().values)
         loopback = LoopbackTransport(backend)
         [resp] = loopback.exchange(request)
-        check({k: v[1] for k, v in resp.values.items()})
+        check(resp.values)
 
         handle, (host, port) = serve_aio(backend)
         blocking = BlockingConnection(host, port, connect_timeout=2.0, read_timeout=2.0)

@@ -105,6 +105,19 @@ class TestLRUEviction:
         s.execute(set_cmd("c", b"1"))  # evicts b, not the refreshed a
         assert "a" in s and "b" not in s
 
+    def test_hits_of_a_multi_get_and_a_gets_protect_their_keys(self):
+        # only a bounded store keeps LRU order on a hit: an unbounded one never evicts
+        s = MemcachedServer(capacity_bytes=30)
+        for key in "abc":
+            s.execute(set_cmd(key, b"x" * 10))
+        s.execute(Command("get", keys=("a", "nope")))
+        s.execute(set_cmd("d", b"x" * 10))  # evicts b, not the hit a
+        assert list(s._items) == ["c", "a", "d"]
+        s.execute(Command("gets", keys=("c",)))
+        s.execute(set_cmd("e", b"x" * 10))  # evicts a, not the hit c
+        assert list(s._items) == ["d", "c", "e"]
+        assert s.stats["evictions"] == 2
+
     def test_oversized_item_dropped(self):
         s = MemcachedServer(capacity_bytes=4)
         s.execute(set_cmd("big", b"123456"))

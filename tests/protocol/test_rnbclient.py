@@ -14,6 +14,7 @@ from repro.protocol.memserver import MemcachedServer
 from repro.protocol.retry import RetryPolicy
 from repro.protocol.rnbclient import RnBProtocolClient
 from repro.protocol.transport import LoopbackTransport
+from repro.types import Request
 
 
 def make_stack(n_servers=4, replication=3, capacity_bytes=None):
@@ -144,6 +145,55 @@ class TestMissRepair:
         assert len(out.values) >= 20
         full = client.get_multi(keys)
         assert out.transactions <= full.transactions
+
+
+class TestHealthyPathEdges:
+    """A reply that holds every primary skips the per-key miss check; one that
+    does not must still reach the repair wave and the write-back."""
+
+    @staticmethod
+    def stack(**bundler_kwargs):
+        placer, servers, _ = make_stack(n_servers=8, replication=2)
+        conns = {i: MemcachedConnection(LoopbackTransport(s)) for i, s in servers.items()}
+        client = RnBProtocolClient(conns, placer, bundler=Bundler(placer, **bundler_kwargs))
+        keys = [f"key{i}" for i in range(24)]
+        for k in keys:
+            client.set(k, k.encode())
+        return placer, servers, client, keys
+
+    def test_a_reply_missing_one_primary_is_repaired_and_written_back(self):
+        placer, servers, client, keys = self.stack()
+        plan = client.bundler.plan(Request(items=tuple(keys)))
+        assert not any(txn.hitchhikers for txn in plan.transactions)
+        txn, victim = next(
+            (txn, key)
+            for txn in plan.transactions
+            for key in txn.primary
+            if txn.server != placer.distinguished_for(key)
+        )
+        servers[txn.server].handle(f"delete {victim}\r\n".encode())
+        out = client.get_multi(keys)
+        assert out.values == {k: k.encode() for k in keys} and not out.missing
+        assert out.second_round_transactions == out.misses_repaired == 1
+        assert out.transactions == len(plan.transactions) + 1
+        assert victim in servers[txn.server]  # written back where it was missed
+
+    def test_a_transaction_with_hitchhikers_still_checks_each_primary(self):
+        placer, servers, client, keys = self.stack(hitchhiking=True)
+        plan = client.bundler.plan(Request(items=tuple(keys)))
+        riders = {key for txn in plan.transactions for key in txn.hitchhikers}
+        txn, victim = next(
+            (txn, key)
+            for txn in plan.transactions
+            if txn.hitchhikers
+            for key in txn.primary
+            if key not in riders
+        )
+        servers[txn.server].handle(f"delete {victim}\r\n".encode())
+        out = client.get_multi(keys)
+        assert out.values == {k: k.encode() for k in keys} and not out.missing
+        assert out.second_round_transactions == out.misses_repaired == 1
+        assert victim in servers[txn.server]
 
 
 class TestCallersBadKey:
