@@ -100,7 +100,9 @@ class AsyncMemcachedClient:
 
     def settle(self, op: str, args: tuple, responses, with_cas=False):
         """What ``op(*args)`` returns for ``responses``; a shed raises :class:`ServerBusy`."""
-        [resp] = self._checked(responses)
+        [resp] = responses
+        if resp.status == "SERVER_ERROR busy":  # what _checked raises, without the call
+            raise ServerBusy(f"{resp.status} (server shed the transaction)")
         if op == "set" or op == "delete":
             self.transactions += 1
             return resp.status == ("STORED" if op == "set" else "DELETED")

@@ -30,6 +30,7 @@ constructor alone takes ``membership=``.
 from __future__ import annotations
 
 import asyncio
+from functools import partial
 from heapq import heappop, heappush
 
 from repro.cluster.placement import ReplicaPlacer
@@ -47,25 +48,18 @@ from repro.protocol.rnbclient import (
 )
 
 
-class _Slot:
-    """Completion sink of one inline call (``submit``'s ``sink``); ``done()``
-    once its wave's caller has left, so a late response is consumed and dropped."""
+class _Slot(partial):
+    """Completion sink of one inline call (``submit``'s ``sink``): its wave's
+    ``arrived`` with the call's index bound.  ``set_result(responses)`` is the
+    partial's own call, so a reply reaches ``arrived`` with no call in between;
+    ``arrived`` drops what comes after the wave's caller has left."""
 
-    __slots__ = ("waiter", "arrived", "index")
+    __slots__ = ()
 
-    def __init__(self, waiter: asyncio.Future, arrived, index: int) -> None:
-        self.waiter = waiter
-        self.arrived = arrived
-        self.index = index
-
-    def done(self) -> bool:
-        return self.waiter.done()
-
-    def set_result(self, responses) -> None:
-        self.arrived(self.index, responses, None)
+    set_result = partial.__call__
 
     def set_exception(self, exc: BaseException) -> None:
-        self.arrived(self.index, None, exc)
+        self(None, exc)
 
 
 class AsyncRnBClient(LiveRnBClient):
@@ -132,6 +126,21 @@ class AsyncRnBClient(LiveRnBClient):
 
         return await self._retried(sid, attempt, counters, async_call_with_retries)
 
+    def _cold(self, call, counters, finish, index: int, first_error=None) -> asyncio.Task:
+        """Run ``call``, the ``index``-th of a wave, as its coroutine in a Task
+        that hands the outcome to the wave's ``finish``; a read call retried
+        (:meth:`_fetch`)."""
+        sid, op, args = call
+        if op == "get_multi":
+            coro = self._fetch(sid, args[0], counters, first_error)
+        else:
+            coro = getattr(self.connections[sid], op)(*args)
+        task = asyncio.ensure_future(coro)
+        task.add_done_callback(
+            lambda t: t.cancelled() or finish(index, t.exception() or t.result())
+        )
+        return task
+
     def _watch_deadline(self, loop, deadline_at: float, waiter: asyncio.Future) -> None:
         """Have ``waiter`` resolved at ``deadline_at`` unless its wave finishes first.
         ONE timer per client, re-armed lazily like ``AsyncConnection._watchdog``; finished
@@ -180,54 +189,44 @@ class AsyncRnBClient(LiveRnBClient):
         connections, tracer = self.connections, self._tracer
         waiter = loop.create_future()
         left = len(calls)
-        spans, tasks = {}, []  # txn spans by call index; cold Tasks
+        spans = {} if tracer is not None else None  # txn spans by call index
+        tasks = []  # cold Tasks
 
         def finish(index: int, result) -> None:
             nonlocal left
             if waiter.done():
                 return
             results[index] = result
-            if index in spans:
+            if spans and index in spans:
                 tracer.finish(spans[index], outcome=_txn_outcome(result))
             left -= 1
             if not left:
                 waiter.set_result(None)
 
-        def cold(index: int, first_error=None) -> None:
-            sid, op, args = calls[index]
-            if op == "get_multi":
-                coro = self._fetch(sid, args[0], counters, first_error)
-            else:
-                coro = getattr(connections[sid], op)(*args)
-            task = asyncio.ensure_future(coro)
-            tasks.append(task)
-            task.add_done_callback(
-                lambda t: t.cancelled() or finish(index, t.exception() or t.result())
-            )
-
-        def arrived(index: int, responses, exc) -> None:
+        def arrived(index: int, responses, exc=None) -> None:
+            if waiter.done():  # the caller has left: a late reply is dropped
+                return
             sid, op, args = calls[index]
             if exc is None:
                 try:
-                    result = connections[sid].settle(op, args, responses)
+                    return finish(index, connections[sid].settle(op, args, responses))
                 except Exception as failure:  # the call's outcome, as a Future would hold it
                     exc = failure
-                else:
-                    return finish(index, result)
             if op == "get_multi" and self.retry_policy is not None:
-                cold(index, exc)
+                tasks.append(self._cold(calls[index], counters, finish, index, exc))
             else:
                 finish(index, exc)
 
         for index, (sid, op, args) in enumerate(calls):
-            if tracer is not None and op == "get_multi":
-                span = tracer.start("txn", parent=parent, server=sid, n_keys=len(args[0]))
-                spans[index] = span
+            if spans is not None and op == "get_multi":
+                spans[index] = tracer.start(
+                    "txn", parent=parent, server=sid, n_keys=len(args[0])
+                )
             conn = connections[sid]
             begin = getattr(type(conn), "begin", None)  # not through a wrapper's __getattr__
             try:
-                if begin is None or not begin(conn, op, args, _Slot(waiter, arrived, index)):
-                    cold(index)
+                if begin is None or not begin(conn, op, args, _Slot(arrived, index)):
+                    tasks.append(self._cold(calls[index], counters, finish, index))
             except FAILOVER_ERRORS as exc:  # e.g. an unencodable key: this call's failure
                 arrived(index, None, exc)
 
@@ -239,11 +238,15 @@ class AsyncRnBClient(LiveRnBClient):
             # deadline or cancellation: the waiter is done, and so is every slot
             for task in tasks:
                 task.cancel()
+        health = self.health
         for (sid, op, _), got in zip(calls, results):
-            if isinstance(got, BaseException) and not isinstance(got, FAILOVER_ERRORS):
-                raise got
-            if op == "get_multi" and got is not CUT:
-                self._account(sid, got, counters)
+            if isinstance(got, BaseException):
+                if not isinstance(got, FAILOVER_ERRORS):
+                    raise got
+                if op == "get_multi":
+                    self._account_failure(sid, got, counters)
+            elif op == "get_multi" and got is not CUT and health is not None:
+                health.record_success(sid)
         return results
 
     async def _drive(self, requests, counters: dict | None = None, deadline=None):

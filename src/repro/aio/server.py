@@ -104,16 +104,21 @@ class _Connection(asyncio.Protocol):
 
     Command *execution* is synchronous (the backend is an in-memory dict
     behind a lock), so responses are computed inline in the read callback.
+    The connection frames its own input: received bytes that complete no
+    command wait in ``_chunks``, and a storage command whose data block is
+    still arriving is not parsed again before the block is there (*k*
+    chunks, one join, one parse).
     """
 
     def __init__(self, front: AsyncMemcachedServer) -> None:
         self._front = front
-        self._buf = codec.CommandBuffer()  # received bytes that complete no command yet
+        self._chunks: list[bytes] = []  # received bytes that complete no command yet
+        self._missing = 0  # bytes the next command still needs before a parse can complete it
 
     def _cut(self) -> bool:
-        """True (and the connection closed, unanswered) if the link is cut."""
+        """True (and the connection closed, unanswered) if the link gate is cut."""
         front = self._front
-        if front.gate is None or not front.gate():
+        if not front.gate():
             return False
         front.connections_refused += 1
         self._transport.close()
@@ -121,27 +126,48 @@ class _Connection(asyncio.Protocol):
 
     def connection_made(self, transport: asyncio.Transport) -> None:
         self._transport = transport
-        if not self._cut():
-            self._front.connections_accepted += 1
-            self._front._transports.add(transport)
+        front = self._front
+        if front.gate is None or not self._cut():
+            front.connections_accepted += 1
+            front._transports.add(transport)
 
     def connection_lost(self, exc: Exception | None) -> None:
         self._front._transports.discard(self._transport)
 
     def data_received(self, data: bytes) -> None:
+        front = self._front
         # a link cut mid-connection drops it without a response, exactly
         # what a partitioned TCP peer sees
-        if self._cut():
+        if front.gate is not None and self._cut():
             return
+        self._missing -= len(data)
+        chunks = self._chunks
+        if chunks or self._missing > 0:
+            chunks.append(data)
+            if self._missing > 0:
+                return
+            data = b"".join(chunks)
+            chunks.clear()
         try:
-            self._buf.feed(data)
-            commands = self._buf.commands()
-        except ProtocolError:
-            self._transport.write(b"ERROR" + CRLF)
+            commands, tail = codec.parse_command_stream(data)
+        except ProtocolError as exc:
+            # answer what came before the bad line, in order, then refuse it
+            replies = b"".join(map(front.backend.execute, exc.parsed))
+            self._transport.write(replies + b"ERROR" + CRLF)
             self._transport.close()
             return
-        execute = self._front.backend.execute
-        self._transport.write(b"".join([execute(cmd) for cmd in commands]))
+        if tail:
+            chunks.append(tail)
+            eol = tail.find(CRLF)
+            if eol < 0:
+                self._missing = 1  # the rest of a line: the next byte may end it
+            else:  # a whole line left over: a storage command waiting for its data block
+                nbytes = int(tail[:eol].decode("utf-8", errors="replace").split()[4])
+                self._missing = eol + 2 + nbytes + 2 - len(tail)
+        else:
+            self._missing = 0
+        # the backend's execute(cmd) is the front's only reach into it
+        self._transport.write(b"".join(map(front.backend.execute, commands)))
 
     # a peer that pipelines without reading must not bloat this process:
     # stop reading (hence executing) its commands while responses back up

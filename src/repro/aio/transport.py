@@ -49,10 +49,10 @@ from __future__ import annotations
 import asyncio
 import threading
 from collections import deque
+from contextlib import suppress
 
 from repro.errors import ProtocolError, ServerTimeout
-from repro.protocol import codec
-from repro.protocol.codec import Response
+from repro.protocol.codec import IncompleteResponse, Response, parse_response_at
 from repro.protocol.retry import DEFAULT_POLICY, RetryPolicy
 
 
@@ -82,7 +82,8 @@ class AsyncConnection(asyncio.Protocol):
         self._connect_lock = asyncio.Lock()
         #: FIFO of exchanges awaiting responses: (n, sink, deadline, responses so far)
         self._pending: deque[tuple[int, object, float, list[Response]]] = deque()
-        self._frames = codec.FrameBuffer()
+        #: received bytes that complete no response yet
+        self._received = b""
         #: requests submitted on a busy socket this tick, unwritten, and their bytes
         self._outbox: list[bytes] = []
         self._outbox_size = 0
@@ -132,10 +133,9 @@ class AsyncConnection(asyncio.Protocol):
             self._watchdog = None
         failure = error or ConnectionError("connection closed")
         while self._pending:
-            sink = self._pending.popleft()[1]
-            if not sink.done():
-                sink.set_exception(failure)
-        self._frames.clear()
+            with suppress(asyncio.InvalidStateError):  # its caller has gone
+                self._pending.popleft()[1].set_exception(failure)
+        self._received = b""
         self._outbox, self._outbox_size = [], 0
         self._writable.set()  # wake callers blocked on a full send buffer
 
@@ -157,26 +157,38 @@ class AsyncConnection(asyncio.Protocol):
         self._writable.set()
 
     def data_received(self, data: bytes) -> None:
-        """Parse responses in arrival order, fulfilling pending FIFO."""
-        frames, pending = self._frames, self._pending
-        frames.feed(data)
+        """Parse responses in arrival order, fulfilling pending FIFO.
+
+        Each response is parsed once it is complete; the bytes of one that is
+        not yet wait in ``_received``, joined to the next chunk (the framing of
+        :class:`repro.protocol.codec.FrameBuffer`, on the same parser)."""
+        pending = self._pending
+        if self._received:
+            data = self._received + data
+        pos = 0
         try:
             while pending:
                 n, sink, _, responses = pending[0]
                 while len(responses) < n:
-                    resp = frames.next_response()
-                    if resp is None:
+                    try:
+                        resp, pos = parse_response_at(data, pos)
+                    except IncompleteResponse:
+                        self._received = data[pos:]
                         return
                     responses.append(resp)
                 pending.popleft()
                 # a caller cancelled mid-exchange stays queued, so that its
                 # late response is consumed here (and dropped), not mis-paired
-                if not sink.done():
+                try:
                     sink.set_result(responses)
-            if len(frames):
+                except asyncio.InvalidStateError:
+                    pass
+            if pos < len(data):
                 # bytes with no exchange awaiting them: the FIFO pairing
                 # is broken — tear down rather than mis-deliver
-                raise ProtocolError(f"unexpected trailing response bytes: {frames.peek(40)!r}")
+                trailing = data[pos : pos + 40]
+                raise ProtocolError(f"unexpected trailing response bytes: {trailing!r}")
+            self._received = b""
         except ProtocolError as exc:
             self.close(exc)
 
@@ -190,10 +202,9 @@ class AsyncConnection(asyncio.Protocol):
         if deadline > self._loop.time():
             self._watchdog = self._loop.call_at(deadline, self._on_watchdog)
             return
-        if not sink.done():
-            sink.set_exception(
-                ServerTimeout(f"no complete response within {self.read_timeout}s")
-            )
+        timeout = ServerTimeout(f"no complete response within {self.read_timeout}s")
+        with suppress(asyncio.InvalidStateError):
+            sink.set_exception(timeout)
         self.close()  # pipelined siblings fail with ConnectionError
 
     def _flush(self) -> None:
@@ -206,11 +217,12 @@ class AsyncConnection(asyncio.Protocol):
         """Queue one exchange without awaiting; ``request`` is written now if
         the socket is idle, with the tick's other requests if it is busy.
 
-        ``sink`` (``done() / set_result(responses) / set_exception(exc)``,
-        e.g. an :class:`asyncio.Future`) is completed from ``data_received``,
-        ``close`` or the watchdog; if it is ``done()`` by then, its responses
-        are consumed and dropped.  ``False``, nothing queued, when the socket
-        is not connected or its send buffer is over the high-water mark.
+        ``sink`` (``set_result(responses) / set_exception(exc)``, e.g. an
+        :class:`asyncio.Future`) is completed from ``data_received``, ``close``
+        or the watchdog; a sink whose caller has gone drops what it is given or
+        raises :class:`asyncio.InvalidStateError` (a cancelled Future), and its
+        responses are consumed all the same.  ``False``, nothing queued, when
+        the socket is not connected or its send buffer is over the high-water mark.
         """
         transport = self._transport
         if transport is None or not self._writable.is_set():

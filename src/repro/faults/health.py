@@ -102,10 +102,6 @@ class HealthTracker:
         """
         self._observers.append(observer)
 
-    def _notify(self, server: int, outcome: str) -> None:
-        for observer in self._observers:
-            observer.observe(server, outcome)
-
     # -- fleet size ---------------------------------------------------------
 
     def ensure_capacity(self, n_servers: int) -> None:
@@ -150,7 +146,8 @@ class HealthTracker:
             and h.consecutive_successes < self.flap_threshold
         ):  # a damped repeat offender stays untrusted
             self._set_state(server, h, ALIVE)
-        self._notify(server, "success")
+        for observer in self._observers:
+            observer.observe(server, "success")
 
     def record_error(self, server: int) -> None:
         """A transaction failed (timeout or connection error)."""
@@ -164,7 +161,8 @@ class HealthTracker:
             self._set_state(server, h, DEAD)
         elif h.consecutive_errors >= self.suspect_after:
             self._set_state(server, h, SUSPECTED)
-        self._notify(server, "error")
+        for observer in self._observers:
+            observer.observe(server, "error")
 
     def record_recovery(self, server: int) -> None:
         """Authoritative recovery signal (operator / membership service).
@@ -185,7 +183,8 @@ class HealthTracker:
         self._set_state(server, h, ALIVE)
         h.consecutive_errors = 0
         h.consecutive_successes = 0
-        self._notify(server, "success" if damped else "recovery")
+        for observer in self._observers:
+            observer.observe(server, "success" if damped else "recovery")
 
     # -- queries ------------------------------------------------------------
 

@@ -224,22 +224,6 @@ class BreakerBoard:
         b.failures_in_window = 0
         b.probe_inflight = False
 
-    def _success_local(self, sid: int) -> None:
-        b = self._breakers[sid]
-        if b.state == HALF_OPEN:
-            # the probe came back: close and forgive the backoff streak
-            b.state = CLOSED
-            b.trip_streak = 0
-            b.probe_inflight = False
-            b.transitions += 1
-            b.window.clear()
-            b.failures_in_window = 0
-            self._set_tripped(sid, False)
-        elif b.failures_in_window:
-            # while the window holds no failure, a success it drops could only
-            # push out other successes: no trip decision changes, so none is kept
-            self._observe(sid, failure=False)
-
     def _failure_local(self, sid: int) -> None:
         b = self._breakers[sid]
         if b.state == HALF_OPEN:
@@ -255,7 +239,7 @@ class BreakerBoard:
         """A transaction to ``sid`` completed normally."""
         if self.health is not None:
             self.health.record_success(sid)
-        self._success_local(sid)
+        self.observe(sid, "success")
 
     def record_failure(self, sid: int, *, hard: bool = False) -> None:
         """A transaction to ``sid`` failed.
@@ -294,7 +278,20 @@ class BreakerBoard:
         if sid >= len(self._breakers):
             self.ensure_capacity(sid + 1)
         if outcome == "success":
-            self._success_local(sid)
+            b = self._breakers[sid]
+            if b.state == HALF_OPEN:
+                # the probe came back: close and forgive the backoff streak
+                b.state = CLOSED
+                b.trip_streak = 0
+                b.probe_inflight = False
+                b.transitions += 1
+                b.window.clear()
+                b.failures_in_window = 0
+                self._set_tripped(sid, False)
+            elif b.failures_in_window:
+                # while the window holds no failure, a success it drops could only
+                # push out other successes: no trip decision changes, so none is kept
+                self._observe(sid, failure=False)
         elif outcome == "error":
             self._failure_local(sid)
         elif outcome == "recovery":

@@ -31,8 +31,10 @@ _ASCII_KEY = rf"[!-~]{{1,{MAX_KEY_LEN}}}"
 _ASCII_KEY_LINE = re.compile(rf"{_ASCII_KEY}(?: {_ASCII_KEY})*").fullmatch
 #: what ``_BAD_KEY_CHAR`` forbids and ``str.split()`` leaves in its tokens
 _BAD_TOKEN_CHAR = re.compile(r"[\x00-\x08\x0e-\x1b\x7f]").search
-#: a well-formed VALUE header; any other line but ``END`` takes ``parse_response_at``'s
-#: general loop
+#: the VALUE header of a ``get`` hit with flags 0, what a healthy read's reply is
+#: made of; ``parse_response_at`` takes any other line through its exact walk
+_PLAIN_VALUE = re.compile(rb"VALUE ([!-~]+) 0 (\d+)\r\n").match
+#: a well-formed VALUE header (flags, maybe a cas id): the exact walk's fast match
 _VALUE_HEADER = re.compile(rb"VALUE ([!-~]+) (\d+) (\d+)(?: (\d+))?\r\n").match
 STORAGE_COMMANDS = frozenset({"set", "add", "replace", "append", "prepend", "cas"})
 RETRIEVAL_COMMANDS = frozenset({"get", "gets"})
@@ -178,8 +180,9 @@ def parse_response_at(data: bytes, pos: int = 0) -> tuple[Response, int]:
     """Parse one complete response from ``data`` starting at offset ``pos``.
 
     Returns ``(response, end_offset)``.  This is the offset-based core
-    both :func:`parse_response` and :class:`FrameBuffer` share: it never
-    re-slices the unconsumed tail, so parsing a pipelined buffer is
+    :func:`parse_response`, :class:`FrameBuffer`, the loopback transport and
+    the socket client's ``data_received`` share: it never re-slices the
+    unconsumed tail, so parsing a pipelined buffer is
     linear in its length instead of quadratic.  Each VALUE payload is
     one ``bytes`` slice of ``data``, the only copy the client makes of it.
     """
@@ -189,8 +192,25 @@ def parse_response_at(data: bytes, pos: int = 0) -> tuple[Response, int]:
     stats: dict[str, str] = {}
     n_data = len(data)
     while True:
-        # fast path: one match takes a well-formed VALUE header apart; any other
-        # line but END, malformed ones included, goes through the general parse below
+        # a plain VALUE block: one match for its header, one look at the two
+        # bytes after its payload, one slice; no payload byte is read
+        header = _PLAIN_VALUE(data, pos)
+        if header is not None:
+            key, nbytes = header.groups()
+            line_end = header.end()
+            pos = line_end + int(nbytes)
+            if not data.startswith(CRLF, pos):
+                if n_data < pos + 2:
+                    raise IncompleteResponse("value data incomplete")
+                raise ProtocolError("value data not CRLF-terminated")
+            key = key.decode()
+            values[key] = data[line_end:pos]
+            pos += 2
+            if flag_map or cas_ids:  # a key repeated in one reply: its last line's fields
+                flag_map.pop(key, None)
+                cas_ids.pop(key, None)
+            continue
+        # any other VALUE header, END, or any other line, malformed ones included
         header = _VALUE_HEADER(data, pos)
         if header is not None:
             key, flags, nbytes, cas = header.groups()
@@ -264,7 +284,7 @@ class IncompleteResponse(ProtocolError):
 class FrameBuffer:
     """Incremental response framing.
 
-    Transports feed raw socket chunks in; :meth:`next_response` parses
+    A caller feeds raw chunks in; :meth:`next_response` parses
     out one complete response at a time, returning ``None`` when more
     bytes are needed.  Internally the unconsumed bytes are tracked as an
     (immutable snapshot, offset) pair plus a list of not-yet-joined
@@ -330,155 +350,133 @@ class FrameBuffer:
 def parse_command_stream(data: bytes) -> tuple[list[Command], bytes]:
     """Parse as many complete (possibly pipelined) commands as available.
 
-    Returns (commands, unconsumed tail).
+    Returns (commands, unconsumed tail).  A malformed command raises
+    :class:`ProtocolError` whose ``parsed`` holds the commands before it,
+    for a server front to answer before it refuses the rest.
     """
     commands: list[Command] = []
     pos = 0
     n_data = len(data)
-    while True:
-        eol = data.find(CRLF, pos)
-        if eol < 0:
-            return commands, data[pos:]
-        text = data[pos:eol].decode("utf-8", errors="replace")
-        line_end = eol + 2
-        if not text.strip():
-            pos = line_end
-            continue
-        parts = text.split()
-        name = parts[0]
-        if name in RETRIEVAL_COMMANDS:
-            keys = tuple(parts[1:])
-            if not keys:
-                raise ProtocolError(f"{name} without keys")
-            # split() left no whitespace in the keys: one search of the line for
-            # the rest, one length check (no key is longer than its line); a call
-            # per key only to raise its error
-            if _BAD_TOKEN_CHAR(text) or (
-                len(text) > MAX_KEY_LEN and len(max(keys, key=len)) > MAX_KEY_LEN
-            ):
-                for k in keys:
-                    _validate_key(k)
-            commands.append(Command(name=name, keys=keys))
-            pos = line_end
-            continue
-        if name in STORAGE_COMMANDS:
-            want = 6 if name == "cas" else 5
-            noreply = parts[-1] == "noreply"
-            body = parts[: want + (1 if noreply else 0)]
-            if len(parts) != len(body) or len(parts) < want:
-                raise ProtocolError(f"malformed {name} command: {text!r}")
-            key = parts[1]
-            _validate_key(key)
-            flags, exptime, nbytes = int(parts[2]), int(parts[3]), int(parts[4])
-            cas = int(parts[5]) if name == "cas" else None
-            if nbytes < 0:
-                raise ProtocolError("negative data length")
-            body_end = line_end + nbytes
-            if n_data < body_end + 2:
-                return commands, data[pos:]  # wait for the data block
-            if data[body_end : body_end + 2] != CRLF:
-                raise ProtocolError("storage data not CRLF-terminated")
-            # data blocks stay bytes copies: the server stores them past
-            # the lifetime of this receive buffer
-            commands.append(
-                Command(
-                    name=name,
-                    keys=(key,),
-                    flags=flags,
-                    exptime=exptime,
-                    data=data[line_end:body_end],
-                    cas=cas,
-                    noreply=noreply,
+    try:
+        while True:
+            eol = data.find(CRLF, pos)
+            if eol < 0:
+                return commands, data[pos:]
+            text = data[pos:eol].decode("utf-8", errors="replace")
+            line_end = eol + 2
+            parts = text.split()
+            if not parts:  # a blank line
+                pos = line_end
+                continue
+            name = parts[0]
+            if name in RETRIEVAL_COMMANDS:
+                keys = tuple(parts[1:])
+                if not keys:
+                    raise ProtocolError(f"{name} without keys")
+                # split() left no whitespace in the keys: one search of the line for
+                # the rest, one length check (no key is longer than its line); a call
+                # per key only to raise its error
+                if _BAD_TOKEN_CHAR(text) or (
+                    len(text) > MAX_KEY_LEN and len(max(keys, key=len)) > MAX_KEY_LEN
+                ):
+                    for k in keys:
+                        _validate_key(k)
+                commands.append(Command(name, keys))  # positional: the cheaper call
+                pos = line_end
+                continue
+            if name in STORAGE_COMMANDS:
+                want = 6 if name == "cas" else 5
+                noreply = parts[-1] == "noreply"
+                body = parts[: want + (1 if noreply else 0)]
+                if len(parts) != len(body) or len(parts) < want:
+                    raise ProtocolError(f"malformed {name} command: {text!r}")
+                key = parts[1]
+                _validate_key(key)
+                flags, exptime, nbytes = int(parts[2]), int(parts[3]), int(parts[4])
+                cas = int(parts[5]) if name == "cas" else None
+                if nbytes < 0:
+                    raise ProtocolError("negative data length")
+                body_end = line_end + nbytes
+                if n_data < body_end + 2:
+                    return commands, data[pos:]  # wait for the data block
+                if data[body_end : body_end + 2] != CRLF:
+                    raise ProtocolError("storage data not CRLF-terminated")
+                # data blocks stay bytes copies: the server stores them past
+                # the lifetime of this receive buffer
+                commands.append(
+                    Command(
+                        name=name,
+                        keys=(key,),
+                        flags=flags,
+                        exptime=exptime,
+                        data=data[line_end:body_end],
+                        cas=cas,
+                        noreply=noreply,
+                    )
                 )
-            )
-            pos = body_end + 2
-            continue
-        if name == "delete":
-            if len(parts) < 2:
-                raise ProtocolError("delete without key")
-            _validate_key(parts[1])
-            commands.append(
-                Command(name="delete", keys=(parts[1],), noreply=parts[-1] == "noreply")
-            )
-            pos = line_end
-            continue
-        if name == "touch":
-            if len(parts) < 3:
-                raise ProtocolError("touch needs a key and an exptime")
-            _validate_key(parts[1])
-            commands.append(
-                Command(
-                    name="touch",
-                    keys=(parts[1],),
-                    exptime=int(parts[2]),
-                    noreply=parts[-1] == "noreply",
+                pos = body_end + 2
+                continue
+            if name == "delete":
+                if len(parts) < 2:
+                    raise ProtocolError("delete without key")
+                _validate_key(parts[1])
+                commands.append(
+                    Command(name="delete", keys=(parts[1],), noreply=parts[-1] == "noreply")
                 )
-            )
-            pos = line_end
-            continue
-        if name in COUNTER_COMMANDS:
-            if len(parts) < 3:
-                raise ProtocolError(f"{name} needs a key and a delta")
-            _validate_key(parts[1])
-            delta = int(parts[2])
-            if delta < 0:
-                raise ProtocolError(f"{name} delta must be non-negative")
-            commands.append(
-                Command(
-                    name=name,
-                    keys=(parts[1],),
-                    delta=delta,
-                    noreply=parts[-1] == "noreply",
+                pos = line_end
+                continue
+            if name == "touch":
+                if len(parts) < 3:
+                    raise ProtocolError("touch needs a key and an exptime")
+                _validate_key(parts[1])
+                commands.append(
+                    Command(
+                        name="touch",
+                        keys=(parts[1],),
+                        exptime=int(parts[2]),
+                        noreply=parts[-1] == "noreply",
+                    )
                 )
-            )
-            pos = line_end
-            continue
-        if name == "stats":
-            # `stats [<arg>]` — real memcached takes an optional argument
-            # selecting a sub-report; `stats metrics` is the RnB
-            # Prometheus-text surface (docs/OBSERVABILITY.md)
-            if len(parts) > 2:
-                raise ProtocolError(f"stats takes at most one argument: {text!r}")
-            commands.append(Command(name="stats", keys=tuple(parts[1:])))
-            pos = line_end
-            continue
-        if name in ("flush_all", "version"):
-            commands.append(Command(name=name))
-            pos = line_end
-            continue
-        raise ProtocolError(f"unknown command: {text!r}")
-
-
-class CommandBuffer:
-    """Incremental command framing for the server fronts (:class:`FrameBuffer`'s twin).
-
-    ``feed`` takes socket chunks as they arrive, ``commands`` returns the commands
-    they complete.  A storage command whose data block is still arriving is not
-    parsed again before the block is there: *k* chunks, one join, one parse.
-    """
-
-    __slots__ = ("_chunks", "_missing")
-
-    def __init__(self) -> None:
-        self._chunks: list[bytes] = []
-        self._missing = 0  # bytes the next command still needs before a parse can complete it
-
-    def feed(self, data: bytes) -> None:
-        self._chunks.append(data)
-        self._missing -= len(data)
-
-    def commands(self) -> list[Command]:
-        if self._missing > 0:
-            return []
-        commands, tail = parse_command_stream(b"".join(self._chunks))
-        self._chunks = [tail] if tail else []  # a lone chunk is parsed as it is, uncopied
-        eol = tail.find(CRLF)
-        if eol < 0:
-            self._missing = 1  # the rest of a line: the next byte may end it
-        else:  # a whole line left over: a storage command waiting for its data block
-            nbytes = int(tail[:eol].decode("utf-8", errors="replace").split()[4])
-            self._missing = eol + 2 + nbytes + 2 - len(tail)
-        return commands
+                pos = line_end
+                continue
+            if name in COUNTER_COMMANDS:
+                if len(parts) < 3:
+                    raise ProtocolError(f"{name} needs a key and a delta")
+                _validate_key(parts[1])
+                delta = int(parts[2])
+                if delta < 0:
+                    raise ProtocolError(f"{name} delta must be non-negative")
+                commands.append(
+                    Command(
+                        name=name,
+                        keys=(parts[1],),
+                        delta=delta,
+                        noreply=parts[-1] == "noreply",
+                    )
+                )
+                pos = line_end
+                continue
+            if name == "stats":
+                # `stats [<arg>]` — real memcached takes an optional argument
+                # selecting a sub-report; `stats metrics` is the RnB
+                # Prometheus-text surface (docs/OBSERVABILITY.md)
+                if len(parts) > 2:
+                    raise ProtocolError(f"stats takes at most one argument: {text!r}")
+                commands.append(Command(name="stats", keys=tuple(parts[1:])))
+                pos = line_end
+                continue
+            if name in ("flush_all", "version"):
+                commands.append(Command(name=name))
+                pos = line_end
+                continue
+            raise ProtocolError(f"unknown command: {text!r}")
+    except ProtocolError as exc:
+        exc.parsed = commands
+        raise
+    except ValueError as exc:  # a number field that is not one
+        error = ProtocolError(f"malformed command: {exc}")
+        error.parsed = commands
+        raise error from exc
 
 
 def format_status(status: str) -> bytes:

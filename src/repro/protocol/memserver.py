@@ -153,56 +153,61 @@ class MemcachedServer:
         over ``clock`` time, so an overloaded server sheds with
         ``SERVER_ERROR busy`` (a retryable verdict — see
         :class:`repro.errors.ServerBusy`) instead of stalling the client.
+        A retrieval runs here; every other verb in :meth:`_update`.
         """
-        if self.admission is not None and cmd.name in ("get", "gets"):
-            if not self.admission.try_admit(now=self.clock()):
-                self.stats["busy_rejections"] += 1
-                return codec.format_status("SERVER_ERROR busy")
-            try:
-                with self._lock:
-                    return self._execute_locked(cmd)
-            finally:
-                self.admission.finished()
-        with self._lock:
-            return self._execute_locked(cmd)
-
-    def _execute_locked(self, cmd: Command) -> bytes:
-        self.stats["total_transactions"] += 1
         name = cmd.name
-        if name in ("get", "gets"):
-            # one pass, no call into this module per key (an entry with a TTL
-            # excepted): every hit's VALUE block goes straight into the reply's
-            # parts, joined once, so a payload is copied once; a plain get
-            # formats an entry's header once, a gets each time (its cas).  An
-            # unbounded store never evicts, so nothing reads its LRU order: a
-            # hit moves it only in a bounded one
-            lookup = self._items.get
-            touch = None if self.capacity_bytes is None else self._items.move_to_end
-            with_cas = name == "gets"
-            parts: list[bytes] = []
-            for key in cmd.keys:
-                entry = lookup(key)
-                if entry is not None and entry.expires_at is not None:
-                    entry = self._get_live(key)
-                if entry is None:
-                    continue
-                if touch is not None:
-                    touch(key)
-                data = entry.data
-                if with_cas:
-                    header = f"VALUE {key} {entry.flags} {len(data)} {entry.cas}\r\n".encode()
-                else:
-                    header = entry.header
-                    if header is None:
-                        header = f"VALUE {key} {entry.flags} {len(data)}\r\n".encode()
-                        entry.header = header
-                parts += (header, data, CRLF)
-            hits = len(parts) // 3
-            self.stats["cmd_get"] += 1
-            self.stats["get_hits"] += hits
-            self.stats["get_misses"] += len(cmd.keys) - hits
-            parts.append(b"END\r\n")
-            return b"".join(parts)
+        retrieval = name == "get" or name == "gets"
+        admission = self.admission if retrieval else None
+        if admission is not None and not admission.try_admit(now=self.clock()):
+            self.stats["busy_rejections"] += 1
+            return codec.format_status("SERVER_ERROR busy")
+        try:
+            with self._lock:
+                stats = self.stats
+                stats["total_transactions"] += 1
+                if not retrieval:
+                    return self._update(cmd)
+                # one pass, no call into this module per key (an entry with a TTL
+                # excepted): every hit's VALUE block goes straight into the reply's
+                # parts, joined once, so a payload is copied once; a plain get
+                # formats an entry's header once, a gets each time (its cas).  An
+                # unbounded store never evicts, so nothing reads its LRU order: a
+                # hit moves it only in a bounded one
+                lookup = self._items.get
+                touch = None if self.capacity_bytes is None else self._items.move_to_end
+                with_cas = name == "gets"
+                parts: list[bytes] = []
+                for key in cmd.keys:
+                    entry = lookup(key)
+                    if entry is not None and entry.expires_at is not None:
+                        entry = self._get_live(key)
+                    if entry is None:
+                        continue
+                    if touch is not None:
+                        touch(key)
+                    data = entry.data
+                    if with_cas:
+                        cas = entry.cas
+                        header = f"VALUE {key} {entry.flags} {len(data)} {cas}\r\n".encode()
+                    else:
+                        header = entry.header
+                        if header is None:
+                            header = f"VALUE {key} {entry.flags} {len(data)}\r\n".encode()
+                            entry.header = header
+                    parts += (header, data, CRLF)
+                hits = len(parts) // 3
+                stats["cmd_get"] += 1
+                stats["get_hits"] += hits
+                stats["get_misses"] += len(cmd.keys) - hits
+                parts.append(b"END\r\n")
+                return b"".join(parts)
+        finally:
+            if admission is not None:
+                admission.finished()
+
+    def _update(self, cmd: Command) -> bytes:
+        """Every verb but ``get``/``gets``, under the lock :meth:`execute` holds."""
+        name = cmd.name
         if name == "set":
             self.stats["cmd_set"] += 1
             self._store(cmd.keys[0], cmd.flags, cmd.data, cmd.exptime)

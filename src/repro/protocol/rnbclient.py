@@ -247,12 +247,10 @@ class LiveRnBClient:
             attempt, self.retry_policy, rng=self.rng, sleep=self.sleep, on_retry=on_retry
         )
 
-    def _account(self, sid: int, got, counters: dict) -> None:
-        """Health / breaker / busy bookkeeping for one finished read call."""
-        if not isinstance(got, BaseException):
-            if self.health is not None:
-                self.health.record_success(sid)
-        elif isinstance(got, ServerBusy):
+    def _account_failure(self, sid: int, got: BaseException, counters: dict) -> None:
+        """Health / breaker / busy bookkeeping for one failed read call; a
+        success is one ``health.record_success`` where the call is settled."""
+        if isinstance(got, ServerBusy):
             # a shed server is alive: trip breakers, never the health tracker
             self.busy_sheds += 1
             counters["busy"] = counters.get("busy", 0) + 1
@@ -293,7 +291,7 @@ class LiveRnBClient:
         started = time.perf_counter()
         tracer = self._tracer
         span = tracer.start("request", n_keys=len(keys)) if tracer is not None else None
-        request = Request(items=keys, limit_fraction=limit_fraction)
+        request = Request.distinct(keys, limit_fraction)
         exclude = self.health.exclusions() if self.health is not None else frozenset()
         if self.breakers is not None:
             self.breakers.advance()
@@ -309,12 +307,12 @@ class LiveRnBClient:
         # a call the deadline cut: its primaries stay missing, repair is skipped
         cut = False
         txns = plan.transactions
-        results = yield [
-            (txn.server, "get_multi", (txn.primary + txn.hitchhikers,))
-            if txn.hitchhikers
-            else (txn.server, "get_multi", (txn.primary,))
-            for txn in txns
-        ], span
+        calls = []
+        for txn in txns:
+            hitchhikers = txn.hitchhikers
+            keyset = txn.primary + hitchhikers if hitchhikers else txn.primary
+            calls.append((txn.server, "get_multi", (keyset,)))
+        results = yield calls, span
         for txn, got in zip(txns, results):
             if got is CUT:
                 cut = True
@@ -332,7 +330,7 @@ class LiveRnBClient:
                         if key not in got:
                             missed_primary[key] = txn.server
 
-        required = request.required_items
+        required = len(keys) if limit_fraction is None else request.required_items
         if not cut and len(values) < required:
             cut = yield from self._repair(keys, required, missed_primary, failed, outcome, span)
 
@@ -378,8 +376,10 @@ class LiveRnBClient:
             instruments["latency"].observe(time.perf_counter() - started)
             instruments["degraded" if (outcome.missing or cut) else "ok"].inc()
             instruments["served"].inc(len(values))
-            instruments["missing"].inc(len(outcome.missing))
-            instruments["retries"].inc(outcome.retries)
+            if outcome.missing:
+                instruments["missing"].inc(len(outcome.missing))
+            if outcome.retries:
+                instruments["retries"].inc(outcome.retries)
             if cut:
                 instruments["deadline"].inc()
         if span is not None:
@@ -583,7 +583,8 @@ class RnBProtocolClient(LiveRnBClient):
     def _call(self, sid: int, op: str, args: tuple, counters, parent):
         """One call: its value, or the :data:`FAILOVER_ERRORS` instance it
         failed with.  A read call (``get_multi``) is retried (:meth:`_retried`),
-        traced as a ``txn`` span and accounted (:meth:`_account`)."""
+        traced as a ``txn`` span and accounted: a success to the health
+        tracker, a failure by :meth:`_account_failure`."""
         conn = self.connections[sid]
         if op != "get_multi":
             try:
@@ -600,7 +601,10 @@ class RnBProtocolClient(LiveRnBClient):
             got = self._retried(sid, lambda: conn.get_multi(*args), counters, call_with_retries)
         except FAILOVER_ERRORS as exc:
             got = exc
-        self._account(sid, got, counters)
+            self._account_failure(sid, got, counters)
+        else:
+            if self.health is not None:
+                self.health.record_success(sid)
         if span is not None:
             tracer.finish(span, outcome=_txn_outcome(got))
         return got

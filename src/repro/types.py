@@ -49,6 +49,18 @@ class Request:
         if self.limit_fraction is not None and not (0.0 < self.limit_fraction <= 1.0):
             raise ValueError("limit_fraction must be in (0, 1]")
 
+    @classmethod
+    def distinct(cls, items: tuple, limit_fraction: float | None = None) -> "Request":
+        """A request over ``items`` its caller has already made distinct (as
+        ``tuple(dict.fromkeys(keys))`` does): the set ``__post_init__`` would
+        build to check them is not built again.  ``limit_fraction`` is checked."""
+        if limit_fraction is not None:
+            return cls(items, limit_fraction)
+        request = object.__new__(cls)
+        object.__setattr__(request, "items", items)
+        object.__setattr__(request, "limit_fraction", None)
+        return request
+
     @property
     def size(self) -> int:
         """Number of items in the request set (the *request size*)."""
@@ -123,7 +135,7 @@ class RequestBlock:
         return [Request(tuple(flat[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Transaction:
     """One multi-get sent to a single server.
 
@@ -131,7 +143,9 @@ class Transaction:
     (chosen by the set cover); ``hitchhikers`` holds redundant items
     piggybacked onto it (paper section III-C2).  The server-side cost of
     the transaction depends on ``len(primary) + len(hitchhikers)`` items
-    plus a fixed per-transaction cost.
+    plus a fixed per-transaction cost.  Not frozen: a plan builds several a
+    request, and a frozen dataclass's ``__init__`` costs about three times as
+    much; nothing changes one after its plan is made.
     """
 
     server: ServerId

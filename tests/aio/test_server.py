@@ -89,6 +89,74 @@ class TestProtocol:
         finally:
             handle.stop()
 
+    @pytest.mark.parametrize(
+        "bad", [b"bogus\r\n", b"set k 0 0 x\r\n", b"incr a many\r\n", b"get\r\n"]
+    )
+    def test_commands_pipelined_before_a_malformed_one_are_answered_first(self, bad):
+        # a pipelining client pairs replies with requests in order: the valid
+        # commands written with the bad line get their own replies, then ERROR
+        backend = MemcachedServer()
+        backend.execute(Command(name="set", keys=("a",), data=b"1"))
+        handle, (host, port) = serve_aio(backend)
+        try:
+            with socket.create_connection((host, port), timeout=2.0) as sock:
+                sock.sendall(b"get a\r\nset b 0 0 2\r\nhi\r\n" + bad + b"get b\r\n")
+                sock.settimeout(2.0)
+                data = b""
+                while chunk := sock.recv(65536):  # until the server closes
+                    data += chunk
+            assert data == b"VALUE a 0 1\r\n1\r\nEND\r\nSTORED\r\nERROR\r\n"
+            assert "b" in backend and backend.stats["cmd_get"] == 1
+        finally:
+            handle.stop()
+
+
+class ExecuteOnly:
+    """A backend with nothing but ``execute(cmd)``, the shape of a proxy
+    around one (``bench/spans.BackendProxy``): all a front may reach."""
+
+    __slots__ = ("_inner",)
+
+    def __init__(self, inner: MemcachedServer) -> None:
+        self._inner = inner
+
+    def execute(self, cmd: Command) -> bytes:
+        return self._inner.execute(cmd)
+
+
+class TestBackendContract:
+    STREAM = (
+        b"set a 0 0 1\r\nx\r\n"
+        b"set b 7 0 3\r\nyyy\r\n"
+        b"get a b missing\r\n"
+        b"gets b a\r\n"
+        b"set a 0 0 2 noreply\r\nzz\r\n"
+        b"get a\r\n"
+        b"delete a\r\n"
+        b"delete a\r\n"
+        b"get a b\r\n"
+        b"gets a\r\n"
+    )
+
+    def test_a_front_over_execute_alone_answers_byte_for_byte(self):
+        async def answer(backend) -> bytes:
+            server = AsyncMemcachedServer(backend)
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(self.STREAM)
+                writer.write_eof()  # the front answers what it read, then closes
+                return await asyncio.wait_for(reader.read(), timeout=2.0)
+            finally:
+                writer.close()
+                await server.stop()
+
+        direct = run(answer(MemcachedServer()))
+        proxied = run(answer(ExecuteOnly(MemcachedServer())))
+        assert direct.startswith(b"STORED\r\nSTORED\r\nVALUE a 0 1\r\nx\r\nVALUE b 7 3")
+        assert direct.endswith(b"DELETED\r\nNOT_FOUND\r\nVALUE b 7 3\r\nyyy\r\nEND\r\nEND\r\n")
+        assert proxied == direct
+
 
 class TestAdmission:
     def test_busy_verdict_surfaces_through_the_async_front(self):

@@ -1,14 +1,13 @@
-"""Server ingest: ``CommandBuffer`` frames commands incrementally, and a data
-block that spans many socket chunks is parsed once by the socket front."""
+"""Server ingest: the socket front frames commands incrementally, and a data
+block that spans many socket chunks is parsed once."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.aio.server import AsyncMemcachedServer, _Connection
-from repro.errors import ProtocolError
 from repro.protocol import codec
-from repro.protocol.codec import Command, CommandBuffer, encode_command, parse_command_stream
+from repro.protocol.codec import Command, encode_command, parse_command_stream
 from repro.protocol.memserver import MemcachedServer
 
 STREAM = (
@@ -22,16 +21,46 @@ STREAM = (
 )
 
 
+class _Sink:
+    """A transport for the front: keeps what it is given to ``write``."""
+
+    def __init__(self) -> None:
+        self.out = bytearray()
+        self.closed = False
+
+    def write(self, data) -> None:
+        self.out += data
+
+    def close(self) -> None:
+        self.closed = True
+
+
+class _Commands:
+    """A backend with nothing but ``execute``: keeps each command, answers nothing."""
+
+    def __init__(self) -> None:
+        self.commands: list[Command] = []
+
+    def execute(self, cmd: Command) -> bytes:
+        self.commands.append(cmd)
+        return b""
+
+
+def front() -> tuple[_Connection, _Commands, _Sink]:
+    backend, transport = _Commands(), _Sink()
+    conn = _Connection(AsyncMemcachedServer(backend))
+    conn.connection_made(transport)
+    return conn, backend, transport
+
+
 def fed(pieces) -> list[Command]:
-    buf, out = CommandBuffer(), []
+    conn, backend, _ = front()
     for piece in pieces:
-        buf.feed(piece)
-        out.extend(buf.commands())
-    assert buf.commands() == []  # nothing new: nothing parsed
-    return out
+        conn.data_received(piece)
+    return backend.commands
 
 
-class TestCommandBuffer:
+class TestFrontFraming:
     def test_any_chunking_yields_the_streams_commands(self):
         want, tail = parse_command_stream(STREAM)
         assert tail == b"" and len(want) == 7
@@ -42,27 +71,28 @@ class TestCommandBuffer:
         assert fed([STREAM[i : i + 7] for i in range(0, len(STREAM), 7)]) == want
 
     def test_an_unfinished_command_stays_buffered(self):
-        buf = CommandBuffer()
-        buf.feed(b"get a\r\nset k 0 0 10\r\nhal")
-        assert [cmd.name for cmd in buf.commands()] == ["get"]
-        buf.feed(b"f of it\r")
-        assert buf.commands() == []
-        buf.feed(b"\nget b")
-        [cmd] = buf.commands()
+        conn, backend, _ = front()
+        conn.data_received(b"get a\r\nset k 0 0 10\r\nhal")
+        assert [cmd.name for cmd in backend.commands] == ["get"]
+        conn.data_received(b"f of it\r")
+        assert len(backend.commands) == 1
+        conn.data_received(b"\nget b")
+        cmd = backend.commands[-1]
         assert (cmd.name, cmd.data) == ("set", b"half of it")
-        buf.feed(b"\r\n")
-        assert [cmd.keys for cmd in buf.commands()] == [("b",)]
+        conn.data_received(b"\r\n")
+        assert [cmd.keys for cmd in backend.commands[2:]] == [("b",)]
 
     @pytest.mark.parametrize(
-        "wire", [b"bogus x\r\n", b"set k 0 0 2\r\nhixx\r\n", b"set k 0 0 -1\r\n\r\n"]
+        "wire",
+        [b"bogus x\r\n", b"set k 0 0 2\r\nhixx\r\n", b"set k 0 0 -1\r\n\r\n", b"incr k x\r\n"],
     )
-    def test_malformed_input_raises_as_the_parser_does(self, wire):
-        buf = CommandBuffer()
-        buf.feed(b"get a\r\nget")
-        assert len(buf.commands()) == 1
-        buf.feed(b" b\r\n" + wire)
-        with pytest.raises(ProtocolError):
-            buf.commands()
+    def test_malformed_input_is_refused_after_what_came_before(self, wire):
+        conn, backend, transport = front()
+        conn.data_received(b"get a\r\nget")
+        assert len(backend.commands) == 1
+        conn.data_received(b" b\r\n" + wire)
+        assert [cmd.keys for cmd in backend.commands] == [("a",), ("b",)]
+        assert bytes(transport.out) == b"ERROR\r\n" and transport.closed
 
 
 PAYLOAD = b"x" * (4 << 20)
@@ -86,16 +116,6 @@ def parsed(monkeypatch) -> list[int]:
 def chunks() -> list[bytes]:
     wire = encode_command(Command(name="set", keys=("big",), data=PAYLOAD)) + b"get big\r\n"
     return [wire[i : i + CHUNK] for i in range(0, len(wire), CHUNK)]
-
-
-class _Sink:
-    """A transport for the front: keeps what it is given to ``write``."""
-
-    def __init__(self) -> None:
-        self.out = bytearray()
-
-    def write(self, data) -> None:
-        self.out += data
 
 
 STORED_THEN_VALUE = b"STORED\r\nVALUE big 0 %d\r\n%s\r\nEND\r\n" % (len(PAYLOAD), PAYLOAD)

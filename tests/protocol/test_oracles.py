@@ -4,10 +4,13 @@ byte-identical replies and equal counters from the server."""
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.aio.transport import AsyncConnection
 from repro.errors import ProtocolError
 from repro.protocol import codec
 from repro.protocol.codec import MAX_KEY_LEN, Command, IncompleteResponse
@@ -169,6 +172,109 @@ class TestParseResponse:
             want, pos = _oracle.parse_response_at(data, pos)
             assert frames.next_response() == reshaped(want)
         assert len(frames) == 0
+
+
+class TestPlainValueWalk:
+    """The parser's first match takes only ``VALUE <key> 0 <n>`` headers and never
+    reads a payload byte; every other header falls to the exact walk.  Replies that
+    mix the two, whole and split at every byte (through :class:`codec.FrameBuffer`
+    and a connection's own framing), must parse as the reference parser does."""
+
+    #: keys the first match takes, one it refuses (non-ASCII), and repeats
+    keys = st.sampled_from(["a", "b", "k0", "~!", "clé", "a"])
+    payloads = st.one_of(
+        st.binary(max_size=24),
+        st.sampled_from(
+            [b"\r\n", b"END\r\n", b"VALUE k 0 5\r\n", b"\r\nEND\r\n", b"", b"xyEND"]
+        ),
+    )
+    blocks = st.tuples(
+        keys,
+        st.sampled_from([0, 0, 0, 3, 2**31]),  # flags
+        payloads,
+        st.none() | st.integers(1, 2**40),  # a cas id: a ``gets`` line
+        # the declared length: the payload's, one off, or 0 (what follows the
+        # cut may read as a data terminator and a well-formed rest)
+        st.sampled_from(["payload", "payload", "payload", "payload", "short", "long", "zero"]),
+    )
+
+    @staticmethod
+    def render(blocks) -> bytes:
+        out = bytearray()
+        for key, flags, payload, cas, declared in blocks:
+            n = {"payload": 0, "short": -1, "long": 1, "zero": -len(payload)}[declared]
+            header = f"VALUE {key} {flags} {len(payload) + n}"
+            if cas is not None:
+                header += f" {cas}"
+            out += header.encode() + b"\r\n" + payload + b"\r\n"
+        return bytes(out + b"END\r\n")
+
+    @staticmethod
+    def split_feeds(data: bytes, want: codec.Response) -> None:
+        for cut in range(len(data) + 1):
+            frames = codec.FrameBuffer()
+            frames.feed(data[:cut])
+            got = frames.next_response()
+            if got is None:
+                frames.feed(data[cut:])
+                got = frames.next_response()
+            assert got == want, f"split at byte {cut}"
+            assert len(frames) == 0
+
+    @staticmethod
+    def split_receives(data: bytes, want: codec.Response) -> None:
+        class Wire:  # an idle socket: submit writes at once, close aborts
+            def write(self, data) -> None:
+                pass
+
+            def abort(self) -> None:
+                pass
+
+        async def scenario() -> None:
+            loop = asyncio.get_running_loop()
+            conn = AsyncConnection("127.0.0.1", 0)
+            conn._loop = loop
+            conn.connection_made(Wire())
+            try:
+                for cut in range(len(data) + 1):
+                    sink = loop.create_future()
+                    assert conn.submit(b"get k\r\n", 1, sink)
+                    conn.data_received(data[:cut])
+                    conn.data_received(data[cut:])
+                    assert sink.result() == [want], f"split at byte {cut}"
+                    assert conn.connected and conn.in_flight == 0
+            finally:
+                conn.close()
+
+        asyncio.run(scenario())
+
+    @given(st.lists(blocks, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_generated_replies_whole_and_split_at_every_byte(self, blocks):
+        data = self.render(blocks)
+        assert_same_parse(data)
+        assert_same_parse(b"END\r\n" + data, 5)  # behind a response already parsed
+        want = outcome(_oracle.parse_response_at, data)
+        if isinstance(want, tuple) and want[1] == len(data):  # well formed
+            want = reshaped(want[0])
+            self.split_feeds(data, want)
+            self.split_receives(data, want)
+
+    def test_a_reply_mixing_both_walks(self):
+        data = self.render(
+            [
+                ("a", 0, b"VALUE k 0 5\r\n", None, "payload"),
+                ("a", 3, b"x", 9, "payload"),
+                ("b", 0, b"", None, "payload"),
+                ("clé", 0, b"END\r\n", None, "payload"),
+                ("a", 0, b"\r\n", None, "payload"),
+            ]
+        )
+        want = codec.Response("END", {"a": b"\r\n", "b": b"", "clé": b"END\r\n"})
+        assert codec.parse_response_at(data) == (want, len(data))
+        assert_same_parse(data)
+        self.split_feeds(data, want)
+        self.split_receives(data, want)
 
 
 # -- retrieval command lines -----------------------------------------------

@@ -22,6 +22,14 @@ class TestRequest:
     def test_size(self):
         assert Request(items=(1, 2, 3)).size == 3
 
+    def test_distinct_builds_what_the_checked_constructor_builds(self):
+        for items, frac in (((1, 2, 3), None), ((), None), (("a", "b"), 0.5)):
+            req = Request.distinct(items, frac)
+            assert req == Request(items=items, limit_fraction=frac)
+            assert hash(req) == hash(Request(items=items, limit_fraction=frac))
+        with pytest.raises(ValueError):
+            Request.distinct((1, 2), limit_fraction=1.5)  # the fraction is still checked
+
     def test_limit_fraction_validation(self):
         with pytest.raises(ValueError):
             Request(items=(1,), limit_fraction=0.0)
