@@ -23,78 +23,52 @@ See ``examples/`` for runnable scenarios, ``repro.experiments`` for the
 per-figure reproduction drivers, and DESIGN.md for the system inventory.
 """
 
-from repro._version import __version__
-from repro.analysis.calibration import DEFAULT_MEMCACHED_MODEL, CostModel, fit_cost_model
-from repro.analysis.urn import (
-    expected_tpr,
-    expected_tprps,
-    prob_server_contacted,
-    tprps_scaling_factor,
-)
-from repro.cluster.cluster import Cluster
-from repro.cluster.placement import (
-    FullReplicationPlacer,
-    RandomPlacer,
-    ReplicaPlacer,
-    make_placer,
-)
-from repro.cluster.server import Server
-from repro.core.baselines import FullReplicationClient
-from repro.core.bundling import Bundler
-from repro.core.client import RnBClient
-from repro.core.merge import merge_requests, merge_stream
-from repro.core.setcover import greedy_partial_cover, greedy_set_cover
-from repro.errors import RnBError
-from repro.hashing.hashring import ConsistentHashRing
-from repro.hashing.multihash import MultiHashPlacer
-from repro.hashing.rch import RangedConsistentHashPlacer
-from repro.sim.config import ClientConfig, ClusterConfig, SimConfig
-from repro.sim.engine import run_simulation
-from repro.sim.montecarlo import mc_tpr
-from repro.types import FetchPlan, FetchResult, ReplicaSet, Request, Transaction
-from repro.workloads.graphs import SocialGraph
-from repro.workloads.requests import EgoRequestGenerator, RandomRequestGenerator
-from repro.workloads.synthetic import make_epinions_like, make_slashdot_like
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Bundler",
-    "ClientConfig",
-    "Cluster",
-    "ClusterConfig",
-    "ConsistentHashRing",
-    "CostModel",
-    "DEFAULT_MEMCACHED_MODEL",
-    "EgoRequestGenerator",
-    "FetchPlan",
-    "FetchResult",
-    "FullReplicationClient",
-    "FullReplicationPlacer",
-    "MultiHashPlacer",
-    "RandomPlacer",
-    "RandomRequestGenerator",
-    "RangedConsistentHashPlacer",
-    "ReplicaPlacer",
-    "ReplicaSet",
-    "Request",
-    "RnBClient",
-    "RnBError",
-    "Server",
-    "SimConfig",
-    "SocialGraph",
-    "Transaction",
-    "__version__",
-    "expected_tpr",
-    "expected_tprps",
-    "fit_cost_model",
-    "greedy_partial_cover",
-    "greedy_set_cover",
-    "make_epinions_like",
-    "make_placer",
-    "make_slashdot_like",
-    "mc_tpr",
-    "merge_requests",
-    "merge_stream",
-    "prob_server_contacted",
-    "run_simulation",
-    "tprps_scaling_factor",
-]
+# the quick-start API: each name imports its module on first use, so
+# ``import repro.<subpackage>`` pays for none of them
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "__version__": "repro._version",
+        "CostModel": "repro.analysis.calibration",
+        "DEFAULT_MEMCACHED_MODEL": "repro.analysis.calibration",
+        "fit_cost_model": "repro.analysis.calibration",
+        "expected_tpr": "repro.analysis.urn",
+        "expected_tprps": "repro.analysis.urn",
+        "prob_server_contacted": "repro.analysis.urn",
+        "tprps_scaling_factor": "repro.analysis.urn",
+        "Cluster": "repro.cluster.cluster",
+        "FullReplicationPlacer": "repro.cluster.placement",
+        "make_placer": "repro.cluster.placement",
+        "RandomPlacer": "repro.cluster.placement",
+        "ReplicaPlacer": "repro.cluster.placement",
+        "Server": "repro.cluster.server",
+        "FullReplicationClient": "repro.core.baselines",
+        "Bundler": "repro.core.bundling",
+        "RnBClient": "repro.core.client",
+        "merge_requests": "repro.core.merge",
+        "merge_stream": "repro.core.merge",
+        "greedy_partial_cover": "repro.core.setcover",
+        "greedy_set_cover": "repro.core.setcover",
+        "RnBError": "repro.errors",
+        "ConsistentHashRing": "repro.hashing.hashring",
+        "MultiHashPlacer": "repro.hashing.multihash",
+        "RangedConsistentHashPlacer": "repro.hashing.rch",
+        "ClientConfig": "repro.sim.config",
+        "ClusterConfig": "repro.sim.config",
+        "SimConfig": "repro.sim.config",
+        "run_simulation": "repro.sim.engine",
+        "mc_tpr": "repro.sim.montecarlo",
+        "FetchPlan": "repro.types",
+        "FetchResult": "repro.types",
+        "ReplicaSet": "repro.types",
+        "Request": "repro.types",
+        "Transaction": "repro.types",
+        "SocialGraph": "repro.workloads.graphs",
+        "EgoRequestGenerator": "repro.workloads.requests",
+        "RandomRequestGenerator": "repro.workloads.requests",
+        "make_epinions_like": "repro.workloads.synthetic",
+        "make_slashdot_like": "repro.workloads.synthetic",
+    },
+)

@@ -23,19 +23,3 @@ The open-loop load generator (:mod:`repro.loadgen`, ``rnb loadtest``)
 drives this stack with thousands of concurrent simulated users in one
 process.
 """
-
-from repro.aio.memclient import AsyncMemcachedClient
-from repro.aio.rnbclient import AsyncRnBClient
-from repro.aio.server import AioServerHandle, AsyncMemcachedServer, serve_aio
-from repro.aio.transport import AsyncConnection, AsyncConnectionPool, BlockingConnection
-
-__all__ = [
-    "AioServerHandle",
-    "AsyncConnection",
-    "AsyncConnectionPool",
-    "AsyncMemcachedClient",
-    "AsyncMemcachedServer",
-    "AsyncRnBClient",
-    "BlockingConnection",
-    "serve_aio",
-]

@@ -34,7 +34,8 @@ from functools import partial
 from heapq import heappop, heappush
 
 from repro.cluster.placement import ReplicaPlacer
-from repro.consistency import ReadOutcome, WriteOutcome
+from repro.consistency.quorum import WriteOutcome
+from repro.consistency.readrepair import ReadOutcome
 from repro.core.bundling import Bundler
 from repro.errors import ConfigurationError
 from repro.faults.health import HealthTracker

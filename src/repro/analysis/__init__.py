@@ -8,41 +8,3 @@
 * :mod:`repro.analysis.throughput` — converting simulated transaction
   histograms into system throughput estimates (Fig 3 methodology).
 """
-
-from repro.analysis.calibration import (
-    DEFAULT_MEMCACHED_MODEL,
-    CostModel,
-    fit_cost_model,
-)
-from repro.analysis.latency import LatencyModel, latency_profile
-from repro.analysis.rnb_model import predicted_tpr, required_replication
-from repro.analysis.throughput import (
-    relative_throughput_curve,
-    system_throughput,
-    work_per_request,
-)
-from repro.analysis.urn import (
-    expected_tpr,
-    expected_tprps,
-    occupancy_pmf,
-    prob_server_contacted,
-    tprps_scaling_factor,
-)
-
-__all__ = [
-    "CostModel",
-    "DEFAULT_MEMCACHED_MODEL",
-    "LatencyModel",
-    "latency_profile",
-    "predicted_tpr",
-    "required_replication",
-    "expected_tpr",
-    "expected_tprps",
-    "fit_cost_model",
-    "occupancy_pmf",
-    "prob_server_contacted",
-    "relative_throughput_curve",
-    "system_throughput",
-    "tprps_scaling_factor",
-    "work_per_request",
-]

@@ -309,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "loadtest":
         from pathlib import Path
 
-        from repro.loadgen import LoadTestConfig, run_loadtest
+        from repro.loadgen.runner import LoadTestConfig, run_loadtest
 
         config = LoadTestConfig(
             users=args.users,

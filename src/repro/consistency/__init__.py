@@ -25,69 +25,38 @@ Layers (each usable alone):
   minimal counter-examples (docs/PARTITIONS.md).
 """
 
-from repro.consistency.history import (
-    CONVERGENCE,
-    MONOTONIC_READS,
-    READ_YOUR_WRITES,
-    HistoryRecorder,
-    HistoryReport,
-    Op,
-    Violation,
-    check_history,
-)
-from repro.consistency.quorum import (
-    COMMITTED,
-    FAILED,
-    PARTIAL,
-    REJECTED,
-    WRITE_ERRORS,
-    QuorumWriter,
-    WriteOutcome,
-    resolve_w,
-)
-from repro.consistency.readrepair import (
-    ReadOutcome,
-    VersionedReader,
-    make_repair_executor,
-)
-from repro.consistency.scrub import AntiEntropyScrubber, ScrubReport
-from repro.consistency.store import ClusterStore
-from repro.consistency.version import (
-    MAGIC,
-    VersionClock,
-    VersionStamp,
-    decode_versioned,
-    encode_versioned,
-    newer,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AntiEntropyScrubber",
-    "COMMITTED",
-    "CONVERGENCE",
-    "ClusterStore",
-    "FAILED",
-    "HistoryRecorder",
-    "HistoryReport",
-    "MAGIC",
-    "MONOTONIC_READS",
-    "Op",
-    "PARTIAL",
-    "QuorumWriter",
-    "READ_YOUR_WRITES",
-    "REJECTED",
-    "ReadOutcome",
-    "ScrubReport",
-    "VersionClock",
-    "VersionStamp",
-    "VersionedReader",
-    "Violation",
-    "WRITE_ERRORS",
-    "WriteOutcome",
-    "check_history",
-    "decode_versioned",
-    "encode_versioned",
-    "make_repair_executor",
-    "newer",
-    "resolve_w",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "check_history": "repro.consistency.history",
+        "CONVERGENCE": "repro.consistency.history",
+        "HistoryRecorder": "repro.consistency.history",
+        "HistoryReport": "repro.consistency.history",
+        "MONOTONIC_READS": "repro.consistency.history",
+        "Op": "repro.consistency.history",
+        "READ_YOUR_WRITES": "repro.consistency.history",
+        "Violation": "repro.consistency.history",
+        "COMMITTED": "repro.consistency.quorum",
+        "FAILED": "repro.consistency.quorum",
+        "PARTIAL": "repro.consistency.quorum",
+        "QuorumWriter": "repro.consistency.quorum",
+        "REJECTED": "repro.consistency.quorum",
+        "resolve_w": "repro.consistency.quorum",
+        "WRITE_ERRORS": "repro.consistency.quorum",
+        "WriteOutcome": "repro.consistency.quorum",
+        "make_repair_executor": "repro.consistency.readrepair",
+        "ReadOutcome": "repro.consistency.readrepair",
+        "VersionedReader": "repro.consistency.readrepair",
+        "AntiEntropyScrubber": "repro.consistency.scrub",
+        "ScrubReport": "repro.consistency.scrub",
+        "ClusterStore": "repro.consistency.store",
+        "decode_versioned": "repro.consistency.version",
+        "encode_versioned": "repro.consistency.version",
+        "MAGIC": "repro.consistency.version",
+        "newer": "repro.consistency.version",
+        "VersionClock": "repro.consistency.version",
+        "VersionStamp": "repro.consistency.version",
+    },
+)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from repro.consistency.quorum import WRITE_ERRORS
 from repro.consistency.version import newer
 from repro.errors import ConfigurationError
-from repro.hashing import stable_hash64
+from repro.hashing.hashfns import stable_hash64
 
 
 @dataclass(frozen=True, slots=True)

@@ -269,7 +269,7 @@ class Bundler:
     ) -> list[FetchPlan]:
         """Plan a chunk of requests at once; same plans as :meth:`plan`.
 
-        When the placer is a compiled :class:`repro.perf.PlacementTable`
+        When the placer is a compiled :class:`repro.perf.table.PlacementTable`
         and the chunk is on the default path (no exclusions, ``lowest``
         tie-break), placement lookups run as one batch array index, the
         greedy covers run lock-step in NumPy (:meth:`_cover_chunk`) and

@@ -8,8 +8,3 @@ run of a few seconds to a couple of minutes per figure; pass
 
 See DESIGN.md section 4 for the experiment index and the expected shapes.
 """
-
-from repro.experiments.base import ExperimentResult
-from repro.experiments.registry import EXPERIMENTS, get_experiment, run_experiment
-
-__all__ = ["EXPERIMENTS", "ExperimentResult", "get_experiment", "run_experiment"]

@@ -15,39 +15,3 @@ and a read path that routes around all of it
 model and the degraded-read semantics, and docs/OVERLOAD.md for the
 overload half (stragglers, breakers, backpressure).
 """
-
-from repro.faults.ftclient import DegradedFetchResult, FaultTolerantRnBClient
-from repro.faults.health import ALIVE, DEAD, SUSPECTED, HealthTracker, ServerHealth
-from repro.faults.injector import DynamicFaultInjector, FaultInjector
-from repro.faults.nemesis import Nemesis, NemesisEvent, make_nemesis_schedule
-from repro.faults.partition import (
-    CLIENT,
-    LinkRule,
-    PartitionedInjector,
-    PartitionPlan,
-    link_blackout_windows,
-)
-from repro.faults.plan import FaultConfig, FaultEvent, FaultPlan
-
-__all__ = [
-    "ALIVE",
-    "CLIENT",
-    "DEAD",
-    "SUSPECTED",
-    "DegradedFetchResult",
-    "DynamicFaultInjector",
-    "FaultConfig",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultTolerantRnBClient",
-    "HealthTracker",
-    "LinkRule",
-    "Nemesis",
-    "NemesisEvent",
-    "PartitionPlan",
-    "PartitionedInjector",
-    "ServerHealth",
-    "link_blackout_windows",
-    "make_nemesis_schedule",
-]

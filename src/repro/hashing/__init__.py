@@ -15,16 +15,3 @@ servers without communication (paper section I-A):
   in the paper's simulations (section III-B): one independent hash
   function per replica index, with collision re-probing.
 """
-
-from repro.hashing.hashfns import stable_hash64, stable_hash_unit
-from repro.hashing.hashring import ConsistentHashRing
-from repro.hashing.multihash import MultiHashPlacer
-from repro.hashing.rch import RangedConsistentHashPlacer
-
-__all__ = [
-    "ConsistentHashRing",
-    "MultiHashPlacer",
-    "RangedConsistentHashPlacer",
-    "stable_hash64",
-    "stable_hash_unit",
-]

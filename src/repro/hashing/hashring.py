@@ -6,17 +6,20 @@ points on a ring; a key is stored on the server owning the first point at
 or after the key's own ring position.  Adding or removing one server only
 remaps ~1/N of the keys.
 
-The ring also exposes :meth:`walk`, the primitive Ranged Consistent
-Hashing needs: iterate ring points clockwise from a key's position.
+The ring also exposes :meth:`distinct_successors`, the primitive Ranged
+Consistent Hashing needs: the first k distinct servers clockwise from a
+key's position, walked once per ring slot and remembered
+(:meth:`slot_successors`).
 """
 
 from __future__ import annotations
 
 import bisect
+from itertools import chain
 from typing import Hashable, Iterator
 
 from repro.errors import ConfigurationError, PlacementError
-from repro.hashing.hashfns import stable_hash64
+from repro.hashing.hashfns import keyed_hash64
 
 
 class ConsistentHashRing:
@@ -39,9 +42,14 @@ class ConsistentHashRing:
         if vnodes <= 0:
             raise ConfigurationError("vnodes must be positive")
         self._vnodes = vnodes
-        self._seed = seed
+        self._point_hash = keyed_hash64(seed)
+        #: a key's ring coordinate (:meth:`key_position`)
+        self._key_hash = keyed_hash64(seed ^ 0x5BD1E995)
         self._points: list[int] = []  # sorted ring positions
         self._owners: list[Hashable] = []  # owner of each position
+        #: per slot, the distinct owners clockwise from it found so far
+        #: (:meth:`slot_successors`); ``None`` until the slot is first asked for
+        self._successors: list[tuple | None] = []
         self._servers: set[Hashable] = set()
         for s in servers:
             self.add_server(s)
@@ -61,10 +69,8 @@ class ConsistentHashRing:
         return self._vnodes
 
     def _server_points(self, server: Hashable) -> list[int]:
-        return [
-            stable_hash64((repr(server), v), seed=self._seed)
-            for v in range(self._vnodes)
-        ]
+        point_hash = self._point_hash
+        return [point_hash((repr(server), v)) for v in range(self._vnodes)]
 
     def add_server(self, server: Hashable) -> None:
         """Add a server's virtual nodes to the ring."""
@@ -77,6 +83,7 @@ class ConsistentHashRing:
             # ties deterministically by keeping first-inserted ownership
             self._points.insert(idx, p)
             self._owners.insert(idx, server)
+        self._successors = [None] * len(self._points)
 
     def remove_server(self, server: Hashable) -> None:
         """Remove a server and all its virtual nodes."""
@@ -91,21 +98,46 @@ class ConsistentHashRing:
                 keep_owners.append(o)
         self._points = keep_points
         self._owners = keep_owners
+        self._successors = [None] * len(keep_points)
 
     def slots(self) -> tuple[list[int], list[Hashable]]:
         """The ring's raw geometry: sorted positions and their owners.
 
-        Exposed for :mod:`repro.perf`, which compiles the walk into a
-        slot-successor table instead of re-walking per item.  Returns
-        copies so callers cannot corrupt the ring.
+        Exposed for :mod:`repro.perf`, which maps items to slots in one
+        vectorised search and reads each slot's :meth:`slot_successors`.
+        Returns copies so callers cannot corrupt the ring.
         """
         return list(self._points), list(self._owners)
+
+    def slot_successors(self, slot: int, k: int) -> tuple:
+        """The first ``k`` distinct owners clockwise from ring slot ``slot``.
+
+        A pure function of the slot while the membership holds, so each
+        slot walks the ring once; ``add_server`` and ``remove_server``
+        drop every slot's answer.  Assumes ``1 <= k <= n_servers``.
+        """
+        memo = self._successors  # a membership change replaces it: no stale fill lands
+        known = memo[slot]
+        if known is not None and len(known) >= k:
+            return known if len(known) == k else known[:k]
+        owners = self._owners
+        out: list[Hashable] = []
+        seen: set[Hashable] = set()
+        for i in chain(range(slot, len(owners)), range(slot)):
+            owner = owners[i]
+            if owner not in seen:
+                seen.add(owner)
+                out.append(owner)
+                if len(out) == k:
+                    break
+        found = memo[slot] = tuple(out)
+        return found
 
     # -- lookups ------------------------------------------------------
 
     def key_position(self, key) -> int:
         """Ring coordinate of a key."""
-        return stable_hash64(key, seed=self._seed ^ 0x5BD1E995)
+        return self._key_hash(key)
 
     def lookup(self, key) -> Hashable:
         """Owner server of ``key`` (the classic single-copy mapping)."""
@@ -143,15 +175,9 @@ class ConsistentHashRing:
             raise PlacementError(
                 f"requested {k} distinct servers but ring only has {len(self._servers)}"
             )
-        out: list[Hashable] = []
-        seen: set[Hashable] = set()
-        for owner in self.walk(key):
-            if owner not in seen:
-                seen.add(owner)
-                out.append(owner)
-                if len(out) == k:
-                    return tuple(out)
-        raise PlacementError("ring walk exhausted before finding k distinct servers")
+        points = self._points
+        slot = bisect.bisect_right(points, self._key_hash(key))
+        return self.slot_successors(0 if slot == len(points) else slot, k)
 
     def load_share(self, samples: int = 100_000, seed: int = 1) -> dict:
         """Empirical fraction of the key space owned by each server.

@@ -12,14 +12,3 @@
 Exposed as ``rnb loadtest`` on the CLI; the deterministic ``workload``
 half of its report is what CI's live-smoke job pins by seed.
 """
-
-from repro.loadgen.runner import LoadTestConfig, LoadTestReport, run_loadtest
-from repro.loadgen.schedule import arrival_times, make_curve
-
-__all__ = [
-    "LoadTestConfig",
-    "LoadTestReport",
-    "arrival_times",
-    "make_curve",
-    "run_loadtest",
-]

@@ -8,36 +8,23 @@ placement with distinguished-copy promotion, and the repair executor
 re-replicates at a bounded rate until every item is back to full R.
 """
 
-from repro.membership.epoched import EpochedPlacer
-from repro.membership.repair import (
-    CopyOp,
-    DropOp,
-    EpochDelta,
-    PinOp,
-    RepairExecutor,
-    cluster_repair_fns,
-    compute_epoch_delta,
-    protocol_repair_fns,
-)
-from repro.membership.service import (
-    MembershipEvent,
-    MembershipService,
-    make_cluster_service,
-)
-from repro.membership.view import ClusterView
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClusterView",
-    "CopyOp",
-    "DropOp",
-    "EpochDelta",
-    "EpochedPlacer",
-    "MembershipEvent",
-    "MembershipService",
-    "PinOp",
-    "RepairExecutor",
-    "cluster_repair_fns",
-    "compute_epoch_delta",
-    "make_cluster_service",
-    "protocol_repair_fns",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "EpochedPlacer": "repro.membership.epoched",
+        "cluster_repair_fns": "repro.membership.repair",
+        "compute_epoch_delta": "repro.membership.repair",
+        "CopyOp": "repro.membership.repair",
+        "DropOp": "repro.membership.repair",
+        "EpochDelta": "repro.membership.repair",
+        "PinOp": "repro.membership.repair",
+        "protocol_repair_fns": "repro.membership.repair",
+        "RepairExecutor": "repro.membership.repair",
+        "make_cluster_service": "repro.membership.service",
+        "MembershipEvent": "repro.membership.service",
+        "MembershipService": "repro.membership.service",
+        "ClusterView": "repro.membership.view",
+    },
+)

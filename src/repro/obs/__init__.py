@@ -8,47 +8,29 @@ text export reachable through the extended memcached ``stats metrics``
 verb and the ``rnb stats`` CLI.
 """
 
-from repro.obs.export import (
-    CONSISTENCY_FAMILIES,
-    CORE_REQUEST_FAMILIES,
-    PARTITION_FAMILIES,
-    family_of,
-    merge_samples,
-    parse_sample_name,
-    render_prometheus,
-    samples,
-)
-from repro.obs.metrics import (
-    COUNTER,
-    GAUGE,
-    HISTOGRAM,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    format_value,
-    label_string,
-)
-from repro.obs.tracing import Span, Tracer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CONSISTENCY_FAMILIES",
-    "CORE_REQUEST_FAMILIES",
-    "PARTITION_FAMILIES",
-    "COUNTER",
-    "GAUGE",
-    "HISTOGRAM",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Span",
-    "Tracer",
-    "family_of",
-    "format_value",
-    "label_string",
-    "merge_samples",
-    "parse_sample_name",
-    "render_prometheus",
-    "samples",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "CONSISTENCY_FAMILIES": "repro.obs.export",
+        "CORE_REQUEST_FAMILIES": "repro.obs.export",
+        "family_of": "repro.obs.export",
+        "merge_samples": "repro.obs.export",
+        "parse_sample_name": "repro.obs.export",
+        "PARTITION_FAMILIES": "repro.obs.export",
+        "render_prometheus": "repro.obs.export",
+        "samples": "repro.obs.export",
+        "COUNTER": "repro.obs.metrics",
+        "Counter": "repro.obs.metrics",
+        "format_value": "repro.obs.metrics",
+        "GAUGE": "repro.obs.metrics",
+        "Gauge": "repro.obs.metrics",
+        "HISTOGRAM": "repro.obs.metrics",
+        "Histogram": "repro.obs.metrics",
+        "label_string": "repro.obs.metrics",
+        "MetricsRegistry": "repro.obs.metrics",
+        "Span": "repro.obs.tracing",
+        "Tracer": "repro.obs.tracing",
+    },
+)

@@ -14,34 +14,3 @@ cooperating mechanisms through the read path (docs/OVERLOAD.md):
 and composes them in an event-heap DES (:mod:`repro.overload.desim`)
 that the ``hotspot`` experiment drives.
 """
-
-from repro.overload.breaker import CLOSED, HALF_OPEN, OPEN, BreakerBoard, BreakerState
-from repro.overload.desim import OverloadConfig, OverloadResult, simulate_overload
-from repro.overload.hedging import (
-    LADDER,
-    HedgePolicy,
-    ladder_required,
-    validate_partial_fraction,
-)
-from repro.overload.load import AdmissionControl, LoadTracker, TokenBucket
-from repro.overload.tiebreak import counter_tie_break, least_loaded_tie_break
-
-__all__ = [
-    "AdmissionControl",
-    "BreakerBoard",
-    "BreakerState",
-    "CLOSED",
-    "HALF_OPEN",
-    "HedgePolicy",
-    "LADDER",
-    "LoadTracker",
-    "OPEN",
-    "OverloadConfig",
-    "OverloadResult",
-    "TokenBucket",
-    "counter_tie_break",
-    "ladder_required",
-    "least_loaded_tie_break",
-    "simulate_overload",
-    "validate_partial_fraction",
-]

@@ -15,11 +15,3 @@ Equivalence is load-bearing: every experiment table under
 placer and the request-at-a-time client produce, and the oracle tests in
 ``tests/perf`` and ``tests/sim`` enforce it.
 """
-
-from repro.perf.table import PlacementTable, compile_placement, splitmix64_array
-
-__all__ = [
-    "PlacementTable",
-    "compile_placement",
-    "splitmix64_array",
-]

@@ -41,7 +41,7 @@ def batch_cover(
         each flattened item.
     servers:
         ``(T, R)`` replica servers of each item, distinct within a row
-        (a :meth:`repro.perf.PlacementTable.lookup` slice), ``R >= 1``.
+        (a :meth:`repro.perf.table.PlacementTable.lookup` slice), ``R >= 1``.
 
     Returns the ``(T,)`` server each item is assigned to: the first
     greedy pick of its request that holds one of its replicas, i.e. the

@@ -21,9 +21,9 @@ output bit for bit (property-tested in ``tests/perf``).  Three
 specialised compilers avoid the per-item ring walk / hash re-probing:
 
 * **RCH**: the first ``R`` distinct owners clockwise of a ring slot
-  depend only on the slot, so the walk is computed once per *used* slot
-  (never more walks than the naive per-item path) and items are mapped
-  to slots with one vectorised ``searchsorted``.
+  depend only on the slot, so items are mapped to slots with one
+  vectorised ``searchsorted`` and each *used* slot's owners are read from
+  the ring's own per-slot memo (shared with the placer's cold lookups).
 * **Multi-hash**: the SplitMix64 mixer vectorises directly over uint64
   arrays; collision re-probing proceeds in lock-step rounds over the
   still-colliding items only.
@@ -72,11 +72,11 @@ def _compile_ring(ring, replication: int, n_items: int) -> np.ndarray:
     integer items ``0..n_items-1``.
 
     The first ``replication`` distinct owners clockwise from a slot are a
-    pure function of the slot, so the walk runs once per slot actually
-    hit by an item — at most ``min(n_items, n_slots)`` walks, never more
-    than the naive per-item compile.
+    pure function of the slot, so the items are mapped to slots in one
+    vectorised search and each slot actually hit is read once from the
+    ring's :meth:`~repro.hashing.hashring.ConsistentHashRing.slot_successors`.
     """
-    points, owners = ring.slots()
+    points, _ = ring.slots()
     n_slots = len(points)
     positions = np.fromiter(
         (ring.key_position(item) for item in range(n_items)),
@@ -87,18 +87,10 @@ def _compile_ring(ring, replication: int, n_items: int) -> np.ndarray:
     idx[idx == n_slots] = 0
 
     used = np.unique(idx)
-    succ = np.empty((used.size, replication), dtype=np.int64)
-    for row, start in enumerate(used.tolist()):
-        seen: set = set()
-        off = 0
-        filled = 0
-        while filled < replication:
-            owner = owners[(start + off) % n_slots]
-            if owner not in seen:
-                seen.add(owner)
-                succ[row, filled] = owner
-                filled += 1
-            off += 1
+    succ = np.array(
+        [ring.slot_successors(slot, replication) for slot in used.tolist()],
+        dtype=np.int64,
+    ).reshape(used.size, replication)
     return succ[np.searchsorted(used, idx)]
 
 

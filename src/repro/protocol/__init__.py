@@ -19,26 +19,3 @@ its simulator with micro-benchmarks against a real memcached server
 * :mod:`repro.protocol.microbench` — the calibration micro-benchmark
   (items/s vs transaction size; paper Figs 13–14).
 """
-
-from repro.protocol.codec import (
-    Command,
-    Response,
-    encode_command,
-    parse_command_stream,
-)
-from repro.protocol.memclient import MemcachedConnection, ShardedClient
-from repro.protocol.memserver import MemcachedServer
-from repro.protocol.rnbclient import RnBProtocolClient
-from repro.protocol.transport import LoopbackTransport
-
-__all__ = [
-    "Command",
-    "LoopbackTransport",
-    "MemcachedConnection",
-    "MemcachedServer",
-    "Response",
-    "RnBProtocolClient",
-    "ShardedClient",
-    "encode_command",
-    "parse_command_stream",
-]

@@ -36,6 +36,9 @@ _BAD_TOKEN_CHAR = re.compile(r"[\x00-\x08\x0e-\x1b\x7f]").search
 _PLAIN_VALUE = re.compile(rb"VALUE ([!-~]+) 0 (\d+)\r\n").match
 #: a well-formed VALUE header (flags, maybe a cas id): the exact walk's fast match
 _VALUE_HEADER = re.compile(rb"VALUE ([!-~]+) (\d+) (\d+)(?: (\d+))?\r\n").match
+#: a number field as memcached's ``strtol`` family reads it: a sign and ASCII
+#: digits (``int()`` also takes ``_`` separators and every Unicode digit)
+_NUMERAL = re.compile(r"[-+]?[0-9]+").fullmatch
 STORAGE_COMMANDS = frozenset({"set", "add", "replace", "append", "prepend", "cas"})
 RETRIEVAL_COMMANDS = frozenset({"get", "gets"})
 COUNTER_COMMANDS = frozenset({"incr", "decr"})
@@ -72,6 +75,14 @@ class Response:
     cas: dict[str, int] = field(default_factory=dict)
     flags: dict[str, int] = field(default_factory=dict)
     stats: dict[str, str] = field(default_factory=dict)
+
+
+def _number(field: str) -> int:
+    """A command's number field; ``ValueError`` (a malformed command) if it is
+    not a memcached numeral."""
+    if _NUMERAL(field) is None:
+        raise ValueError(f"not a number: {field!r}")
+    return int(field)
 
 
 def _validate_key(key: str) -> None:
@@ -392,8 +403,8 @@ def parse_command_stream(data: bytes) -> tuple[list[Command], bytes]:
                     raise ProtocolError(f"malformed {name} command: {text!r}")
                 key = parts[1]
                 _validate_key(key)
-                flags, exptime, nbytes = int(parts[2]), int(parts[3]), int(parts[4])
-                cas = int(parts[5]) if name == "cas" else None
+                flags, exptime, nbytes = _number(parts[2]), _number(parts[3]), _number(parts[4])
+                cas = _number(parts[5]) if name == "cas" else None
                 if nbytes < 0:
                     raise ProtocolError("negative data length")
                 body_end = line_end + nbytes
@@ -433,7 +444,7 @@ def parse_command_stream(data: bytes) -> tuple[list[Command], bytes]:
                     Command(
                         name="touch",
                         keys=(parts[1],),
-                        exptime=int(parts[2]),
+                        exptime=_number(parts[2]),
                         noreply=parts[-1] == "noreply",
                     )
                 )
@@ -443,7 +454,7 @@ def parse_command_stream(data: bytes) -> tuple[list[Command], bytes]:
                 if len(parts) < 3:
                     raise ProtocolError(f"{name} needs a key and a delta")
                 _validate_key(parts[1])
-                delta = int(parts[2])
+                delta = _number(parts[2])
                 if delta < 0:
                     raise ProtocolError(f"{name} delta must be non-negative")
                 commands.append(

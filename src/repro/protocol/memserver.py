@@ -3,7 +3,8 @@
 Complete enough to run RnB end-to-end: multi-key ``get``/``gets``,
 ``set``, ``cas``, ``delete``, ``flush_all`` and ``stats``, with
 byte-accounted LRU eviction like the real memcached (items are dropped
-least-recently-used when ``capacity_bytes`` is exceeded).
+least-recently-used when ``capacity_bytes`` is exceeded; a value larger
+than the whole capacity is refused and evicts nothing).
 
 The server is transport-agnostic: :meth:`handle` consumes raw request
 bytes (possibly several pipelined commands) and returns response bytes.
@@ -19,6 +20,7 @@ making the two-client contention experiment (paper Fig 14) meaningful.
 
 from __future__ import annotations
 
+import re
 import threading
 import time
 from collections import OrderedDict
@@ -32,6 +34,18 @@ from repro.protocol.codec import CRLF, Command
 
 #: exptime values above this are absolute unix timestamps (memcached rule)
 RELATIVE_EXPTIME_LIMIT = 60 * 60 * 24 * 30
+#: memcached's counters and deltas are uint64
+_U64 = (1 << 64) - 1
+#: a stored counter as ``int()`` reads it, less the ``_`` separators, minus
+#: signs and non-ASCII digits memcached's ``safe_strtoull`` refuses (a bytes
+#: pattern's ``\s`` and ``[0-9]`` are ASCII only)
+_COUNTER = re.compile(rb"\s*\+?([0-9]+)\s*").fullmatch
+
+STORED = b"STORED\r\n"
+NOT_STORED = b"NOT_STORED\r\n"
+TOO_LARGE = b"SERVER_ERROR object too large for cache\r\n"
+BAD_DELTA = b"CLIENT_ERROR invalid numeric delta argument\r\n"
+NON_NUMERIC = b"CLIENT_ERROR cannot increment or decrement non-numeric value\r\n"
 
 
 @dataclass(slots=True)
@@ -98,8 +112,8 @@ class MemcachedServer:
     # -- storage internals ----------------------------------------------------
 
     def _evict_for(self, incoming: int) -> None:
-        if self.capacity_bytes is None:
-            return
+        """Drop least-recently-used entries until ``incoming`` more bytes fit
+        (a bounded store only, and ``incoming`` no larger than its capacity)."""
         while self._items and self._bytes + incoming > self.capacity_bytes:
             _, entry = self._items.popitem(last=False)
             self._bytes -= entry.size
@@ -126,21 +140,24 @@ class MemcachedServer:
             return None
         return entry
 
-    def _store(self, key: str, flags: int, data: bytes, exptime: int = 0) -> None:
-        old = self._items.pop(key, None)
+    def _too_large(self, size: int) -> bool:
+        """Whether a value of ``size`` bytes could never fit this store."""
+        return self.capacity_bytes is not None and size > self.capacity_bytes
+
+    def _store(self, key: str, flags: int, data: bytes, expires_at: float | None) -> None:
+        """Put ``data`` under ``key``, evicting only when a bounded store is full;
+        the caller has checked that it is not :meth:`_too_large`."""
+        items = self._items
+        old = items.pop(key, None)
         if old is not None:
-            self._bytes -= old.size
-        self._evict_for(len(data))
-        if self.capacity_bytes is not None and len(data) > self.capacity_bytes:
-            return  # oversized item: memcached refuses silently after evicting
-        self._cas_counter += 1
-        self._items[key] = _Entry(
-            flags=flags,
-            data=data,
-            cas=self._cas_counter,
-            expires_at=self._expiry(exptime),
-        )
-        self._bytes += len(data)
+            self._bytes -= len(old.data)
+        size = len(data)
+        capacity = self.capacity_bytes
+        if capacity is not None and self._bytes + size > capacity:
+            self._evict_for(size)
+        cas = self._cas_counter = self._cas_counter + 1
+        items[key] = _Entry(flags, data, cas, expires_at)
+        self._bytes += size
 
     # -- command execution -------------------------------------------------------
 
@@ -208,87 +225,84 @@ class MemcachedServer:
     def _update(self, cmd: Command) -> bytes:
         """Every verb but ``get``/``gets``, under the lock :meth:`execute` holds."""
         name = cmd.name
+        key = cmd.keys[0] if cmd.keys else None
         if name == "set":
+            data = cmd.data
+            capacity = self.capacity_bytes
+            if capacity is not None and len(data) > capacity:
+                # memcached refuses it without evicting, and drops the stale value
+                old = self._items.pop(key, None)
+                if old is not None:
+                    self._bytes -= old.size
+                return b"" if cmd.noreply else TOO_LARGE
             self.stats["cmd_set"] += 1
-            self._store(cmd.keys[0], cmd.flags, cmd.data, cmd.exptime)
-            return b"" if cmd.noreply else codec.format_status("STORED")
-        if name in ("add", "replace"):
-            self.stats["cmd_set"] += 1
-            exists = self._get_live(cmd.keys[0]) is not None
-            ok = (name == "add") != exists  # add wants absent, replace present
-            if ok:
-                self._store(cmd.keys[0], cmd.flags, cmd.data, cmd.exptime)
-            status = "STORED" if ok else "NOT_STORED"
-            return b"" if cmd.noreply else codec.format_status(status)
+            exptime = cmd.exptime
+            self._store(key, cmd.flags, data, self._expiry(exptime) if exptime else None)
+            return b"" if cmd.noreply else STORED
+        if name in ("add", "replace", "cas"):
+            if self._too_large(len(cmd.data)):
+                return b"" if cmd.noreply else TOO_LARGE
+            entry = self._get_live(key)
+            if name == "cas":
+                if entry is None:
+                    self.stats["cas_misses"] += 1
+                    return b"" if cmd.noreply else codec.format_status("NOT_FOUND")
+                if entry.cas != cmd.cas:
+                    self.stats["cas_badval"] += 1
+                    return b"" if cmd.noreply else codec.format_status("EXISTS")
+                self.stats["cas_hits"] += 1
+            else:
+                self.stats["cmd_set"] += 1
+                if (name == "add") == (entry is not None):  # add wants absent, replace present
+                    return b"" if cmd.noreply else NOT_STORED
+            exptime = cmd.exptime
+            self._store(key, cmd.flags, cmd.data, self._expiry(exptime) if exptime else None)
+            return b"" if cmd.noreply else STORED
         if name in ("append", "prepend"):
             self.stats["cmd_set"] += 1
-            entry = self._get_live(cmd.keys[0])
+            entry = self._get_live(key)
             if entry is None:
-                status = "NOT_STORED"
-            else:
-                data = (
-                    entry.data + cmd.data if name == "append" else cmd.data + entry.data
-                )
-                # concatenation keeps the existing flags and TTL semantics of
-                # memcached: flags unchanged, expiry preserved
-                expires = entry.expires_at
-                self._store(cmd.keys[0], entry.flags, data)
-                if cmd.keys[0] in self._items:  # dropped only if oversized
-                    self._items[cmd.keys[0]].expires_at = expires
-                status = "STORED"
-            return b"" if cmd.noreply else codec.format_status(status)
+                return b"" if cmd.noreply else NOT_STORED
+            data = entry.data + cmd.data if name == "append" else cmd.data + entry.data
+            if self._too_large(len(data)):
+                return b"" if cmd.noreply else NOT_STORED  # the old value stays
+            # concatenation keeps memcached's semantics: flags and expiry unchanged
+            self._store(key, entry.flags, data, entry.expires_at)
+            return b"" if cmd.noreply else STORED
         if name in ("incr", "decr"):
-            entry = self._get_live(cmd.keys[0])
+            # both numbers are memcached's uint64: a delta past it is refused
+            # before the lookup, a stored one reads as non-numeric
+            if cmd.delta > _U64:
+                return b"" if cmd.noreply else BAD_DELTA
+            entry = self._get_live(key)
             if entry is None:
                 return b"" if cmd.noreply else codec.format_status("NOT_FOUND")
-            try:
-                current = int(entry.data.decode("ascii"))
-                if current < 0:
-                    raise ValueError
-            except (ValueError, UnicodeDecodeError):
-                return (
-                    b""
-                    if cmd.noreply
-                    else codec.format_status(
-                        "CLIENT_ERROR cannot increment or decrement "
-                        "non-numeric value"
-                    )
-                )
+            digits = _COUNTER(entry.data)
+            current = int(digits[1]) if digits is not None else -1
+            if not 0 <= current <= _U64:
+                return b"" if cmd.noreply else NON_NUMERIC
             if name == "incr":
-                new = current + cmd.delta
+                new = (current + cmd.delta) & _U64  # wraps like memcached's uint64
             else:
                 new = max(0, current - cmd.delta)  # memcached clamps decr at 0
-            expires = entry.expires_at
-            self._store(cmd.keys[0], entry.flags, str(new).encode("ascii"))
-            if cmd.keys[0] in self._items:
-                self._items[cmd.keys[0]].expires_at = expires
-            return b"" if cmd.noreply else codec.format_status(str(new))
-        if name == "cas":
-            entry = self._get_live(cmd.keys[0])
-            if entry is None:
-                self.stats["cas_misses"] += 1
-                status = "NOT_FOUND"
-            elif entry.cas != cmd.cas:
-                self.stats["cas_badval"] += 1
-                status = "EXISTS"
-            else:
-                self.stats["cas_hits"] += 1
-                self._store(cmd.keys[0], cmd.flags, cmd.data, cmd.exptime)
-                status = "STORED"
-            return b"" if cmd.noreply else codec.format_status(status)
+            data = str(new).encode("ascii")
+            if self._too_large(len(data)):
+                return b"" if cmd.noreply else codec.format_status("SERVER_ERROR out of memory")
+            self._store(key, entry.flags, data, entry.expires_at)
+            return b"" if cmd.noreply else data + CRLF
         if name == "touch":
-            entry = self._get_live(cmd.keys[0])
+            entry = self._get_live(key)
             if entry is None:
                 status = "NOT_FOUND"
             else:
                 entry.expires_at = self._expiry(cmd.exptime)
-                self._items.move_to_end(cmd.keys[0])
+                self._items.move_to_end(key)
                 status = "TOUCHED"
             return b"" if cmd.noreply else codec.format_status(status)
         if name == "delete":
-            entry = self._get_live(cmd.keys[0])
+            entry = self._get_live(key)
             if entry is not None:
-                del self._items[cmd.keys[0]]
+                del self._items[key]
                 self._bytes -= entry.size
                 self.stats["delete_hits"] += 1
                 status = "DELETED"

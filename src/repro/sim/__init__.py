@@ -7,22 +7,3 @@
   experiments (random independent requests, no misses; section III-F).
 * :mod:`repro.sim.sweep` — parameter-grid sweeps.
 """
-
-from repro.sim.config import ClientConfig, ClusterConfig, SimConfig
-from repro.sim.engine import build_client, build_cluster, run_simulation
-from repro.sim.montecarlo import MonteCarloResult, mc_tpr
-from repro.sim.results import SimResult
-from repro.sim.sweep import sweep_grid
-
-__all__ = [
-    "ClientConfig",
-    "ClusterConfig",
-    "MonteCarloResult",
-    "SimConfig",
-    "SimResult",
-    "build_client",
-    "build_cluster",
-    "mc_tpr",
-    "run_simulation",
-    "sweep_grid",
-]

@@ -1,26 +1,1 @@
 """Shared low-level utilities: bitsets, RNG plumbing, tables, histograms."""
-
-from repro.utils.bitset import (
-    bit_indices,
-    from_indices,
-    iter_bits,
-    lowest_bit_index,
-    popcount,
-)
-from repro.utils.histogram import Histogram
-from repro.utils.rng import derive_rng, ensure_rng, spawn_seeds
-from repro.utils.tables import format_series, format_table
-
-__all__ = [
-    "Histogram",
-    "bit_indices",
-    "derive_rng",
-    "ensure_rng",
-    "format_series",
-    "format_table",
-    "from_indices",
-    "iter_bits",
-    "lowest_bit_index",
-    "popcount",
-    "spawn_seeds",
-]

@@ -12,37 +12,3 @@ of that user's friends.  We ship:
 * :mod:`repro.workloads.requests` — request-stream generators (ego
   requests, random requests, LIMIT decoration, merging).
 """
-
-from repro.workloads.graphs import SocialGraph
-from repro.workloads.requests import (
-    EgoRequestGenerator,
-    RandomRequestGenerator,
-    ZipfRequestGenerator,
-    with_limit,
-)
-from repro.workloads.snap import load_snap_edge_list
-from repro.workloads.traces import TraceRequestGenerator, load_trace, save_trace
-from repro.workloads.synthetic import (
-    DATASETS,
-    DatasetSpec,
-    make_epinions_like,
-    make_slashdot_like,
-    synthesize_graph,
-)
-
-__all__ = [
-    "DATASETS",
-    "DatasetSpec",
-    "EgoRequestGenerator",
-    "RandomRequestGenerator",
-    "SocialGraph",
-    "TraceRequestGenerator",
-    "ZipfRequestGenerator",
-    "load_snap_edge_list",
-    "load_trace",
-    "save_trace",
-    "make_epinions_like",
-    "make_slashdot_like",
-    "synthesize_graph",
-    "with_limit",
-]

@@ -20,13 +20,21 @@ every connection, and a client socket whose peer hung up closes itself:
   outliving the client's loop, as in ``rnb stats --boot-demo``: nothing
   but ``AsyncConnectionPool.close`` closes the client's sockets before
   its loop is gone.
+
+The benchmark's own fleet (``bench/live.py``'s ``Fleet``) is held to the
+same in a ``python -X dev`` child: bench's modules are flat (``spec``,
+``live``, ``layers``), so they stay out of this process.
 """
 
 from __future__ import annotations
 
 import asyncio
 import gc
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 from repro.aio.memclient import AsyncMemcachedClient
 from repro.aio.rnbclient import AsyncRnBClient
@@ -107,3 +115,40 @@ def test_a_client_loop_that_ends_before_its_servers_leaves_no_resource_warning()
                 handle.stop()
 
     assert _resource_warnings(fleet) == []
+
+
+ROOT = Path(__file__).resolve().parents[2]
+
+BENCH_FLEET = """
+import asyncio, gc
+import live, spec as specs
+
+async def main():
+    spec = specs.LIVE["bulk_value_read"]
+    assert spec.n_items == 2000
+    fleet = await live.Fleet(spec, seed=7).start()
+    try:
+        keys = [specs.item_key(i) for i in range(spec.request_size)]
+        outcome = await fleet.rnb.get_multi(keys)
+        assert not outcome.missing
+        assert all(outcome.values[k] == specs.preload_value(k, spec.value_bytes) for k in keys)
+    finally:
+        await fleet.stop()
+
+asyncio.run(main())
+gc.collect()
+print("served")
+"""
+
+
+def test_the_benchmark_fleet_tears_down_clean():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")])
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-c", BENCH_FLEET],
+        capture_output=True, text=True, timeout=120, env=env, cwd=ROOT,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["served"]
+    for marker in ("ResourceWarning", "Exception ignored", "Task was destroyed"):
+        assert marker not in done.stderr, done.stderr

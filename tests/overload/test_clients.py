@@ -18,10 +18,12 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.core.bundling import Bundler
 from repro.errors import ServerBusy
-from repro.faults import DynamicFaultInjector, FaultTolerantRnBClient, HealthTracker
-from repro.faults.health import ALIVE
+from repro.faults.ftclient import FaultTolerantRnBClient
+from repro.faults.health import ALIVE, HealthTracker
+from repro.faults.injector import DynamicFaultInjector
 from repro.hashing.rch import RangedConsistentHashPlacer
-from repro.overload import AdmissionControl, BreakerBoard, TokenBucket
+from repro.overload.breaker import BreakerBoard
+from repro.overload.load import AdmissionControl, TokenBucket
 from repro.protocol.memclient import MemcachedConnection
 from repro.protocol.memserver import MemcachedServer
 from repro.protocol.rnbclient import RnBProtocolClient

@@ -123,3 +123,67 @@ class TestWireFormat:
     def test_counter_without_delta_rejected(self):
         with pytest.raises(ProtocolError):
             parse_command_stream(b"incr k\r\n")
+
+
+class TestNumerals:
+    """Number fields are memcached numerals: ASCII digits, maybe a sign.
+    ``int()`` would also read ``_`` separators and any Unicode digit; and a
+    counter or a delta is a uint64."""
+
+    @pytest.mark.parametrize(
+        "wire",
+        [
+            b"set k 0 0 1_0\r\n0123456789\r\n",
+            "set n \u0660 0 1\r\n1\r\n".encode(),  # ARABIC-INDIC DIGIT ZERO as flags
+            b"set k 0 1_0 1\r\nv\r\n",
+            "cas k 0 0 1 \uff11\r\nv\r\n".encode(),  # FULLWIDTH DIGIT ONE as cas id
+            b"incr n 1_0\r\n",
+            "incr n \u0661\r\n".encode(),
+            b"touch k 1_0\r\n",
+        ],
+    )
+    def test_fields_only_int_reads_are_malformed(self, wire):
+        with pytest.raises(ProtocolError):
+            parse_command_stream(wire)
+
+    def test_plain_numerals_still_parse(self):
+        [cmd], _ = parse_command_stream(b"set k 42 -1 1\r\nv\r\n")
+        assert (cmd.flags, cmd.exptime, len(cmd.data)) == (42, -1, 1)
+        [cmd], _ = parse_command_stream(b"incr n 18446744073709551616\r\n")
+        assert cmd.delta == 2**64
+
+    @pytest.mark.parametrize(
+        "stored", [b"1_000", "\u0661".encode(), b"-5", b"18446744073709551616"]
+    )
+    def test_a_stored_counter_only_int_reads_is_non_numeric(self, stored):
+        server = MemcachedServer()
+        server.execute(Command("set", keys=("n",), data=stored))
+        for verb in ("incr", "decr"):
+            out = server.execute(Command(verb, keys=("n",), delta=1))
+            assert out == b"CLIENT_ERROR cannot increment or decrement non-numeric value\r\n"
+        assert server.execute(Command("get", keys=("n",))).count(stored) == 1
+
+    def test_incr_wraps_at_two_to_the_64(self):
+        server = MemcachedServer()
+        server.execute(Command("set", keys=("n",), data=b"18446744073709551615"))
+        assert server.execute(Command("incr", keys=("n",), delta=1)) == b"0\r\n"
+        top = server.execute(Command("incr", keys=("n",), delta=2**64 - 1))
+        assert top == b"18446744073709551615\r\n"
+        assert server.execute(Command("incr", keys=("n",), delta=5)) == b"4\r\n"
+
+    def test_a_delta_past_uint64_is_refused(self):
+        server = MemcachedServer()
+        server.execute(Command("set", keys=("n",), data=b"7"))
+        [cmd], _ = parse_command_stream(b"incr n 18446744073709551616\r\n")
+        assert server.execute(cmd) == b"CLIENT_ERROR invalid numeric delta argument\r\n"
+        # refused before the lookup, as memcached parses it first
+        cmd = Command("decr", keys=("missing",), delta=2**64)
+        assert server.execute(cmd) == b"CLIENT_ERROR invalid numeric delta argument\r\n"
+        assert server.execute(Command("get", keys=("n",))) == b"VALUE n 0 1\r\n7\r\nEND\r\n"
+
+    def test_a_padded_or_signed_counter_still_counts(self):
+        server = MemcachedServer()
+        server.execute(Command("set", keys=("n",), data=b"41 "))
+        assert server.execute(Command("incr", keys=("n",), delta=1)) == b"42\r\n"
+        server.execute(Command("set", keys=("n",), data=b"+41"))
+        assert server.execute(Command("incr", keys=("n",), delta=1)) == b"42\r\n"

@@ -130,6 +130,83 @@ class TestLRUEviction:
         assert s.bytes_used == 2
 
 
+def stats_of(server):
+    return {
+        "curr_items": server.curr_items,
+        "bytes": server.bytes_used,
+        "evictions": server.stats["evictions"],
+    }
+
+
+class TestOversizedStores:
+    """A value larger than a bounded store's capacity evicts nothing: memcached
+    answers ``SERVER_ERROR object too large for cache`` (a ``set`` also drops the
+    key's old value), and an ``append``/``prepend`` that would outgrow it is
+    ``NOT_STORED`` with the old value kept."""
+
+    @staticmethod
+    def full_server():
+        s = MemcachedServer(capacity_bytes=100)
+        s.execute(set_cmd("a", b"x" * 10))
+        s.execute(set_cmd("b", b"y" * 10))
+        return s
+
+    def test_oversized_set_over_the_wire_keeps_the_rest(self):
+        s = self.full_server()
+        out = s.handle(b"set big 0 0 101\r\n" + b"z" * 101 + b"\r\nget big a b\r\n")
+        assert out.startswith(b"SERVER_ERROR object too large for cache\r\n")
+        assert b"VALUE big" not in out and out.count(b"VALUE") == 2
+        assert stats_of(s) == {"curr_items": 2, "bytes": 20, "evictions": 0}
+
+    def test_oversized_set_drops_the_old_value_of_its_key(self):
+        s = self.full_server()
+        out = s.execute(set_cmd("a", b"z" * 101))
+        assert out == b"SERVER_ERROR object too large for cache\r\n"
+        assert "a" not in s and "b" in s
+        assert stats_of(s) == {"curr_items": 1, "bytes": 10, "evictions": 0}
+
+    @pytest.mark.parametrize("verb", ["add", "replace", "cas"])
+    def test_oversized_add_replace_cas_keep_the_old_value(self, verb):
+        s = self.full_server()
+        cas = 1 if verb == "cas" else None  # the cas id "a" holds
+        key = "new" if verb == "add" else "a"
+        out = s.execute(Command(verb, keys=(key,), data=b"z" * 101, cas=cas))
+        assert out == b"SERVER_ERROR object too large for cache\r\n"
+        got = s.execute(Command("get", keys=("a", "b")))
+        assert got.count(b"VALUE") == 2 and b"x" * 10 in got
+        assert stats_of(s) == {"curr_items": 2, "bytes": 20, "evictions": 0}
+
+    @pytest.mark.parametrize("verb", ["append", "prepend"])
+    def test_outgrowing_append_prepend_are_not_stored(self, verb):
+        s = self.full_server()
+        out = s.execute(Command(verb, keys=("a",), data=b"z" * 91))
+        assert out == b"NOT_STORED\r\n"
+        got = s.execute(Command("get", keys=("a",)))
+        assert got == b"VALUE a 0 10\r\n" + b"x" * 10 + b"\r\nEND\r\n"
+        assert stats_of(s) == {"curr_items": 2, "bytes": 20, "evictions": 0}
+        # one that fits still evicts the least recently used entry for its room
+        assert s.execute(Command(verb, keys=("a",), data=b"z" * 90)) == b"STORED\r\n"
+        assert "b" not in s and s.bytes_used == 100 and s.stats["evictions"] == 1
+
+    def test_a_value_of_exactly_the_capacity_fits(self):
+        s = self.full_server()
+        assert s.execute(set_cmd("big", b"z" * 100)) == b"STORED\r\n"
+        assert stats_of(s) == {"curr_items": 1, "bytes": 100, "evictions": 2}
+
+    def test_a_counter_that_outgrows_the_store_is_refused(self):
+        s = MemcachedServer(capacity_bytes=1)
+        s.execute(set_cmd("n", b"9"))
+        out = s.execute(Command("incr", keys=("n",), delta=1))
+        assert out == b"SERVER_ERROR out of memory\r\n"
+        assert s.execute(Command("get", keys=("n",))) == b"VALUE n 0 1\r\n9\r\nEND\r\n"
+        assert s.execute(Command("decr", keys=("n",), delta=1)) == b"8\r\n"
+
+    def test_noreply_stays_silent(self):
+        s = self.full_server()
+        assert s.execute(set_cmd("big", b"z" * 101, noreply=True)) == b""
+        assert stats_of(s)["curr_items"] == 2
+
+
 class TestStatsAndHandle:
     def test_stats_counters(self):
         s = MemcachedServer()
