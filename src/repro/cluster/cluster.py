@@ -97,8 +97,8 @@ class Cluster:
             server.store.provision(homes.get(sid, []), loads.get(sid, []))
 
         #: optional fault-injection gate (see repro.faults.injector); when
-        #: attached, server accesses may raise ServerDown / ServerTimeout /
-        #: ServerBusy
+        #: attached, server accesses may raise ServerUnreachable / ServerDown /
+        #: ServerTimeout / ServerBusy
         self.injector = None
 
     # -- access -----------------------------------------------------------
@@ -109,8 +109,9 @@ class Cluster:
         With an injector attached this raises
         :class:`repro.errors.ServerDown` for crash-stopped servers,
         :class:`repro.errors.ServerTimeout` for transiently failing
-        attempts and :class:`repro.errors.ServerBusy` for shedding ones
-        (the only way a simulated server sheds); callers that need raw
+        attempts or lost replies, :class:`repro.errors.ServerUnreachable`
+        for cut requests and :class:`repro.errors.ServerBusy` for shedding
+        ones (the only way a simulated server sheds); callers that need raw
         access (provisioning, metrics) should index ``cluster.servers``
         directly.
         """

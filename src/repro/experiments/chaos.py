@@ -37,7 +37,7 @@ from repro.core.bundling import Bundler
 from repro.experiments.base import ExperimentResult
 from repro.faults.ftclient import FaultTolerantRnBClient
 from repro.faults.health import HealthTracker
-from repro.faults.injector import DynamicFaultInjector
+from repro.faults.injector import FaultInjector
 from repro.hashing.hashfns import stable_hash64
 from repro.membership import EpochedPlacer, make_cluster_service
 from repro.types import Request
@@ -110,7 +110,7 @@ def run(
     placer = EpochedPlacer("rch", n_servers, replication, seed=0, vnodes=64)
     items = range(n_items)
     cluster = Cluster(placer, items, memory_factor=None)
-    injector = DynamicFaultInjector()
+    injector = FaultInjector()
     cluster.attach_injector(injector)
     service = make_cluster_service(
         cluster, placer, confirm_after=1, repair_rate=repair_rate

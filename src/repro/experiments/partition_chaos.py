@@ -47,8 +47,7 @@ from repro.consistency import (
 from repro.errors import NoQuorumError
 from repro.experiments.base import ExperimentResult
 from repro.faults.health import HealthTracker
-from repro.faults.injector import DynamicFaultInjector
-from repro.faults.partition import PartitionPlan, PartitionedInjector
+from repro.faults.injector import FaultInjector
 from repro.hashing.hashfns import stable_hash64
 from repro.membership import EpochedPlacer, MembershipService, make_cluster_service
 from repro.obs import MetricsRegistry
@@ -99,11 +98,8 @@ def run(
 
     placer_maj = EpochedPlacer("rch", n_servers, replication, seed=0, vnodes=64)
     cluster = Cluster(placer_maj, range(n_items), memory_factor=None)
-    inner = DynamicFaultInjector()
-    plan = PartitionPlan()
-    injector = PartitionedInjector(
-        plan, inner, vantage=MAJORITY_CLIENT, metrics=registry
-    )
+    injector = FaultInjector()
+    injector.bind_metrics(registry)
     cluster.attach_injector(injector)
 
     # Each side runs its own full client stack against the one cluster:
@@ -167,7 +163,7 @@ def run(
 
     # ---- phase 2: split, then concurrent bursts on both sides ----
     split_tick = injector.tick
-    plan.symmetric_split(
+    injector.partitions.symmetric_split(
         (MAJORITY_CLIENT, *majority), (MINORITY_CLIENT, *minority),
         start=split_tick,
     )
@@ -197,7 +193,7 @@ def run(
 
     for step in range(n_steps):
         if step == kill_at:
-            inner.kill(victim)
+            injector.kill(victim)
             cluster.wipe_server(victim)  # crash loses its memory
         if step == propose_at:
             # the majority side saw the crash and amputates the victim;
@@ -252,9 +248,9 @@ def run(
 
     # ---- phase 3: heal, re-admit the crashed server, drain repair ----
     heal_tick = injector.tick
-    plan.heal(heal_tick)
+    injector.partitions.heal(heal_tick)
     injector.vantage = MAJORITY_CLIENT
-    inner.restore(victim)
+    injector.restore(victim)
     reader_maj.health.record_recovery(victim)
     if not service_maj.view.is_alive(victim):
         service_maj.announce_recovery(victim)

@@ -54,7 +54,7 @@ from repro.consistency import (
 )
 from repro.experiments.base import ExperimentResult
 from repro.faults.health import HealthTracker
-from repro.faults.injector import DynamicFaultInjector
+from repro.faults.injector import FaultInjector
 from repro.faults.nemesis import Nemesis, NemesisEvent
 from repro.hashing.hashfns import stable_hash64
 from repro.obs import MetricsRegistry
@@ -141,7 +141,7 @@ def run(
     placer = make_placer("rch", n_servers, replication, seed=0, vnodes=64)
     items = range(n_items)
     cluster = Cluster(placer, items, memory_factor=None)
-    injector = DynamicFaultInjector()
+    injector = FaultInjector()
     cluster.attach_injector(injector)
 
     registry = MetricsRegistry()
@@ -160,7 +160,7 @@ def run(
     schedule = make_kill_schedule(seed, n_servers, n_writes, n_kills=n_kills)
     nemesis = Nemesis(
         schedule,
-        injector=injector,
+        injector,
         on_kill=cluster.wipe_server,  # crash loses its memory
         on_restore=health.record_recovery,
     )

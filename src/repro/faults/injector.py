@@ -1,106 +1,92 @@
-"""Wiring a :class:`FaultPlan` into a simulated cluster.
+"""The fault gate between a simulated cluster and its clients.
 
-The injector sits between the client and :class:`repro.cluster.cluster.
-Cluster`: once attached (``cluster.attach_injector(...)``), every
-``cluster.server(sid)`` access is vetted against the plan at the current
-logical tick — crashed servers raise :class:`repro.errors.ServerDown`,
-and transiently faulty attempts raise :class:`repro.errors.ServerTimeout`.
+Once attached (``cluster.attach_injector(...)``), a :class:`FaultInjector`
+vets every ``cluster.server(sid)`` access at the current logical tick.
+One gate carries every simulated fault family:
+
+* **node edits** — :meth:`~FaultInjector.kill` / :meth:`~FaultInjector.
+  restore` and :meth:`~FaultInjector.set_busy` / :meth:`~FaultInjector.
+  clear_busy`, the ground truth a chaos schedule mutates;
+* **a seeded** :class:`~repro.faults.plan.FaultPlan` (optional) —
+  crash-stop at drawn ticks and per-attempt transient timeouts;
+* **link cuts** — a :class:`~repro.faults.partition.PartitionPlan`
+  checked from the gate's mutable ``vantage`` endpoint.
+
+Verdict order: a cut request edge raises
+:class:`~repro.errors.ServerUnreachable`, a cut reply edge
+:class:`~repro.errors.ServerTimeout`, a crashed or killed server
+:class:`~repro.errors.ServerDown`, a busy one
+:class:`~repro.errors.ServerBusy`; only then does the plan draw a
+transient timeout.
 
 Attempt numbering: repeated accesses to the same server within one tick
 are counted, and each gets an independent timeout draw from the plan —
 that is what makes bounded retries effective against transient faults
-while remaining fully deterministic.
+while remaining fully deterministic.  A cut or refused access counts no
+attempt.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from repro.errors import ConfigurationError, ServerBusy, ServerDown, ServerTimeout
+from repro.errors import ServerBusy, ServerDown, ServerTimeout, ServerUnreachable
+from repro.faults.partition import CLIENT, PartitionPlan
 from repro.faults.plan import FaultPlan
-from repro.hashing.hashfns import hash64_int
-
-_MASK64 = (1 << 64) - 1
 
 
 class FaultInjector:
-    """Stateful clock + counters around a deterministic :class:`FaultPlan`."""
+    """Clock, counters and fault state of one simulated fleet's gate.
 
-    def __init__(self, plan: FaultPlan) -> None:
-        self.plan = plan
-        self.tick = 0
-        self._attempts: Counter[int] = Counter()  # per-server, this tick
-        self.down_rejections = 0
-        self.timeouts_injected = 0
-
-    # -- clock -----------------------------------------------------------
-
-    def advance(self, ticks: int = 1) -> None:
-        """Move the logical clock (one tick per request in the simulator)."""
-        self.tick += ticks
-        self._attempts.clear()
-
-    # -- the gate ----------------------------------------------------------
-
-    def check(self, server: int) -> None:
-        """Vet one access; raises :class:`ServerDown` / :class:`ServerTimeout`.
-
-        Called by ``Cluster.server`` on every access when attached.
-        """
-        if self.plan.is_crashed(server, self.tick):
-            self.down_rejections += 1
-            raise ServerDown(f"server {server} crashed (tick {self.tick})")
-        attempt = self._attempts[server]
-        self._attempts[server] += 1
-        if self.plan.is_timeout(server, self.tick, attempt):
-            self.timeouts_injected += 1
-            raise ServerTimeout(
-                f"server {server} timed out (tick {self.tick}, attempt {attempt})"
-            )
-
-    # -- convenience --------------------------------------------------------
-
-    def crashed_now(self) -> frozenset[int]:
-        """Servers dead at the current tick (oracle view, for metrics)."""
-        return self.plan.crashed_at(self.tick)
-
-
-class DynamicFaultInjector:
-    """An injector whose down-set is edited at runtime (no fixed plan).
-
-    The chaos harness (``repro.experiments.chaos``) drives kills,
-    restarts and joins from an explicit schedule rather than a
-    probability model, so it needs ground truth it can mutate:
-    :meth:`kill` takes a server down (every later access raises
-    :class:`ServerDown` until :meth:`restore`), :meth:`set_busy` makes
-    it shed (:class:`ServerBusy` until :meth:`clear_busy`), and
-    ``timeout_rate`` optionally layers deterministic per-attempt
-    transient timeouts on the live servers via the same stateless mixer
-    :class:`repro.faults.plan.FaultPlan` uses.
-
-    Satisfies the same interface :meth:`repro.cluster.cluster.Cluster.
-    attach_injector` expects (``check`` / ``advance`` /
-    ``crashed_now``).
+    ``plan`` is the optional seeded node-fault schedule.  ``partitions``
+    holds the link cuts: it starts empty, and a
+    :class:`~repro.faults.nemesis.Nemesis` or an experiment installs rules
+    in it.
+    ``vantage`` names the endpoint whose round trips :meth:`check`
+    models; mutable, because a single-threaded experiment re-points it
+    when alternating between client processes on different sides of a
+    split.
     """
 
-    def __init__(self, *, timeout_rate: float = 0.0, seed: int = 0) -> None:
-        if not (0.0 <= timeout_rate <= 1.0):
-            raise ConfigurationError(
-                f"timeout_rate must be in [0, 1]; got {timeout_rate}"
-            )
-        self.timeout_rate = timeout_rate
-        self.seed = seed
+    def __init__(self, plan: FaultPlan | None = None) -> None:
+        self.plan = plan
+        self.partitions = PartitionPlan()
+        self.vantage = CLIENT
         self.tick = 0
         self.down: set[int] = set()
         self.busy: set[int] = set()
-        self._attempts: Counter[int] = Counter()
+        self._attempts: Counter[int] = Counter()  # per-server, this tick
         self.down_rejections = 0
-        self.timeouts_injected = 0
         self.busy_rejections = 0
+        self.timeouts_injected = 0
+        self.blocked_requests = 0
+        self.blocked_replies = 0
+        self._blocked_counters = None
 
-    # -- schedule edits ----------------------------------------------------
+    def bind_metrics(self, registry, **labels) -> None:
+        """``rnb_partition_blocked_total{edge=...}`` counters and the
+        ``rnb_partition_links_active`` callback gauge."""
+        self._blocked_counters = {
+            edge: registry.counter(
+                "rnb_partition_blocked_total",
+                "cluster accesses blocked by a partition rule",
+                edge=edge,
+                **labels,
+            )
+            for edge in ("request", "reply")
+        }
+        registry.gauge(
+            "rnb_partition_links_active",
+            "partition rules active at the current tick",
+            fn=lambda: float(self.partitions.active_rules(self.tick)),
+            **labels,
+        )
+
+    # -- node edits ----------------------------------------------------------
 
     def kill(self, server: int) -> None:
+        """Take ``server`` down: every access raises :class:`ServerDown`
+        until :meth:`restore`."""
         self.down.add(server)
 
     def restore(self, server: int) -> None:
@@ -120,33 +106,70 @@ class DynamicFaultInjector:
     def clear_busy(self, server: int) -> None:
         self.busy.discard(server)
 
-    # -- clock -------------------------------------------------------------
+    # -- clock ---------------------------------------------------------------
 
     def advance(self, ticks: int = 1) -> None:
+        """Move the logical clock (one tick per request in the simulator)."""
         self.tick += ticks
         self._attempts.clear()
 
-    # -- the gate ------------------------------------------------------------
+    # -- the gate --------------------------------------------------------------
 
     def check(self, server: int) -> None:
-        if server in self.down:
+        """Vet one access from ``vantage``; raises the first verdict that holds.
+
+        Called by ``Cluster.server`` on every access when attached.  A cut
+        reply edge means the request would execute but the answer never
+        returns — modelled conservatively as a timeout *without*
+        server-side effects, so the simulated store stays exactly what
+        the surviving acks say it is.
+        """
+        tick, links = self.tick, self.partitions
+        if links.rules:  # most runs install no link rule: skip both scans
+            vantage = self.vantage
+            if links.blocked(vantage, server, tick):
+                self.blocked_requests += 1
+                if self._blocked_counters is not None:
+                    self._blocked_counters["request"].inc()
+                raise ServerUnreachable(
+                    f"server {server} unreachable from endpoint {vantage} (tick {tick})"
+                )
+            if links.blocked(server, vantage, tick):
+                self.blocked_replies += 1
+                if self._blocked_counters is not None:
+                    self._blocked_counters["reply"].inc()
+                raise ServerTimeout(
+                    f"reply from server {server} to endpoint {vantage} lost (tick {tick})"
+                )
+        plan = self.plan
+        if server in self.down or (plan is not None and plan.is_crashed(server, tick)):
             self.down_rejections += 1
-            raise ServerDown(f"server {server} is down (tick {self.tick})")
+            raise ServerDown(f"server {server} is down (tick {tick})")
         if server in self.busy:
             self.busy_rejections += 1
-            raise ServerBusy(f"server {server} shed the access (tick {self.tick})")
-        if self.timeout_rate > 0.0:
+            raise ServerBusy(f"server {server} shed the access (tick {tick})")
+        if plan is not None:
             attempt = self._attempts[server]
-            self._attempts[server] += 1
-            key = (self.tick * 65_521 + server) * 8191 + attempt
-            draw = hash64_int(key, seed=self.seed ^ 0xC4A0) / (_MASK64 + 1)
-            if draw < self.timeout_rate:
+            self._attempts[server] = attempt + 1
+            if plan.is_timeout(server, tick, attempt):
                 self.timeouts_injected += 1
                 raise ServerTimeout(
-                    f"server {server} timed out (tick {self.tick}, attempt {attempt})"
+                    f"server {server} timed out (tick {tick}, attempt {attempt})"
                 )
 
-    # -- convenience --------------------------------------------------------
+    def can_reach(self, src: int, dst: int) -> bool:
+        """Oracle round-trip reachability of endpoint ``dst`` from ``src``
+        at the current tick: a dead ``dst`` is unreachable, a busy one is
+        not.  Membership probes use this; it ignores ``vantage`` on
+        purpose."""
+        if dst in self.crashed_now():
+            return False
+        links, tick = self.partitions, self.tick
+        return not (links.blocked(src, dst, tick) or links.blocked(dst, src, tick))
 
     def crashed_now(self) -> frozenset[int]:
-        return frozenset(self.down)
+        """Servers dead at the current tick, killed or plan-crashed (oracle
+        view, for metrics)."""
+        if self.plan is None:
+            return frozenset(self.down)
+        return self.plan.crashed_at(self.tick) | self.down

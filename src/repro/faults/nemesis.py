@@ -2,11 +2,12 @@
 
 A :class:`Nemesis` owns one deterministic timeline of
 :class:`NemesisEvent` entries — crash/restore, busy-shed, and
-the link-level cuts from :mod:`repro.faults.partition` — and drives both
-injectors from it.  ``write_chaos`` replays its kill/restore schedule
-through one; ``chaos`` (whose ``join`` has no action here) and
-``partition_chaos`` (a split between two client groups, which ``cut``
-cannot express) keep their own loops.
+the link-level cuts from :mod:`repro.faults.partition` — and drives the
+one fault gate (:class:`~repro.faults.injector.FaultInjector`) from it.
+``write_chaos`` replays its kill/restore schedule through one; ``chaos``
+(whose ``join`` has no action here) and ``partition_chaos`` (a split
+between two client groups, which ``cut`` cannot express) keep their own
+loops.
 
 The schedule is pure data: :func:`make_nemesis_schedule` draws it once
 from :func:`repro.utils.rng.derive_rng` (construction-time draws, the
@@ -24,11 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.faults.partition import CLIENT, PartitionPlan
+from repro.faults.injector import FaultInjector
+from repro.faults.partition import CLIENT
 from repro.hashing.hashfns import stable_hash64
 from repro.utils.rng import derive_rng
 
-#: node-fault actions (need an injector); link actions need a plan
+#: node-fault actions edit the gate's down and busy sets; link actions its cuts
 NODE_ACTIONS = frozenset({"kill", "restore", "busy", "clear_busy"})
 LINK_ACTIONS = frozenset({"cut", "one_way", "flap", "heal"})
 
@@ -61,7 +63,8 @@ def make_nemesis_schedule(
     before 95% of it, so every run ends with the system given a chance
     to recover — the property the convergence gates check.  Link cuts
     isolate the client endpoint from a random minority of servers
-    (richer topologies are hand-built on a :class:`PartitionPlan`).
+    (richer topologies are hand-built on a
+    :class:`~repro.faults.partition.PartitionPlan`).
     """
     if n_servers < 2:
         raise ConfigurationError("nemesis needs >= 2 servers")
@@ -98,50 +101,35 @@ def make_nemesis_schedule(
 
 
 class Nemesis:
-    """Replays a schedule against a node injector and a partition plan.
+    """Replays a schedule against one fault gate.
 
     Parameters
     ----------
     schedule:
         Tick-ordered :class:`NemesisEvent` tuple (from
         :func:`make_nemesis_schedule` or hand-built).
-    injector:
-        Target for node actions — anything with the
-        :class:`~repro.faults.injector.DynamicFaultInjector` edit
-        surface.  ``None`` is allowed when the schedule is link-only.
-    plan:
-        Target :class:`PartitionPlan` for link actions; ``None`` when
-        the schedule is node-only.
+    gate:
+        The :class:`~repro.faults.injector.FaultInjector` it edits: node
+        actions its down and busy sets, link actions its ``partitions``.
     client:
         Client-side endpoint id used by generated link cuts.
     on_kill / on_restore:
         Optional callbacks (e.g. ``cluster.wipe_server`` /
-        ``health.record_recovery``) invoked after the injector edit.
+        ``health.record_recovery``) invoked after the gate edit.
     """
 
     def __init__(
         self,
         schedule,
+        gate: FaultInjector,
         *,
-        injector=None,
-        plan: PartitionPlan | None = None,
         client: int = CLIENT,
         on_kill=None,
         on_restore=None,
         metrics=None,
     ) -> None:
         self.schedule = tuple(schedule)
-        for event in self.schedule:
-            if event.action in NODE_ACTIONS and injector is None:
-                raise ConfigurationError(
-                    f"schedule contains node action {event.action!r} but no injector"
-                )
-            if event.action in LINK_ACTIONS and plan is None:
-                raise ConfigurationError(
-                    f"schedule contains link action {event.action!r} but no plan"
-                )
-        self.injector = injector
-        self.plan = plan
+        self.gate = gate
         self.client = client
         self.on_kill = on_kill
         self.on_restore = on_restore
@@ -181,37 +169,36 @@ class Nemesis:
 
     def _apply_one(self, event: NemesisEvent) -> None:
         action, arg = event.action, event.arg
+        gate, links = self.gate, self.gate.partitions
         if action == "kill":
-            self.injector.kill(arg)
+            gate.kill(arg)
             if self.on_kill is not None:
                 self.on_kill(arg)
         elif action == "restore":
-            self.injector.restore(arg)
+            gate.restore(arg)
             if self.on_restore is not None:
                 self.on_restore(arg)
         elif action == "busy":
-            self.injector.set_busy(arg)
+            gate.set_busy(arg)
         elif action == "clear_busy":
-            self.injector.clear_busy(arg)
+            gate.clear_busy(arg)
         elif action == "cut":
             targets, end = arg
-            self.plan.symmetric_split(
-                (self.client,), targets, start=event.tick, end=end
-            )
+            links.symmetric_split((self.client,), targets, start=event.tick, end=end)
         elif action == "one_way":
             targets, end = arg
-            self.plan.one_way((self.client,), targets, start=event.tick, end=end)
+            links.one_way((self.client,), targets, start=event.tick, end=end)
         elif action == "flap":
             targets, end, period, duty = arg
-            self.plan.flapping_link(
+            links.flapping_link(
                 (self.client,), targets, period=period, duty=duty,
                 start=event.tick, end=end,
             )
-            self.plan.flapping_link(
+            links.flapping_link(
                 targets, (self.client,), period=period, duty=duty,
                 start=event.tick, end=end,
             )
         elif action == "heal":
-            self.plan.heal(event.tick)
+            links.heal(event.tick)
         else:
             raise ConfigurationError(f"unknown nemesis action {action!r}")

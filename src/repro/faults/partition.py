@@ -6,15 +6,15 @@ survive are just as often *link-shaped*: a switch partitions two racks
 symmetrically, a gray link drops traffic in one direction only, a
 flapping uplink alternates between the two.  :class:`PartitionPlan`
 models reachability over directed ``(src, dst)`` edges as a pure
-function of the logical tick, and :class:`PartitionedInjector` composes
-the plan with the existing node-fault injectors so one gate vets both
-families.
+function of the logical tick; the simulated fleet's one gate,
+:class:`~repro.faults.injector.FaultInjector`, checks it before the
+node faults, so one gate vets both families.
 
 Vantage points
 --------------
 Edges connect *endpoints*: server ids ``0..n-1``, plus negative
 sentinel ids for client processes (:data:`CLIENT` by default).  The
-injector checks the round trip from its **vantage** endpoint — a
+gate checks the round trip from its **vantage** endpoint — a
 blocked ``vantage -> server`` edge refuses the request
 (:class:`~repro.errors.ServerUnreachable`), a blocked ``server ->
 vantage`` edge swallows the reply, surfacing as
@@ -38,11 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from repro.errors import (
-    ConfigurationError,
-    ServerTimeout,
-    ServerUnreachable,
-)
+from repro.errors import ConfigurationError
 from repro.hashing.hashfns import stable_hash64
 from repro.utils.rng import derive_rng
 
@@ -107,8 +103,8 @@ class PartitionPlan:
 
     Reads (``blocked``) are pure; the rule list is edited at runtime by
     the builder methods below or by a :class:`~repro.faults.nemesis.
-    Nemesis` schedule — the same split as :class:`~repro.faults.
-    injector.DynamicFaultInjector`'s runtime kill/restore edits.
+    Nemesis` schedule — the same split as the gate's runtime
+    kill/restore edits (:class:`~repro.faults.injector.FaultInjector`).
     """
 
     def __init__(self, rules: Iterable[LinkRule] = ()) -> None:
@@ -285,112 +281,3 @@ def blackout_spans(
         (start * scale, end * scale, int(rng.integers(0, n_servers)))
         for start, end in windows
     ]
-
-
-class PartitionedInjector:
-    """A cluster-gate injector layering link cuts over node faults.
-
-    Satisfies the :meth:`repro.cluster.cluster.Cluster.attach_injector`
-    contract (``check`` / ``advance`` / ``crashed_now``) and delegates
-    node-level verdicts to an optional ``inner`` injector
-    (:class:`~repro.faults.injector.FaultInjector` or
-    :class:`~repro.faults.injector.DynamicFaultInjector`), so crash,
-    timeout and busy faults keep working unchanged underneath the
-    partition.
-
-    ``vantage`` names the endpoint whose view this gate models; mutable,
-    because a single-threaded experiment re-points it when alternating
-    between client processes on different sides of a split.
-    """
-
-    def __init__(
-        self,
-        plan: PartitionPlan,
-        inner=None,
-        *,
-        vantage: int = CLIENT,
-        metrics=None,
-    ) -> None:
-        self.plan = plan
-        self.inner = inner
-        self.vantage = vantage
-        self.tick = 0
-        self.blocked_requests = 0
-        self.blocked_replies = 0
-        self._blocked_counters = None
-        if metrics is not None:
-            self.bind_metrics(metrics)
-
-    def bind_metrics(self, registry, **labels) -> None:
-        """``rnb_partition_blocked_total{edge=...}`` counters and the
-        ``rnb_partition_links_active`` callback gauge."""
-        self._blocked_counters = {
-            edge: registry.counter(
-                "rnb_partition_blocked_total",
-                "cluster accesses blocked by a partition rule",
-                edge=edge,
-                **labels,
-            )
-            for edge in ("request", "reply")
-        }
-        registry.gauge(
-            "rnb_partition_links_active",
-            "partition rules active at the current tick",
-            fn=lambda: float(self.plan.active_rules(self.tick)),
-            **labels,
-        )
-
-    # -- clock -------------------------------------------------------------
-
-    def advance(self, ticks: int = 1) -> None:
-        self.tick += ticks
-        if self.inner is not None:
-            self.inner.advance(ticks)
-
-    # -- the gate ----------------------------------------------------------
-
-    def check(self, server: int) -> None:
-        """Vet one access from ``vantage``; link cuts are checked first.
-
-        A cut request edge refuses immediately (no time on the wire); a
-        cut reply edge means the request would execute but the answer
-        never returns — modelled conservatively as a timeout *without*
-        server-side effects, so the simulated store stays exactly what
-        the surviving acks say it is.
-        """
-        if self.plan.blocked(self.vantage, server, self.tick):
-            self.blocked_requests += 1
-            if self._blocked_counters is not None:
-                self._blocked_counters["request"].inc()
-            raise ServerUnreachable(
-                f"server {server} unreachable from endpoint {self.vantage} "
-                f"(tick {self.tick})"
-            )
-        if self.plan.blocked(server, self.vantage, self.tick):
-            self.blocked_replies += 1
-            if self._blocked_counters is not None:
-                self._blocked_counters["reply"].inc()
-            raise ServerTimeout(
-                f"reply from server {server} to endpoint {self.vantage} lost "
-                f"(tick {self.tick})"
-            )
-        if self.inner is not None:
-            self.inner.check(server)
-
-    def can_reach(self, src: int, dst: int) -> bool:
-        """Oracle round-trip reachability of endpoint ``dst`` from
-        ``src`` at the current tick (membership probes use this; it is
-        vantage-independent on purpose)."""
-        if self.inner is not None and dst in self.inner.crashed_now():
-            return False
-        return not (
-            self.plan.blocked(src, dst, self.tick)
-            or self.plan.blocked(dst, src, self.tick)
-        )
-
-    # -- convenience --------------------------------------------------------
-
-    def crashed_now(self) -> frozenset[int]:
-        if self.inner is not None:
-            return self.inner.crashed_now()
-        return frozenset()

@@ -72,8 +72,9 @@ class MembershipService:
         Max item copies applied per :meth:`tick` (None = unthrottled).
     quorum_prober:
         Optional reachability oracle ``prober(server) -> bool`` for the
-        servers of the current view (e.g. a bound
-        :meth:`repro.faults.partition.PartitionedInjector.can_reach`).
+        servers of the current view (e.g. the fault gate's
+        :meth:`repro.faults.injector.FaultInjector.can_reach` from this
+        service's client endpoint).
         When given, **every** commit — removals, recoveries, joins — is
         gated on this service still reaching a strict majority of the
         view's *members* (dead or alive: a partitioned-away server still

@@ -56,7 +56,7 @@ class Command:
     data: bytes = b""
     cas: int | None = None
     noreply: bool = False
-    delta: int = 0  # incr/decr amount
+    delta: int = 0  # incr/decr amount; outside [0, 2**64) when memcached refuses it
 
 
 @dataclass(slots=True)
@@ -454,9 +454,11 @@ def parse_command_stream(data: bytes) -> tuple[list[Command], bytes]:
                 if len(parts) < 3:
                     raise ProtocolError(f"{name} needs a key and a delta")
                 _validate_key(parts[1])
-                delta = _number(parts[2])
-                if delta < 0:
-                    raise ProtocolError(f"{name} delta must be non-negative")
+                # a delta memcached refuses is not a malformed line: one that is no
+                # numeral parses as -1, and the server answers any delta outside
+                # [0, 2**64) with memcached's CLIENT_ERROR and reads on
+                field = parts[2]
+                delta = int(field) if _NUMERAL(field) is not None else -1
                 commands.append(
                     Command(
                         name=name,

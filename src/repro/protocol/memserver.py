@@ -270,9 +270,10 @@ class MemcachedServer:
             self._store(key, entry.flags, data, entry.expires_at)
             return b"" if cmd.noreply else STORED
         if name in ("incr", "decr"):
-            # both numbers are memcached's uint64: a delta past it is refused
-            # before the lookup, a stored one reads as non-numeric
-            if cmd.delta > _U64:
+            # both numbers are memcached's uint64: a delta outside it (a negative
+            # one stands for a field that is no numeral) is refused before the
+            # lookup, a stored one reads as non-numeric
+            if not 0 <= cmd.delta <= _U64:
                 return b"" if cmd.noreply else BAD_DELTA
             entry = self._get_live(key)
             if entry is None:

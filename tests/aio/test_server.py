@@ -90,7 +90,7 @@ class TestProtocol:
             handle.stop()
 
     @pytest.mark.parametrize(
-        "bad", [b"bogus\r\n", b"set k 0 0 x\r\n", b"incr a many\r\n", b"get\r\n"]
+        "bad", [b"bogus\r\n", b"set k 0 0 x\r\n", b"incr a\r\n", b"get\r\n"]
     )
     def test_commands_pipelined_before_a_malformed_one_are_answered_first(self, bad):
         # a pipelining client pairs replies with requests in order: the valid
@@ -107,6 +107,30 @@ class TestProtocol:
                     data += chunk
             assert data == b"VALUE a 0 1\r\n1\r\nEND\r\nSTORED\r\nERROR\r\n"
             assert "b" in backend and backend.stats["cmd_get"] == 1
+        finally:
+            handle.stop()
+
+
+    @pytest.mark.parametrize(
+        "line", [b"incr a x\r\n", b"incr a 1_0\r\n", b"decr a -5\r\n"]
+    )
+    def test_a_bad_delta_is_answered_and_the_connection_stays_open(self, line):
+        # memcached answers CLIENT_ERROR and reads on: the pipelined get after
+        # the bad line is answered, and so is a command sent after the replies
+        backend = MemcachedServer()
+        backend.execute(Command(name="set", keys=("a",), data=b"1"))
+        handle, (host, port) = serve_aio(backend)
+        reply = b"CLIENT_ERROR invalid numeric delta argument\r\nVALUE a 0 1\r\n1\r\nEND\r\n"
+        try:
+            with socket.create_connection((host, port), timeout=2.0) as sock:
+                sock.settimeout(2.0)
+                sock.sendall(line + b"get a\r\n")
+                data = b""
+                while len(data) < len(reply) and (chunk := sock.recv(65536)):
+                    data += chunk
+                assert data == reply
+                sock.sendall(b"incr a 2\r\n")
+                assert sock.recv(65536) == b"3\r\n"
         finally:
             handle.stop()
 

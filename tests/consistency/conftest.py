@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.cluster.cluster import Cluster
 from repro.cluster.placement import make_placer
 from repro.consistency import ClusterStore
-from repro.faults.injector import DynamicFaultInjector
+from repro.faults.injector import FaultInjector
 
 
 class SimStack:
@@ -14,7 +14,7 @@ class SimStack:
     def __init__(self, n_servers=6, replication=3, n_items=40):
         self.placer = make_placer("rch", n_servers, replication, seed=0, vnodes=32)
         self.cluster = Cluster(self.placer, range(n_items), memory_factor=None)
-        self.injector = DynamicFaultInjector()
+        self.injector = FaultInjector()
         self.cluster.attach_injector(self.injector)
         self.store = ClusterStore(self.cluster, self.placer)
         self.n_items = n_items

@@ -49,17 +49,3 @@ class TestAcceptance:
         result = run_tiny(11)
         before, after = result.meta["tpr_before"], result.meta["tpr_after"]
         assert after <= before * 1.5  # no permanent degradation
-
-
-class TestDeterminism:
-    def test_same_seed_bit_identical(self):
-        a, b = run_tiny(23), run_tiny(23)
-        assert a.series == b.series
-        assert a.meta["determinism_token"] == b.meta["determinism_token"]
-        assert a.meta["schedule"] == b.meta["schedule"]
-        assert a.meta["events"] == b.meta["events"]
-
-    def test_different_seed_different_run(self):
-        a, b = run_tiny(23), run_tiny(24)
-        assert a.meta["determinism_token"] != b.meta["determinism_token"]
-        assert a.meta["schedule"] != b.meta["schedule"]

@@ -4,9 +4,10 @@ Each row is one soak configuration: experiment, scale, seed, a second
 seed, extra flags.  A row runs the CLI three times, twice at ``seed`` and
 once at the second seed.  The two same-seed files must be byte-identical
 (series, meta and every token in it); the second seed must move the
-``determinism_token``.  ``write_chaos`` and ``partition_chaos`` must
-also pass their convergence and split-brain gates at both seeds, and the
-``--nemesis`` row must actually black out links.  Every row takes well
+``determinism_token`` and, for ``chaos``, the fault ``schedule``.
+``write_chaos`` and ``partition_chaos`` must also pass their convergence
+and split-brain gates at both seeds, and the ``--nemesis`` row must
+actually black out links.  Every row takes well
 under a second.
 """
 
@@ -83,6 +84,8 @@ def test_same_seed_files_match_and_another_seed_differs(
     assert a == b
     metas = [json.loads(text)["meta"] for text in (a, c)]
     assert metas[0]["determinism_token"] != metas[1]["determinism_token"]
+    if name == "chaos":  # the seed draws the kill / restart / join schedule
+        assert metas[0]["schedule"] != metas[1]["schedule"]
     for meta in metas:
         if name in GATES:
             GATES[name](meta)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError, ServerBusy, ServerUnreachable
-from repro.faults.injector import DynamicFaultInjector
+from repro.faults.injector import FaultInjector
 from repro.faults.nemesis import (
     LINK_ACTIONS,
     NODE_ACTIONS,
@@ -13,7 +13,7 @@ from repro.faults.nemesis import (
     NemesisEvent,
     make_nemesis_schedule,
 )
-from repro.faults.partition import CLIENT, PartitionPlan, PartitionedInjector
+from repro.faults.partition import CLIENT
 from repro.obs import MetricsRegistry
 
 
@@ -53,50 +53,49 @@ class TestSchedule:
 
 class TestNemesis:
     def equipment(self):
-        inner = DynamicFaultInjector()
-        plan = PartitionPlan()
-        gate = PartitionedInjector(plan, inner)
-        return inner, plan, gate
+        gate = FaultInjector()
+        return gate, gate.partitions
 
-    def test_requires_matching_equipment(self):
-        with pytest.raises(ConfigurationError):
-            Nemesis([NemesisEvent(0, "kill", 1)], injector=None)
-        with pytest.raises(ConfigurationError):
-            Nemesis([NemesisEvent(0, "cut", ((1,), 5))], plan=None)
+    def test_one_gate_takes_node_and_link_actions(self):
+        gate, plan = self.equipment()
+        Nemesis([NemesisEvent(0, "kill", 1), NemesisEvent(0, "cut", ((2,), 5))], gate).apply(0)
+        assert gate.down == {1} and len(plan.rules) == 2
+        with pytest.raises(ServerUnreachable):
+            gate.check(2)
 
     def test_applies_due_events_once(self):
-        inner, plan, gate = self.equipment()
+        gate, plan = self.equipment()
         schedule = [
             NemesisEvent(2, "kill", 1),
             NemesisEvent(4, "busy", 2),
             NemesisEvent(6, "restore", 1),
         ]
-        nemesis = Nemesis(schedule, injector=inner, plan=plan)
+        nemesis = Nemesis(schedule, gate)
         assert nemesis.pending() == 3
         assert [e.action for e in nemesis.apply(4)] == ["kill", "busy"]
-        assert 1 in inner.down and 2 in inner.busy
+        assert 1 in gate.down and 2 in gate.busy
         assert nemesis.apply(4) == []  # idempotent at the same tick
         nemesis.apply(6)
-        assert 1 not in inner.down
+        assert 1 not in gate.down
         assert nemesis.pending() == 0
         assert len(nemesis.applied) == 3
 
     def test_busy_action_sheds_accesses(self):
-        inner, plan, gate = self.equipment()
-        nemesis = Nemesis([NemesisEvent(0, "busy", 3)], injector=inner, plan=plan)
+        gate, plan = self.equipment()
+        nemesis = Nemesis([NemesisEvent(0, "busy", 3)], gate)
         nemesis.apply(0)
         with pytest.raises(ServerBusy):
             gate.check(3)
-        Nemesis([NemesisEvent(1, "clear_busy", 3)], injector=inner).apply(1)
+        Nemesis([NemesisEvent(1, "clear_busy", 3)], gate).apply(1)
         gate.check(3)
 
     def test_cut_and_heal_drive_the_plan(self):
-        inner, plan, gate = self.equipment()
+        gate, plan = self.equipment()
         schedule = [
             NemesisEvent(0, "cut", ((0, 1), 50)),
             NemesisEvent(10, "heal", None),
         ]
-        nemesis = Nemesis(schedule, injector=inner, plan=plan)
+        nemesis = Nemesis(schedule, gate)
         nemesis.apply(0)
         with pytest.raises(ServerUnreachable):
             gate.check(0)
@@ -105,24 +104,19 @@ class TestNemesis:
         gate.check(0)
 
     def test_flap_installs_both_directions(self):
-        inner, plan, gate = self.equipment()
-        nemesis = Nemesis(
-            [NemesisEvent(0, "flap", ((2,), 100, 8, 0.5))],
-            injector=inner,
-            plan=plan,
-        )
+        gate, plan = self.equipment()
+        nemesis = Nemesis([NemesisEvent(0, "flap", ((2,), 100, 8, 0.5))], gate)
         nemesis.apply(0)
         assert plan.blocked(CLIENT, 2, 0)
         assert plan.blocked(2, CLIENT, 0)
         assert not plan.blocked(CLIENT, 2, 4)  # flap phase open
 
     def test_on_kill_and_on_restore_callbacks(self):
-        inner, plan, _ = self.equipment()
+        gate, plan = self.equipment()
         seen = []
         nemesis = Nemesis(
             [NemesisEvent(0, "kill", 5), NemesisEvent(1, "restore", 5)],
-            injector=inner,
-            plan=plan,
+            gate,
             on_kill=lambda sid: seen.append(("kill", sid)),
             on_restore=lambda sid: seen.append(("restore", sid)),
         )
@@ -130,12 +124,11 @@ class TestNemesis:
         assert seen == [("kill", 5), ("restore", 5)]
 
     def test_metrics_count_applied_events(self):
-        inner, plan, _ = self.equipment()
+        gate, plan = self.equipment()
         registry = MetricsRegistry()
         nemesis = Nemesis(
             [NemesisEvent(0, "kill", 1), NemesisEvent(2, "restore", 1)],
-            injector=inner,
-            plan=plan,
+            gate,
             metrics=registry,
         )
         nemesis.apply(3)
@@ -144,14 +137,14 @@ class TestNemesis:
         assert snap['kind="restore"'] == 1
 
     def test_full_generated_schedule_replays_cleanly(self):
-        inner, plan, gate = self.equipment()
+        gate, plan = self.equipment()
         schedule = make_nemesis_schedule(9, 6, 120, n_faults=6)
-        nemesis = Nemesis(schedule, injector=inner, plan=plan)
+        nemesis = Nemesis(schedule, gate)
         for tick in range(120):
             nemesis.apply(tick)
             gate.advance(1)
         assert nemesis.pending() == 0
-        assert not inner.down and not inner.busy
+        assert not gate.down and not gate.busy
 
     def test_actions_partition_cleanly(self):
         assert not (NODE_ACTIONS & LINK_ACTIONS)

@@ -1,4 +1,4 @@
-"""Link-level fault family: rules, plans, windows, and the injector gate."""
+"""Link-level fault family: rules, plans, windows, and the gate's link cuts."""
 
 from __future__ import annotations
 
@@ -12,12 +12,11 @@ from repro.errors import (
     ServerTimeout,
     ServerUnreachable,
 )
-from repro.faults.injector import DynamicFaultInjector, FaultInjector
+from repro.faults.injector import FaultInjector
 from repro.faults.partition import (
     CLIENT,
     LinkRule,
     PartitionPlan,
-    PartitionedInjector,
     link_blackout_windows,
 )
 from repro.faults.plan import FaultConfig, FaultPlan
@@ -142,10 +141,12 @@ class TestLinkBlackoutWindows:
             link_blackout_windows(1, 100, min_len=5, max_len=4)
 
 
-class TestPartitionedInjector:
-    def make(self, *, inner=None, metrics=None):
-        plan = PartitionPlan()
-        return plan, PartitionedInjector(plan, inner, metrics=metrics)
+class TestLinkGate:
+    def make(self, *, plan=None, metrics=None):
+        injector = FaultInjector(plan)
+        if metrics is not None:
+            injector.bind_metrics(metrics)
+        return injector.partitions, injector
 
     def test_request_edge_cut_refuses_immediately(self):
         plan, injector = self.make()
@@ -170,11 +171,9 @@ class TestPartitionedInjector:
         injector.advance(3)
         injector.check(1)  # the cut expired
 
-    def test_inner_node_faults_still_fire(self):
-        inner = DynamicFaultInjector()
-        plan = PartitionPlan()
-        injector = PartitionedInjector(plan, inner)
-        inner.kill(4)
+    def test_node_faults_still_fire(self):
+        plan, injector = self.make()
+        injector.kill(4)
         with pytest.raises(ServerDown):
             injector.check(4)
         # a cut takes precedence over the node fault (checked first)
@@ -182,28 +181,17 @@ class TestPartitionedInjector:
         with pytest.raises(ServerUnreachable):
             injector.check(4)
 
-    def test_advance_moves_both_clocks(self):
-        inner = DynamicFaultInjector()
-        plan = PartitionPlan()
-        injector = PartitionedInjector(plan, inner)
-        injector.advance(5)
-        assert injector.tick == 5
-        assert inner.tick == 5
-
     def test_can_reach_is_round_trip_and_vantage_explicit(self):
-        inner = DynamicFaultInjector()
-        plan, injector = PartitionPlan(), None
-        injector = PartitionedInjector(plan, inner, vantage=CLIENT)
+        plan, injector = self.make()
         plan.one_way((5,), (-2,), start=0)  # only the reply path to -2
         assert injector.can_reach(CLIENT, 5)  # client -1 unaffected
         assert not injector.can_reach(-2, 5)  # round trip broken for -2
-        inner.kill(3)
+        injector.kill(3)
         assert not injector.can_reach(CLIENT, 3)  # dead is unreachable too
 
     def test_can_reach_sees_a_plan_driven_crash(self):
-        # a FaultInjector has no ``down`` set: its crashes are the plan's
-        inner = FaultInjector(FaultPlan(4, FaultConfig(crash_rate=1.0, horizon=1)))
-        injector = PartitionedInjector(PartitionPlan(), inner)
+        # the seeded plan's crashes, not only the killed set
+        _, injector = self.make(plan=FaultPlan(4, FaultConfig(crash_rate=1.0, horizon=1)))
         for _ in range(5):
             injector.advance()
         with pytest.raises(ServerDown):
@@ -224,8 +212,7 @@ class TestPartitionedInjector:
     def test_gates_cluster_access(self):
         placer = make_placer("rch", 4, 2, seed=0, vnodes=16)
         cluster = Cluster(placer, range(20), memory_factor=None)
-        plan = PartitionPlan()
-        injector = PartitionedInjector(plan, DynamicFaultInjector())
+        plan, injector = self.make()
         cluster.attach_injector(injector)
         plan.one_way((CLIENT,), (0,), start=0)
         with pytest.raises(ServerUnreachable):

@@ -7,7 +7,7 @@ from repro.cluster.cluster import Cluster
 from repro.core.bundling import Bundler
 from repro.faults.ftclient import FaultTolerantRnBClient
 from repro.faults.health import HealthTracker
-from repro.faults.injector import DynamicFaultInjector
+from repro.faults.injector import FaultInjector
 from repro.membership import (
     EpochedPlacer,
     MembershipService,
@@ -25,7 +25,7 @@ N_ITEMS = 300
 def make_sim_stack(n=8, r=3, *, dead_after=2, confirm_after=1):
     placer = EpochedPlacer("rch", n, r, seed=5, vnodes=32)
     cluster = Cluster(placer, range(N_ITEMS))
-    injector = DynamicFaultInjector()
+    injector = FaultInjector()
     cluster.attach_injector(injector)
     service = make_cluster_service(
         cluster, placer, confirm_after=confirm_after, repair_rate=None

@@ -20,7 +20,7 @@ from repro.core.bundling import Bundler
 from repro.errors import ServerBusy
 from repro.faults.ftclient import FaultTolerantRnBClient
 from repro.faults.health import ALIVE, HealthTracker
-from repro.faults.injector import DynamicFaultInjector
+from repro.faults.injector import FaultInjector
 from repro.hashing.rch import RangedConsistentHashPlacer
 from repro.overload.breaker import BreakerBoard
 from repro.overload.load import AdmissionControl, TokenBucket
@@ -54,7 +54,7 @@ class TestSimulatedServerGate:
 @pytest.fixture()
 def ft_setup():
     placer = RangedConsistentHashPlacer(N_SERVERS, 2, seed=0, vnodes=32)
-    cluster = Cluster(placer, range(N_ITEMS)).attach_injector(DynamicFaultInjector())
+    cluster = Cluster(placer, range(N_ITEMS)).attach_injector(FaultInjector())
     board = BreakerBoard(N_SERVERS, trip_after=2, window=4, open_ticks=5, seed=7)
     health = HealthTracker(N_SERVERS)
     client = FaultTolerantRnBClient(

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ProtocolError
 from repro.protocol.codec import Command, encode_command, parse_command_stream
 from repro.protocol.memclient import MemcachedConnection
-from repro.protocol.memserver import MemcachedServer
+from repro.protocol.memserver import BAD_DELTA, MemcachedServer
 from repro.protocol.transport import LoopbackTransport
 
 
@@ -117,8 +117,9 @@ class TestWireFormat:
     def test_negative_delta_rejected(self):
         with pytest.raises(ProtocolError):
             encode_command(Command(name="incr", keys=("k",), delta=-1))
-        with pytest.raises(ProtocolError):
-            parse_command_stream(b"decr k -5\r\n")
+        # on the wire it is the server's to refuse, not a malformed line
+        [cmd], _ = parse_command_stream(b"decr k -5\r\n")
+        assert MemcachedServer().execute(cmd) == BAD_DELTA
 
     def test_counter_without_delta_rejected(self):
         with pytest.raises(ProtocolError):
@@ -137,14 +138,33 @@ class TestNumerals:
             "set n \u0660 0 1\r\n1\r\n".encode(),  # ARABIC-INDIC DIGIT ZERO as flags
             b"set k 0 1_0 1\r\nv\r\n",
             "cas k 0 0 1 \uff11\r\nv\r\n".encode(),  # FULLWIDTH DIGIT ONE as cas id
-            b"incr n 1_0\r\n",
-            "incr n \u0661\r\n".encode(),
             b"touch k 1_0\r\n",
         ],
     )
     def test_fields_only_int_reads_are_malformed(self, wire):
         with pytest.raises(ProtocolError):
             parse_command_stream(wire)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            b"incr n x\r\n",
+            b"incr n 1_0\r\n",
+            b"decr n -5\r\n",
+            "incr n \u0661\r\n".encode(),
+            b"incr n 18446744073709551616\r\n",
+        ],
+    )
+    def test_a_delta_memcached_refuses_is_answered_and_reading_goes_on(self, line):
+        # memcached's process_arithmetic_command: CLIENT_ERROR, the counter
+        # untouched, and the pipelined get after it still answered
+        server = MemcachedServer()
+        server.execute(Command("set", keys=("n",), data=b"7"))
+        out = server.handle(line + b"get n\r\n")
+        assert out == BAD_DELTA + b"VALUE n 0 1\r\n7\r\nEND\r\n"
+        refused, counted = LoopbackTransport(server).exchange(line + b"incr n 1\r\n", 2)
+        assert refused.status == "CLIENT_ERROR invalid numeric delta argument"
+        assert counted.status == "8"
 
     def test_plain_numerals_still_parse(self):
         [cmd], _ = parse_command_stream(b"set k 42 -1 1\r\nv\r\n")

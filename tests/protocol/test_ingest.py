@@ -84,7 +84,7 @@ class TestFrontFraming:
 
     @pytest.mark.parametrize(
         "wire",
-        [b"bogus x\r\n", b"set k 0 0 2\r\nhixx\r\n", b"set k 0 0 -1\r\n\r\n", b"incr k x\r\n"],
+        [b"bogus x\r\n", b"set k 0 0 2\r\nhixx\r\n", b"set k 0 0 -1\r\n\r\n", b"incr k\r\n"],
     )
     def test_malformed_input_is_refused_after_what_came_before(self, wire):
         conn, backend, transport = front()
