@@ -26,7 +26,6 @@ from repro.membership import (
     RepairExecutor,
     protocol_repair_fns,
 )
-from repro.protocol.consistency import atomic_update
 from repro.protocol.memclient import MemcachedConnection
 from repro.protocol.memserver import MemcachedServer
 from repro.protocol.rnbclient import RnBProtocolClient
@@ -103,9 +102,7 @@ def main() -> None:
         assert not out.missing
 
         # --- atomic update ---
-        atomic_update(
-            client, victim, lambda old: (old or b"") + b" (edited)", repopulate=True
-        )
+        client.atomic_update(victim, lambda old: (old or b"") + b" (edited)", repopulate=True)
         print(f"atomic update: {victim!r} -> {client.get(victim)!r}")
 
         # --- self-healing: kill a server for real ---

@@ -24,7 +24,7 @@ from repro.protocol.retry import RetryPolicy, async_call_with_retries
 
 
 class AsyncMemcachedClient:
-    """Typed async get/set/delete over one server's transport.
+    """Typed async get/gets/set/add/cas/delete over one server's transport.
 
     ``transport`` is anything with ``async exchange(request, n)`` —
     an :class:`repro.aio.transport.AsyncConnection` or an
@@ -75,20 +75,30 @@ class AsyncMemcachedClient:
 
     @staticmethod
     def _encode(op: str, args, with_cas=False, flags=0, exptime=0) -> bytes:
-        if op == "set":
-            return encode_command(
-                Command(name="set", keys=args[:1], flags=flags, exptime=exptime, data=args[1])
-            )
+        if op == "get_multi":
+            return encode_retrieval("gets" if with_cas else "get", args[0])
+        if op == "get" or op == "gets":
+            return encode_retrieval(op, args)
         if op == "delete":
             return encode_command(Command(name="delete", keys=args))
-        return encode_retrieval("gets" if with_cas else "get", args if op == "get" else args[0])
+        return encode_command(  # set / add / cas
+            Command(
+                name=op,
+                keys=args[:1],
+                flags=flags,
+                exptime=exptime,
+                data=args[1],
+                cas=args[2] if op == "cas" else None,
+            )
+        )
 
     def begin(self, op: str, args: tuple, sink) -> bool:
-        """Put ``op(*args)`` (``get_multi`` / ``get`` / ``set`` / ``delete``) on the wire
-        now; ``sink`` gets the raw responses for :meth:`settle`.  ``False``, nothing sent,
-        if the transport cannot ``submit`` or this client has its own ``policy`` (it
-        retries inside the coroutine).  A ``get_multi``'s keys are sent as given: the
-        request engine checked them (``validate_keys``) before planning."""
+        """Put ``op(*args)`` (``get_multi`` / ``get`` / ``gets`` / ``set`` / ``add`` /
+        ``cas`` / ``delete``) on the wire now; ``sink`` gets the raw responses for
+        :meth:`settle`.  ``False``, nothing sent, if the transport cannot ``submit`` or
+        this client has its own ``policy`` (it retries inside the coroutine).  A
+        ``get_multi``'s keys are sent as given: the request engine checked them
+        (``validate_keys``) before planning."""
         submit = getattr(self.transport, "submit", None)
         if submit is None or self.policy is not None:
             return False
@@ -103,17 +113,22 @@ class AsyncMemcachedClient:
         [resp] = responses
         if resp.status == "SERVER_ERROR busy":  # what _checked raises, without the call
             raise ServerBusy(f"{resp.status} (server shed the transaction)")
-        if op == "set" or op == "delete":
+        if op == "get_multi" or op == "get" or op == "gets":  # the read path first
+            if resp.status != "END":
+                raise ProtocolError(f"unexpected retrieval status: {resp.status}")
             self.transactions += 1
-            return resp.status == ("STORED" if op == "set" else "DELETED")
-        if resp.status != "END":
-            raise ProtocolError(f"unexpected retrieval status: {resp.status}")
+            values = resp.values
+            if op == "get_multi":
+                if with_cas:
+                    cas = resp.cas
+                    return {k: (v, cas.get(k)) for k, v in values.items()}
+                return values
+            value = values.get(args[0])
+            return value if op == "get" or value is None else (value, resp.cas.get(args[0]))
         self.transactions += 1
-        values = resp.values
-        if with_cas:
-            cas = resp.cas
-            return {k: (v, cas.get(k)) for k, v in values.items()}
-        return values.get(args[0]) if op == "get" else values
+        if op == "cas":
+            return resp.status
+        return resp.status == ("DELETED" if op == "delete" else "STORED")
 
     # -- retrieval -------------------------------------------------------
 
@@ -128,6 +143,12 @@ class AsyncMemcachedClient:
     async def get(self, key: str) -> bytes | None:
         return (await self.get_multi([key])).get(key)
 
+    async def gets(self, key: str) -> tuple[bytes, int] | None:
+        """``(value, cas id)`` of ``key``, or None if it is absent."""
+        args = (key,)
+        responses = await self._exchange_idempotent(self._encode("gets", args))
+        return self.settle("gets", args, responses)
+
     # -- storage ------------------------------------------------------------
 
     async def set(
@@ -136,6 +157,18 @@ class AsyncMemcachedClient:
         # plain set is idempotent (last-writer-wins), so it may retry
         request = self._encode("set", (key, value), flags=flags, exptime=exptime)
         return self.settle("set", (key, value), await self._exchange_idempotent(request))
+
+    async def add(self, key: str, value: bytes) -> bool:
+        """Store only if the key does NOT exist."""
+        args = (key, value)
+        request = self._encode("add", args)
+        return self.settle("add", args, await self.transport.exchange(request))
+
+    async def cas(self, key: str, value: bytes, cas_id: int) -> str:
+        """Compare-and-swap; returns STORED / EXISTS / NOT_FOUND."""
+        args = (key, value, cas_id)
+        request = self._encode("cas", args)
+        return self.settle("cas", args, await self.transport.exchange(request))
 
     async def delete(self, key: str) -> bool:
         request = self._encode("delete", (key,))

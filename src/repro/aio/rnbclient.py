@@ -3,8 +3,9 @@
 :class:`AsyncRnBClient` is the high-concurrency twin of
 :class:`repro.protocol.rnbclient.RnBProtocolClient`: both run the request
 engine of :class:`repro.protocol.rnbclient.LiveRnBClient`, so planning,
-repair waves, retries, health, breakers, BUSY sheds and the
-:mod:`repro.consistency` rules are the sync client's.  How a wave runs differs:
+repair waves, retries, health, breakers, BUSY sheds, the §IV atomic
+update and the :mod:`repro.consistency` rules are the sync client's.  How a
+wave runs differs:
 
 * the calls of one wave are dispatched **concurrently**,
   so a multi-get's latency is the *slowest* transaction, not the sum.
@@ -298,6 +299,14 @@ class AsyncRnBClient(LiveRnBClient):
     async def delete(self, key: str) -> None:
         """Remove every replica of ``key`` (missing replicas are fine)."""
         return await self._drive(self._delete(key))
+
+    async def atomic_update(
+        self, key: str, update, *, max_retries: int = 16, repopulate: bool = False
+    ) -> bytes:
+        """Paper §IV's atomic update (the sync client's
+        :meth:`~repro.protocol.rnbclient.RnBProtocolClient.atomic_update`), each
+        strip and repopulate wave sent to the replicas concurrently."""
+        return await self._drive(self._atomic_update(key, update, max_retries, repopulate), {})
 
     async def set_versioned(self, key: str, value: bytes, *, w="majority") -> WriteOutcome:
         """Quorum write (docs/CONSISTENCY.md), all R replicas written in parallel

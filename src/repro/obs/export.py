@@ -53,8 +53,8 @@ CORE_REQUEST_FAMILIES = (
 #: quorum writes by outcome and acks landed (repro.consistency.quorum),
 #: divergences seen and repairs dispatched by versioned reads
 #: (repro.consistency.readrepair), scrub progress gauges
-#: (repro.consistency.scrub), and the paper-§IV atomic-operation
-#: counters (repro.protocol.consistency)
+#: (repro.consistency.scrub), and the paper-§IV atomic update's
+#: counters (LiveRnBClient._atomic_update in repro.protocol.rnbclient)
 CONSISTENCY_FAMILIES = (
     "rnb_quorum_writes_total",
     "rnb_quorum_acks",

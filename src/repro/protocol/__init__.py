@@ -14,8 +14,8 @@ its simulator with micro-benchmarks against a real memcached server
 * :mod:`repro.protocol.memclient` — a plain memcached client plus the
   classic consistent-hashing sharded client.
 * :mod:`repro.protocol.rnbclient` — the RnB client: replicated writes,
-  set-cover bundled multi-gets, miss repair from the distinguished copy.
-* :mod:`repro.protocol.consistency` — atomic update schemes (section IV).
+  set-cover bundled multi-gets, miss repair from the distinguished copy,
+  and the section IV atomic update (strip, CAS on the distinguished copy).
 * :mod:`repro.protocol.microbench` — the calibration micro-benchmark
   (items/s vs transaction size; paper Figs 13–14).
 """

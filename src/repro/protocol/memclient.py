@@ -101,6 +101,10 @@ class MemcachedConnection:
     def get(self, key: str) -> bytes | None:
         return self.get_multi([key]).get(key)
 
+    def gets(self, key: str) -> tuple[bytes, int] | None:
+        """``(value, cas id)`` of ``key``, or None if it is absent."""
+        return self.get_multi([key], with_cas=True).get(key)
+
     # -- storage ------------------------------------------------------------
 
     def set(self, key: str, value: bytes, *, flags: int = 0, exptime: int = 0) -> bool:

@@ -11,6 +11,8 @@
 * **misses** (an evicted replica) are repaired from the distinguished
   copy in a bundled second round and written back to the first-picked
   replica server, exactly like the simulator's miss path;
+* **atomic updates** follow paper §IV: strip the replicas, compare-and-swap
+  the distinguished copy, let replicas come back on demand;
 * **server failures** degrade gracefully: a transaction to a dead server
   is treated as a full miss, and the affected items are re-fetched from
   their surviving replicas — the "replication already exists for
@@ -98,6 +100,31 @@ def _request_instruments(metrics, path: str) -> dict | None:
         ),
         "deadline": metrics.counter(
             "rnb_deadline_hits_total", "requests cut off by their deadline", path=path
+        ),
+    }
+
+
+def _atomic_instruments(metrics) -> dict | None:
+    """The §IV atomic update's instrument set (docs/CONSISTENCY.md), registered
+    on first use: a registry hands back the same instrument for the same
+    (family, labels), so re-deriving these per call registers nothing twice."""
+    if metrics is None:
+        return None
+    help_ops = "atomic consistency operations by outcome"
+    return {
+        "ok": metrics.counter(
+            "rnb_consistency_ops_total", help_ops, op="atomic_update", outcome="ok"
+        ),
+        "failed": metrics.counter(
+            "rnb_consistency_ops_total", help_ops, op="atomic_update", outcome="failed"
+        ),
+        "strip_skips": metrics.counter(
+            "rnb_consistency_strip_skips_total",
+            "replicas skipped (unreachable) while stripping or repopulating for an update",
+            op="atomic_update",
+        ),
+        "cas_retries": metrics.histogram(
+            "rnb_cas_retries", "CAS rounds needed per atomic update", op="atomic_update"
         ),
     }
 
@@ -212,8 +239,8 @@ class LiveRnBClient:
         #: request -> plan/txn spans on the wall clock
         self._tracer = tracer
         #: the registry itself stays public so satellite layers (the
-        #: consistency stack, atomic_update/read_repair instrumentation)
-        #: can register their own families on it
+        #: repro.consistency stack, the atomic update's families) can
+        #: register their own families on it
         self.metrics = metrics
         self._metrics = _request_instruments(metrics, self._path)
         #: id carried in this client's version stamps (tiebreak between
@@ -447,15 +474,47 @@ class LiveRnBClient:
                     for key, value in got.items():
                         target = missed_primary.get(key)
                         if target is not None and target not in failed:
-                            writebacks.append((target, "set", (key, value)))
+                            writebacks.append((target, key, value))
             if writebacks:
-                results = yield writebacks, span
-                for (target, _, _), res in zip(writebacks, results):
-                    if isinstance(res, BaseException):
-                        failed.add(target)
+                yield from self._write_back(writebacks, failed, span)
             if cut:
                 return True
         return False
+
+    def _write_back(self, writebacks, failed, span):
+        """Put repaired ``(target, key, value)`` copies back where round one
+        missed them, so that an atomic update racing the repair is not undone
+        (docs/CONSISTENCY.md, "Paper-§IV atomics").  A copy for a replica is
+        ``set``, then its key is read again from the home copy, and the copy is
+        deleted wherever the home no longer holds the value written: an update
+        committed after the repair read it.  A copy for the home itself is an
+        ``add``, which never overwrites a value stored there since the miss."""
+        home_of = self.placer.distinguished_for
+        calls = [
+            (target, "add" if target == home_of(key) else "set", (key, value))
+            for target, key, value in writebacks
+        ]
+        results = yield calls, span
+        written: dict[int, list] = defaultdict(list)  # home -> [(target, key, value)]
+        for (target, op, (key, value)), res in zip(calls, results):
+            if isinstance(res, BaseException):
+                failed.add(target)
+            elif op == "set" and res is True:
+                written[home_of(key)].append((target, key, value))
+        if not written:
+            return
+        homes = list(written)
+        results = yield [
+            (home, "get_multi", (tuple(key for _, key, _ in written[home]),)) for home in homes
+        ], span
+        stale = [
+            (target, "delete", (key,))
+            for home, got in zip(homes, results)
+            for target, key, value in written[home]
+            if got is CUT or isinstance(got, BaseException) or got.get(key) != value
+        ]
+        if stale:
+            yield stale, span
 
     def _get(self, key: str):
         """Single-item get — from the distinguished copy (paper section
@@ -501,6 +560,77 @@ class LiveRnBClient:
         for res in results:
             if isinstance(res, BaseException):
                 raise res
+
+    def _atomic_update(self, key: str, update, max_retries: int, repopulate: bool):
+        """Paper §IV's atomic update of ``key`` (docs/CONSISTENCY.md): strip
+        every replica but the home copy, ``gets`` / ``cas`` on the home copy
+        until a swap wins (an absent key is created by ``add``), then one
+        post-commit wave over the replicas: the new value if ``repopulate``
+        (a write-back, re-checked like a reader's), else a second strip, which
+        removes any copy a reader wrote back while the update ran.  Returns
+        the new value."""
+        validate_keys((key,))
+        home, *replicas = self.placer.servers_for(key)
+        instruments = _atomic_instruments(self.metrics)
+        skipped: set[int] = set()
+        yield from self._strip(key, replicas, skipped, instruments)
+        rounds = 0
+        try:
+            for rounds in range(max_retries):
+                [current] = yield [(home, "gets", (key,))], None
+                if isinstance(current, BaseException):
+                    raise current
+                if current is None:
+                    new_value = update(None)
+                    call = (home, "add", (key, new_value))
+                else:
+                    new_value = update(current[0])
+                    call = (home, "cas", (key, new_value, current[1]))
+                [status] = yield [call], None
+                if isinstance(status, BaseException):
+                    raise status
+                if status is True or status == "STORED":
+                    break
+                # a concurrent creator (add) or writer (EXISTS) won, or the key
+                # was deleted (NOT_FOUND): read again
+            else:
+                raise ProtocolError(f"atomic update of {key!r} exceeded {max_retries} retries")
+        except FAILOVER_ERRORS:
+            if instruments is not None:
+                instruments["failed"].inc()
+                instruments["cas_retries"].observe(float(rounds))
+            raise
+        if instruments is not None:
+            instruments["ok"].inc()
+            instruments["cas_retries"].observe(float(rounds))
+        if repopulate:  # the re-check keeps a later update's value from being undone
+            unreachable: set[int] = set()
+            yield from self._write_back(
+                [(sid, key, new_value) for sid in replicas], unreachable, None
+            )
+            self._skip(unreachable, skipped, instruments)
+        else:
+            yield from self._strip(key, replicas, skipped, instruments)
+        return new_value
+
+    def _strip(self, key: str, replicas, skipped: set, instruments):
+        """Delete ``key`` on ``replicas``, skipping those it cannot reach."""
+        results = yield [(sid, "delete", (key,)) for sid in replicas], None
+        failed = {sid for sid, res in zip(replicas, results) if isinstance(res, BaseException)}
+        self._skip(failed, skipped, instruments)
+
+    def _skip(self, failed: set, skipped: set, instruments) -> None:
+        """Skip the replicas in ``failed`` with a health strike instead of
+        aborting the update: their copies are as unreachable to readers, and
+        anti-entropy reconciles them on recovery.  ``skipped`` holds the
+        servers skipped so far in this update; each is counted once in
+        ``rnb_consistency_strip_skips_total``."""
+        for sid in sorted(failed):
+            if self.health is not None:
+                self.health.record_error(sid)
+            if instruments is not None and sid not in skipped:
+                instruments["strip_skips"].inc()
+        skipped |= failed
 
     # -- versioned requests (repro.consistency) ------------------------------
 
@@ -626,6 +756,20 @@ class RnBProtocolClient(LiveRnBClient):
     def delete(self, key: str) -> None:
         """Remove every replica of ``key`` (missing replicas are fine)."""
         return self._drive(self._delete(key))
+
+    def atomic_update(
+        self, key: str, update, *, max_retries: int = 16, repopulate: bool = False
+    ) -> bytes:
+        """Atomically replace the value of ``key`` with ``update(current)``
+        (``current`` is None if absent); returns the new value.
+
+        Paper §IV's scheme (:meth:`LiveRnBClient._atomic_update`): the home
+        copy is the one serialisation point, so its server being down raises,
+        and losing more than ``max_retries`` CAS races raises
+        :class:`ProtocolError`.  ``repopulate`` re-creates the replicas at
+        once instead of on demand.
+        """
+        return self._drive(self._atomic_update(key, update, max_retries, repopulate), {})
 
     def set_versioned(self, key: str, value: bytes, *, w="majority"):
         """Quorum write: commit ``key`` at W of its R replicas.

@@ -15,6 +15,7 @@ from repro.aio.transport import AsyncConnection, AsyncConnectionPool
 from repro.errors import ProtocolError
 from repro.faults.health import HealthTracker
 from repro.hashing.rch import RangedConsistentHashPlacer
+from repro.obs import MetricsRegistry
 from repro.overload.breaker import BreakerBoard
 from repro.overload.load import AdmissionControl
 from repro.protocol.codec import Command
@@ -52,6 +53,15 @@ class CoroutineOnly:
 
     async def delete(self, key):
         return await self.inner.delete(key)
+
+    async def gets(self, key):
+        return await self.inner.gets(key)
+
+    async def add(self, key, value):
+        return await self.inner.add(key, value)
+
+    async def cas(self, key, value, cas_id):
+        return await self.inner.cas(key, value, cas_id)
 
 
 #: a client over plain memclients (inline fan-out) and over coroutine-only wrappers
@@ -215,6 +225,59 @@ class TestGetMulti:
                 assert await c.client.get("absent") is None
                 await c.client.delete("solo")
                 assert await c.client.get("solo") is None
+
+        run(scenario())
+
+
+def increment(value: bytes | None) -> bytes:
+    return b"1" if value is None else str(int(value) + 1).encode()
+
+
+class TestAtomicUpdate:
+    """The engine's §IV atomic update on the async client."""
+
+    @PATHS
+    def test_concurrent_updaters_lose_no_update(self, wrap):
+        """16 coroutines x 10 increments of one counter, all in flight on one
+        client: every CAS race is retried, none is lost."""
+
+        async def scenario():
+            registry = MetricsRegistry()
+            async with _Cluster(wrap=wrap, metrics=registry) as c:
+                await c.warm()
+
+                async def bump():
+                    for _ in range(10):
+                        await c.client.atomic_update("ctr", increment, max_retries=500)
+
+                await asyncio.gather(*(bump() for _ in range(16)))
+                assert await c.client.get("ctr") == b"160"
+                home, *replicas = c.placer.servers_for("ctr")
+                assert all("ctr" not in c.backends[sid] for sid in replicas)
+                rounds = registry.snapshot()["rnb_cas_retries"]["series"]['op="atomic_update"']
+                assert rounds["count"] == 160 and rounds["sum"] > 0  # the updaters raced
+
+        run(scenario())
+
+    def test_repopulate_and_a_dead_replica(self):
+        async def scenario():
+            async with _Cluster(health=HealthTracker(N_SERVERS, dead_after=3)) as c:
+                await c.client.set("k", b"1")
+                home, victim = c.placer.servers_for("k")
+                await c.kill(victim)
+                assert await c.client.atomic_update("k", increment, repopulate=True) == b"2"
+                assert c.client.health.state(victim) != "alive"
+                assert await c.client.get("k") == b"2"
+
+        run(scenario())
+
+    def test_a_dead_home_copy_raises(self):
+        async def scenario():
+            async with _Cluster() as c:
+                await c.client.set("k", b"1")
+                await c.kill(c.placer.distinguished_for("k"))
+                with pytest.raises((ConnectionError, OSError)):
+                    await c.client.atomic_update("k", increment)
 
         run(scenario())
 
@@ -443,6 +506,7 @@ class TestCallersBadKey:
                         client.delete(bad),
                         client.set_versioned(bad, b"v"),
                         client.get_versioned(bad),
+                        client.atomic_update(bad, increment),
                     ):
                         with pytest.raises(ProtocolError):
                             await call

@@ -46,15 +46,6 @@ class TestHotspotSoak:
             "breaker transitions",
         }
 
-    def test_deterministic_by_seed(self, result):
-        [again] = hotspot.run(**PARAMS)
-        assert again.meta["determinism_token"] == result.meta["determinism_token"]
-        assert again.series == result.series
-
-    def test_seed_moves_the_token(self, result):
-        [other] = hotspot.run(scale=0.25, seed=7)
-        assert other.meta["determinism_token"] != result.meta["determinism_token"]
-
 
 class TestRequestStream:
     def test_streams_identical_across_calls(self):

@@ -4,7 +4,8 @@ Each row is one soak configuration: experiment, scale, seed, a second
 seed, extra flags.  A row runs the CLI three times, twice at ``seed`` and
 once at the second seed.  The two same-seed files must be byte-identical
 (series, meta and every token in it); the second seed must move the
-``determinism_token`` and, for ``chaos``, the fault ``schedule``.
+``determinism_token`` and, for ``chaos`` and ``write_chaos``, the fault
+``schedule``.
 ``write_chaos`` and ``partition_chaos`` must also pass their convergence
 and split-brain gates at both seeds, and the ``--nemesis`` row must
 actually black out links.  Every row takes well
@@ -24,11 +25,12 @@ ROWS = [
     ("chaos", "0.25", 3, 4, ()),
     ("hotspot", "0.25", 2013, 7, ()),
     ("load_soak", "0.2", 2013, 2014, ()),
+    ("load_soak", "0.12", 2013, 2014, ()),
     # same-seed identity covers each arm's metrics_token: telemetry, not
     # only the headline series
     ("load_soak", "0.12", 7, 8, ()),
     ("load_soak", "0.12", 7, 8, ("--nemesis", "3")),
-    ("write_chaos", "0.25", 2014, 7, ()),
+    ("write_chaos", "0.25", 2014, 2015, ()),
     ("partition_chaos", "0.3", 2014, 7, ()),
 ]
 
@@ -84,7 +86,7 @@ def test_same_seed_files_match_and_another_seed_differs(
     assert a == b
     metas = [json.loads(text)["meta"] for text in (a, c)]
     assert metas[0]["determinism_token"] != metas[1]["determinism_token"]
-    if name == "chaos":  # the seed draws the kill / restart / join schedule
+    if name in ("chaos", "write_chaos"):  # the seed draws the fault schedule
         assert metas[0]["schedule"] != metas[1]["schedule"]
     for meta in metas:
         if name in GATES:

@@ -16,7 +16,7 @@ TINY = dict(
 
 
 #: 11, plus the two seeds ``test_soaks.py`` gates the ``rnb run`` files at
-SEEDS = (11, 2014, 7)
+SEEDS = (11, 2014, 2015)
 
 
 def run_tiny(seed, **overrides):
@@ -72,13 +72,3 @@ class TestAcceptance:
             # with a server down, W=all writes cannot commit
             assert meta["writes_failed"] > 0
             assert meta["converged"] is True
-
-
-def test_another_seed_draws_another_kill_schedule():
-    # another seed must move the kill schedule; the soak row's two seeds happen
-    # to pick the same single victim, so it is checked here on the schedule
-    def schedule(seed):
-        return write_chaos.make_kill_schedule(seed, 8, 400, n_kills=2)
-
-    assert schedule(23) == schedule(23)
-    assert schedule(23) != schedule(24)

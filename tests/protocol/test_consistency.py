@@ -1,4 +1,5 @@
-"""Tests for atomic updates and read repair over replicas."""
+"""Tests for the paper-§IV atomic update on the request engine, the miss-repair
+write-back that must not undo it, and versioned reads and writes on the wire."""
 
 from __future__ import annotations
 
@@ -11,11 +12,11 @@ from repro.errors import ProtocolError
 from repro.faults.health import HealthTracker
 from repro.hashing.rch import RangedConsistentHashPlacer
 from repro.obs import MetricsRegistry
-from repro.protocol.consistency import atomic_update, read_repair
 from repro.protocol.memclient import MemcachedConnection
 from repro.protocol.memserver import MemcachedServer
 from repro.protocol.rnbclient import RnBProtocolClient
 from repro.protocol.transport import LoopbackTransport
+from repro.types import Request
 
 from tests.protocol.test_failover import FailableTransport
 
@@ -48,14 +49,14 @@ class TestAtomicUpdate:
     def test_updates_value(self):
         _, _, client = make_stack()
         client.set("counter", b"5")
-        new = atomic_update(client, "counter", lambda v: str(int(v) + 1).encode())
+        new = client.atomic_update("counter", lambda v: str(int(v) + 1).encode())
         assert new == b"6"
         assert client.get("counter") == b"6"
 
     def test_strips_stale_replicas(self):
         placer, servers, client = make_stack()
         client.set("k", b"old")
-        atomic_update(client, "k", lambda v: b"new")
+        client.atomic_update("k", lambda v: b"new")
         # non-distinguished replicas must be gone (no stale reads)
         for sid in placer.servers_for("k")[1:]:
             assert "k" not in servers[sid]
@@ -63,14 +64,14 @@ class TestAtomicUpdate:
 
     def test_creates_missing_key(self):
         _, _, client = make_stack()
-        new = atomic_update(client, "fresh", lambda v: b"init" if v is None else v)
+        new = client.atomic_update("fresh", lambda v: b"init" if v is None else v)
         assert new == b"init"
         assert client.get("fresh") == b"init"
 
     def test_repopulate_eagerly(self):
         placer, servers, client = make_stack()
         client.set("k", b"1")
-        atomic_update(client, "k", lambda v: b"2", repopulate=True)
+        client.atomic_update("k", lambda v: b"2", repopulate=True)
         for sid in placer.servers_for("k"):
             assert "k" in servers[sid]
 
@@ -81,15 +82,14 @@ class TestAtomicUpdate:
 
         def bump():
             for _ in range(10):
-                atomic_update(
-                    client, "ctr", lambda v: str(int(v) + 1).encode(), max_retries=500
-                )
+                client.atomic_update("ctr", lambda v: str(int(v) + 1).encode(), max_retries=500)
 
         threads = [threading.Thread(target=bump) for _ in range(16)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=60)
+            assert not t.is_alive()
         assert client.get("ctr") == b"160"
 
     def test_retry_exhaustion(self):
@@ -104,20 +104,143 @@ class TestAtomicUpdate:
             return b"mine"
 
         with pytest.raises(ProtocolError):
-            atomic_update(client, "k", hostile_update, max_retries=3)
+            client.atomic_update("k", hostile_update, max_retries=3)
 
 
-class TestReadRepair:
-    def test_repopulates_replicas(self):
-        placer, servers, client = make_stack()
-        client.set("k", b"v", replicate=False)
-        assert read_repair(client, "k") == b"v"
-        for sid in placer.servers_for("k"):
-            assert "k" in servers[sid]
+def drive(client, wave):
+    """Run one yielded wave of a request generator on the sync client."""
+    calls, span = wave
+    return [client._call(sid, op, args, {}, span) for sid, op, args in calls]
 
-    def test_missing_key_returns_none(self):
-        _, _, client = make_stack()
-        assert read_repair(client, "ghost") is None
+
+def resume(client, requests, results):
+    """Send ``results`` to a request generator and run it to its return value."""
+    try:
+        wave = requests.send(results)
+        while True:
+            wave = requests.send(drive(client, wave))
+    except StopIteration as stop:
+        return stop.value
+
+
+class TestWriteBackRace:
+    """A reader's miss-repair write-back interleaved with an atomic update, one
+    wave at a time: after both return, no copy of the key holds the old value."""
+
+    KEYS = [f"k{i}" for i in range(40)]
+
+    def fleet(self, *, home_reads: bool):
+        """N = 8, R = 3, every key stored; returns the placer, the client and a
+        key whose round-one read the plan sends to its home copy (``home_reads``)
+        or to one of its replicas, with that server."""
+        placer, _, client = make_stack(n_servers=8, replication=3)
+        for key in self.KEYS:
+            client.set(key, b"old")
+        plan = client.bundler.plan(Request.distinct(self.KEYS))
+        for txn in plan.transactions:
+            for key in txn.primary:
+                if (txn.server == placer.distinguished_for(key)) == home_reads:
+                    return placer, client, key, txn.server
+        raise AssertionError("no key read where the test needs it")
+
+    def assert_every_copy_is_new_or_gone(self, placer, client, key):
+        for sid in placer.servers_for(key):
+            assert client.connections[sid].get(key) in (None, b"new"), sid
+        fresh = RnBProtocolClient(client.connections, placer)
+        assert fresh.get_multi(self.KEYS).values[key] == b"new"
+
+    def reader_reads_old_from_home(self, client, key, home):
+        """Start a reader's multi-get: round one misses ``key``, and its repair
+        wave reads ``old`` from the home copy.  Returns the reader and what the
+        repair wave got, not yet sent back."""
+        reader = client._multi_get(self.KEYS, None, {})
+        repair = reader.send(drive(client, next(reader)))
+        assert [(sid, op) for sid, op, _ in repair[0]] == [(home, "get_multi")]
+        got = drive(client, repair)
+        assert got[0][key] == b"old"
+        return reader, got
+
+    def test_a_write_back_after_the_commit_is_undone(self):
+        """(a) strip; round one misses on the replica; the repair reads ``old``
+        from home; the CAS commits; the write-back lands after it."""
+        placer, client, key, replica = self.fleet(home_reads=False)
+        home = placer.distinguished_for(key)
+        updater = client._atomic_update(key, lambda v: b"new", 16, False)
+        stripped = drive(client, next(updater))
+        reader, got = self.reader_reads_old_from_home(client, key, home)
+        assert resume(client, updater, stripped) == b"new"
+        resume(client, reader, got)
+        self.assert_every_copy_is_new_or_gone(placer, client, key)
+
+    def test_b_a_write_back_after_the_update_returns_is_undone(self):
+        """(b) the repair reads ``old`` from home before the strip, and the
+        write-back lands after ``atomic_update`` returned."""
+        placer, client, key, replica = self.fleet(home_reads=False)
+        client.connections[replica].delete(key)  # evicted: round one misses
+        reader, got = self.reader_reads_old_from_home(
+            client, key, placer.distinguished_for(key)
+        )
+        assert client.atomic_update(key, lambda v: b"new") == b"new"
+        resume(client, reader, got)
+        self.assert_every_copy_is_new_or_gone(placer, client, key)
+
+    def test_a_write_back_checked_before_the_commit_is_stripped_after_it(self):
+        """The reader's write-back and re-check both run between the strip and
+        the CAS: the re-check still sees ``old`` at home, so the updater's
+        post-commit strip is what removes the copy."""
+        placer, client, key, replica = self.fleet(home_reads=False)
+        updater = client._atomic_update(key, lambda v: b"new", 16, False)
+        stripped = drive(client, next(updater))
+        reader, got = self.reader_reads_old_from_home(
+            client, key, placer.distinguished_for(key)
+        )
+        resume(client, reader, got)
+        assert client.connections[replica].get(key) == b"old"  # current until the CAS
+        assert resume(client, updater, stripped) == b"new"
+        self.assert_every_copy_is_new_or_gone(placer, client, key)
+
+    def test_a_write_back_to_the_home_copy_never_overwrites(self):
+        """The home copy was evicted: the repair reads ``old`` from a replica, the
+        update creates the key at home, and the reader's write-back to the home
+        (an ``add``) leaves the update's value in place."""
+        placer, client, key, home = self.fleet(home_reads=True)
+        client.connections[home].delete(key)
+        reader = client._multi_get(self.KEYS, None, {})
+        repair = reader.send(drive(client, next(reader)))
+        got = drive(client, repair)
+        assert b"old" in [values.get(key) for values in got]
+        assert client.atomic_update(key, lambda v: b"new" if v is None else v) == b"new"
+        resume(client, reader, got)
+        self.assert_every_copy_is_new_or_gone(placer, client, key)
+
+    def test_a_repopulate_that_lands_after_a_later_update_is_undone(self):
+        """Two updaters with ``repopulate``: the first commits, the second runs
+        whole, then the first's repopulate lands; its re-check deletes it."""
+        placer, client, key, _ = self.fleet(home_reads=False)
+        first = client._atomic_update(key, lambda v: b"first", 16, True)
+        cas = first.send(drive(client, first.send(drive(client, next(first)))))
+        committed = drive(client, cas)
+        assert committed == ["STORED"]
+        assert client.atomic_update(key, lambda v: b"new", repopulate=True) == b"new"
+        assert resume(client, first, committed) == b"first"
+        self.assert_every_copy_is_new_or_gone(placer, client, key)
+
+    def test_concurrent_creators_do_not_both_win(self):
+        """Two updaters read an absent key; only one ``add`` creates it, and the
+        other updates on top of it."""
+        placer, _, client = make_stack(n_servers=8, replication=3)
+
+        def bump(v):
+            return b"1" if v is None else str(int(v) + 1).encode()
+
+        first = client._atomic_update("ctr", bump, 16, False)
+        second = client._atomic_update("ctr", bump, 16, False)
+        reads = [updater.send(drive(client, next(updater))) for updater in (first, second)]
+        absent = [drive(client, wave) for wave in reads]  # both gets: absent
+        assert absent == [[None], [None]]
+        assert resume(client, first, absent[0]) == b"1"
+        assert resume(client, second, absent[1]) == b"2"
+        assert client.get("ctr") == b"2"
 
 
 class TestStripTolerance:
@@ -127,7 +250,7 @@ class TestStripTolerance:
         victim = placer.servers_for("k")[-1]
         transports[victim].alive = False
         # the strip phase skips the dead server instead of raising
-        assert atomic_update(client, "k", lambda v: b"2") == b"2"
+        assert client.atomic_update("k", lambda v: b"2") == b"2"
         assert client.health.state(victim) != "alive"
         # the other non-distinguished replicas were stripped normally
         for sid in placer.servers_for("k")[1:]:
@@ -140,7 +263,7 @@ class TestStripTolerance:
         client.set("k", b"1")
         for sid in placer.servers_for("k")[1:]:
             transports[sid].alive = False
-        atomic_update(client, "k", lambda v: b"2")
+        client.atomic_update("k", lambda v: b"2")
         series = registry.snapshot()["rnb_consistency_strip_skips_total"]["series"]
         assert series['op="atomic_update"'] == 2
 
@@ -152,7 +275,7 @@ class TestStripTolerance:
         client.set("k", b"1")
         transports[placer.distinguished_for("k")].alive = False
         with pytest.raises(ConnectionError):
-            atomic_update(client, "k", lambda v: b"2")
+            client.atomic_update("k", lambda v: b"2")
         series = registry.snapshot()["rnb_consistency_ops_total"]["series"]
         assert series['op="atomic_update",outcome="failed"'] == 1
 
@@ -161,7 +284,7 @@ class TestStripTolerance:
         client.set("k", b"1")
         victim = placer.servers_for("k")[-1]
         transports[victim].alive = False
-        assert atomic_update(client, "k", lambda v: b"2", repopulate=True) == b"2"
+        assert client.atomic_update("k", lambda v: b"2", repopulate=True) == b"2"
         for sid in placer.servers_for("k"):
             if sid != victim:
                 assert "k" in servers[sid]
@@ -172,7 +295,7 @@ class TestObsWiring:
         registry = MetricsRegistry()
         _, _, _, client = make_faultable_stack(metrics=registry)
         client.set("k", b"1")
-        atomic_update(client, "k", lambda v: b"2")
+        client.atomic_update("k", lambda v: b"2")
         snap = registry.snapshot()
         ops = snap["rnb_consistency_ops_total"]["series"]
         assert ops['op="atomic_update",outcome="ok"'] == 1
@@ -190,7 +313,7 @@ class TestObsWiring:
             return b"mine"
 
         with pytest.raises(ProtocolError):
-            atomic_update(client, "k", hostile, max_retries=3)
+            client.atomic_update("k", hostile, max_retries=3)
         snap = registry.snapshot()
         assert (
             snap["rnb_consistency_ops_total"]["series"][
@@ -201,18 +324,10 @@ class TestObsWiring:
         # the exhausted rounds were observed into the histogram
         assert snap["rnb_cas_retries"]["series"]['op="atomic_update"']["count"] == 1
 
-    def test_read_repair_counts_ok(self):
-        registry = MetricsRegistry()
-        _, _, _, client = make_faultable_stack(metrics=registry)
-        client.set("k", b"v", replicate=False)
-        read_repair(client, "k")
-        ops = registry.snapshot()["rnb_consistency_ops_total"]["series"]
-        assert ops['op="read_repair",outcome="ok"'] == 1
-
     def test_metrics_free_client_works_unchanged(self):
         _, _, _, client = make_faultable_stack()  # no registry attached
         client.set("k", b"1")
-        assert atomic_update(client, "k", lambda v: b"2") == b"2"
+        assert client.atomic_update("k", lambda v: b"2") == b"2"
 
 
 class TestVersionedClient:

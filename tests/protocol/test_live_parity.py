@@ -396,7 +396,12 @@ class TestSyncWaves:
         assert out.second_round_transactions >= 2 and not out.missing
         verbs = [request.split(b" ", 1)[0] for _, request in fleet.log]
         first_set = verbs.index(b"set")
-        assert set(verbs[first_set:]) == {b"set"}
+        sets = verbs.count(b"set")
+        assert set(verbs[first_set : first_set + sets]) == {b"set"}
+        # then each written copy's key is read again from its home, bundled as
+        # the repair wave read it, and (no update raced) no copy is deleted
+        recheck = fleet.log[first_set + sets :]
+        assert recheck == fleet.log[first_set - len(recheck) : first_set]
 
     def test_set_and_delete_try_every_replica_then_raise_the_first_failure(self):
         fleet, client = sync_side(Scenario())
@@ -518,6 +523,78 @@ class TestVersioned:
         assert all(o.failed == (shedder,) and o.outcome == "partial" for o in outcomes)
         assert state["breakers"]["rnb_breaker_state"]["series"][f'server="{shedder}"'] == 2
         assert state["health"][shedder].total_errors == 0  # shed, not sick
+
+
+def bump(value: bytes | None) -> bytes:
+    return b"1" if value is None else str(int(value) + 1).encode()
+
+
+async def atomic_script(fleet, call, kill) -> tuple[list, dict, list]:
+    """Atomic updates of a stored key, an absent one, one with a dead replica
+    (repopulated) and one whose home copy is down."""
+    placer = fleet.placer
+    home, *_, victim = placer.servers_for("n")
+    homeless = next(
+        key for key in (f"h{i}" for i in range(99)) if placer.servers_for(key)[0] == victim
+    )
+    before = fleet.counters()
+    await call("set", "n", b"1")
+    seen = [
+        await call("atomic_update", "n", bump),
+        await call("atomic_update", "fresh", bump, repopulate=True),
+    ]
+    await kill(victim)
+    seen.append(await call("atomic_update", "n", bump, repopulate=True))
+    try:
+        await call("atomic_update", homeless, bump)
+    except (ConnectionError, OSError):
+        seen.append("raised")
+    values = {
+        key: [fleet.value(sid, key) for sid in range(fleet.s.n)] for key in ("n", "fresh")
+    }
+    stats = [[now - then for now, then in zip(*pair)] for pair in zip(fleet.counters(), before)]
+    return seen, values, stats
+
+
+class TestAtomic:
+    """``atomic_update`` runs one generator on both clients: same values, same
+    copies on every server, backend counters, health and metric families."""
+
+    def test_stored_absent_dead_replica_and_dead_home(self):
+        (*sync, sync_registry), (*aio, aio_registry) = on_both(Scenario(), atomic_script)
+        assert sync == aio
+        assert drop_path(sync_registry.snapshot()) == drop_path(aio_registry.snapshot())
+        (seen, values, _), _ = sync
+        assert seen == [b"2", b"1", b"3", "raised"]
+        assert sum(v is not None for v in values["fresh"]) == Scenario().r
+        ops = sync_registry.snapshot()["rnb_consistency_ops_total"]["series"]
+        assert ops == {'op="atomic_update",outcome="ok"': 3,
+                       'op="atomic_update",outcome="failed"': 1}
+
+
+class ShedsGets(MemcachedServer):
+    """A backend that sheds every plain ``get`` (``gets`` still answers)."""
+
+    def execute(self, cmd):
+        if cmd.name == "get":
+            return format_status("SERVER_ERROR busy")
+        return super().execute(cmd)
+
+
+def test_a_shed_recheck_of_a_repopulate_deletes_the_copies():
+    # the home answers the update's gets / cas but sheds the re-check's get:
+    # the repopulated copies cannot be confirmed, so they are deleted
+    s = Scenario()
+    home = RangedConsistentHashPlacer(s.n, s.r, seed=s.seed).servers_for("n")[0]
+
+    async def update(fleet, call, kill):
+        await call("set", "n", b"1")
+        new = await call("atomic_update", "n", bump, repopulate=True)
+        return new, [fleet.value(sid, "n") for sid in fleet.placer.servers_for("n")]
+
+    sync, aio = on_both(s, update, backends={home: ShedsGets})
+    assert sync[:2] == aio[:2]
+    assert sync[0] == (b"2", [b"2", None, None])
 
 
 def test_both_constructors_check_connections_against_the_view():
