@@ -233,8 +233,118 @@ def increment(value: bytes | None) -> bytes:
     return b"1" if value is None else str(int(value) + 1).encode()
 
 
+def test_memclient_gets_add_and_cas_answer_like_the_sync_connection():
+    async def scenario():
+        async with _Cluster() as c:
+            conn = c.client.connections[0]
+            assert await conn.gets("k") is None
+            assert await conn.add("k", b"1") is True
+            assert await conn.add("k", b"2") is False
+            value, cas = await conn.gets("k")
+            assert value == b"1"
+            assert await conn.cas("k", b"3", cas) == "STORED"
+            assert await conn.cas("k", b"4", cas) == "EXISTS"
+            assert await conn.delete("k")
+            assert await conn.cas("k", b"5", cas) == "NOT_FOUND"
+
+    run(scenario())
+
+
 class TestAtomicUpdate:
     """The engine's §IV atomic update on the async client."""
+
+    @PATHS
+    def test_updates_value(self, wrap):
+        async def scenario():
+            async with _Cluster(wrap=wrap) as c:
+                await c.warm()
+                await c.client.set("counter", b"5")
+                assert await c.client.atomic_update("counter", increment) == b"6"
+                assert await c.client.get("counter") == b"6"
+
+        run(scenario())
+
+    @PATHS
+    def test_strips_stale_replicas(self, wrap):
+        async def scenario():
+            async with _Cluster(wrap=wrap) as c:
+                await c.client.set("k", b"old")
+                assert await c.client.atomic_update("k", lambda v: b"new") == b"new"
+                home, *replicas = c.placer.servers_for("k")
+                assert all("k" not in c.backends[sid] for sid in replicas)
+                assert "k" in c.backends[home]
+
+        run(scenario())
+
+    @PATHS
+    def test_creates_missing_key(self, wrap):
+        async def scenario():
+            async with _Cluster(wrap=wrap) as c:
+                assert await c.client.atomic_update("fresh", increment) == b"1"
+                assert await c.client.get("fresh") == b"1"
+
+        run(scenario())
+
+    @PATHS
+    def test_repopulate_eagerly(self, wrap):
+        async def scenario():
+            async with _Cluster(wrap=wrap) as c:
+                await c.client.set("k", b"1")
+                await c.client.atomic_update("k", increment, repopulate=True)
+                assert all("k" in c.backends[sid] for sid in c.placer.servers_for("k"))
+
+        run(scenario())
+
+    @PATHS
+    def test_retry_exhaustion_raises_and_counts_failed(self, wrap):
+        async def scenario():
+            registry = MetricsRegistry()
+            async with _Cluster(wrap=wrap, metrics=registry) as c:
+                await c.client.set("k", b"0")
+                home = c.backends[c.placer.distinguished_for("k")]
+
+                def hostile(value):
+                    # bump the home copy's cas id before the update's cas lands
+                    home.execute(Command(name="set", keys=("k",), data=b"interference"))
+                    return b"mine"
+
+                with pytest.raises(ProtocolError):
+                    await c.client.atomic_update("k", hostile, max_retries=3)
+                snap = registry.snapshot()
+                ops = snap["rnb_consistency_ops_total"]["series"]
+                assert ops['op="atomic_update",outcome="failed"'] == 1
+                assert ops['op="atomic_update",outcome="ok"'] == 0
+                assert snap["rnb_cas_retries"]["series"]['op="atomic_update"']["count"] == 1
+
+        run(scenario())
+
+    def test_successful_update_counts_ok_and_cas_rounds(self):
+        async def scenario():
+            registry = MetricsRegistry()
+            async with _Cluster(metrics=registry) as c:
+                await c.client.set("k", b"1")
+                await c.client.atomic_update("k", increment)
+                snap = registry.snapshot()
+                ops = snap["rnb_consistency_ops_total"]["series"]
+                assert ops['op="atomic_update",outcome="ok"'] == 1
+                assert ops['op="atomic_update",outcome="failed"'] == 0
+                rounds = snap["rnb_cas_retries"]["series"]['op="atomic_update"']
+                assert rounds["count"] == 1 and rounds["sum"] == 0
+
+        run(scenario())
+
+    def test_strip_skips_are_counted_once_per_server(self):
+        # the dead replica fails both strip waves but is one skip
+        async def scenario():
+            registry = MetricsRegistry()
+            async with _Cluster(metrics=registry) as c:
+                await c.client.set("k", b"1")
+                await c.kill(c.placer.servers_for("k")[-1])
+                assert await c.client.atomic_update("k", increment) == b"2"
+                series = registry.snapshot()["rnb_consistency_strip_skips_total"]["series"]
+                assert series == {'op="atomic_update"': 1}
+
+        run(scenario())
 
     @PATHS
     def test_concurrent_updaters_lose_no_update(self, wrap):

@@ -42,6 +42,15 @@ class TestConnection:
         assert c.cas("a", b"v2", cas) == "STORED"
         assert c.cas("a", b"v3", cas) == "EXISTS"
 
+    def test_gets_returns_value_and_cas_id(self):
+        c = conn()
+        c.set("a", b"v")
+        value, cas = c.gets("a")
+        assert (value, cas) == c.get_multi(["a"], with_cas=True)["a"]
+        assert value == b"v" and c.gets("missing") is None
+        assert c.cas("a", b"v2", cas) == "STORED"
+        assert c.gets("a")[1] != cas
+
     def test_delete(self):
         c = conn()
         c.set("a", b"v")
